@@ -72,11 +72,16 @@ ScanSet TopKPruner::Prepare(const Table& table, const ScanSet& scan_set,
   // workers exist yet, but the guarded members are only ever touched with
   // boundary_mutex_ held so the lock discipline stays uniform.
   std::optional<Value> init_boundary;
+  // Through a GROUP BY (Figure 7d, the only shape that turns inclusive
+  // updates off) the heap holds groups, not rows: k rows sharing one key
+  // are one group, so only distinct key values count toward k.
+  const bool counts_groups = !config_.inclusive_updates;
   if (config_.boundary_init != BoundaryInitMode::kNone &&
       !fully_matching.empty()) {
     // Candidate A: k-th strictest max (DESC) / min (ASC) over fully-matching
     // partitions — each of the k partitions contributes at least one row at
-    // least as good as that value.
+    // least as good as that value. For groups, the k-th strictest *distinct*
+    // extreme: each is a real key value, so k of them are k groups.
     std::optional<Value> kth_extreme;
     {
       std::vector<Value> extremes;
@@ -86,20 +91,28 @@ ScanSet TopKPruner::Prepare(const Table& table, const ScanSet& scan_set,
         const Value& v = config_.descending ? s.max : s.min;
         if (!v.is_null()) extremes.push_back(v);
       }
+      std::sort(extremes.begin(), extremes.end(),
+                [&](const Value& a, const Value& b) {
+                  int c = Value::Compare(a, b);
+                  return config_.descending ? c > 0 : c < 0;
+                });
+      if (counts_groups) {
+        extremes.erase(std::unique(extremes.begin(), extremes.end(),
+                                   [](const Value& a, const Value& b) {
+                                     return Value::Compare(a, b) == 0;
+                                   }),
+                       extremes.end());
+      }
       if (static_cast<int64_t>(extremes.size()) >= config_.k) {
-        std::sort(extremes.begin(), extremes.end(),
-                  [&](const Value& a, const Value& b) {
-                    int c = Value::Compare(a, b);
-                    return config_.descending ? c > 0 : c < 0;
-                  });
         kth_extreme = extremes[static_cast<size_t>(config_.k) - 1];
       }
     }
     // Candidate B: sort fully-matching partitions by min (DESC) / max (ASC),
     // strictest first; the bound of the partition whose cumulative non-null
     // row count reaches k guarantees k qualifying rows at least that good.
+    // Row counts are not group counts, so groups skip this candidate.
     std::optional<Value> cumulative_bound;
-    {
+    if (!counts_groups) {
       struct Cand {
         Value bound;
         int64_t rows;

@@ -39,7 +39,9 @@ struct TopKPrunerConfig {
   /// Whether heap-driven boundary updates may skip ties. True for plain
   /// top-k (a tie cannot improve a full heap); must be false for the GROUP
   /// BY shape of Figure 7d, where rows tying with the k-th group key still
-  /// contribute to that group's aggregates.
+  /// contribute to that group's aggregates. False also makes Prepare()'s
+  /// boundary initialization count groups instead of rows: k-th max over
+  /// distinct extremes only, cumulative-min not at all.
   bool inclusive_updates = true;
 };
 

@@ -69,8 +69,8 @@ void CollectTables(const Catalog& catalog, const PlanPtr& plan,
 }
 
 /// Specialization-tier entry point shared by every compile site (eager scan
-/// attach, top-k promotion, shard coordinator): compile the bound predicate
-/// to bytecode, stamp the table version it may run against, and record the
+/// attach, gathered scans included, and top-k promotion): compile the bound
+/// predicate to bytecode, stamp the table version it may run against, and record the
 /// decision as a "compile.specialize" span under the query's compile span
 /// (bytecode length, per-term fallback count, and the reject reason as a
 /// jit::RejectReason code — 0 means compiled).
@@ -103,7 +103,8 @@ std::shared_ptr<const jit::CompiledPredicate> CompileSpecialized(
 /// attachments discovered by plan analysis, and operator back-pointers.
 struct Engine::CompileContext {
   struct ScanInfo {
-    TableScanOp* op = nullptr;
+    ScanSource* source = nullptr;
+    TableScanOp* scan = nullptr;  ///< Null for a gathered (sharded) scan.
     std::shared_ptr<Table> table;
     FilterPruneResult filter_result;
   };
@@ -122,6 +123,10 @@ struct Engine::CompileContext {
   QueryResult* result = nullptr;
   /// Per-call options (never null during Compile/Execute).
   const ExecuteOptions* opts = nullptr;
+  /// Sharded execution only: the coordinator's seam, and the gather source
+  /// the plan's scan compiled to.
+  ShardedLeaf* leaf = nullptr;
+  GatherSourceOp* gather = nullptr;
   /// The query's catalog snapshot (see TableSnapshot above).
   TableSnapshot tables;
   std::map<const PlanNode*, ScanInfo> scans;
@@ -356,8 +361,8 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
             op->set_profile(ctx->profile->NewNode("Scan", plan->table));
             ctx->profiled_ops.push_back(op.get());
           }
-          ctx->scans[plan.get()] =
-              CompileContext::ScanInfo{op.get(), table, FilterPruneResult{}};
+          ctx->scans[plan.get()] = CompileContext::ScanInfo{
+              op.get(), op.get(), table, FilterPruneResult{}};
           return OperatorPtr(std::move(op));
         }
       }
@@ -374,7 +379,21 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
           config_.filter_pruning_phase == FilterPruningPhase::kCompileTime;
       if (compile_time_pruning) {
         FilterPruner pruner(plan->predicate, config_.filter);
-        filter_result = pruner.Prune(*table, full);
+        if (ctx->leaf != nullptr && plan->predicate) {
+          // Cross-shard pruning first: one merged-zone-map probe per shard.
+          // Merged stats are monotone (they admit everything any member
+          // admits), so a probe-excluded shard's partitions are exactly
+          // partitions the per-partition pass would have pruned anyway —
+          // removing them up front changes no counter, it only spares the
+          // metadata work and, crucially, the shard contact.
+          filter_result =
+              pruner.Prune(*table, ctx->leaf->Probe(plan->predicate, full));
+          filter_result.pruned += static_cast<int64_t>(full.size()) -
+                                  filter_result.input_partitions;
+          filter_result.input_partitions = static_cast<int64_t>(full.size());
+        } else {
+          filter_result = pruner.Prune(*table, full);
+        }
         ctx->stats.pruned_by_filter += filter_result.pruned;
       } else {
         filter_result.scan_set = full;
@@ -388,48 +407,61 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         }
       }
 
-      auto op = std::make_unique<TableScanOp>(table, filter_result.scan_set,
-                                              plan->predicate, &ctx->stats);
+      // A sharded scan gathers the shards' answers instead of loading.
+      std::unique_ptr<ScanSource> source;
+      TableScanOp* scan = nullptr;
+      if (ctx->leaf != nullptr) {
+        auto gather = std::make_unique<GatherSourceOp>(
+            table, filter_result.scan_set, &ctx->stats);
+        ctx->gather = gather.get();
+        source = std::move(gather);
+      } else {
+        auto op = std::make_unique<TableScanOp>(table, filter_result.scan_set,
+                                                plan->predicate, &ctx->stats);
+        if (config_.enable_filter_pruning && !compile_time_pruning &&
+            plan->predicate) {
+          // §3.2: pruning deferred to the execution layer. The pruner must
+          // outlive the operator tree; the compile context owns it.
+          ctx->runtime_filter_pruners.push_back(
+              std::make_unique<FilterPruner>(plan->predicate, config_.filter));
+          op->AttachRuntimeFilterPruner(
+              ctx->runtime_filter_pruners.back().get());
+        }
+        if (ctx->track_source) op->set_track_source(true);
+        scan = op.get();
+        source = std::move(op);
+      }
       if (config_.exec.specialize && config_.exec.specialize_after == 0 &&
           plan->predicate) {
         // Eager mode: specialize every compiled filter at query-compile
-        // time, no promotion threshold. The program is per-query (it dies
-        // with the operator tree), so it carries no table-instance claim.
-        auto program =
-            CompileSpecialized(plan->predicate, table->schema(),
-                               /*table_instance=*/0, ctx->opts->trace,
-                               ctx->compile_span);
-        if (program != nullptr) op->set_compiled_filter(std::move(program));
-      }
-      if (config_.enable_filter_pruning && !compile_time_pruning &&
-          plan->predicate) {
-        // §3.2: pruning deferred to the execution layer. The pruner must
-        // outlive the operator tree; the compile context owns it.
-        ctx->runtime_filter_pruners.push_back(
-            std::make_unique<FilterPruner>(plan->predicate, config_.filter));
-        op->AttachRuntimeFilterPruner(ctx->runtime_filter_pruners.back().get());
+        // time, no promotion threshold. A gathered scan's program is shared
+        // with every shard sub-query, which attach it only when their
+        // snapshot holds the table version it is stamped with.
+        source->set_compiled_filter(CompileSpecialized(
+            plan->predicate, table->schema(), table->instance_id(),
+            ctx->opts->trace, ctx->compile_span));
       }
       if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode("Scan", plan->table);
+        ProfileNode* node = ctx->profile->NewNode(
+            ctx->leaf != nullptr ? "Gather" : "Scan", plan->table);
         // Compile-time pruning attribution: this scan's share of the
         // query-wide counters bumped above. Runtime deltas flow in through
         // the profile-stats mirror; LIMIT pruning lands here from kLimit.
         node->pruning.total_partitions += static_cast<int64_t>(full.size());
         node->pruning.pruned_by_filter += filter_result.pruned;
-        op->set_profile(node);
-        op->set_profile_stats(&node->pruning);
-        ctx->profiled_ops.push_back(op.get());
+        source->set_profile(node);
+        source->set_profile_stats(&node->pruning);
+        ctx->profiled_ops.push_back(source.get());
       }
-      if (ctx->track_source) op->set_track_source(true);
       if (auto* pending = ctx->FindPendingForScan(plan.get())) {
-        op->AttachTopKPruner(pending->pruner);
+        source->AttachTopKPruner(pending->pruner);
         ScanSet prepared = pending->pruner->Prepare(
-            *table, op->scan_set(), filter_result.fully_matching);
-        op->ReplaceScanSet(std::move(prepared));
+            *table, source->scan_set(), filter_result.fully_matching);
+        source->ReplaceScanSet(std::move(prepared));
       }
-      ctx->scans[plan.get()] =
-          CompileContext::ScanInfo{op.get(), table, std::move(filter_result)};
-      return OperatorPtr(std::move(op));
+      ctx->scans[plan.get()] = CompileContext::ScanInfo{
+          source.get(), scan, table, std::move(filter_result)};
+      return OperatorPtr(std::move(source));
     }
 
     case PlanNode::Kind::kProject: {
@@ -467,13 +499,13 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
           LimitPruneResult res = LimitPruner::Prune(
               *info.table, info.filter_result,
               plan->limit_k + plan->limit_offset);
-          info.op->ReplaceScanSet(res.scan_set);
+          info.source->ReplaceScanSet(res.scan_set);
           ctx->stats.pruned_by_limit += res.pruned;
           // LIMIT pruning acts on the target scan's partitions, so the
           // profile charges it to that source node (keeping the per-node
           // sum reconcilable against the query's PruningStats).
-          if (info.op->profile() != nullptr) {
-            info.op->profile()->pruning.pruned_by_limit += res.pruned;
+          if (info.source->profile() != nullptr) {
+            info.source->profile()->pruning.pruned_by_limit += res.pruned;
           }
           ctx->result->limit_class = MapOutcome(res.outcome);
         }
@@ -565,13 +597,13 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
           // Restrict the scan set to cached ∪ newly-added partitions,
           // preserving the pruner-prepared order.
           std::vector<PartitionId> keep;
-          for (PartitionId pid : info.op->scan_set()) {
+          for (PartitionId pid : info.source->scan_set()) {
             if (std::find(cached->begin(), cached->end(), pid) !=
                 cached->end()) {
               keep.push_back(pid);
             }
           }
-          info.op->ReplaceScanSet(ScanSet(std::move(keep)));
+          info.source->ReplaceScanSet(ScanSet(std::move(keep)));
           ctx->result->predicate_cache_hit = true;
         }
         if (config_.exec.specialize && config_.exec.specialize_after > 0 &&
@@ -603,7 +635,7 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
                                                     *info.table);
           }
           if (program != nullptr) {
-            info.op->set_compiled_filter(std::move(program));
+            info.source->set_compiled_filter(std::move(program));
           }
         }
       }
@@ -754,11 +786,11 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         if (key_trace.scan != nullptr && key_trace.agg_node == nullptr &&
             key_trace.build_join_node == nullptr) {
           auto it = ctx->scans.find(key_trace.scan);
-          if (it != ctx->scans.end()) {
+          if (it != ctx->scans.end() && it->second.scan != nullptr) {
             auto col =
                 it->second.table->schema().FindColumn(key_trace.column);
             if (col.has_value()) {
-              join->AttachProbeScan(it->second.op, col.value());
+              join->AttachProbeScan(it->second.scan, col.value());
             }
           }
         }
@@ -818,6 +850,12 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
 
 Result<QueryResult> Engine::Execute(const PlanPtr& plan,
                                     const ExecuteOptions& opts) {
+  return Execute(plan, opts, nullptr);
+}
+
+Result<QueryResult> Engine::Execute(const PlanPtr& plan,
+                                    const ExecuteOptions& opts,
+                                    ShardedLeaf* leaf) {
   if (!plan) return Status::InvalidArgument("null plan");
   if (DeadlinePassed(opts.deadline_ns)) {
     // Dead on arrival: don't spend compile work on a query whose caller has
@@ -829,6 +867,7 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
   CompileContext ctx;
   ctx.result = &result;
   ctx.opts = &opts;
+  ctx.leaf = leaf;
   post_run_hooks_.clear();
 
   // Traced execution: the whole call becomes one "query" span with compile
@@ -872,6 +911,10 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
     return compiled.status();
   }
   OperatorPtr root = std::move(compiled).value();
+  if (leaf != nullptr) {
+    Status scattered = leaf->Scatter(ctx.gather, query_span.id());
+    if (!scattered.ok()) return scattered;
+  }
 
   // Partition-parallel execution (§2's "highly parallel execution layer"):
   // fan every scan's post-pruning scan set out across the worker pool. An
@@ -885,7 +928,8 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
       : config_.exec.num_threads > 0
           ? static_cast<size_t>(config_.exec.num_threads)
           : ThreadPool::DefaultConcurrency();
-  if (num_threads > 1 || config_.exec.force_parallel) {
+  // A sharded query's scans ran on the shards; its gather needs no pool.
+  if (leaf == nullptr && (num_threads > 1 || config_.exec.force_parallel)) {
     if (pool == nullptr) {
       if (!pool_ || pool_->num_threads() != num_threads) {
         pool_ = std::make_unique<ThreadPool>(num_threads);
@@ -899,7 +943,7 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
                               ? config_.exec.morsel_window
                               : pool->num_threads() * 4;
     for (auto& [node, info] : ctx.scans) {
-      info.op->EnableParallel(pool, window, config_.exec.morsel_min_rows);
+      info.scan->EnableParallel(pool, window, config_.exec.morsel_min_rows);
     }
     if (config_.exec.parallel_preagg) {
       // Aggregates sitting directly on a parallel scan may fuse: workers
@@ -919,35 +963,34 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
     }
   }
 
-  // Per-query cancellation: every scan polls the flag (serial and parallel
-  // alike), so pipeline breakers draining a scan abort within one
-  // partition/morsel instead of at operator boundaries.
-  if (cancel != nullptr) {
-    for (auto& [node, info] : ctx.scans) info.op->set_cancel_flag(cancel);
-    if (cancel->load(std::memory_order_relaxed)) {
-      // Dropping the hooks abandons any predicate-cache population ticket.
-      post_run_hooks_.clear();
-      return Status::Cancelled("query cancelled before execution");
-    }
+  // Per-query cancellation and deadline: every scan polls both (serial and
+  // parallel alike), so pipeline breakers draining a scan abort within one
+  // partition/morsel instead of at operator boundaries, and a query past
+  // its deadline frees its pool share within ~a morsel window. (A gathered
+  // scan loads nothing; the root loop below polls both per batch.)
+  for (auto& [node, info] : ctx.scans) {
+    if (info.scan == nullptr) continue;
+    info.scan->set_cancel_flag(cancel);
+    info.scan->set_deadline_ns(opts.deadline_ns);
   }
-  // Per-query deadline: rides the same scan plumbing as cancellation, so a
-  // query past its deadline frees its pool share within ~a morsel window.
-  if (opts.deadline_ns != 0) {
-    for (auto& [node, info] : ctx.scans) {
-      info.op->set_deadline_ns(opts.deadline_ns);
-    }
+  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    // Dropping the hooks abandons any predicate-cache population ticket.
+    post_run_hooks_.clear();
+    return Status::Cancelled("query cancelled before execution");
   }
 
   for (const auto& [node, info] : ctx.scans) {
     result.scan_set_bytes +=
-        static_cast<int64_t>(info.op->scan_set().SerializedBytes());
+        static_cast<int64_t>(info.source->scan_set().SerializedBytes());
   }
 
-  // The execute span parents every operator-recorded span: pipeline-breaker
-  // drains, join builds, and the workers' morsel spans (merged at delivery).
-  // Handing the trace to the operators must precede Open() — scans snapshot
-  // the pointer before their schedulers start fanning out.
-  ScopedSpan exec_span(opts.trace, "execute", query_span.id());
+  // The execute span ("gather" for a sharded query) parents every
+  // operator-recorded span: pipeline-breaker drains, join builds, and the
+  // workers' morsel spans (merged at delivery). Handing the trace to the
+  // operators must precede Open() — scans snapshot the pointer before their
+  // schedulers start fanning out.
+  ScopedSpan exec_span(opts.trace, leaf != nullptr ? "gather" : "execute",
+                       query_span.id());
   if (opts.trace != nullptr) {
     for (Operator* op : ctx.profiled_ops) {
       op->set_trace(opts.trace, exec_span.id());
@@ -978,9 +1021,9 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
   // before the deadline so an injected (retryable) error is not masked by a
   // deadline that expired during teardown.
   for (const auto& [node, info] : ctx.scans) {
-    if (!info.op->error().ok()) {
+    if (info.scan != nullptr && !info.scan->error().ok()) {
       post_run_hooks_.clear();
-      return info.op->error();
+      return info.scan->error();
     }
   }
 
@@ -1008,7 +1051,7 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
       // Per-node attribution must reconcile exactly: the profile's summed
       // pruning counters are the query's PruningStats, redistributed over
       // the source nodes. (Scan-set overrides skip compile-time metering —
-      // the coordinator accounts the whole sharded query itself.)
+      // the coordinator's gather accounts the whole sharded query.)
       const PruningStats sum = profile->SumPruning();
       SNOW_DCHECK_EQ(sum.total_partitions, result.stats.total_partitions);
       SNOW_DCHECK_EQ(sum.pruned_by_filter, result.stats.pruned_by_filter);
@@ -1018,6 +1061,8 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
       SNOW_DCHECK_EQ(sum.scanned_partitions, result.stats.scanned_partitions);
       SNOW_DCHECK_EQ(sum.scanned_rows, result.stats.scanned_rows);
       SNOW_DCHECK_EQ(sum.speculative_loads, result.stats.speculative_loads);
+      SNOW_DCHECK_EQ(sum.shards_total, result.stats.shards_total);
+      SNOW_DCHECK_EQ(sum.shards_pruned, result.stats.shards_pruned);
     }
 #endif
   }

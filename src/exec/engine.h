@@ -131,8 +131,13 @@ enum class LimitClassification {
 
 const char* ToString(LimitClassification c);
 
+class GatherSourceOp;
 class QueryProfile;
 class Trace;
+
+namespace shard {
+class ShardCoordinator;
+}  // namespace shard
 
 /// Everything a query execution reports back.
 struct QueryResult {
@@ -147,8 +152,8 @@ struct QueryResult {
   /// Row count of each batch the root operator emitted, in delivery order
   /// (only recorded under ExecuteOptions::collect_batch_rows). For a bare
   /// scan with a scan-set override this aligns 1:1 with the override's
-  /// partition ids — the shard coordinator uses it to split `rows` back
-  /// into per-partition fragments without any row-level provenance.
+  /// partition ids — the sharded gather uses it to find each partition's
+  /// rows without any row-level provenance.
   std::vector<size_t> batch_rows;
   /// EXPLAIN ANALYZE-style per-operator report. Built only for traced
   /// executions (ExecuteOptions::trace set); null otherwise. Shared so the
@@ -230,9 +235,28 @@ class Engine {
   const EngineConfig& config() const { return config_; }
   EngineConfig* mutable_config() { return &config_; }
 
+  /// The sharded-leaf seam (shard::ShardCoordinator's side of the one
+  /// compile path). With a leaf, the plan's scan compiles to a
+  /// GatherSourceOp: Probe() runs before per-partition filter pruning,
+  /// Scatter() runs between compile and the root loop, and the root loop
+  /// becomes the "gather" span.
+  class ShardedLeaf {
+   public:
+    virtual ~ShardedLeaf() = default;
+    /// Cross-shard pruning: `full` minus the partitions of every shard
+    /// whose merged zone maps exclude the (bound) predicate.
+    virtual ScanSet Probe(const ExprPtr& predicate, const ScanSet& full) = 0;
+    /// Sends the gather's final scan set to the shards and installs their
+    /// answers on it. `query_span` parents the scatter's spans.
+    virtual Status Scatter(GatherSourceOp* gather, uint32_t query_span) = 0;
+  };
+
  private:
+  friend class shard::ShardCoordinator;
   struct CompileContext;
 
+  Result<QueryResult> Execute(const PlanPtr& plan, const ExecuteOptions& opts,
+                              ShardedLeaf* leaf);
   Result<OperatorPtr> Compile(const PlanPtr& plan, CompileContext* ctx);
 
   Catalog* catalog_;

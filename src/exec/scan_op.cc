@@ -1,7 +1,9 @@
 #include "exec/scan_op.h"
 
 #include <algorithm>
+#include <iterator>
 
+#include "common/check.h"
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "exec/parallel/pipeline.h"
@@ -13,10 +15,8 @@ namespace snowprune {
 
 TableScanOp::TableScanOp(std::shared_ptr<Table> table, ScanSet scan_set,
                          ExprPtr filter, PruningStats* stats)
-    : table_(std::move(table)),
-      scan_set_(std::move(scan_set)),
-      filter_(std::move(filter)),
-      stats_(stats) {}
+    : ScanSource(std::move(table), std::move(scan_set), stats),
+      filter_(std::move(filter)) {}
 
 TableScanOp::~TableScanOp() = default;
 
@@ -363,6 +363,74 @@ void TableScanOp::Close() {
   scheduler_.reset();
   current_morsel_ = MorselResult();
   item_cursor_ = 0;
+}
+
+void GatherSourceOp::MeterShards(int64_t total, int64_t pruned) {
+  for (PruningStats* stats : {stats_, profile_stats_}) {
+    if (stats == nullptr) continue;
+    stats->shards_total += total;
+    stats->shards_pruned += pruned;
+  }
+}
+
+void GatherSourceOp::Open() {
+  cursor_ = 0;
+  cursors_.assign(answers_.size(), Cursor{});
+}
+
+bool GatherSourceOp::Next(Batch* out) {
+  if (profile_ == nullptr) return NextInner(out);
+  return ProfiledNext(
+      profile_, [&] { return NextInner(out); },
+      [&] { return static_cast<int64_t>(out->rows.size()); });
+}
+
+bool GatherSourceOp::NextInner(Batch* out) {
+  out->rows.clear();
+  out->source.clear();
+  while (cursor_ < scan_set_.size()) {
+    const PartitionId pid = scan_set_[cursor_++];
+    // The answer holding this partition, if it was scattered: its rows are
+    // [row, row + n) of that answer.
+    ShardAnswer* answer = nullptr;
+    size_t row = 0, n = 0;
+    for (size_t s = 0; s < answers_.size(); ++s) {
+      Cursor& at = cursors_[s];
+      if (at.batch < answers_[s].slice.size() &&
+          answers_[s].slice[at.batch] == pid) {
+        answer = &answers_[s];
+        row = at.row;
+        n = answer->batch_rows[at.batch++];
+        at.row += n;
+        break;
+      }
+    }
+    const bool skip =
+        topk_pruner_ != nullptr && topk_pruner_->ShouldSkip(*table_, pid);
+    SNOW_DCHECK(skip || answer != nullptr);
+    const int64_t rows = table_->partition_metadata(pid).row_count();
+    for (PruningStats* stats : {stats_, profile_stats_}) {
+      if (stats == nullptr) continue;
+      if (!skip) {
+        ++stats->scanned_partitions;
+        stats->scanned_rows += rows;
+      } else {
+        // Exactly the serial scan's pre-load check; an answer the scatter
+        // already produced for this partition was a speculative load.
+        ++stats->pruned_by_topk;
+        if (answer != nullptr) ++stats->speculative_loads;
+      }
+    }
+    if (skip) continue;
+    if (answer != nullptr) {
+      auto first = answer->rows.begin() + static_cast<std::ptrdiff_t>(row);
+      out->rows.assign(std::make_move_iterator(first),
+                       std::make_move_iterator(
+                           first + static_cast<std::ptrdiff_t>(n)));
+    }
+    return true;  // one batch per partition, even with no surviving rows
+  }
+  return false;
 }
 
 }  // namespace snowprune

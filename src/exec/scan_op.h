@@ -26,6 +26,63 @@ namespace jit {
 struct CompiledPredicate;
 }  // namespace jit
 
+/// What plan compilation needs of a scan-set leaf, whether it loads its
+/// partitions (TableScanOp) or replays a scatter's answers for them
+/// (GatherSourceOp): the scan set, which LIMIT pruning and top-k
+/// preparation replace; the top-k pruner consulted before each partition;
+/// the specialized filter program; the query's stats and their profile
+/// mirror.
+class ScanSource : public Operator {
+ public:
+  ScanSource(std::shared_ptr<Table> table, ScanSet scan_set,
+             PruningStats* stats)
+      : table_(std::move(table)),
+        scan_set_(std::move(scan_set)),
+        stats_(stats) {}
+
+  /// Planner hook (§5): the TopK operator in the same pipeline publishes
+  /// boundary updates through this pruner.
+  void AttachTopKPruner(TopKPruner* pruner) { topk_pruner_ = pruner; }
+  bool has_topk_pruner() const { return topk_pruner_ != nullptr; }
+  TopKPruner* topk_pruner() const { return topk_pruner_; }
+
+  /// Planner hook: replaces the scan set before execution (LIMIT pruning,
+  /// top-k ordering/initialization, predicate-cache restriction).
+  void ReplaceScanSet(ScanSet scan_set) { scan_set_ = std::move(scan_set); }
+  const ScanSet& scan_set() const { return scan_set_; }
+  const std::shared_ptr<Table>& table() const { return table_; }
+
+  /// Engine hook (specialization tier): a bytecode program compiled from
+  /// this scan's filter. Each batch tries the fused executor first and falls
+  /// back to the vectorized interpreter when the program cannot run against
+  /// it (column drift) — selections are byte-identical either way. Shared:
+  /// the same program may be attached to many scans across streams/shards;
+  /// a GatherSourceOp filters nothing itself and ships it to its shards.
+  void set_compiled_filter(
+      std::shared_ptr<const jit::CompiledPredicate> program) {
+    compiled_filter_ = std::move(program);
+  }
+  const std::shared_ptr<const jit::CompiledPredicate>& compiled_filter() const {
+    return compiled_filter_;
+  }
+
+  /// Profiling hook (traced queries only): a second PruningStats that
+  /// receives exactly the runtime deltas this scan contributes to the
+  /// query's stats_, attributed to this scan's profile node. Kept separate
+  /// from stats_ so the untraced path's metering code is byte-unchanged.
+  void set_profile_stats(PruningStats* stats) { profile_stats_ = stats; }
+
+  const Schema& output_schema() const override { return table_->schema(); }
+
+ protected:
+  std::shared_ptr<Table> table_;
+  ScanSet scan_set_;
+  std::shared_ptr<const jit::CompiledPredicate> compiled_filter_;
+  PruningStats* stats_;
+  PruningStats* profile_stats_ = nullptr;
+  TopKPruner* topk_pruner_ = nullptr;
+};
+
 /// Table scan over a (compile-time pruned) scan set. One output batch per
 /// partition. Runtime pruning hooks:
 ///   - a TopKPruner attached by the planner is consulted before every load
@@ -60,7 +117,7 @@ struct CompiledPredicate;
 /// thread count — results stay correct (cutoff only ever keeps more
 /// partitions), but exact stats parity is only guaranteed with the cutoff
 /// at its default (disabled).
-class TableScanOp : public Operator {
+class TableScanOp : public ScanSource {
  public:
   /// A worker-side stage result (type-erased; producer and consumer agree
   /// on the concrete type, e.g. HashAggregateOp's partial group map, a
@@ -77,11 +134,6 @@ class TableScanOp : public Operator {
   TableScanOp(std::shared_ptr<Table> table, ScanSet scan_set, ExprPtr filter,
               PruningStats* stats);
   ~TableScanOp() override;
-
-  /// Planner hook (§5): the TopK operator in the same pipeline publishes
-  /// boundary updates through this pruner.
-  void AttachTopKPruner(TopKPruner* pruner) { topk_pruner_ = pruner; }
-  bool has_topk_pruner() const { return topk_pruner_ != nullptr; }
 
   /// Planner hook (§3.2): deferred filter pruning. When compile-time
   /// pruning was skipped (FilterPruningPhase::kRuntime), the scan checks
@@ -100,22 +152,6 @@ class TableScanOp : public Operator {
   /// provenance — it is the batch's partition id).
   void set_track_source(bool track) { track_source_ = track; }
 
-  /// Planner hook: replaces the scan set before execution (LIMIT pruning,
-  /// top-k ordering/initialization, predicate-cache restriction).
-  void ReplaceScanSet(ScanSet scan_set) { scan_set_ = std::move(scan_set); }
-
-  /// Engine hook (specialization tier): a bytecode program compiled from
-  /// this scan's filter. Each batch tries the fused executor first and falls
-  /// back to the vectorized interpreter when the program cannot run against
-  /// it (column drift) — selections are byte-identical either way. Shared:
-  /// the same program may be attached to many scans across streams/shards.
-  void set_compiled_filter(
-      std::shared_ptr<const jit::CompiledPredicate> program) {
-    compiled_filter_ = std::move(program);
-  }
-  const std::shared_ptr<const jit::CompiledPredicate>& compiled_filter() const {
-    return compiled_filter_;
-  }
   /// EXPLAIN ANALYZE attribution: batches filtered by the compiled program
   /// vs. ones that fell back to the interpreter (this execution).
   int64_t specialized_batches() const {
@@ -180,16 +216,7 @@ class TableScanOp : public Operator {
   void Open() override;
   bool Next(Batch* out) override;
   void Close() override;
-  const Schema& output_schema() const override { return table_->schema(); }
 
-  const ScanSet& scan_set() const { return scan_set_; }
-  const std::shared_ptr<Table>& table() const { return table_; }
-
-  /// Profiling hook (traced queries only): a second PruningStats that
-  /// receives exactly the runtime deltas this scan contributes to the
-  /// query's stats_, attributed to this scan's profile node. Kept separate
-  /// from stats_ so the untraced path's metering code is byte-unchanged.
-  void set_profile_stats(PruningStats* stats) { profile_stats_ = stats; }
   /// Observability: how many morsels the last Open() planned (parallel
   /// mode; 0 before Open or in serial mode).
   size_t num_morsels() const { return morsel_ranges_.size(); }
@@ -224,17 +251,11 @@ class TableScanOp : public Operator {
   /// row-count budget.
   void PlanMorsels();
 
-  std::shared_ptr<Table> table_;
-  ScanSet scan_set_;
   ExprPtr filter_;
-  /// Specialized filter kernel (see set_compiled_filter); counters are
-  /// atomics because parallel workers filter batches concurrently.
-  std::shared_ptr<const jit::CompiledPredicate> compiled_filter_;
+  /// Batches run by compiled_filter_ vs. the interpreter; atomics because
+  /// parallel workers filter batches concurrently.
   std::atomic<int64_t> specialized_batches_{0};
   std::atomic<int64_t> interpreted_batches_{0};
-  PruningStats* stats_;
-  PruningStats* profile_stats_ = nullptr;
-  TopKPruner* topk_pruner_ = nullptr;
   FilterPruner* runtime_filter_pruner_
       SNOW_PT_GUARDED_BY(runtime_prune_mutex_) = nullptr;
   bool track_source_ = false;
@@ -263,6 +284,59 @@ class TableScanOp : public Operator {
   /// First fault seen by the consumer thread (see error()).
   Status error_;
   std::unique_ptr<ParallelScanScheduler> scheduler_;
+};
+
+/// One shard's answer to a sharded scan: the partitions its sub-query
+/// scanned, in the gather's scan-set order, and its rows — the first
+/// batch_rows[0] of them from slice[0], the next batch_rows[1] from
+/// slice[1], and so on.
+struct ShardAnswer {
+  ScanSet slice;
+  std::vector<Row> rows;
+  std::vector<size_t> batch_rows;
+};
+
+/// The coordinator-side stand-in for a sharded table scan: iterates the
+/// final global scan set in order, consults the (evolving) top-k boundary
+/// before each partition exactly where the serial scan would — before the
+/// "load" — and emits the partition's rows from its shard's answer as one
+/// batch (even an empty one, matching TableScanOp's one-batch-per-partition
+/// contract). Each answer is read in place through its own cursor: slices
+/// follow scan-set order, so a partition's rows are always at the head of
+/// one cursor. Per-partition stats are metered here, in scan-set order, so
+/// the gathered PruningStats reproduce a serial run's counters bit-for-bit;
+/// an answer dropped by a boundary that tightened after the scatter is the
+/// sharded analog of a parallel worker's stale lookahead load and is
+/// surfaced as speculative_loads.
+class GatherSourceOp : public ScanSource {
+ public:
+  using ScanSource::ScanSource;
+
+  /// Installs the scatter's answers; must precede Open(). Every partition
+  /// the gather will not skip is in exactly one slice: the scatter drops a
+  /// partition only when the boundary already skips it, and boundaries only
+  /// tighten.
+  void SetAnswers(std::vector<ShardAnswer> answers) {
+    answers_ = std::move(answers);
+  }
+  /// Meters the cross-shard pruning level (shards the scatter did not
+  /// contact) with the rest of this source's counters.
+  void MeterShards(int64_t total, int64_t pruned);
+
+  void Open() override;
+  bool Next(Batch* out) override;
+  void Close() override {}
+
+ private:
+  bool NextInner(Batch* out);
+
+  struct Cursor {
+    size_t batch = 0;  ///< Next slice position.
+    size_t row = 0;    ///< First row of that partition.
+  };
+  std::vector<ShardAnswer> answers_;
+  std::vector<Cursor> cursors_;
+  size_t cursor_ = 0;
 };
 
 }  // namespace snowprune

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -11,12 +10,7 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "core/limit_pruner.h"
-#include "exec/agg_op.h"
-#include "exec/ops.h"
-#include "exec/profile.h"
-#include "exec/topk_op.h"
-#include "expr/jit/compiler.h"
+#include "exec/scan_op.h"
 
 namespace snowprune {
 namespace shard {
@@ -47,94 +41,9 @@ int64_t RetryBackoffUs(const RetryPolicy& policy, int retry) {
 
 namespace {
 
-/// The coordinator-side stand-in for the table scan: iterates the final
-/// global scan set in order, consults the (evolving) top-k boundary before
-/// each partition exactly where the serial scan would — before the "load" —
-/// and emits the shard-delivered row fragment as one batch per partition
-/// (even an empty one, matching TableScanOp's one-batch-per-partition
-/// contract). Per-partition stats are metered here, in scan-set order, so
-/// the gathered PruningStats reproduce a serial run's counters bit-for-bit;
-/// a fragment dropped by a boundary that tightened after the scatter is the
-/// sharded analog of a parallel worker's stale lookahead load and is
-/// surfaced as speculative_loads.
-class GatherSourceOp : public Operator {
- public:
-  GatherSourceOp(std::shared_ptr<Table> table, ScanSet scan_set,
-                 PruningStats* stats)
-      : table_(std::move(table)),
-        scan_set_(std::move(scan_set)),
-        stats_(stats) {}
-
-  void AttachTopKPruner(TopKPruner* pruner) { topk_pruner_ = pruner; }
-  TopKPruner* topk_pruner() const { return topk_pruner_; }
-  void ReplaceScanSet(ScanSet scan_set) { scan_set_ = std::move(scan_set); }
-  const ScanSet& scan_set() const { return scan_set_; }
-  void set_fragments(std::unordered_map<PartitionId, std::vector<Row>>* f) {
-    fragments_ = f;
-  }
-
-  /// Profiling mirror (traced queries): receives the same deltas as
-  /// `stats_`, attributed to this node. The coordinator meters the whole
-  /// sharded query here — sub-engines run with metering off — so the
-  /// profile's summed pruning reconciles against the query's PruningStats.
-  void set_profile_stats(PruningStats* stats) { profile_stats_ = stats; }
-
-  void Open() override { cursor_ = 0; }
-
-  bool Next(Batch* out) override {
-    if (profile_ == nullptr) return NextInner(out);
-    return ProfiledNext(
-        profile_, [&] { return NextInner(out); },
-        [&] { return static_cast<int64_t>(out->rows.size()); });
-  }
-
-  bool NextInner(Batch* out) {
-    out->rows.clear();
-    out->source.clear();
-    while (cursor_ < scan_set_.size()) {
-      PartitionId pid = scan_set_[cursor_++];
-      if (topk_pruner_ != nullptr && topk_pruner_->ShouldSkip(*table_, pid)) {
-        // Exactly the serial scan's pre-load check. A fragment the scatter
-        // already produced for this partition was a speculative load.
-        ++stats_->pruned_by_topk;
-        if (profile_stats_ != nullptr) ++profile_stats_->pruned_by_topk;
-        if (fragments_ != nullptr && fragments_->count(pid) > 0) {
-          ++stats_->speculative_loads;
-          if (profile_stats_ != nullptr) ++profile_stats_->speculative_loads;
-        }
-        continue;
-      }
-      ++stats_->scanned_partitions;
-      stats_->scanned_rows += table_->partition_metadata(pid).row_count();
-      if (profile_stats_ != nullptr) {
-        ++profile_stats_->scanned_partitions;
-        profile_stats_->scanned_rows +=
-            table_->partition_metadata(pid).row_count();
-      }
-      if (fragments_ != nullptr) {
-        auto it = fragments_->find(pid);
-        if (it != fragments_->end()) out->rows = std::move(it->second);
-      }
-      return true;  // one batch per partition, even with no surviving rows
-    }
-    return false;
-  }
-
-  void Close() override {}
-  const Schema& output_schema() const override { return table_->schema(); }
-
- private:
-  std::shared_ptr<Table> table_;
-  ScanSet scan_set_;
-  PruningStats* stats_;
-  PruningStats* profile_stats_ = nullptr;
-  TopKPruner* topk_pruner_ = nullptr;
-  std::unordered_map<PartitionId, std::vector<Row>>* fragments_ = nullptr;
-  size_t cursor_ = 0;
-};
-
-/// Join-free single-scan chain? That is the shape the scatter compile can
-/// mirror; everything else falls back to the single-engine path.
+/// Join-free single-scan chain? That is the shape the scatter can answer
+/// with one sub-plan per shard; everything else falls back to the
+/// single-engine path.
 bool SupportedShape(const PlanPtr& plan, size_t* scans) {
   if (!plan) return false;
   switch (plan->kind) {
@@ -157,624 +66,116 @@ const PlanNode* FindScan(const PlanPtr& plan) {
                                              : FindScan(plan->child);
 }
 
-/// Mirrors engine.cc's TraceColumnToScan for the join-free chains the
-/// scatter path supports (§5.2 / Figure 7a+7d legality).
-struct GatherTrace {
-  const PlanNode* scan = nullptr;
-  std::string column;
-  bool via_aggregate = false;
-  const PlanNode* agg_node = nullptr;
-};
-
-GatherTrace TraceColumn(const Table& table, const PlanPtr& plan,
-                        const std::string& column) {
-  switch (plan->kind) {
-    case PlanNode::Kind::kScan: {
-      if (table.schema().FindColumn(column).has_value()) {
-        GatherTrace t;
-        t.scan = plan.get();
-        t.column = column;
-        return t;
-      }
-      return {};
-    }
-    case PlanNode::Kind::kProject: {
-      auto it = std::find(plan->names.begin(), plan->names.end(), column);
-      if (it == plan->names.end()) return {};
-      size_t idx = static_cast<size_t>(it - plan->names.begin());
-      if (plan->exprs[idx]->kind() != ExprKind::kColumnRef) return {};
-      const auto& ref = static_cast<const ColumnRefExpr&>(*plan->exprs[idx]);
-      return TraceColumn(table, plan->child, ref.name());
-    }
-    case PlanNode::Kind::kLimit:
-    case PlanNode::Kind::kTopK:
-    case PlanNode::Kind::kSort:
-      return TraceColumn(table, plan->child, column);
-    case PlanNode::Kind::kAggregate: {
-      if (std::find(plan->group_columns.begin(), plan->group_columns.end(),
-                    column) == plan->group_columns.end()) {
-        return {};
-      }
-      GatherTrace t = TraceColumn(table, plan->child, column);
-      if (t.scan != nullptr) {
-        if (t.via_aggregate) return {};  // nested aggregates unsupported
-        t.via_aggregate = true;
-        t.agg_node = plan.get();
-      }
-      return t;
-    }
-    case PlanNode::Kind::kJoin:
-      return {};
-  }
-  return {};
-}
-
-/// Mirrors engine.cc's TraceLimitTarget (§4.3), join branch excluded.
-const PlanNode* TraceLimitTarget(const PlanPtr& plan) {
-  switch (plan->kind) {
-    case PlanNode::Kind::kScan:
-      return plan.get();
-    case PlanNode::Kind::kProject:
-      return TraceLimitTarget(plan->child);
-    default:
-      return nullptr;
-  }
-}
-
-LimitClassification MapOutcome(LimitPruneOutcome outcome) {
-  switch (outcome) {
-    case LimitPruneOutcome::kAlreadyMinimal:
-      return LimitClassification::kAlreadyMinimal;
-    case LimitPruneOutcome::kNoFullyMatching:
-      return LimitClassification::kNoFullyMatching;
-    case LimitPruneOutcome::kPrunedToZero:
-      return LimitClassification::kPrunedToZero;
-    case LimitPruneOutcome::kPrunedToOne:
-      return LimitClassification::kPrunedToOne;
-    case LimitPruneOutcome::kPrunedToMany:
-      return LimitClassification::kPrunedToMany;
-  }
-  return LimitClassification::kUnsupportedShape;
-}
-
 }  // namespace
 
-/// Per-query gather compilation state — the single-scan analog of the
-/// engine's CompileContext, mirrored step for step so the global scan set
-/// evolves exactly as a single engine's would.
-struct ShardCoordinator::GatherCompile {
-  PruningStats stats;
-  QueryResult* result = nullptr;
-  std::shared_ptr<Table> table;
-  const ShardMap* map = nullptr;
+/// One sharded query's side of the engine's sharded-leaf seam: the
+/// cross-shard probe inside compile, and the scatter between compile and
+/// gather, against the query's one table snapshot.
+class ShardCoordinator::ScatterLeaf : public Engine::ShardedLeaf {
+ public:
+  ScatterLeaf(ShardCoordinator* coordinator, const PlanNode* scan_node,
+              const ShardMap* map, const ExecuteOptions* opts)
+      : coordinator_(coordinator),
+        scan_node_(scan_node),
+        map_(*map),
+        opts_(*opts) {}
 
-  GatherSourceOp* gather = nullptr;
-  FilterPruneResult filter_result;
-  std::map<const PlanNode*, HashAggregateOp*> agg_ops;
-  std::vector<std::unique_ptr<TopKPruner>> pruners;
-
-  struct PendingTopK {
-    const PlanNode* scan_node = nullptr;
-    const PlanNode* agg_node = nullptr;
-    std::string scan_column;
-    TopKPruner* pruner = nullptr;
-    int64_t k = 0;
-    bool descending = true;
-  };
-  std::vector<PendingTopK> pending_topk;
-
-  /// Cross-shard level bookkeeping (filled during the scan compile).
-  std::vector<uint8_t> summary_pruned;
-  int64_t summary_pruned_partitions = 0;
-
-  /// Traced queries only: one ProfileNode per gather-side operator, with
-  /// every pruning counter attributed to the gather source node.
-  QueryProfile* profile = nullptr;
-  std::vector<Operator*> profiled_ops;
-  ProfileNode* gather_node = nullptr;
-
-  PendingTopK* FindPendingForScan(const PlanNode* scan_node) {
-    for (auto& p : pending_topk) {
-      if (p.scan_node == scan_node) return &p;
+  ScanSet Probe(const ExprPtr& predicate, const ScanSet& full) override {
+    FilterPruner probe(predicate, coordinator_->config_.engine.filter);
+    std::vector<uint8_t>& pruned = coordinator_->last_exec_.summary_pruned;
+    bool any = false;
+    for (size_t s = 0; s < map_.num_shards(); ++s) {
+      if (!map_.shard_partitions(s).empty() &&
+          probe.CanPruneFromStats(map_.shard_summary(s), map_.shard_rows(s))) {
+        pruned[s] = 1;
+        any = true;
+      }
     }
-    return nullptr;
+    if (!any) return full;
+    std::vector<PartitionId> remaining;
+    remaining.reserve(full.size());
+    for (PartitionId pid : full) {
+      if (!pruned[map_.shard_of(pid)]) remaining.push_back(pid);
+    }
+    return ScanSet(std::move(remaining));
   }
+
+  Status Scatter(GatherSourceOp* gather, uint32_t query_span) override;
+
+ private:
+  ShardCoordinator* const coordinator_;
+  const PlanNode* const scan_node_;
+  const ShardMap& map_;
+  const ExecuteOptions& opts_;
 };
 
-ShardCoordinator::ShardCoordinator(Catalog* catalog, ShardExecConfig config)
-    : catalog_(catalog),
-      config_(std::move(config)),
-      fallback_(catalog, config_.engine) {
-  config_.num_shards = std::max<size_t>(1, config_.num_shards);
-  shard_engines_.reserve(config_.num_shards);
-  for (size_t s = 0; s < config_.num_shards; ++s) {
-    shard_engines_.push_back(
-        std::make_unique<Engine>(catalog, config_.engine));
-  }
-}
+Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
+                                              uint32_t query_span) {
+  Trace* trace = opts_.trace;
+  ScopedSpan scatter_span(trace, "scatter", query_span);
+  ExecInfo& info = coordinator_->last_exec_;
+  info.sharded = true;
+  const Table& table = *gather->table();
 
-ShardCoordinator::~ShardCoordinator() = default;
-
-const ShardMap& ShardCoordinator::MapFor(const std::string& name,
-                                         const Table& table) {
-  auto it = map_cache_.find(name);
-  if (it == map_cache_.end() ||
-      it->second.table_instance() != table.instance_id()) {
-    // First sight, or DML swapped the table object: (re)build from the new
-    // version's metadata.
-    it = map_cache_
-             .insert_or_assign(
-                 name, ShardMap::Build(table, config_.num_shards,
-                                       config_.policy))
-             .first;
-  }
-  return it->second;
-}
-
-Result<OperatorPtr> ShardCoordinator::CompileGather(const PlanPtr& plan,
-                                                    GatherCompile* ctx) {
-  const EngineConfig& config = config_.engine;
-  switch (plan->kind) {
-    case PlanNode::Kind::kScan: {
-      const std::shared_ptr<Table>& table = ctx->table;
-      if (plan->predicate) {
-        Status s = BindExpr(plan->predicate, table->schema());
-        if (!s.ok()) return s;
-      }
-      ScanSet full = table->FullScanSet();
-      ctx->stats.total_partitions += static_cast<int64_t>(full.size());
-
-      FilterPruneResult filter_result;
-      const bool compile_time_pruning =
-          config.enable_filter_pruning &&
-          config.filter_pruning_phase == FilterPruningPhase::kCompileTime;
-      if (compile_time_pruning) {
-        ScanSet input = full;
-        if (plan->predicate) {
-          // Cross-shard pruning first: one merged-zone-map probe per shard.
-          // Merged stats are monotone (they admit everything any member
-          // admits), so a probe-excluded shard's partitions are exactly
-          // partitions the per-partition pass below would have pruned
-          // anyway — removing them up front changes no counter, it only
-          // spares the metadata work and, crucially, the shard contact.
-          FilterPruner probe(plan->predicate, config.filter);
-          const ShardMap& map = *ctx->map;
-          for (size_t s = 0; s < map.num_shards(); ++s) {
-            if (map.shard_partitions(s).empty()) continue;
-            if (probe.CanPruneFromStats(map.shard_summary(s),
-                                        map.shard_rows(s))) {
-              ctx->summary_pruned[s] = 1;
-              ctx->summary_pruned_partitions +=
-                  static_cast<int64_t>(map.shard_partitions(s).size());
-            }
-          }
-          if (ctx->summary_pruned_partitions > 0) {
-            std::vector<PartitionId> remaining;
-            remaining.reserve(full.size());
-            for (PartitionId pid : full) {
-              if (!ctx->summary_pruned[map.shard_of(pid)]) {
-                remaining.push_back(pid);
-              }
-            }
-            input = ScanSet(std::move(remaining));
-          }
-        }
-        FilterPruner pruner(plan->predicate, config.filter);
-        filter_result = pruner.Prune(*table, input);
-        filter_result.pruned += ctx->summary_pruned_partitions;
-        filter_result.input_partitions = static_cast<int64_t>(full.size());
-        ctx->stats.pruned_by_filter += filter_result.pruned;
-      } else {
-        filter_result.scan_set = full;
-        filter_result.input_partitions = static_cast<int64_t>(full.size());
-        if (!plan->predicate) {
-          for (PartitionId pid : full) {
-            filter_result.fully_matching.push_back(pid);
-            filter_result.fully_matching_rows +=
-                table->partition_metadata(pid).row_count();
-          }
-        }
-      }
-
-      auto op = std::make_unique<GatherSourceOp>(table, filter_result.scan_set,
-                                                 &ctx->stats);
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode("Gather", plan->table);
-        // Compile-time attribution: the whole sharded query's partitions
-        // and filter prunes (cross-shard exclusions included) are this
-        // node's — runtime deltas and the shard counters follow later.
-        node->pruning.total_partitions += static_cast<int64_t>(full.size());
-        node->pruning.pruned_by_filter += filter_result.pruned;
-        op->set_profile(node);
-        op->set_profile_stats(&node->pruning);
-        ctx->gather_node = node;
-        ctx->profiled_ops.push_back(op.get());
-      }
-      if (auto* pending = ctx->FindPendingForScan(plan.get())) {
-        op->AttachTopKPruner(pending->pruner);
-        ScanSet prepared = pending->pruner->Prepare(
-            *table, op->scan_set(), filter_result.fully_matching);
-        op->ReplaceScanSet(std::move(prepared));
-      }
-      ctx->gather = op.get();
-      ctx->filter_result = std::move(filter_result);
-      return OperatorPtr(std::move(op));
-    }
-
-    case PlanNode::Kind::kProject: {
-      auto child = CompileGather(plan->child, ctx);
-      if (!child.ok()) return child.status();
-      OperatorPtr input = std::move(child).value();
-      for (const auto& e : plan->exprs) {
-        Status s = BindExpr(e, input->output_schema());
-        if (!s.ok()) return s;
-      }
-      ProfileNode* child_node = input->profile();
-      auto project = std::make_unique<ProjectOp>(std::move(input), plan->exprs,
-                                                 plan->names);
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "Project", std::to_string(plan->exprs.size()) + " exprs");
-        if (child_node != nullptr) node->children.push_back(child_node);
-        project->set_profile(node);
-        ctx->profiled_ops.push_back(project.get());
-      }
-      return OperatorPtr(std::move(project));
-    }
-
-    case PlanNode::Kind::kLimit: {
-      const PlanNode* target = TraceLimitTarget(plan->child);
-      auto child = CompileGather(plan->child, ctx);
-      if (!child.ok()) return child.status();
-      OperatorPtr input = std::move(child).value();
-      if (config.enable_limit_pruning) {
-        if (target == nullptr) {
-          ctx->result->limit_class = LimitClassification::kUnsupportedShape;
-        } else {
-          LimitPruneResult res = LimitPruner::Prune(
-              *ctx->table, ctx->filter_result,
-              plan->limit_k + plan->limit_offset);
-          ctx->gather->ReplaceScanSet(res.scan_set);
-          ctx->stats.pruned_by_limit += res.pruned;
-          if (ctx->gather_node != nullptr) {
-            ctx->gather_node->pruning.pruned_by_limit += res.pruned;
-          }
-          ctx->result->limit_class = MapOutcome(res.outcome);
-        }
-      }
-      ProfileNode* child_node = input->profile();
-      auto limit = std::make_unique<LimitOp>(std::move(input), plan->limit_k,
-                                             plan->limit_offset);
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "Limit", "k=" + std::to_string(plan->limit_k) + " offset=" +
-                         std::to_string(plan->limit_offset));
-        if (child_node != nullptr) node->children.push_back(child_node);
-        limit->set_profile(node);
-        ctx->profiled_ops.push_back(limit.get());
-      }
-      return OperatorPtr(std::move(limit));
-    }
-
-    case PlanNode::Kind::kTopK: {
-      GatherTrace trace;
-      TopKPruner* pruner = nullptr;
-      if (config.enable_topk_pruning) {
-        trace = TraceColumn(*ctx->table, plan->child, plan->order_column);
-        if (trace.scan != nullptr) {
-          TopKPrunerConfig pcfg;
-          pcfg.k = plan->limit_k;
-          pcfg.descending = plan->descending;
-          pcfg.order_strategy = config.topk_order_strategy;
-          pcfg.boundary_init = config.topk_boundary_init;
-          pcfg.inclusive_updates = !trace.via_aggregate;
-          auto col = ctx->table->schema().FindColumn(trace.column);
-          ctx->pruners.push_back(
-              std::make_unique<TopKPruner>(pcfg, col.value()));
-          pruner = ctx->pruners.back().get();
-          GatherCompile::PendingTopK pending;
-          pending.scan_node = trace.scan;
-          pending.agg_node = trace.agg_node;
-          pending.scan_column = trace.column;
-          pending.pruner = pruner;
-          pending.k = plan->limit_k;
-          pending.descending = plan->descending;
-          ctx->pending_topk.push_back(pending);
-          ctx->result->topk_pruning_attached = true;
-        }
-      }
-
-      auto child = CompileGather(plan->child, ctx);
-      if (!child.ok()) return child.status();
-      OperatorPtr input = std::move(child).value();
-
-      auto idx = input->output_schema().FindColumn(plan->order_column);
-      if (!idx.has_value()) {
-        return Status::NotFound("no order column " + plan->order_column);
-      }
-      TopKPruner* publisher = pruner;
-      if (trace.agg_node != nullptr) {
-        publisher = nullptr;
-        auto agg_it = ctx->agg_ops.find(trace.agg_node);
-        if (agg_it != ctx->agg_ops.end()) {
-          const auto& gcols = trace.agg_node->group_columns;
-          auto git = std::find(gcols.begin(), gcols.end(), plan->order_column);
-          if (git != gcols.end()) {
-            agg_it->second->EnableGroupLimit(
-                static_cast<size_t>(git - gcols.begin()), plan->descending,
-                plan->limit_k, pruner);
-          }
-        }
-      }
-      ProfileNode* child_node = input->profile();
-      auto topk = std::make_unique<TopKOp>(std::move(input), idx.value(),
-                                           plan->descending, plan->limit_k,
-                                           publisher);
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "TopK", plan->order_column + " k=" + std::to_string(plan->limit_k) +
-                        (plan->descending ? " desc" : " asc"));
-        if (child_node != nullptr) node->children.push_back(child_node);
-        topk->set_profile(node);
-        ctx->profiled_ops.push_back(topk.get());
-      }
-      return OperatorPtr(std::move(topk));
-    }
-
-    case PlanNode::Kind::kSort: {
-      auto child = CompileGather(plan->child, ctx);
-      if (!child.ok()) return child.status();
-      OperatorPtr input = std::move(child).value();
-      auto idx = input->output_schema().FindColumn(plan->order_column);
-      if (!idx.has_value()) {
-        return Status::NotFound("no order column " + plan->order_column);
-      }
-      ProfileNode* child_node = input->profile();
-      auto sort = std::make_unique<SortOp>(std::move(input), idx.value(),
-                                           plan->descending);
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "Sort",
-            plan->order_column + (plan->descending ? " desc" : " asc"));
-        if (child_node != nullptr) node->children.push_back(child_node);
-        sort->set_profile(node);
-        ctx->profiled_ops.push_back(sort.get());
-      }
-      return OperatorPtr(std::move(sort));
-    }
-
-    case PlanNode::Kind::kAggregate: {
-      auto child = CompileGather(plan->child, ctx);
-      if (!child.ok()) return child.status();
-      OperatorPtr input = std::move(child).value();
-      std::vector<size_t> group_cols;
-      for (const auto& name : plan->group_columns) {
-        auto idx = input->output_schema().FindColumn(name);
-        if (!idx.has_value()) return Status::NotFound("no column " + name);
-        group_cols.push_back(idx.value());
-      }
-      std::vector<AggSpec> aggs;
-      for (const auto& spec : plan->aggregates) {
-        AggSpec a;
-        a.func = spec.func;
-        a.name = spec.output_name;
-        if (spec.func != AggFunc::kCount) {
-          auto idx = input->output_schema().FindColumn(spec.column);
-          if (!idx.has_value()) {
-            return Status::NotFound("no column " + spec.column);
-          }
-          a.column = idx.value();
-        }
-        aggs.push_back(std::move(a));
-      }
-      ProfileNode* child_node = input->profile();
-      auto agg = std::make_unique<HashAggregateOp>(
-          std::move(input), std::move(group_cols), std::move(aggs));
-      ctx->agg_ops[plan.get()] = agg.get();
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "HashAggregate",
-            "groups=" + std::to_string(plan->group_columns.size()) +
-                " aggs=" + std::to_string(plan->aggregates.size()));
-        if (child_node != nullptr) node->children.push_back(child_node);
-        agg->set_profile(node);
-        ctx->profiled_ops.push_back(agg.get());
-      }
-      return OperatorPtr(std::move(agg));
-    }
-
-    case PlanNode::Kind::kJoin:
-      break;  // unreachable: SupportedShape rejected joins
-  }
-  return Status::Internal("unsupported plan node in gather compile");
-}
-
-Result<QueryResult> ShardCoordinator::Execute(
-    const PlanPtr& plan, const std::atomic<bool>* cancel) {
-  return Execute(plan, cancel, nullptr, 0);
-}
-
-Result<QueryResult> ShardCoordinator::Execute(const PlanPtr& plan,
-                                              const std::atomic<bool>* cancel,
-                                              Trace* trace) {
-  return Execute(plan, cancel, trace, 0);
-}
-
-Result<QueryResult> ShardCoordinator::Execute(const PlanPtr& plan,
-                                              const std::atomic<bool>* cancel,
-                                              Trace* trace,
-                                              int64_t deadline_ns) {
-  if (!plan) return Status::InvalidArgument("null plan");
-  last_exec_ = ExecInfo{};
-
-  size_t scans = 0;
-  const bool supported =
-      SupportedShape(plan, &scans) && scans == 1 &&
-      config_.engine.predicate_cache == nullptr &&
-      (!config_.engine.enable_filter_pruning ||
-       config_.engine.filter_pruning_phase == FilterPruningPhase::kCompileTime);
-  if (!supported) {
-    ExecuteOptions opts;
-    opts.cancel = cancel;
-    opts.trace = trace;
-    opts.deadline_ns = deadline_ns;
-    return fallback_.Execute(plan, opts);
-  }
-  return ExecuteSharded(plan, FindScan(plan), cancel, trace, deadline_ns);
-}
-
-Result<QueryResult> ShardCoordinator::ExecuteSharded(
-    const PlanPtr& plan, const PlanNode* scan_node,
-    const std::atomic<bool>* cancel, Trace* trace, int64_t deadline_ns) {
-  // Snapshot the one referenced table: the whole scatter — gather compile
-  // and every shard sub-query — executes against this version, so DML
-  // stays snapshot-atomic across shards.
-  std::shared_ptr<Table> table = catalog_->GetTable(scan_node->table);
-  if (!table) {
-    ExecuteOptions fopts;
-    fopts.cancel = cancel;
-    fopts.trace = trace;
-    fopts.deadline_ns = deadline_ns;
-    return fallback_.Execute(plan, fopts);
-  }
-  const ShardMap& map = MapFor(scan_node->table, *table);
-  static Counter* const queries_sharded =
-      MetricsRegistry::Instance().GetCounter("shard.queries_sharded");
-  queries_sharded->Add();
-
-  auto t0 = std::chrono::steady_clock::now();
-  QueryResult result;
-  GatherCompile ctx;
-  ctx.result = &result;
-  ctx.table = table;
-  ctx.map = &map;
-  ctx.summary_pruned.assign(map.num_shards(), 0);
-
-  // Traced execution: the coordinator owns the "query" root span; each
-  // contacted shard's sub-query records into its own child trace, stitched
-  // under the scatter span once the scatter joins.
-  ScopedSpan query_span(trace, "query");
-  std::shared_ptr<QueryProfile> profile;
-  if (trace != nullptr) {
-    profile = std::make_shared<QueryProfile>();
-    ctx.profile = profile.get();
-  }
-  const uint32_t compile_span =
-      trace != nullptr ? trace->BeginSpan("compile", query_span.id()) : 0;
-
-  auto compiled = CompileGather(plan, &ctx);
-  if (trace != nullptr) {
-    trace->AnnotateInt(compile_span, "total_partitions",
-                       ctx.stats.total_partitions);
-    trace->AnnotateInt(compile_span, "pruned_by_filter",
-                       ctx.stats.pruned_by_filter);
-    trace->AnnotateInt(compile_span, "pruned_by_limit",
-                       ctx.stats.pruned_by_limit);
-    trace->EndSpan(compile_span);
-  }
-  if (!compiled.ok()) return compiled.status();
-  OperatorPtr root = std::move(compiled).value();
-  last_exec_.sharded = true;
-  last_exec_.summary_pruned = ctx.summary_pruned;
-
-  // Slice the final global scan set by shard ownership. Partitions already
-  // skippable under the initialized top-k boundary (§5.4) are dropped
-  // before contact — boundaries only ever tighten, so the gather's own
-  // pre-partition check is guaranteed to skip them too.
-  TopKPruner* pruner = ctx.gather->topk_pruner();
-  const ScanSet& final_set = ctx.gather->scan_set();
-  std::vector<ScanSet> slices(map.num_shards());
-  for (PartitionId pid : final_set) {
-    if (pruner != nullptr && pruner->ShouldSkip(*table, pid)) continue;
+  // Slice the final global scan set by shard ownership, keeping scan-set
+  // order within each slice. Partitions already skippable under the
+  // initialized top-k boundary (§5.4) are dropped before contact —
+  // boundaries only ever tighten, so the gather's own pre-partition check
+  // is guaranteed to skip them too.
+  TopKPruner* pruner = gather->topk_pruner();
+  std::vector<ScanSet> slices(map_.num_shards());
+  for (PartitionId pid : gather->scan_set()) {
+    if (pruner != nullptr && pruner->ShouldSkip(table, pid)) continue;
     // Scatter-edge contract, debug-checked: every scattered partition id is
     // a real partition of the shared snapshot, and lands exactly on the
     // shard that owns it — the sub-queries' slice-subset DCHECK on the
-    // engine side and the fragment realignment below both build on this.
-    SNOW_DCHECK_LT(static_cast<size_t>(pid), table->num_partitions());
-    SNOW_DCHECK_LT(map.shard_of(pid), map.num_shards());
-    slices[map.shard_of(pid)].Add(pid);
+    // engine side and the gather's per-shard cursors both build on this.
+    SNOW_DCHECK_LT(static_cast<size_t>(pid), table.num_partitions());
+    SNOW_DCHECK_LT(map_.shard_of(pid), map_.num_shards());
+    slices[map_.shard_of(pid)].Add(pid);
   }
 
-  last_exec_.contacted.assign(map.num_shards(), 0);
+  info.contacted.assign(map_.num_shards(), 0);
   std::vector<size_t> contacted;
-  for (size_t s = 0; s < map.num_shards(); ++s) {
+  for (size_t s = 0; s < map_.num_shards(); ++s) {
     if (!slices[s].empty()) {
-      last_exec_.contacted[s] = 1;
+      info.contacted[s] = 1;
       contacted.push_back(s);
     }
   }
-  last_exec_.shards_contacted = contacted.size();
-  ctx.stats.shards_total += static_cast<int64_t>(map.assigned_shards());
-  ctx.stats.shards_pruned +=
-      static_cast<int64_t>(map.assigned_shards() - contacted.size());
-  if (ctx.gather_node != nullptr) {
-    // The cross-shard level belongs to the gather source too: it is the
-    // scan-side of this query, where all partition work is accounted.
-    ctx.gather_node->pruning.shards_total +=
-        static_cast<int64_t>(map.assigned_shards());
-    ctx.gather_node->pruning.shards_pruned +=
-        static_cast<int64_t>(map.assigned_shards() - contacted.size());
-  }
+  info.shards_contacted = contacted.size();
+  const auto shards_pruned =
+      static_cast<int64_t>(map_.assigned_shards() - contacted.size());
+  gather->MeterShards(static_cast<int64_t>(map_.assigned_shards()),
+                      shards_pruned);
   static Counter* const scatter_fanout =
       MetricsRegistry::Instance().GetCounter("shard.scatter_fanout");
   static Counter* const shards_pruned_counter =
       MetricsRegistry::Instance().GetCounter("shard.shards_pruned");
   scatter_fanout->Add(static_cast<int64_t>(contacted.size()));
-  shards_pruned_counter->Add(
-      static_cast<int64_t>(map.assigned_shards() - contacted.size()));
+  shards_pruned_counter->Add(shards_pruned);
 
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+  if (opts_.cancel != nullptr &&
+      opts_.cancel->load(std::memory_order_relaxed)) {
     return Status::Cancelled("query cancelled before execution");
   }
-  if (DeadlinePassed(deadline_ns)) {
+  if (DeadlinePassed(opts_.deadline_ns)) {
     return Status::DeadlineExceeded("deadline passed before scatter");
   }
 
   // Scatter: a bare scan sub-plan (all other operators run gather-side)
   // over exactly the shard's slice, against the shared snapshot, with the
   // caller's cancel flag fanned out to every sub-query. The predicate was
-  // bound by the gather compile above; the scan-set override makes the
-  // shard engines skip re-binding, so concurrent sub-queries share the
-  // tree read-only.
-  PlanPtr sub_plan = ScanPlan(scan_node->table, scan_node->predicate);
-  std::map<std::string, std::shared_ptr<Table>> snapshot;
-  snapshot[scan_node->table] = table;
-
-  // Specialization tier, eager mode: compile the scatter predicate ONCE on
-  // the coordinator (it was bound by the gather compile above) and share
-  // the program with every shard sub-query via
-  // ExecuteOptions::compiled_filters — the same sharing model as the
-  // pre-bound predicate tree. The program is stamped with the snapshot's
-  // table instance; sub-engines attach it only when their snapshot agrees,
-  // and never compile locally on the override path. The threshold-based
-  // promotion path does not apply here: sharded scatters bypass the
-  // predicate cache entirely.
+  // bound by the compile; the scan-set override makes the shard engines
+  // skip re-binding, so concurrent sub-queries share the tree read-only,
+  // and likewise the one program the compile specialized it to (eager
+  // mode; the promotion path does not apply — sharded scatters bypass the
+  // predicate cache entirely).
+  PlanPtr sub_plan = ScanPlan(scan_node_->table, scan_node_->predicate);
   std::map<std::string, std::shared_ptr<const jit::CompiledPredicate>>
       compiled_filters;
-  if (config_.engine.exec.specialize &&
-      config_.engine.exec.specialize_after == 0 &&
-      scan_node->predicate != nullptr) {
-    const uint32_t specialize_span =
-        trace != nullptr ? trace->BeginSpan("compile.specialize", compile_span)
-                         : 0;
-    jit::CompileResult compiled_filter =
-        jit::CompilePredicate(scan_node->predicate, table->schema());
-    if (trace != nullptr) {
-      trace->AnnotateInt(
-          specialize_span, "bytecode_len",
-          compiled_filter.program != nullptr
-              ? static_cast<int64_t>(compiled_filter.program->code.size())
-              : 0);
-      trace->AnnotateInt(specialize_span, "fallback_terms",
-                         compiled_filter.fallback_terms);
-      trace->AnnotateInt(specialize_span, "reject_reason",
-                         static_cast<int64_t>(compiled_filter.reason));
-      trace->EndSpan(specialize_span);
-    }
-    if (compiled_filter.program != nullptr) {
-      compiled_filter.program->table_instance = table->instance_id();
-      compiled_filters[scan_node->table] = std::move(compiled_filter.program);
-    }
+  if (gather->compiled_filter() != nullptr) {
+    compiled_filters[scan_node_->table] = gather->compiled_filter();
   }
 
   std::vector<Result<QueryResult>> shard_results;
@@ -785,8 +186,6 @@ Result<QueryResult> ShardCoordinator::ExecuteSharded(
   // Traced scatter: each sub-query records into its own Trace (scatter
   // threads never touch the parent), stitched under the scatter span after
   // the joins below — the join is the only synchronization needed.
-  const uint32_t scatter_span =
-      trace != nullptr ? trace->BeginSpan("scatter", query_span.id()) : 0;
   std::vector<std::unique_ptr<Trace>> shard_traces;
   if (trace != nullptr) {
     shard_traces.reserve(contacted.size());
@@ -805,23 +204,24 @@ Result<QueryResult> ShardCoordinator::ExecuteSharded(
       MetricsRegistry::Instance().GetCounter("shard.retries");
   static Counter* const retry_exhausted_counter =
       MetricsRegistry::Instance().GetCounter("shard.retry_exhausted");
-  std::atomic<int> retry_budget{config_.retry.retry_budget};
+  const RetryPolicy& retry = coordinator_->config_.retry;
+  std::atomic<int> retry_budget{retry.retry_budget};
   std::atomic<int64_t> total_retries{0};
   auto run_shard = [&](size_t i) {
     const size_t s = contacted[i];
     std::map<std::string, ScanSet> overrides;
-    overrides[scan_node->table] = slices[s];
+    overrides[scan_node_->table] = slices[s];
     ExecuteOptions opts;
-    opts.cancel = cancel;
-    opts.tables = &snapshot;
+    opts.cancel = opts_.cancel;
+    opts.tables = opts_.tables;
     opts.scan_sets = &overrides;
     opts.collect_batch_rows = true;
-    opts.deadline_ns = deadline_ns;
+    opts.deadline_ns = opts_.deadline_ns;
     if (!compiled_filters.empty()) opts.compiled_filters = &compiled_filters;
     if (!shard_traces.empty()) opts.trace = shard_traces[i].get();
     // Transient-failure retry loop. Each attempt executes against the same
     // snapshot and scan-set slice, so a successful retry is byte-identical
-    // to a first-try success: the fragments gathered below cannot tell the
+    // to a first-try success: the answers gathered below cannot tell the
     // attempts apart.
     for (int attempt = 1;; ++attempt) {
       Result<QueryResult> sub = [&]() -> Result<QueryResult> {
@@ -832,19 +232,21 @@ Result<QueryResult> ShardCoordinator::ExecuteSharded(
         if (SNOW_FAILPOINT("shard.scatter_launch")) {
           return InjectedFault("shard.scatter_launch");
         }
-        Result<QueryResult> r = shard_engines_[s]->Execute(sub_plan, opts);
+        Result<QueryResult> r =
+            coordinator_->shard_engines_[s]->Execute(sub_plan, opts);
         if (r.ok() && SNOW_FAILPOINT("shard.scatter_complete")) {
           return InjectedFault("shard.scatter_complete");
         }
         return r;
       }();
       if (sub.ok() || !IsRetryable(sub.status().code()) ||
-          (cancel != nullptr && cancel->load(std::memory_order_relaxed)) ||
-          DeadlinePassed(deadline_ns)) {
+          (opts_.cancel != nullptr &&
+           opts_.cancel->load(std::memory_order_relaxed)) ||
+          DeadlinePassed(opts_.deadline_ns)) {
         shard_results[i] = std::move(sub);
         return;
       }
-      if (attempt >= config_.retry.max_attempts ||
+      if (attempt >= retry.max_attempts ||
           retry_budget.fetch_sub(1, std::memory_order_acq_rel) <= 0) {
         // Out of attempts or out of per-query budget: surface the
         // underlying transient error untouched.
@@ -852,7 +254,7 @@ Result<QueryResult> ShardCoordinator::ExecuteSharded(
         shard_results[i] = std::move(sub);
         return;
       }
-      const int64_t backoff_us = RetryBackoffUs(config_.retry, attempt);
+      const int64_t backoff_us = RetryBackoffUs(retry, attempt);
       if (opts.trace != nullptr) {
         // The retry lands in this shard's own sub-trace (stitched under the
         // scatter span later), next to the failed attempt's spans.
@@ -882,113 +284,131 @@ Result<QueryResult> ShardCoordinator::ExecuteSharded(
     for (size_t i = 0; i < contacted.size(); ++i) {
       threads.emplace_back(run_shard, i);
     }
-    last_exec_.scatter_threads = threads.size();
+    info.scatter_threads = threads.size();
     for (auto& t : threads) t.join();
   }
-  last_exec_.retries = total_retries.load(std::memory_order_relaxed);
-  result.shard_retries = last_exec_.retries;
+  info.retries = total_retries.load(std::memory_order_relaxed);
   if (trace != nullptr) {
-    trace->AnnotateInt(scatter_span, "fanout",
+    trace->AnnotateInt(scatter_span.id(), "fanout",
                        static_cast<int64_t>(contacted.size()));
-    trace->AnnotateInt(scatter_span, "threads",
-                       static_cast<int64_t>(last_exec_.scatter_threads));
-    trace->AnnotateInt(scatter_span, "retries", last_exec_.retries);
+    trace->AnnotateInt(scatter_span.id(), "threads",
+                       static_cast<int64_t>(info.scatter_threads));
+    trace->AnnotateInt(scatter_span.id(), "retries", info.retries);
     for (auto& sub_trace : shard_traces) {
-      trace->MergeChildTrace(sub_trace.get(), scatter_span);
+      trace->MergeChildTrace(sub_trace.get(), scatter_span.id());
     }
-    trace->EndSpan(scatter_span);
   }
 
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+  if (opts_.cancel != nullptr &&
+      opts_.cancel->load(std::memory_order_relaxed)) {
     return Status::Cancelled("query cancelled");
   }
-  if (DeadlinePassed(deadline_ns)) {
+  if (DeadlinePassed(opts_.deadline_ns)) {
     return Status::DeadlineExceeded("deadline exceeded during scatter");
   }
-  std::unordered_map<PartitionId, std::vector<Row>> fragments;
+  std::vector<ShardAnswer> answers;
+  answers.reserve(contacted.size());
   for (size_t i = 0; i < contacted.size(); ++i) {
     if (!shard_results[i].ok()) return shard_results[i].status();
     QueryResult& sub = shard_results[i].value();
-    const ScanSet& slice = slices[contacted[i]];
+    ScanSet& slice = slices[contacted[i]];
     if (sub.batch_rows.size() != slice.size()) {
       return Status::Internal("shard sub-query fragment misalignment");
     }
-    size_t row = 0;
-    for (size_t b = 0; b < sub.batch_rows.size(); ++b) {
-      std::vector<Row>& frag = fragments[slice[b]];
-      frag.reserve(sub.batch_rows[b]);
-      for (size_t r = 0; r < sub.batch_rows[b]; ++r) {
-        frag.push_back(std::move(sub.rows[row++]));
-      }
-    }
+    answers.push_back(ShardAnswer{std::move(slice), std::move(sub.rows),
+                                  std::move(sub.batch_rows)});
   }
-  ctx.gather->set_fragments(&fragments);
-
-  result.scan_set_bytes =
-      static_cast<int64_t>(ctx.gather->scan_set().SerializedBytes());
-
-  // Gather: replay the fragments through the real operator pipeline, in
-  // global scan-set order — identical operator state evolution, identical
-  // rows, identical stats.
-  ScopedSpan gather_span(trace, "gather", query_span.id());
-  if (trace != nullptr) {
-    for (Operator* op : ctx.profiled_ops) {
-      op->set_trace(trace, gather_span.id());
-    }
-  }
-  // Injection site: the gathered fragments are lost before replay (a
+  gather->SetAnswers(std::move(answers));
+  // Injection site: the gathered answers are lost before replay (a
   // coordinator-side buffer fault). The scatter work is gone with them —
   // this is the one site where a fault costs a whole query's worth of
   // sub-query work, which is exactly what the chaos oracle should see.
   if (SNOW_FAILPOINT("shard.gather_replay")) {
     return InjectedFault("shard.gather_replay");
   }
-  root->Open();
-  Batch batch;
-  while (root->Next(&batch)) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) break;
-    if (DeadlinePassed(deadline_ns)) break;
-    for (auto& row : batch.rows) result.rows.push_back(std::move(row));
-  }
-  root->Close();
-  result.wall_ms = MsSince(t0);
+  return Status::OK();
+}
 
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-    return Status::Cancelled("query cancelled");
+ShardCoordinator::ShardCoordinator(Catalog* catalog, ShardExecConfig config)
+    : catalog_(catalog),
+      config_(std::move(config)),
+      engine_(catalog, config_.engine) {
+  config_.num_shards = std::max<size_t>(1, config_.num_shards);
+  shard_engines_.reserve(config_.num_shards);
+  for (size_t s = 0; s < config_.num_shards; ++s) {
+    shard_engines_.push_back(
+        std::make_unique<Engine>(catalog, config_.engine));
   }
-  if (DeadlinePassed(deadline_ns)) {
-    return Status::DeadlineExceeded("deadline exceeded during gather");
+}
+
+ShardCoordinator::~ShardCoordinator() = default;
+
+const ShardMap& ShardCoordinator::MapFor(const std::string& name,
+                                         const Table& table) {
+  auto it = map_cache_.find(name);
+  if (it == map_cache_.end() ||
+      it->second.table_instance() != table.instance_id()) {
+    // First sight, or DML swapped the table object: (re)build from the new
+    // version's metadata.
+    it = map_cache_
+             .insert_or_assign(
+                 name, ShardMap::Build(table, config_.num_shards,
+                                       config_.policy))
+             .first;
   }
+  return it->second;
+}
 
-  result.schema = root->output_schema();
-  result.stats = ctx.stats;
-  // Same soundness audit as the unsharded engine, now covering the shard
-  // counters too (shards_pruned <= shards_total, etc.).
-  result.stats.DCheckInvariants();
+Result<QueryResult> ShardCoordinator::Execute(
+    const PlanPtr& plan, const std::atomic<bool>* cancel) {
+  return Execute(plan, cancel, nullptr, 0);
+}
 
-  if (profile != nullptr) {
-    profile->root = root->profile();
-    // The sub-engines' pipeline-task counts were folded into this trace by
-    // MergeChildTrace, so the profile covers the whole scatter.
-    profile->stage_tasks = trace->stage_tasks();
-    profile->barrier_tasks = trace->barrier_tasks();
-    result.profile = profile;
-#if SNOW_DCHECK_IS_ON
-    // Coordinator-side reconciliation: every pruning counter — partition
-    // levels and the cross-shard level — was attributed to the gather
-    // source node, so the profile's sum is the query's stats, exactly.
-    const PruningStats sum = profile->SumPruning();
-    SNOW_DCHECK_EQ(sum.total_partitions, result.stats.total_partitions);
-    SNOW_DCHECK_EQ(sum.pruned_by_filter, result.stats.pruned_by_filter);
-    SNOW_DCHECK_EQ(sum.pruned_by_limit, result.stats.pruned_by_limit);
-    SNOW_DCHECK_EQ(sum.pruned_by_join, result.stats.pruned_by_join);
-    SNOW_DCHECK_EQ(sum.pruned_by_topk, result.stats.pruned_by_topk);
-    SNOW_DCHECK_EQ(sum.scanned_partitions, result.stats.scanned_partitions);
-    SNOW_DCHECK_EQ(sum.scanned_rows, result.stats.scanned_rows);
-    SNOW_DCHECK_EQ(sum.speculative_loads, result.stats.speculative_loads);
-    SNOW_DCHECK_EQ(sum.shards_total, result.stats.shards_total);
-    SNOW_DCHECK_EQ(sum.shards_pruned, result.stats.shards_pruned);
-#endif
+Result<QueryResult> ShardCoordinator::Execute(const PlanPtr& plan,
+                                              const std::atomic<bool>* cancel,
+                                              Trace* trace) {
+  return Execute(plan, cancel, trace, 0);
+}
+
+Result<QueryResult> ShardCoordinator::Execute(const PlanPtr& plan,
+                                              const std::atomic<bool>* cancel,
+                                              Trace* trace,
+                                              int64_t deadline_ns) {
+  if (!plan) return Status::InvalidArgument("null plan");
+  last_exec_ = ExecInfo{};
+  ExecuteOptions opts;
+  opts.cancel = cancel;
+  opts.trace = trace;
+  opts.deadline_ns = deadline_ns;
+
+  size_t scans = 0;
+  const bool supported =
+      SupportedShape(plan, &scans) && scans == 1 &&
+      config_.engine.predicate_cache == nullptr &&
+      (!config_.engine.enable_filter_pruning ||
+       config_.engine.filter_pruning_phase == FilterPruningPhase::kCompileTime);
+  const PlanNode* scan_node = supported ? FindScan(plan) : nullptr;
+  // Snapshot the one referenced table: the compile and every shard
+  // sub-query execute against this version, so DML stays snapshot-atomic
+  // across shards.
+  std::shared_ptr<Table> table =
+      supported ? catalog_->GetTable(scan_node->table) : nullptr;
+  if (!table) return engine_.Execute(plan, opts);
+  const std::map<std::string, std::shared_ptr<Table>> snapshot{
+      {scan_node->table, table}};
+  opts.tables = &snapshot;
+  const ShardMap& map = MapFor(scan_node->table, *table);
+  last_exec_.summary_pruned.assign(map.num_shards(), 0);
+  static Counter* const queries_sharded =
+      MetricsRegistry::Instance().GetCounter("shard.queries_sharded");
+  queries_sharded->Add();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  ScatterLeaf leaf(this, scan_node, &map, &opts);
+  Result<QueryResult> result = engine_.Execute(plan, opts, &leaf);
+  if (result.ok()) {
+    result.value().wall_ms = MsSince(t0);  // compile, scatter and gather
+    result.value().shard_retries = last_exec_.retries;
   }
   return result;
 }

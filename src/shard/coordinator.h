@@ -56,29 +56,36 @@ struct ShardExecConfig {
 /// predicate never sees the query at all (the new top level of the pruning
 /// hierarchy, metered as PruningStats::shards_{total,pruned}).
 ///
-/// Execution phases for a supported plan (a join-free single-scan chain of
-/// scan / project / limit / top-k / sort / aggregate):
+/// A supported plan (a join-free single-scan chain of scan / project /
+/// limit / top-k / sort / aggregate) runs through the ordinary
+/// Engine::Execute with this coordinator as its sharded leaf
+/// (Engine::ShardedLeaf), so the engine's one compile path makes every
+/// pruning decision and builds every operator. The coordinator adds only
+/// what is specific to sharding:
 ///
-///  1. compile once: the coordinator runs the engine's compile-time pruning
-///     sequence globally — cross-shard merged-zone-map exclusion, then §3
-///     filter pruning, §5.3/§5.4 top-k ordering + boundary initialization,
-///     §4 LIMIT pruning — producing one final global scan set.
-///  2. scatter: the surviving scan set is sliced by shard ownership
+///  1. compile: the engine runs its compile-time pruning sequence globally.
+///     Before §3 filter pruning, the coordinator's probe drops the
+///     partitions of every shard whose merged zone maps exclude the
+///     predicate; §5.3/§5.4 top-k ordering + boundary initialization and
+///     §4 LIMIT pruning follow as usual, producing one final global scan
+///     set on a GatherSourceOp in place of the table scan.
+///  2. scatter: the coordinator slices that scan set by shard ownership
 ///     (partitions already skippable under the initialized top-k boundary
 ///     are dropped before contact); each surviving shard's engine executes
 ///     a bare scan sub-plan over exactly its slice, against the one shared
-///     table snapshot, on the shared worker pool.
-///  3. gather: per-partition row fragments are replayed, in global scan-set
-///     order, through the *real* operator pipeline (limit / top-k / sort /
-///     aggregate) with the top-k boundary consulted before each partition —
-///     the same consumer-side merge discipline the parallel engine uses, so
-///     rows AND per-table PruningStats are byte-identical to a single-engine
-///     serial run at every (shard count × thread count), with the shard
-///     counters strictly additive on top.
+///     table snapshot, on a dedicated scatter thread (the calling thread
+///     when only one shard survives), retrying transient faults.
+///  3. gather: the GatherSourceOp replays each shard's answer in place, in
+///     global scan-set order, through the *real* operator pipeline (limit /
+///     top-k / sort / aggregate) with the top-k boundary consulted before
+///     each partition — the same consumer-side merge discipline the
+///     parallel engine uses, so rows AND per-table PruningStats are
+///     byte-identical to a single-engine serial run at every (shard count ×
+///     thread count), with the shard counters strictly additive on top.
 ///
 /// Unsupported shapes (joins, multi-scan plans) and configurations the
-/// scatter compile cannot mirror (runtime-phase filter pruning, a predicate
-/// cache) fall back to an ordinary single engine — trivially identical.
+/// scatter cannot serve (runtime-phase filter pruning, a predicate cache)
+/// run on the same engine without a leaf — trivially identical.
 ///
 /// Thread safety: a coordinator executes one query at a time (the query
 /// service gives each driver thread its own coordinator); the shard
@@ -133,20 +140,16 @@ class ShardCoordinator {
   const ShardExecConfig& config() const { return config_; }
 
  private:
-  struct GatherCompile;
+  class ScatterLeaf;
 
-  Result<QueryResult> ExecuteSharded(const PlanPtr& plan,
-                                     const PlanNode* scan_node,
-                                     const std::atomic<bool>* cancel,
-                                     Trace* trace, int64_t deadline_ns);
-  Result<OperatorPtr> CompileGather(const PlanPtr& plan, GatherCompile* ctx);
   /// The cached shard map for the table version, rebuilt after DML swapped
   /// the table object (instance_id mismatch).
   const ShardMap& MapFor(const std::string& name, const Table& table);
 
   Catalog* catalog_;
   ShardExecConfig config_;
-  Engine fallback_;
+  /// Compiles and gathers every query, sharded or not.
+  Engine engine_;
   std::vector<std::unique_ptr<Engine>> shard_engines_;
   std::map<std::string, ShardMap> map_cache_;
   ExecInfo last_exec_;

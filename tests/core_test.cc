@@ -373,6 +373,33 @@ TEST(TopKPrunerTest, StrictUpdatesForAggregationShape) {
   EXPECT_FALSE(pruner.ShouldSkip(*table, 0));  // max == boundary, keep
 }
 
+TEST(TopKPrunerTest, GroupInitCountsDistinctMaxima) {
+  // Three partitions share the top key 100: for GROUP BY x ORDER BY x DESC
+  // LIMIT 2 they are one group, so the 2nd group key is at most 90 — a
+  // boundary of 100 would drop every group but one.
+  auto table = IntTable("t", "x",
+                        {{98, 100}, {99, 100}, {97, 100}, {80, 90}, {0, 50}});
+  for (BoundaryInitMode mode :
+       {BoundaryInitMode::kKthMax, BoundaryInitMode::kCumulativeMin,
+        BoundaryInitMode::kStricter}) {
+    TopKPrunerConfig cfg;
+    cfg.k = 2;
+    cfg.boundary_init = mode;
+    cfg.inclusive_updates = false;
+    TopKPruner pruner(cfg, 0);
+    (void)pruner.Prepare(*table, table->FullScanSet(), {0, 1, 2, 3, 4});
+    if (mode == BoundaryInitMode::kCumulativeMin) {
+      // Row counts say nothing about groups: no boundary from them.
+      EXPECT_FALSE(pruner.boundary().has_value()) << ToString(mode);
+      continue;
+    }
+    ASSERT_TRUE(pruner.boundary().has_value()) << ToString(mode);
+    EXPECT_EQ(pruner.boundary()->int64_value(), 90) << ToString(mode);
+    EXPECT_FALSE(pruner.ShouldSkip(*table, 3)) << ToString(mode);
+    EXPECT_TRUE(pruner.ShouldSkip(*table, 4)) << ToString(mode);
+  }
+}
+
 // ---------------------------------------------------------- JoinPruner ----
 
 TEST(SummaryTest, MinMaxSummary) {

@@ -41,17 +41,21 @@ using testing_util::MatchCountsPerPartition;
 // Random tables and predicates
 // --------------------------------------------------------------------------
 
-std::shared_ptr<Table> RandomTable(Rng* rng, const std::string& name) {
+/// `clamped`: a clustered layout whose noise is clamped at both domain
+/// ends, so the top (and bottom) key repeats across many partitions — the
+/// layout where counting partitions instead of distinct keys goes wrong.
+std::shared_ptr<Table> RandomTable(Rng* rng, const std::string& name,
+                                   bool clamped = false) {
   workload::TableGenConfig cfg;
   cfg.name = name;
   cfg.num_partitions = static_cast<size_t>(rng->UniformInt(3, 40));
   cfg.rows_per_partition = static_cast<size_t>(rng->UniformInt(5, 60));
-  switch (rng->UniformInt(0, 2)) {
+  switch (clamped ? 1 : rng->UniformInt(0, 2)) {
     case 0: cfg.layout = workload::Layout::kSorted; break;
     case 1: cfg.layout = workload::Layout::kClustered; break;
     default: cfg.layout = workload::Layout::kRandom; break;
   }
-  cfg.overlap = rng->Uniform() * 0.2;
+  cfg.overlap = rng->Uniform() * 0.2 + (clamped ? 0.1 : 0.0);
   // Narrow domains make exact boundary collisions (predicate constant ==
   // partition min/max) common — the classic false-pruning hot spot.
   cfg.domain_min = rng->UniformInt(-50, 50);
@@ -191,6 +195,20 @@ std::string Serialize(const std::vector<Row>& rows) {
   }
   return s;
 }
+
+/// TopK(key, k) over GROUP BY key (Figure 7d). Integer aggregates only, so
+/// the answer is exact whatever order pruning scans the partitions in.
+PlanPtr GroupTopKPlan(const std::string& table, ExprPtr pred, bool desc,
+                      int64_t k) {
+  return TopKPlan(AggregatePlan(ScanPlan(table, std::move(pred)), {"key"},
+                                {AggPlanSpec{AggFunc::kCount, "", "n"},
+                                 AggPlanSpec{AggFunc::kSum, "ts", "ts_sum"}}),
+                  "key", desc, k);
+}
+
+constexpr BoundaryInitMode kAllBoundaryInits[] = {
+    BoundaryInitMode::kNone, BoundaryInitMode::kKthMax,
+    BoundaryInitMode::kCumulativeMin, BoundaryInitMode::kStricter};
 
 /// A random micro-partition matching the synthetic schema
 /// (id int64, key int64, val float64 nullable, cat string, ts int64) —
@@ -352,13 +370,16 @@ class FuzzEngine {
 
   Catalog* catalog() { return &catalog_; }
 
-  QueryResult RunFull(const PlanPtr& plan, bool pruning, int threads,
-                      bool force_parallel = false, Trace* trace = nullptr) {
+  QueryResult RunFull(
+      const PlanPtr& plan, bool pruning, int threads,
+      bool force_parallel = false, Trace* trace = nullptr,
+      BoundaryInitMode boundary_init = BoundaryInitMode::kStricter) {
     EngineConfig config;
     config.enable_filter_pruning = pruning;
     config.enable_limit_pruning = pruning;
     config.enable_topk_pruning = pruning;
     config.enable_join_pruning = pruning;
+    config.topk_boundary_init = boundary_init;
     config.exec.num_threads = threads;
     config.exec.force_parallel = force_parallel;
     Engine engine(&catalog_, config);
@@ -481,6 +502,32 @@ TEST(FuzzPruneTest, EngineAgreesWithUnprunedExecution) {
     std::vector<Row> agg_on = engine.Run(agg, true, 1);
     ASSERT_EQ(Serialize(engine.Run(agg, false, 1)), Serialize(agg_on)) << ctx;
     ExpectParallelIdentical(&engine, agg, agg_on, ctx);
+
+    // --- Top-k over GROUP BY key: group keys are distinct, so the answer
+    // is unique. Every boundary init, on a layout whose extreme key
+    // repeats across many partitions. ---------------------------------
+    auto clamped = RandomTable(&rng, "g", /*clamped=*/true);
+    FuzzEngine group_engine(clamped);
+    ExprPtr group_pred = RandomPredicate(&rng, *clamped, 1);
+    ASSERT_TRUE(BindExpr(group_pred, clamped->schema()).ok());
+    const bool group_desc = rng.Bernoulli(0.5);
+    const int64_t group_k = rng.UniformInt(2, 8);
+    for (const ExprPtr& p : {ExprPtr(), group_pred}) {
+      auto group_topk = GroupTopKPlan("g", p, group_desc, group_k);
+      const std::string off =
+          Serialize(group_engine.Run(group_topk, false, 1));
+      for (BoundaryInitMode init : kAllBoundaryInits) {
+        for (int threads : {1, 4}) {
+          QueryResult on =
+              group_engine.RunFull(group_topk, true, threads, false, nullptr,
+                                   init);
+          ASSERT_EQ(off, Serialize(on.rows))
+              << ctx << ": group top-k (" << (p ? "filtered" : "unfiltered")
+              << ", init " << ToString(init) << ", threads " << threads
+              << ") differs from the unpruned answer";
+        }
+      }
+    }
   }
 }
 
@@ -1035,7 +1082,8 @@ TEST(FuzzPruneTest, JoinPruningNeverDropsMatchingProbePartitions) {
 /// serial single-engine run — with the cross-shard counters additive on
 /// top — and a shard excluded by its merged zone maps must hold zero
 /// matching rows (no false shard prunes), checked against the brute-force
-/// row oracle per partition.
+/// row oracle per partition. Plans with a unique answer must also match the
+/// pruning-off engine, so a bug the serial and sharded paths share fails.
 TEST(FuzzPruneTest, ShardedExecutionMatchesSerialOracle) {
   int64_t total_shards_pruned = 0;
   int64_t summary_pruned_shards = 0;
@@ -1067,27 +1115,69 @@ TEST(FuzzPruneTest, ShardedExecutionMatchesSerialOracle) {
     const shard::ShardPolicy policy = rng.Bernoulli(0.5)
                                           ? shard::ShardPolicy::kRange
                                           : shard::ShardPolicy::kHash;
+
+    // Top-k over GROUP BY key on a clamped layout, with and without a
+    // predicate, under every boundary init.
+    auto clamped = RandomTable(&rng, "g", /*clamped=*/true);
+    FuzzEngine group_engine(clamped);
+    ExprPtr group_pred = RandomPredicate(&rng, *clamped, 1);
+    ASSERT_TRUE(BindExpr(group_pred, clamped->schema()).ok());
+    const bool group_desc = rng.Bernoulli(0.5);
+    const int64_t group_k = rng.UniformInt(2, 8);
+
+    struct Case {
+      FuzzEngine* engine;
+      std::shared_ptr<Table> table;
+      PlanPtr plan;
+      ExprPtr pred;
+      bool unique_answer;  ///< Scan, sort, aggregate, group top-k.
+      BoundaryInitMode init;
+    };
+    std::vector<Case> cases;
     for (size_t p = 0; p < plans.size(); ++p) {
-      QueryResult serial = engine.RunFull(plans[p], true, 1);
+      cases.push_back({&engine, table, plans[p], pred, p != 1 && p != 2,
+                       BoundaryInitMode::kStricter});
+    }
+    for (const ExprPtr& p : {ExprPtr(), group_pred}) {
+      for (BoundaryInitMode init : kAllBoundaryInits) {
+        cases.push_back({&group_engine, clamped,
+                         GroupTopKPlan("g", p, group_desc, group_k), p, true,
+                         init});
+      }
+    }
+
+    for (size_t c = 0; c < cases.size(); ++c) {
+      const Case& cs = cases[c];
+      std::vector<int64_t> case_oracle =
+          MatchCountsPerPartition(*cs.table, cs.pred);
+      QueryResult serial =
+          cs.engine->RunFull(cs.plan, true, 1, false, nullptr, cs.init);
+      if (cs.unique_answer) {
+        ASSERT_EQ(Serialize(cs.engine->Run(cs.plan, false, 1)),
+                  Serialize(serial.rows))
+            << ctx << " case " << c << " init " << ToString(cs.init)
+            << ": the pruned serial engine differs from the pruning-off one";
+      }
       for (size_t shards : {1u, 2u, 4u}) {
         shard::ShardMap map =
-            shard::ShardMap::Build(*table, shards, policy);
+            shard::ShardMap::Build(*cs.table, shards, policy);
         for (int threads : {1, 2, 4}) {
           shard::ShardExecConfig config;
           config.num_shards = shards;
           config.policy = policy;
+          config.engine.topk_boundary_init = cs.init;
           config.engine.exec.num_threads = threads;
-          shard::ShardCoordinator coordinator(engine.catalog(), config);
-          auto result = coordinator.Execute(plans[p]);
+          shard::ShardCoordinator coordinator(cs.engine->catalog(), config);
+          auto result = coordinator.Execute(cs.plan);
           ASSERT_TRUE(result.ok()) << ctx << ": " << result.status().ToString();
           const QueryResult& r = result.value();
           // Traced coordinator run: same rows, same deterministic stats —
           // tracing must be observation-only on the sharded path too.
           Trace shard_trace;
-          auto traced = coordinator.Execute(plans[p], nullptr, &shard_trace);
+          auto traced = coordinator.Execute(cs.plan, nullptr, &shard_trace);
           ASSERT_TRUE(traced.ok()) << ctx << ": "
                                    << traced.status().ToString();
-          const std::string sctx = ctx + " plan " + std::to_string(p) +
+          const std::string sctx = ctx + " case " + std::to_string(c) +
                                    " shards " + std::to_string(shards) +
                                    " threads " + std::to_string(threads) +
                                    " policy " + ToString(policy);
@@ -1121,9 +1211,9 @@ TEST(FuzzPruneTest, ShardedExecutionMatchesSerialOracle) {
             if (!info.summary_pruned[s]) continue;
             ++summary_pruned_shards;
             for (PartitionId pid : map.shard_partitions(s)) {
-              ASSERT_EQ(oracle[pid], 0)
+              ASSERT_EQ(case_oracle[pid], 0)
                   << sctx << ": shard " << s << " was summary-pruned but its"
-                  << " partition " << pid << " holds " << oracle[pid]
+                  << " partition " << pid << " holds " << case_oracle[pid]
                   << " matching rows";
             }
           }
@@ -1272,6 +1362,10 @@ TEST(FuzzPruneTest, ChaosInjectionNeverCorruptsOrHangs) {
 // Production-mix queries via workload/query_gen
 // --------------------------------------------------------------------------
 
+/// The generated production mix must agree across serial, 8-thread and
+/// 4-shard execution, and with a serial pruning-off reference engine — the
+/// mix includes GROUP BY key ORDER BY key LIMIT k over a clustered table
+/// whose clamped top key repeats across partitions.
 TEST(FuzzPruneTest, GeneratedProductionQueriesAreParallelSafe) {
   Catalog catalog;
   Rng seed_rng(555);
@@ -1294,12 +1388,18 @@ TEST(FuzzPruneTest, GeneratedProductionQueriesAreParallelSafe) {
     cfg.seed = seed_rng.Next();
     ASSERT_TRUE(catalog.RegisterTable(workload::SyntheticTable(cfg)).ok());
   }
-
-  workload::QueryGenerator::Config gcfg;
-  gcfg.seed = 8844;
-  workload::QueryGenerator gen(&catalog, {"probe_a", "probe_b"},
-                               {"build_small"}, workload::ProductionModel(),
-                               gcfg);
+  {
+    // Laid out like the benchmark catalog's probe_clustered
+    // (StandardCatalog at scale 0.5).
+    workload::TableGenConfig cfg;
+    cfg.name = "probe_clustered";
+    cfg.num_partitions = 100;
+    cfg.rows_per_partition = 500;
+    cfg.layout = workload::Layout::kClustered;
+    cfg.null_fraction = 0.02;
+    cfg.seed = seed_rng.Next();
+    ASSERT_TRUE(catalog.RegisterTable(workload::SyntheticTable(cfg)).ok());
+  }
 
   EngineConfig serial_config;
   serial_config.exec.num_threads = 1;
@@ -1307,19 +1407,87 @@ TEST(FuzzPruneTest, GeneratedProductionQueriesAreParallelSafe) {
   EngineConfig parallel_config;
   parallel_config.exec.num_threads = 8;
   Engine parallel(&catalog, parallel_config);
+  EngineConfig reference_config;
+  reference_config.enable_filter_pruning = false;
+  reference_config.enable_limit_pruning = false;
+  reference_config.enable_topk_pruning = false;
+  reference_config.enable_join_pruning = false;
+  reference_config.exec.num_threads = 1;
+  Engine reference(&catalog, reference_config);
+  shard::ShardExecConfig shard_config;
+  shard_config.num_shards = 4;
+  shard_config.engine.exec.num_threads = 2;
+  shard::ShardCoordinator sharded(&catalog, shard_config);
 
-  for (int i = 0; i < 120; ++i) {
-    workload::GeneratedQuery q = gen.Generate();
-    auto r1 = serial.Execute(q.plan);
-    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-    auto r2 = parallel.Execute(q.plan);
-    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-    ASSERT_EQ(Serialize(r1.value().rows), Serialize(r2.value().rows))
-        << "query " << i << " (" << ToString(q.query_class)
-        << ") diverged between serial and 8-thread execution";
-    ASSERT_EQ(r1.value().stats.scanned_partitions,
-              r2.value().stats.scanned_partitions)
-        << "query " << i << " (" << ToString(q.query_class) << ")";
+  // Pruning may pick different LIMIT rows and different rows among top-k
+  // ties, but never a different row count or different order keys.
+  auto agrees = [](const workload::GeneratedQuery& q, const QueryResult& a,
+                   const QueryResult& ref) {
+    switch (q.query_class) {
+      case workload::QueryClass::kLimitNoPredicate:
+      case workload::QueryClass::kLimitWithPredicate:
+        return a.rows.size() == ref.rows.size();
+      case workload::QueryClass::kTopK:
+      case workload::QueryClass::kTopKGroupBySame:
+      case workload::QueryClass::kTopKGroupByAgg: {
+        auto keys = [&](const QueryResult& r) {
+          const size_t idx = *r.schema.FindColumn(q.plan->order_column);
+          std::vector<std::string> out;
+          for (const Row& row : r.rows) out.push_back(row[idx].ToString());
+          return out;
+        };
+        return keys(a) == keys(ref);
+      }
+      default: {
+        auto sorted = [](const QueryResult& r) {
+          std::vector<std::string> out;
+          for (const Row& row : r.rows) out.push_back(Serialize({row}));
+          std::sort(out.begin(), out.end());
+          return out;
+        };
+        return sorted(a) == sorted(ref);
+      }
+    }
+  };
+
+  // The default mix, then one tilted toward the top-k classes: GROUP BY x
+  // ORDER BY x LIMIT k is 0.12% of the default mix.
+  workload::ProductionModel::Config topk_heavy;
+  topk_heavy.class_weights = {1, 1, 1, 1, 4, 4, 1, 1};
+  workload::QueryGenerator::Config gcfg;
+  gcfg.seed = 8844;
+  int i = 0;
+  for (const workload::ProductionModel& model :
+       {workload::ProductionModel(), workload::ProductionModel(topk_heavy)}) {
+    workload::QueryGenerator gen(&catalog,
+                                 {"probe_a", "probe_b", "probe_clustered"},
+                                 {"build_small"}, model, gcfg);
+    for (int n = 0; n < 120; ++n, ++i) {
+      workload::GeneratedQuery q = gen.Generate();
+      const std::string qctx = "query " + std::to_string(i) + " (" +
+                               ToString(q.query_class) + ")";
+      auto r1 = serial.Execute(q.plan);
+      ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+      const std::string serial_rows = Serialize(r1.value().rows);
+      auto r2 = parallel.Execute(q.plan);
+      ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+      ASSERT_EQ(serial_rows, Serialize(r2.value().rows))
+          << qctx << " diverged between serial and 8-thread execution";
+      ASSERT_EQ(r1.value().stats.scanned_partitions,
+                r2.value().stats.scanned_partitions)
+          << qctx;
+      auto r3 = sharded.Execute(q.plan);
+      ASSERT_TRUE(r3.ok()) << r3.status().ToString();
+      ASSERT_EQ(serial_rows, Serialize(r3.value().rows))
+          << qctx << " diverged between serial and 4-shard execution";
+      ASSERT_EQ(testing_util::DiffStats(r1.value().stats, r3.value().stats),
+                "")
+          << qctx;
+      auto ref = reference.Execute(q.plan);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      ASSERT_TRUE(agrees(q, r1.value(), ref.value()))
+          << qctx << " differs from the pruning-off reference";
+    }
   }
 }
 
