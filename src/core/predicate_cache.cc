@@ -16,14 +16,30 @@ struct CacheMetrics {
   Counter* hits;
   Counter* misses;
   Counter* coalesced_waits;
+  /// Partitions cache hits kept out of scan sets (the engine credits the
+  /// same count to PruningStats::pruned_by_cache).
+  Counter* partitions_skipped;
 };
 
 CacheMetrics& GetCacheMetrics() {
   static CacheMetrics m{
       MetricsRegistry::Instance().GetCounter("predcache.hits"),
       MetricsRegistry::Instance().GetCounter("predcache.misses"),
-      MetricsRegistry::Instance().GetCounter("predcache.coalesced_waits")};
+      MetricsRegistry::Instance().GetCounter("predcache.coalesced_waits"),
+      MetricsRegistry::Instance().GetCounter("predcache.partitions_skipped")};
   return m;
+}
+
+/// Counts a lookup's outcome in the registry.
+void NoteLookup(const std::optional<std::vector<PartitionId>>& result,
+                const Table& table) {
+  if (result.has_value()) {
+    GetCacheMetrics().hits->Add();
+    GetCacheMetrics().partitions_skipped->Add(
+        static_cast<int64_t>(table.num_partitions() - result->size()));
+  } else {
+    GetCacheMetrics().misses->Add();
+  }
 }
 
 }  // namespace
@@ -33,44 +49,80 @@ void PredicateCache::NoteInvalidated(const Entry& entry) {
 }
 
 void PredicateCache::Insert(const std::string& fingerprint, const Table& table,
-                            std::string order_column,
-                            std::vector<PartitionId> partitions) {
-  MutexLock lock(&mutex_);
+                            Population population) {
+  std::vector<PartitionId>& partitions = population.partitions;
   std::sort(partitions.begin(), partitions.end());
   partitions.erase(std::unique(partitions.begin(), partitions.end()),
                    partitions.end());
-  Entry entry;
-  entry.table_name = table.name();
-  entry.order_column = std::move(order_column);
-  entry.partitions = std::move(partitions);
-  entry.table_partitions_at_insert = table.num_partitions();
-  entry.table_instance = table.instance_id();
-  auto existing = entries_.find(fingerprint);
-  if (existing != entries_.end()) NoteInvalidated(existing->second);
-  auto [it, inserted] = entries_.insert_or_assign(fingerprint, std::move(entry));
-  (void)it;
-  if (inserted) {
-    insertion_order_.push_back(fingerprint);
-    EvictIfNeeded();
+  MutexLock lock(&mutex_);
+  // A write whose query compiled before the table's latest DML describes a
+  // table that no longer exists; it would only miss (or clobber a fresher
+  // entry), so it is dropped — coalesced waiters still wake below. So is one
+  // listing a partition past its own coverage: Lookup appends every id from
+  // the coverage on, and would list that partition twice.
+  const bool current =
+      population.coverage.dml_version == table.dml_version() &&
+      population.coverage.partitions <= table.num_partitions() &&
+      (partitions.empty() ||
+       static_cast<size_t>(partitions.back()) < population.coverage.partitions);
+  if (current) {
+    auto it = entries_.find(fingerprint);
+    if (it != entries_.end() && it->second.table_name == table.name() &&
+        it->second.table_instance == table.instance_id()) {
+      // Refresh: the scan set and its stamp change; the hit count and any
+      // compiled program belong to the query shape and survive.
+      it->second.partitions = std::move(partitions);
+      it->second.coverage = population.coverage;
+    } else {
+      Entry entry;
+      entry.table_name = table.name();
+      entry.table_instance = table.instance_id();
+      entry.order_column = std::move(population.order_column);
+      entry.predicate_columns = std::move(population.predicate_columns);
+      entry.partitions = std::move(partitions);
+      entry.coverage = population.coverage;
+      if (it != entries_.end()) {
+        // Another table instance's entry under this fingerprint: replaced
+        // wholesale, its program included.
+        NoteInvalidated(it->second);
+        it->second = std::move(entry);
+      } else {
+        entries_.emplace(fingerprint, std::move(entry));
+        insertion_order_.push_back(fingerprint);
+        EvictIfNeeded();
+      }
+    }
   }
   // Publishing resolves any coalesced population of this fingerprint:
   // blocked waiters wake and hit the fresh entry.
   ResolveInFlightLocked(fingerprint);
 }
 
+void PredicateCache::Insert(const std::string& fingerprint, const Table& table,
+                            std::string order_column,
+                            std::vector<PartitionId> partitions) {
+  Insert(fingerprint, table,
+         Population{Coverage::Of(table), std::move(order_column), {},
+                    std::move(partitions)});
+}
+
 std::optional<std::vector<PartitionId>> PredicateCache::EntryScanSetLocked(
     const std::string& fingerprint, const Table& table) const {
   auto it = entries_.find(fingerprint);
-  if (it == entries_.end() || it->second.table_name != table.name() ||
-      it->second.table_instance != table.instance_id()) {
-    // Name or version mismatch: a replaced table (new instance under the
-    // same name) must never be served the old version's scan set.
+  if (it == entries_.end()) return std::nullopt;
+  const Entry& entry = it->second;
+  if (entry.table_name != table.name() ||
+      entry.table_instance != table.instance_id() ||
+      entry.coverage.dml_version != table.dml_version() ||
+      entry.coverage.partitions > table.num_partitions()) {
+    // A replaced table (new instance under the same name) or DML the cache
+    // was not told about: the entry describes another version of the data.
     return std::nullopt;
   }
-  std::vector<PartitionId> result = it->second.partitions;
+  std::vector<PartitionId> result = entry.partitions;
   // INSERTs are safe (§8.2) but their partitions must be scanned too.
-  for (size_t pid = it->second.table_partitions_at_insert;
-       pid < table.num_partitions(); ++pid) {
+  for (size_t pid = entry.coverage.partitions; pid < table.num_partitions();
+       ++pid) {
     result.push_back(static_cast<PartitionId>(pid));
   }
   return result;
@@ -82,11 +134,10 @@ std::optional<std::vector<PartitionId>> PredicateCache::Lookup(
   auto result = EntryScanSetLocked(fingerprint, table);
   if (result.has_value()) {
     ++hits_;
-    GetCacheMetrics().hits->Add();
   } else {
     ++misses_;
-    GetCacheMetrics().misses->Add();
   }
+  NoteLookup(result, table);
   return result;
 }
 
@@ -99,7 +150,7 @@ std::optional<std::vector<PartitionId>> PredicateCache::LookupOrPopulate(
     auto result = EntryScanSetLocked(fingerprint, table);
     if (result.has_value()) {
       ++hits_;
-      GetCacheMetrics().hits->Add();
+      NoteLookup(result, table);
       return result;
     }
     auto it = inflight_.find(fingerprint);
@@ -108,7 +159,7 @@ std::optional<std::vector<PartitionId>> PredicateCache::LookupOrPopulate(
       auto state = std::make_shared<InFlight>();
       inflight_.emplace(fingerprint, state);
       ++misses_;
-      GetCacheMetrics().misses->Add();
+      NoteLookup(std::nullopt, table);
       *ticket = PopulateTicket(this, fingerprint, std::move(state));
       return std::nullopt;
     }
@@ -150,50 +201,73 @@ void PredicateCache::PopulateTicket::Abandon() {
 }
 
 void PredicateCache::OnInsert(const Table& table) {
-  // Nothing to do: Lookup() appends partitions past
-  // table_partitions_at_insert automatically.
+  // Nothing to do: Lookup() appends partitions past the entry's coverage.
   (void)table;
+}
+
+PredicateCache::EntryMap::iterator PredicateCache::EraseLocked(
+    EntryMap::iterator it) {
+  NoteInvalidated(it->second);
+  insertion_order_.remove(it->first);
+  return entries_.erase(it);
+}
+
+void PredicateCache::ApplyNotificationLocked(
+    const Table& table, const std::function<bool(Entry*)>& apply) {
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    Entry& e = it->second;
+    if (e.table_name != table.name() ||
+        e.table_instance != table.instance_id() ||
+        e.coverage.dml_version == table.dml_version()) {
+      ++it;  // another table, or written after the change
+    } else if (e.coverage.dml_version + 1 == table.dml_version() &&
+               apply(&e)) {
+      e.coverage.dml_version = table.dml_version();
+      ++it;
+    } else {
+      it = EraseLocked(it);  // invalidated, or missed an earlier change
+    }
+  }
 }
 
 void PredicateCache::OnUpdate(const Table& table, const std::string& column) {
   MutexLock lock(&mutex_);
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.table_name == table.name() &&
-        it->second.order_column == column) {
-      NoteInvalidated(it->second);
-      insertion_order_.remove(it->first);
-      it = entries_.erase(it);  // reordering update: cache may be wrong
+    const Entry& e = it->second;
+    const bool reads_column =
+        e.order_column == column ||
+        std::find(e.predicate_columns.begin(), e.predicate_columns.end(),
+                  column) != e.predicate_columns.end();
+    if (e.table_name == table.name() && reads_column) {
+      // The update may reorder rows (order column) or make rows qualify
+      // outside the cached set (predicate column).
+      it = EraseLocked(it);
     } else {
       ++it;
     }
   }
+  ApplyNotificationLocked(table, [](Entry*) { return true; });
 }
 
 void PredicateCache::OnDelete(const Table& table, PartitionId deleted_pid) {
   MutexLock lock(&mutex_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    Entry& e = it->second;
-    if (e.table_name != table.name()) {
-      ++it;
-      continue;
-    }
-    bool contains = std::binary_search(e.partitions.begin(), e.partitions.end(),
-                                       deleted_pid);
-    if (contains) {
-      // A contributing partition is gone: the replacement (k+1-th) row may
-      // live anywhere, so the entry is unusable (§8.2).
-      NoteInvalidated(it->second);
-      insertion_order_.remove(it->first);
-      it = entries_.erase(it);
-      continue;
+  ApplyNotificationLocked(table, [deleted_pid](Entry* e) {
+    auto pos = std::lower_bound(e->partitions.begin(), e->partitions.end(),
+                                deleted_pid);
+    if (pos != e->partitions.end() && *pos == deleted_pid) {
+      // A contributing top-k partition is gone: the replacement (k+1-th)
+      // row may live anywhere (§8.2). A scan entry just loses it — the
+      // remaining qualifying partitions are unchanged.
+      if (!e->order_column.empty()) return false;
+      e->partitions.erase(pos);
     }
     // Table compacts ids after deletion; remap the survivors.
-    for (PartitionId& pid : e.partitions) {
+    for (PartitionId& pid : e->partitions) {
       if (pid > deleted_pid) --pid;
     }
-    if (e.table_partitions_at_insert > 0) --e.table_partitions_at_insert;
-    ++it;
-  }
+    if (deleted_pid < e->coverage.partitions) --e->coverage.partitions;
+    return true;
+  });
 }
 
 void PredicateCache::EvictIfNeeded() {

@@ -2,6 +2,7 @@
 #define SNOWPRUNE_CORE_PREDICATE_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -9,8 +10,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include <functional>
 
 #include "common/mutex.h"
 #include "storage/table.h"
@@ -21,20 +20,50 @@ namespace jit {
 struct CompiledPredicate;
 }  // namespace jit
 
-/// Predicate caching extended to top-k queries (§8.2): after a top-k query
-/// runs, the set of micro-partitions that contributed rows to the final heap
-/// is stored under the query's plan-shape fingerprint. A repeat execution
-/// scans only the cached partitions (plus anything inserted since).
+/// Predicate caching (§8.2; Schmidt et al., "Predicate Caching", SIGMOD
+/// 2024): a repeated query reads only the micro-partitions that produced its
+/// rows last time. Two entry kinds share one map, keyed by a plan node's
+/// Fingerprint() (table plus bound predicate, literals included):
+///   scan entry  -> the partitions where a scan's filter kept >= 1 row.
+///                  Exact for any parent operator: every qualifying row
+///                  lives in the entry (or in a partition appended since).
+///   top-k entry -> the partitions that contributed rows to a TopK's final
+///                  heap, keyed by the TopK node.
 ///
-/// DML safety rules follow the paper exactly:
-///   INSERT                      -> safe; new partitions are appended to the
-///                                  cached scan set at lookup time.
-///   UPDATE on non-order column  -> safe (row order unchanged).
-///   UPDATE on the order column  -> invalidates (rows may reorder).
-///   DELETE                      -> invalidates entries containing a deleted
-///                                  partition (the k+1-th row may live
-///                                  elsewhere); other entries get their
-///                                  partition ids remapped.
+/// When an entry is written. A top-k entry after every finished top-k
+/// query. A scan entry only when the scan delivered its *whole* post-filter-
+/// pruning scan set: a partition skipped at runtime (top-k boundary, join
+/// summary), a scan set narrowed by LIMIT pruning or by a top-k entry's
+/// restriction, an early stop (LIMIT), cancellation, a passed deadline or a
+/// load fault each block the write — the recorded set would miss
+/// qualifying partitions the scan never looked at.
+///
+/// Refresh, not reset. Insert on a live entry of the same table instance
+/// replaces only its partitions and coverage stamp; the hit count and the
+/// compiled program (specialization tier) survive, so promotion fires.
+///
+/// Coverage and DML. Each entry is stamped with what the writing query saw
+/// at compile time: the table's partition count and Table::dml_version().
+///   INSERT (append)               -> safe; partitions past the stamped
+///                                    count are added to the scan set at
+///                                    lookup time.
+///   UPDATE, notified (OnUpdate)   -> invalidates entries whose ORDER BY
+///                                    column or predicate columns include
+///                                    the updated column (rows may reorder
+///                                    or newly qualify anywhere); others
+///                                    are restamped.
+///   DELETE, notified (OnDelete)   -> a top-k entry holding the partition
+///                                    is invalidated (the k+1-th row may
+///                                    live elsewhere); a scan entry drops
+///                                    it; surviving ids are remapped.
+///   DeletePartition/ReplacePartition with no notification
+///                                 -> Lookup misses: the table's DML
+///                                    version moved past the stamp.
+/// A notification applies to (and restamps) an entry exactly one DML
+/// version behind the table; an entry already at the table's version is
+/// left alone (it was written after the change), and one further behind
+/// missed a change and is dropped. ReplaceTable installs a new table
+/// instance, which never matches an older entry.
 ///
 /// Thread safety: the cache is shared by every engine pointed at it, and
 /// engines may run queries concurrently; all operations (including the
@@ -42,15 +71,16 @@ struct CompiledPredicate;
 /// discipline is compile-checked: every entry map, counter, and in-flight
 /// record is SNOW_GUARDED_BY(mutex_).
 ///
-/// Population is *coalesced*: a plain Lookup/Insert pair is individually
-/// atomic but a miss→recompute→Insert sequence is not, so concurrent
-/// identical queries used to recompute the same entry in parallel (benign —
-/// last insert wins — but duplicated work). LookupOrPopulate closes that
-/// window: the first thread to miss a fingerprint becomes the populating
-/// owner (it receives a PopulateTicket and is expected to Insert), and
-/// every other thread asking for the same fingerprint blocks until the
-/// owner publishes — then hits — or abandons the ticket — then one waiter
-/// takes over as the new owner.
+/// Top-k population is *coalesced*: a plain Lookup/Insert pair is
+/// individually atomic but a miss→recompute→Insert sequence is not, so
+/// concurrent identical queries would recompute the same entry in parallel
+/// (benign — last insert wins — but duplicated work). LookupOrPopulate
+/// closes that window: the first thread to miss a fingerprint becomes the
+/// populating owner (it receives a PopulateTicket and is expected to
+/// Insert), and every other thread asking for the same fingerprint blocks
+/// until the owner publishes — then hits — or abandons the ticket — then
+/// one waiter takes over as the new owner. Scan entries use the
+/// non-blocking pair only.
 class PredicateCache {
   /// An in-flight coalesced population: waiters block on `cv` until the
   /// owner publishes (Insert) or abandons (ticket destruction). Private;
@@ -112,15 +142,44 @@ class PredicateCache {
 
   explicit PredicateCache(size_t capacity = 1024) : capacity_(capacity) {}
 
-  /// Records the contributing partitions of a finished top-k query.
-  /// `order_column` is the ORDER BY column's name (update-safety tracking).
+  /// What a query saw of its table at compile time: the partition count and
+  /// DML version of its snapshot. An entry written from the query's run
+  /// covers exactly this much of the table.
+  struct Coverage {
+    size_t partitions = 0;
+    uint64_t dml_version = 0;
+    static Coverage Of(const Table& table) {
+      return Coverage{table.num_partitions(), table.dml_version()};
+    }
+  };
+
+  /// One finished run's record, written under a fingerprint.
+  struct Population {
+    Coverage coverage;
+    /// The ORDER BY column of a top-k entry; empty for a scan entry.
+    std::string order_column;
+    /// The columns the scan predicate reads (ReferencedColumns).
+    std::vector<std::string> predicate_columns;
+    /// Top-k: the contributing partitions. Scan: the partitions where the
+    /// filter kept at least one row. Ids below coverage.partitions.
+    std::vector<PartitionId> partitions;
+  };
+
+  /// Publishes `population` under `fingerprint` (see the class comment for
+  /// refresh semantics). A write whose coverage is already stale — the
+  /// table's DML version moved since the query compiled — is dropped.
+  void Insert(const std::string& fingerprint, const Table& table,
+              Population population) SNOW_EXCLUDES(mutex_);
+  /// Shorthand: a top-k entry covering the table as it is now, with no
+  /// predicate columns.
   void Insert(const std::string& fingerprint, const Table& table,
               std::string order_column, std::vector<PartitionId> partitions)
       SNOW_EXCLUDES(mutex_);
 
-  /// Returns the scan set for a repeated query: cached partitions plus any
-  /// partition appended to the table after the entry was created. nullopt on
-  /// miss or after invalidation.
+  /// Returns the scan set for a repeated query, ascending: cached partitions
+  /// plus any partition appended after the entry's coverage. nullopt on a
+  /// miss, after invalidation, or when un-notified DML moved the table's
+  /// version past the entry's stamp.
   std::optional<std::vector<PartitionId>> Lookup(const std::string& fingerprint,
                                                  const Table& table) const
       SNOW_EXCLUDES(mutex_);
@@ -136,7 +195,7 @@ class PredicateCache {
       const std::string& fingerprint, const Table& table,
       PopulateTicket* ticket) SNOW_EXCLUDES(mutex_);
 
-  /// DML notifications (the engine calls these alongside Table mutations).
+  /// DML notifications, sent after the Table mutation they describe.
   void OnInsert(const Table& table);
   void OnUpdate(const Table& table, const std::string& column)
       SNOW_EXCLUDES(mutex_);
@@ -212,27 +271,39 @@ class PredicateCache {
  private:
   struct Entry {
     std::string table_name;
-    std::string order_column;
-    std::vector<PartitionId> partitions;
-    size_t table_partitions_at_insert = 0;
     /// Table *version* identity: a ReplaceTable swap installs a new Table
     /// object under the same name, whose data owes nothing to this entry's
     /// partitions — lookups validate the instance and miss on mismatch.
     uint64_t table_instance = 0;
-    /// Specialization state: hits since insert, and the compiled bytecode
-    /// program once the entry was promoted (shared across streams/shards).
+    std::string order_column;
+    std::vector<std::string> predicate_columns;
+    std::vector<PartitionId> partitions;
+    Coverage coverage;
+    /// Specialization state: hits since the entry was created (refreshes
+    /// keep it), and the compiled bytecode program once the entry was
+    /// promoted (shared across streams/shards).
     int64_t hits = 0;
     std::shared_ptr<const jit::CompiledPredicate> program;
     /// A promotion that failed to compile (unsupported shape); stops every
     /// later hit from re-running the compiler.
     bool compile_declined = false;
   };
+  using EntryMap = std::map<std::string, Entry>;
 
   /// Counts a dropped compiled program (jit.invalidations); called on every
   /// entry-erase path.
   static void NoteInvalidated(const Entry& entry);
 
   void EvictIfNeeded() SNOW_REQUIRES(mutex_);
+  /// Drops an entry (DML invalidation); returns the next iterator.
+  EntryMap::iterator EraseLocked(EntryMap::iterator it) SNOW_REQUIRES(mutex_);
+  /// Entries of `table`'s instance a DML notification applies to: each one
+  /// exactly a version behind is passed to `apply` (which returns false to
+  /// invalidate it, true to keep it) and restamped; ones further behind are
+  /// dropped; ones at the table's version are left alone.
+  void ApplyNotificationLocked(const Table& table,
+                               const std::function<bool(Entry*)>& apply)
+      SNOW_REQUIRES(mutex_);
   /// The entry's scan set (with post-insert partitions appended), or
   /// nullopt. No counter updates.
   std::optional<std::vector<PartitionId>> EntryScanSetLocked(
@@ -249,7 +320,7 @@ class PredicateCache {
 
   mutable Mutex mutex_;
   size_t capacity_;
-  std::map<std::string, Entry> entries_ SNOW_GUARDED_BY(mutex_);
+  EntryMap entries_ SNOW_GUARDED_BY(mutex_);
   std::list<std::string> insertion_order_
       SNOW_GUARDED_BY(mutex_);  // FIFO eviction
   /// Fingerprints currently being populated (shared_ptr so waiters survive

@@ -16,6 +16,10 @@ struct PruningStats {
   int64_t pruned_by_limit = 0;    ///< §4 LIMIT pruning.
   int64_t pruned_by_join = 0;     ///< §6 join pruning (probe side).
   int64_t pruned_by_topk = 0;     ///< §5 runtime top-k pruning.
+  /// §8.2 predicate caching: partitions a cache entry proved hold no
+  /// qualifying row (a scan entry) or no top-k winner (a top-k entry), so
+  /// filter pruning never even looked at them.
+  int64_t pruned_by_cache = 0;
   int64_t scanned_partitions = 0; ///< Actually loaded from storage.
   int64_t scanned_rows = 0;
   /// Partitions a parallel scan worker loaded ahead of the consumer that the
@@ -44,7 +48,7 @@ struct PruningStats {
 
   int64_t TotalPruned() const {
     return pruned_by_filter + pruned_by_limit + pruned_by_join +
-           pruned_by_topk;
+           pruned_by_topk + pruned_by_cache;
   }
 
   /// Fraction of the query's partitions that were never loaded.
@@ -63,17 +67,19 @@ struct PruningStats {
   /// aggregated stats (engine and shard coordinator). The level counters
   /// can never exceed the work that existed: each pruning level claims
   /// distinct partitions, so their sum is bounded by the total, and scanned
-  /// plus pruned cannot exceed the total either. (It may be *less* — a
-  /// predicate-cache hit shrinks the scan set without any level's counter
-  /// taking credit, so equality would be a false alarm.) Speculative loads
-  /// are re-accounted top-k prunes, hence bounded by them; shard counters
-  /// mirror the same containment one level up.
+  /// plus pruned cannot exceed the total either. (It may be *less* — a LIMIT
+  /// that stops its scan early leaves the rest of the scan set neither
+  /// scanned nor pruned, so equality would be a false alarm. A predicate-
+  /// cache hit is no such gap: it takes credit as pruned_by_cache.)
+  /// Speculative loads are re-accounted top-k prunes, hence bounded by them;
+  /// shard counters mirror the same containment one level up.
   void DCheckInvariants() const {
     SNOW_DCHECK_GE(total_partitions, 0);
     SNOW_DCHECK_GE(pruned_by_filter, 0);
     SNOW_DCHECK_GE(pruned_by_limit, 0);
     SNOW_DCHECK_GE(pruned_by_join, 0);
     SNOW_DCHECK_GE(pruned_by_topk, 0);
+    SNOW_DCHECK_GE(pruned_by_cache, 0);
     SNOW_DCHECK_GE(scanned_partitions, 0);
     SNOW_DCHECK_GE(scanned_rows, 0);
     SNOW_DCHECK_GE(speculative_loads, 0);
@@ -91,6 +97,7 @@ struct PruningStats {
     pruned_by_limit += other.pruned_by_limit;
     pruned_by_join += other.pruned_by_join;
     pruned_by_topk += other.pruned_by_topk;
+    pruned_by_cache += other.pruned_by_cache;
     scanned_partitions += other.scanned_partitions;
     scanned_rows += other.scanned_rows;
     speculative_loads += other.speculative_loads;

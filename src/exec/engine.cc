@@ -69,11 +69,11 @@ void CollectTables(const Catalog& catalog, const PlanPtr& plan,
 }
 
 /// Specialization-tier entry point shared by every compile site (eager scan
-/// attach, gathered scans included, and top-k promotion): compile the bound
-/// predicate to bytecode, stamp the table version it may run against, and record the
-/// decision as a "compile.specialize" span under the query's compile span
-/// (bytecode length, per-term fallback count, and the reject reason as a
-/// jit::RejectReason code — 0 means compiled).
+/// attach, gathered scans included, and cache-hit promotion): compile the
+/// bound predicate to bytecode, stamp the table version it may run against,
+/// and record the decision as a "compile.specialize" span under the query's
+/// compile span (bytecode length, per-term fallback count, and the reject
+/// reason as a jit::RejectReason code — 0 means compiled).
 std::shared_ptr<const jit::CompiledPredicate> CompileSpecialized(
     const ExprPtr& predicate, const Schema& schema, uint64_t table_instance,
     Trace* trace, uint32_t parent_span) {
@@ -107,6 +107,19 @@ struct Engine::CompileContext {
     TableScanOp* scan = nullptr;  ///< Null for a gathered (sharded) scan.
     std::shared_ptr<Table> table;
     FilterPruneResult filter_result;
+    /// What this query saw of the table; a predicate-cache entry written
+    /// from the run claims exactly this coverage.
+    PredicateCache::Coverage coverage;
+  };
+
+  /// A predicate-cache lookup on behalf of one scan: its fingerprint and,
+  /// on a hit, the entry's scan set (cached plus appended partitions).
+  struct CacheProbe {
+    std::string fingerprint;
+    std::optional<std::vector<PartitionId>> partitions;
+    /// Made by a TopK for the scan its order column traces to (a top-k
+    /// entry); otherwise the scan's own entry.
+    bool topk = false;
   };
 
   struct PendingTopK {
@@ -140,6 +153,9 @@ struct Engine::CompileContext {
   std::vector<std::unique_ptr<TopKPruner>> pruners;
   std::vector<std::unique_ptr<FilterPruner>> runtime_filter_pruners;
   std::vector<PendingTopK> pending_topk;
+  /// Top-k entry lookups, keyed by the scan they restrict. Made before the
+  /// TopK's child compiles, so the scan applies a hit before filter pruning.
+  std::map<const PlanNode*, CacheProbe> topk_cache_probes;
   /// Traced queries only: the profile the compiled operators meter into
   /// (one ProfileNode per operator) and the operators that got one — the
   /// engine hands them the trace pointer once the execute span exists.
@@ -362,7 +378,8 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
             ctx->profiled_ops.push_back(op.get());
           }
           ctx->scans[plan.get()] = CompileContext::ScanInfo{
-              op.get(), op.get(), table, FilterPruneResult{}};
+              op.get(), op.get(), table, FilterPruneResult{},
+              PredicateCache::Coverage::Of(*table)};
           return OperatorPtr(std::move(op));
         }
       }
@@ -372,6 +389,34 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       }
       ScanSet full = table->FullScanSet();
       ctx->stats.total_partitions += static_cast<int64_t>(full.size());
+      const auto coverage = PredicateCache::Coverage::Of(*table);
+
+      // §8.2 predicate cache, ahead of every pruning pass: a hit narrows the
+      // candidates to the partitions the entry proved can matter (plus any
+      // appended since), so filter pruning only looks at those. The
+      // excluded partitions are credited to pruned_by_cache.
+      CompileContext::CacheProbe probe;
+      if (config_.predicate_cache != nullptr && ctx->leaf == nullptr) {
+        auto topk_probe = ctx->topk_cache_probes.find(plan.get());
+        if (topk_probe != ctx->topk_cache_probes.end()) {
+          // Consumed by the TopK's own child, the first compile of this
+          // node after the lookup; any later compile of a shared node is
+          // not under that TopK.
+          probe = std::move(topk_probe->second);
+          ctx->topk_cache_probes.erase(topk_probe);
+        } else if (plan->predicate) {
+          probe.fingerprint = plan->Fingerprint();
+          probe.partitions =
+              config_.predicate_cache->Lookup(probe.fingerprint, *table);
+        }
+      }
+      const ScanSet candidates = probe.partitions.has_value()
+                                     ? ScanSet(*probe.partitions)
+                                     : full;
+      const int64_t pruned_by_cache =
+          static_cast<int64_t>(full.size() - candidates.size());
+      ctx->stats.pruned_by_cache += pruned_by_cache;
+      if (probe.partitions.has_value()) ctx->result->predicate_cache_hit = true;
 
       FilterPruneResult filter_result;
       const bool compile_time_pruning =
@@ -386,20 +431,22 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
           // partitions the per-partition pass would have pruned anyway —
           // removing them up front changes no counter, it only spares the
           // metadata work and, crucially, the shard contact.
-          filter_result =
-              pruner.Prune(*table, ctx->leaf->Probe(plan->predicate, full));
-          filter_result.pruned += static_cast<int64_t>(full.size()) -
+          filter_result = pruner.Prune(
+              *table, ctx->leaf->Probe(plan->predicate, candidates));
+          filter_result.pruned += static_cast<int64_t>(candidates.size()) -
                                   filter_result.input_partitions;
-          filter_result.input_partitions = static_cast<int64_t>(full.size());
+          filter_result.input_partitions =
+              static_cast<int64_t>(candidates.size());
         } else {
-          filter_result = pruner.Prune(*table, full);
+          filter_result = pruner.Prune(*table, candidates);
         }
         ctx->stats.pruned_by_filter += filter_result.pruned;
       } else {
-        filter_result.scan_set = full;
-        filter_result.input_partitions = static_cast<int64_t>(full.size());
+        filter_result.scan_set = candidates;
+        filter_result.input_partitions =
+            static_cast<int64_t>(candidates.size());
         if (!plan->predicate) {
-          for (PartitionId pid : full) {
+          for (PartitionId pid : candidates) {
             filter_result.fully_matching.push_back(pid);
             filter_result.fully_matching_rows +=
                 table->partition_metadata(pid).row_count();
@@ -431,15 +478,65 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         scan = op.get();
         source = std::move(op);
       }
-      if (config_.exec.specialize && config_.exec.specialize_after == 0 &&
-          plan->predicate) {
-        // Eager mode: specialize every compiled filter at query-compile
-        // time, no promotion threshold. A gathered scan's program is shared
-        // with every shard sub-query, which attach it only when their
-        // snapshot holds the table version it is stamped with.
-        source->set_compiled_filter(CompileSpecialized(
-            plan->predicate, table->schema(), table->instance_id(),
-            ctx->opts->trace, ctx->compile_span));
+      if (config_.exec.specialize && plan->predicate) {
+        if (config_.exec.specialize_after == 0) {
+          // Eager mode: specialize every compiled filter at query-compile
+          // time, no promotion threshold. A gathered scan's program is
+          // shared with every shard sub-query, which attach it only when
+          // their snapshot holds the table version it is stamped with.
+          source->set_compiled_filter(CompileSpecialized(
+              plan->predicate, table->schema(), table->instance_id(),
+              ctx->opts->trace, ctx->compile_span));
+        } else if (probe.partitions.has_value()) {
+          // Promotion lifecycle, riding every hit of either entry kind: each
+          // repeat bumps the entry's hit count; past the threshold its
+          // predicate is compiled exactly once (under the cache mutex —
+          // concurrent promoters share the one program) and attached to
+          // this scan. Below the threshold an already-promoted entry still
+          // serves its program, so one stream's promotion accelerates all.
+          PredicateCache* cache = config_.predicate_cache;
+          const int64_t entry_hits = cache->NoteHit(probe.fingerprint);
+          std::shared_ptr<const jit::CompiledPredicate> program;
+          if (entry_hits >= config_.exec.specialize_after) {
+            const ExprPtr& predicate = plan->predicate;
+            Trace* query_trace = ctx->opts->trace;
+            const uint32_t parent_span = ctx->compile_span;
+            program = cache->GetOrCompileProgram(
+                probe.fingerprint, *table,
+                [&predicate, &table, query_trace, parent_span]() {
+                  return CompileSpecialized(predicate, table->schema(),
+                                            table->instance_id(), query_trace,
+                                            parent_span);
+                });
+          } else if (entry_hits > 0) {
+            program = cache->GetProgram(probe.fingerprint, *table);
+          }
+          if (program != nullptr) {
+            source->set_compiled_filter(std::move(program));
+          }
+        }
+      }
+      if (scan != nullptr && config_.predicate_cache != nullptr &&
+          plan->predicate && !(probe.topk && probe.partitions.has_value())) {
+        // Scan entry: recorded over the filter-pruned scan set, published
+        // only if the scan delivers all of it (see QualifyingPartitions). A
+        // top-k entry's restriction is no such set, so it records nothing.
+        scan->RecordQualifying();
+        post_run_hooks_.push_back(
+            [this, scan, table, coverage,
+             fingerprint = probe.topk ? plan->Fingerprint() : probe.fingerprint,
+             columns = ReferencedColumns(plan->predicate)]() {
+              std::optional<std::vector<PartitionId>> qualifying =
+                  scan->QualifyingPartitions();
+              if (!qualifying.has_value()) return;
+              // Injection site: the population write-back fails after a
+              // successful query (cache node fault).
+              if (SNOW_FAILPOINT("predcache.populate")) return;
+              config_.predicate_cache->Insert(
+                  fingerprint, *table,
+                  PredicateCache::Population{coverage, "", columns,
+                                             std::move(*qualifying)});
+            });
       }
       if (ctx->profile != nullptr) {
         ProfileNode* node = ctx->profile->NewNode(
@@ -448,6 +545,7 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         // query-wide counters bumped above. Runtime deltas flow in through
         // the profile-stats mirror; LIMIT pruning lands here from kLimit.
         node->pruning.total_partitions += static_cast<int64_t>(full.size());
+        node->pruning.pruned_by_cache += pruned_by_cache;
         node->pruning.pruned_by_filter += filter_result.pruned;
         source->set_profile(node);
         source->set_profile_stats(&node->pruning);
@@ -460,7 +558,7 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         source->ReplaceScanSet(std::move(prepared));
       }
       ctx->scans[plan.get()] = CompileContext::ScanInfo{
-          source.get(), scan, table, std::move(filter_result)};
+          source.get(), scan, table, std::move(filter_result), coverage};
       return OperatorPtr(std::move(source));
     }
 
@@ -558,28 +656,26 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         }
       }
 
-      // §8.2 predicate cache: only for scan/project chains (provenance).
-      bool cache_eligible = config_.predicate_cache != nullptr &&
-                            trace.scan != nullptr &&
-                            trace.build_join_node == nullptr &&
-                            trace.agg_node == nullptr &&
-                            IsScanProjectChain(plan->child);
-      if (cache_eligible) ctx->track_source = true;
-
-      auto child = Compile(plan->child, ctx);
-      if (!child.ok()) return child.status();
-      OperatorPtr input = std::move(child).value();
-
+      // §8.2 predicate cache (top-k entry): only for scan/project chains
+      // (provenance). Looked up before the child compiles, so the scan
+      // applies a hit ahead of filter pruning.
+      const bool cache_eligible = config_.predicate_cache != nullptr &&
+                                  ctx->leaf == nullptr &&
+                                  trace.scan != nullptr &&
+                                  trace.build_join_node == nullptr &&
+                                  trace.agg_node == nullptr &&
+                                  IsScanProjectChain(plan->child);
       std::string cache_fingerprint;
       std::shared_ptr<PredicateCache::PopulateTicket> cache_ticket;
       if (cache_eligible) {
+        ctx->track_source = true;
         cache_fingerprint = plan->Fingerprint();
-        auto& info = ctx->scans.at(trace.scan);
+        const Table& table = *FindTable(ctx->tables, trace.scan->table);
         // Coalesced lookup: concurrent identical queries block here while
         // the first one computes and publishes, instead of all recomputing.
         // The ticket is held by the post-run hook so the population is
         // released (publish via Insert, or abandon on any error path) no
-        // matter how execution ends. Only the first cache-eligible scan of
+        // matter how execution ends. Only the first cache-eligible TopK of
         // a plan may coalesce (own a ticket or wait); any further one
         // falls back to the non-blocking lookup, so a compile never waits
         // while holding a ticket — see CompileContext::cache_populate_held.
@@ -587,58 +683,18 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         if (!ctx->cache_populate_held) {
           cache_ticket = std::make_shared<PredicateCache::PopulateTicket>();
           cached = config_.predicate_cache->LookupOrPopulate(
-              cache_fingerprint, *info.table, cache_ticket.get());
+              cache_fingerprint, table, cache_ticket.get());
           if (cache_ticket->owns()) ctx->cache_populate_held = true;
         } else {
-          cached =
-              config_.predicate_cache->Lookup(cache_fingerprint, *info.table);
+          cached = config_.predicate_cache->Lookup(cache_fingerprint, table);
         }
-        if (cached.has_value()) {
-          // Restrict the scan set to cached ∪ newly-added partitions,
-          // preserving the pruner-prepared order.
-          std::vector<PartitionId> keep;
-          for (PartitionId pid : info.source->scan_set()) {
-            if (std::find(cached->begin(), cached->end(), pid) !=
-                cached->end()) {
-              keep.push_back(pid);
-            }
-          }
-          info.source->ReplaceScanSet(ScanSet(std::move(keep)));
-          ctx->result->predicate_cache_hit = true;
-        }
-        if (config_.exec.specialize && config_.exec.specialize_after > 0 &&
-            trace.scan->predicate != nullptr) {
-          // Promotion lifecycle: every repeat of a cached query shape bumps
-          // the entry's hit count; past the threshold the entry's predicate
-          // is compiled exactly once (under the cache mutex — concurrent
-          // promoters share the one program) and attached to this query's
-          // scan. Below the threshold an already-promoted entry still
-          // serves its program, so one stream's promotion accelerates all.
-          const int64_t entry_hits =
-              config_.predicate_cache->NoteHit(cache_fingerprint);
-          std::shared_ptr<const jit::CompiledPredicate> program;
-          if (entry_hits >= config_.exec.specialize_after) {
-            const ExprPtr& predicate = trace.scan->predicate;
-            const Table& table = *info.table;
-            Trace* query_trace = ctx->opts->trace;
-            const uint32_t parent_span = ctx->compile_span;
-            program = config_.predicate_cache->GetOrCompileProgram(
-                cache_fingerprint, table,
-                [&predicate, &table, query_trace, parent_span]() {
-                  return CompileSpecialized(predicate, table.schema(),
-                                            table.instance_id(), query_trace,
-                                            parent_span);
-                });
-          } else if (entry_hits > 0) {
-            program =
-                config_.predicate_cache->GetProgram(cache_fingerprint,
-                                                    *info.table);
-          }
-          if (program != nullptr) {
-            info.source->set_compiled_filter(std::move(program));
-          }
-        }
+        ctx->topk_cache_probes[trace.scan] = CompileContext::CacheProbe{
+            cache_fingerprint, std::move(cached), /*topk=*/true};
       }
+
+      auto child = Compile(plan->child, ctx);
+      if (!child.ok()) return child.status();
+      OperatorPtr input = std::move(child).value();
 
       auto idx = input->output_schema().FindColumn(plan->order_column);
       if (!idx.has_value()) {
@@ -680,17 +736,23 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         // without running, the captured ticket abandons it instead.
         TopKOp* topk_ptr = topk.get();
         auto& info = ctx->scans.at(trace.scan);
-        post_run_hooks_.push_back([this, topk_ptr, cache_fingerprint,
-                                   cache_ticket, table = info.table,
-                                   column = trace.column]() {
-          // Injection site: the population write-back fails after a
-          // successful query (cache node fault). Returning before Insert
-          // leaves the captured ticket to die with the hook — abandonment
-          // wakes coalesced waiters, who fall back to populating themselves.
-          if (SNOW_FAILPOINT("predcache.populate")) return;
-          config_.predicate_cache->Insert(cache_fingerprint, *table, column,
-                                          topk_ptr->contributing_partitions());
-        });
+        post_run_hooks_.push_back(
+            [this, topk_ptr, cache_fingerprint, cache_ticket,
+             table = info.table, coverage = info.coverage,
+             column = trace.column,
+             columns = ReferencedColumns(trace.scan->predicate)]() {
+              // Injection site: the population write-back fails after a
+              // successful query (cache node fault). Returning before Insert
+              // leaves the captured ticket to die with the hook —
+              // abandonment wakes coalesced waiters, who fall back to
+              // populating themselves.
+              if (SNOW_FAILPOINT("predcache.populate")) return;
+              config_.predicate_cache->Insert(
+                  cache_fingerprint, *table,
+                  PredicateCache::Population{
+                      coverage, column, columns,
+                      topk_ptr->contributing_partitions()});
+            });
       }
       return OperatorPtr(std::move(topk));
     }
@@ -898,6 +960,8 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
     // Compile-time pruning decisions, readable straight off the span.
     opts.trace->AnnotateInt(compile_span, "total_partitions",
                             ctx.stats.total_partitions);
+    opts.trace->AnnotateInt(compile_span, "pruned_by_cache",
+                            ctx.stats.pruned_by_cache);
     opts.trace->AnnotateInt(compile_span, "pruned_by_filter",
                             ctx.stats.pruned_by_filter);
     opts.trace->AnnotateInt(compile_span, "pruned_by_limit",
@@ -1058,6 +1122,7 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
       SNOW_DCHECK_EQ(sum.pruned_by_limit, result.stats.pruned_by_limit);
       SNOW_DCHECK_EQ(sum.pruned_by_join, result.stats.pruned_by_join);
       SNOW_DCHECK_EQ(sum.pruned_by_topk, result.stats.pruned_by_topk);
+      SNOW_DCHECK_EQ(sum.pruned_by_cache, result.stats.pruned_by_cache);
       SNOW_DCHECK_EQ(sum.scanned_partitions, result.stats.scanned_partitions);
       SNOW_DCHECK_EQ(sum.scanned_rows, result.stats.scanned_rows);
       SNOW_DCHECK_EQ(sum.speculative_loads, result.stats.speculative_loads);

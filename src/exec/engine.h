@@ -111,7 +111,7 @@ struct EngineConfig {
   size_t join_summary_budget_bytes = 1024;
   bool join_row_level_bloom = false;
 
-  /// Optional §8.2 top-k predicate cache (not owned).
+  /// Optional §8.2 predicate cache: scan and top-k entries (not owned).
   PredicateCache* predicate_cache = nullptr;
 
   ExecConfig exec;

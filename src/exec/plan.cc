@@ -1,5 +1,7 @@
 #include "exec/plan.h"
 
+#include <cstdio>
+
 namespace snowprune {
 
 namespace {
@@ -8,6 +10,48 @@ PlanPtr MakeNode(PlanNode::Kind kind) {
   auto node = std::make_shared<PlanNode>();
   node->kind = kind;
   return node;
+}
+
+/// Expr::ToString prints floats with six significant digits and string
+/// literals unescaped, so two predicates can render alike and still select
+/// different rows. The fingerprint keys the predicate cache, so it appends
+/// every float literal's exact value (hex float) and every string literal's
+/// length, in tree order; with the lengths known the rendering parses back
+/// one way only.
+void AppendExactLiterals(const Expr& expr, std::string* out) {
+  auto append_string = [out](const std::string& s) {
+    *out += std::to_string(s.size()) + ";";
+  };
+  auto append = [out, &append_string](const Value& v) {
+    if (v.is_string()) {
+      append_string(v.string_value());
+    } else if (v.is_float64()) {
+      char buf[40];
+      std::snprintf(buf, sizeof(buf), "%a;", v.float64_value());
+      *out += buf;
+    }
+  };
+  switch (expr.kind()) {
+    case ExprKind::kLiteral:
+      append(static_cast<const LiteralExpr&>(expr).value());
+      break;
+    case ExprKind::kInList:
+      for (const Value& v : static_cast<const InListExpr&>(expr).values()) {
+        append(v);
+      }
+      break;
+    case ExprKind::kLike:
+      append_string(static_cast<const LikeExpr&>(expr).pattern());
+      break;
+    case ExprKind::kStartsWith:
+      append_string(static_cast<const StartsWithExpr&>(expr).prefix());
+      break;
+    default:
+      break;
+  }
+  for (const ExprPtr& child : expr.children()) {
+    AppendExactLiterals(*child, out);
+  }
 }
 
 }  // namespace
@@ -79,7 +123,12 @@ std::string PlanNode::Fingerprint() const {
   switch (kind) {
     case Kind::kScan:
       s = "Scan(" + table;
-      if (predicate) s += ", " + predicate->ToString();
+      if (predicate) {
+        s += ", " + predicate->ToString();
+        std::string exact;
+        AppendExactLiterals(*predicate, &exact);
+        if (!exact.empty()) s += " #" + exact;
+      }
       s += ")";
       break;
     case Kind::kProject: {

@@ -52,8 +52,9 @@ std::string QueryProfile::ToText() const {
         if (HasPruning(*node)) {
           const PruningStats& p = node->pruning;
           for (int i = 0; i < depth + 1; ++i) out << "  ";
-          // All four per-partition levels, always — a 0 is a statement.
-          out << "pruned: filter=" << p.pruned_by_filter
+          // All five per-partition levels, always — a 0 is a statement.
+          out << "pruned: cache=" << p.pruned_by_cache
+              << " filter=" << p.pruned_by_filter
               << " limit=" << p.pruned_by_limit << " join=" << p.pruned_by_join
               << " topk=" << p.pruned_by_topk
               << " | scanned " << p.scanned_partitions << "/"
@@ -94,6 +95,7 @@ std::string QueryProfile::ToJson() const {
     if (HasPruning(*node)) {
       const PruningStats& p = node->pruning;
       out << ",\"pruning\":{\"total_partitions\":" << p.total_partitions
+          << ",\"pruned_by_cache\":" << p.pruned_by_cache
           << ",\"pruned_by_filter\":" << p.pruned_by_filter
           << ",\"pruned_by_limit\":" << p.pruned_by_limit
           << ",\"pruned_by_join\":" << p.pruned_by_join

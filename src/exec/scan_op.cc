@@ -61,6 +61,8 @@ void TableScanOp::PlanMorsels() {
 void TableScanOp::Open() {
   cursor_ = 0;
   item_cursor_ = 0;
+  visited_ = 0;
+  qualifying_.clear();
   specialized_batches_.store(0, std::memory_order_relaxed);
   interpreted_batches_.store(0, std::memory_order_relaxed);
   error_ = Status::OK();
@@ -96,6 +98,25 @@ int64_t TableScanOp::ApplyJoinSummary(const BuildSummary& summary,
   if (stats_ != nullptr) stats_->pruned_by_join += pruned.pruned;
   if (profile_stats_ != nullptr) profile_stats_->pruned_by_join += pruned.pruned;
   return pruned.pruned;
+}
+
+void TableScanOp::Account(PartitionId pid, const PruningStats& delta,
+                          bool kept_rows) {
+  if (stats_ != nullptr) stats_->Merge(delta);
+  if (profile_stats_ != nullptr) profile_stats_->Merge(delta);
+  if (!record_qualifying_) return;
+  if (delta.scanned_partitions + delta.pruned_by_filter == 1) ++visited_;
+  if (kept_rows) qualifying_.push_back(pid);
+}
+
+std::optional<std::vector<PartitionId>> TableScanOp::QualifyingPartitions()
+    const {
+  if (!record_qualifying_ || !error_.ok() ||
+      scan_set_.size() != recorded_scan_set_size_ ||
+      visited_ != recorded_scan_set_size_) {
+    return std::nullopt;
+  }
+  return qualifying_;
 }
 
 bool TableScanOp::Cancelled() {
@@ -188,6 +209,7 @@ MorselResult TableScanOp::ProcessMorsel(size_t morsel_index) {
     Status load_error;
     item.loaded = ScanPartition(scan_set_[pos], &item.batch, &item.stats,
                                 &worker_scratch, &load_error);
+    item.kept_rows = item.loaded && item.batch.num_rows() > 0;
     if (!load_error.ok()) {
       // A load fault poisons the whole morsel: later partitions stay
       // unloaded so the consumer sees the error at this scan-set position
@@ -260,8 +282,7 @@ bool TableScanOp::NextColumnsInner(ColumnBatch* out,
         }
         // Per-partition stats merge on the consumer thread, in scan-set
         // order.
-        if (stats_ != nullptr) stats_->Merge(item.stats);
-        if (profile_stats_ != nullptr) profile_stats_->Merge(item.stats);
+        Account(pid, item.stats, item.loaded && item.kept_rows);
         if (!item.loaded) continue;
         *out = std::move(item.batch);
         if (item_payload != nullptr) *item_payload = std::move(item.payload);
@@ -288,21 +309,11 @@ bool TableScanOp::NextColumnsInner(ColumnBatch* out,
     if (Cancelled()) return false;
     PartitionId pid = scan_set_[cursor_++];
     Status load_error;
-    if (profile_stats_ == nullptr) {
-      if (ScanPartition(pid, out, stats_, &eval_scratch_, &load_error)) {
-        return true;
-      }
-    } else {
-      // Profiled serial path: meter into a local delta, then fan it out to
-      // the query stats and the profile node — the unprofiled branch above
-      // stays byte-identical to what it always was.
-      PruningStats delta;
-      const bool loaded =
-          ScanPartition(pid, out, &delta, &eval_scratch_, &load_error);
-      if (stats_ != nullptr) stats_->Merge(delta);
-      profile_stats_->Merge(delta);
-      if (loaded) return true;
-    }
+    PruningStats delta;
+    const bool loaded =
+        ScanPartition(pid, out, &delta, &eval_scratch_, &load_error);
+    Account(pid, delta, loaded && out->num_rows() > 0);
+    if (loaded) return true;
     if (!load_error.ok()) {
       error_ = std::move(load_error);
       return false;
@@ -334,10 +345,8 @@ bool TableScanOp::NextPayload(MorselPayload* out) {
     if (trace_ != nullptr && !current_morsel_.spans.empty()) {
       trace_->MergeBuffer(&current_morsel_.spans, trace_parent_);
     }
-    for (MorselItem& item : current_morsel_.items) {
-      ++cursor_;
-      if (stats_ != nullptr) stats_->Merge(item.stats);
-      if (profile_stats_ != nullptr) profile_stats_->Merge(item.stats);
+    for (const MorselItem& item : current_morsel_.items) {
+      Account(scan_set_[cursor_++], item.stats, item.loaded && item.kept_rows);
     }
     // Folded scans never have a top-k pruner attached (the aggregate only
     // fuses without one), so no delivery-time re-check is needed here.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -47,7 +48,7 @@ class ScanSource : public Operator {
   TopKPruner* topk_pruner() const { return topk_pruner_; }
 
   /// Planner hook: replaces the scan set before execution (LIMIT pruning,
-  /// top-k ordering/initialization, predicate-cache restriction).
+  /// top-k ordering/initialization).
   void ReplaceScanSet(ScanSet scan_set) { scan_set_ = std::move(scan_set); }
   const ScanSet& scan_set() const { return scan_set_; }
   const std::shared_ptr<Table>& table() const { return table_; }
@@ -146,6 +147,21 @@ class TableScanOp : public ScanSource {
   /// freshly built summary. `key_column` indexes this scan's output schema.
   /// Returns the number of partitions pruned.
   int64_t ApplyJoinSummary(const BuildSummary& summary, size_t key_column);
+
+  /// Predicate-cache hook (scan entries): from Open() on, note which
+  /// partitions the filter kept at least one row of. The engine calls it
+  /// right after compile-time filter pruning, while the scan set still holds
+  /// every partition that may contain a qualifying row.
+  void RecordQualifying() {
+    record_qualifying_ = true;
+    recorded_scan_set_size_ = scan_set_.size();
+  }
+  /// The partitions where the filter kept at least one row — provided the
+  /// scan delivered the whole scan set it held at RecordQualifying(): none
+  /// dropped from it later (LIMIT pruning, a join summary), none skipped at
+  /// runtime (top-k boundary), no early stop (LIMIT, cancellation, deadline,
+  /// load fault). nullopt otherwise. Read after the scan finished.
+  std::optional<std::vector<PartitionId>> QualifyingPartitions() const;
 
   /// Emit per-row provenance (source partition ids) for the predicate cache
   /// when materializing boxed batches (NextColumns() always carries
@@ -250,6 +266,10 @@ class TableScanOp : public ScanSource {
   /// Groups consecutive scan-set positions into morsel ranges under the
   /// row-count budget.
   void PlanMorsels();
+  /// Consumer-side bookkeeping of one delivered scan-set position: merges
+  /// its stats delta into the query's stats (and the profile mirror) and
+  /// feeds the qualifying-partition record.
+  void Account(PartitionId pid, const PruningStats& delta, bool kept_rows);
 
   ExprPtr filter_;
   /// Batches run by compiled_filter_ vs. the interpreter; atomics because
@@ -260,6 +280,13 @@ class TableScanOp : public ScanSource {
       SNOW_PT_GUARDED_BY(runtime_prune_mutex_) = nullptr;
   bool track_source_ = false;
   size_t cursor_ = 0;
+  /// Qualifying-partition record (RecordQualifying). `visited_` counts
+  /// positions that were loaded and filtered, or that zone maps proved hold
+  /// no qualifying row (runtime filter pruning) — never skipped ones.
+  bool record_qualifying_ = false;
+  size_t recorded_scan_set_size_ = 0;
+  size_t visited_ = 0;
+  std::vector<PartitionId> qualifying_;
   /// Consumer-thread predicate-eval scratch (serial path; workers use a
   /// thread-local scratch that outlives queries — see ProcessMorsel).
   EvalScratch eval_scratch_;

@@ -8,6 +8,8 @@
 #include "core/pruning_tree.h"
 #include "core/topk_pruner.h"
 #include "expr/builder.h"
+#include "expr/jit/bytecode.h"
+#include "expr/jit/compiler.h"
 #include "test_util.h"
 
 namespace snowprune {
@@ -547,6 +549,13 @@ TEST(PredicateCacheTest, HitReturnsCachedPlusNewPartitions) {
   EXPECT_EQ((*hit)[1], 3u);
 }
 
+/// One INT64 row `v` as partition `pid` of an IntTable.
+MicroPartition IntPartition(PartitionId pid, int64_t v) {
+  ColumnVector col(DataType::kInt64);
+  col.AppendInt64(v);
+  return MicroPartition(pid, {std::move(col)});
+}
+
 TEST(PredicateCacheTest, UpdateToOrderColumnInvalidates) {
   auto table = IntTable("t", "x", {{1}, {2}});
   PredicateCache cache;
@@ -555,6 +564,109 @@ TEST(PredicateCacheTest, UpdateToOrderColumnInvalidates) {
   EXPECT_TRUE(cache.Lookup("q", *table).has_value());  // safe update
   cache.OnUpdate(*table, "x");
   EXPECT_FALSE(cache.Lookup("q", *table).has_value());  // reordering update
+
+  // TopK(ts)[Scan(cat = 'c1')]: an UPDATE of cat may make rows qualify
+  // outside the cached partitions, so it invalidates too; an UPDATE of a
+  // column neither ordered by nor filtered on does not.
+  cache.Insert("topk", *table,
+               PredicateCache::Population{PredicateCache::Coverage::Of(*table),
+                                          "ts", {"cat"}, {1}});
+  cache.OnUpdate(*table, "val");
+  EXPECT_TRUE(cache.Lookup("topk", *table).has_value());
+  cache.OnUpdate(*table, "cat");
+  EXPECT_FALSE(cache.Lookup("topk", *table).has_value());
+}
+
+TEST(PredicateCacheTest, RefreshKeepsHitCountAndProgram) {
+  auto table = IntTable("t", "x", {{1}, {2}, {3}});
+  ExprPtr pred = Gt(Col("x"), Lit(int64_t{1}));
+  ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
+  PredicateCache cache;
+  cache.Insert("q", *table, "x", {0, 1});
+  for (int i = 0; i < 3; ++i) cache.NoteHit("q");
+  auto program = cache.GetOrCompileProgram("q", *table, [&]() {
+    jit::CompileResult compiled = jit::CompilePredicate(pred, table->schema());
+    compiled.program->table_instance = table->instance_id();
+    return std::shared_ptr<const jit::CompiledPredicate>(
+        std::move(compiled.program));
+  });
+  ASSERT_NE(program, nullptr);
+  // A repeat run re-publishes the entry: only its scan set changes.
+  cache.Insert("q", *table, "x", {1, 2});
+  EXPECT_EQ(cache.NoteHit("q"), 4);
+  EXPECT_EQ(cache.GetProgram("q", *table), program);
+  EXPECT_EQ(cache.Lookup("q", *table), (std::vector<PartitionId>{1, 2}));
+}
+
+TEST(PredicateCacheTest, UnnotifiedReplaceOrDeleteMisses) {
+  auto table = IntTable("t", "x", {{1}, {2}, {3}});
+  PredicateCache cache;
+  cache.Insert("q", *table, "x", {1});
+  table->ReplacePartition(2, IntPartition(2, 99));  // no OnUpdate
+  EXPECT_FALSE(cache.Lookup("q", *table).has_value());
+  // Re-populated against the new version, the entry serves again ...
+  cache.Insert("q", *table, "x", {2});
+  EXPECT_TRUE(cache.Lookup("q", *table).has_value());
+  // ... until a DELETE the cache is not told about.
+  table->DeletePartition(0);  // no OnDelete
+  EXPECT_FALSE(cache.Lookup("q", *table).has_value());
+}
+
+TEST(PredicateCacheTest, NotificationRestampsExactlyOneVersionStep) {
+  auto table = IntTable("t", "x", {{1}, {2}, {3}});
+  PredicateCache cache;
+  cache.Insert("q", *table, "x", {1});
+  table->ReplacePartition(0, IntPartition(0, 7));
+  cache.OnUpdate(*table, "y");
+  EXPECT_TRUE(cache.Lookup("q", *table).has_value());
+  // Two changes, one notification: the entry cannot know what the other
+  // change did, so it is gone.
+  table->ReplacePartition(0, IntPartition(0, 8));
+  table->ReplacePartition(2, IntPartition(2, 9));
+  cache.OnUpdate(*table, "y");
+  EXPECT_FALSE(cache.Lookup("q", *table).has_value());
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(PredicateCacheTest, AppendBetweenCompileAndInsertIsScanned) {
+  auto table = IntTable("t", "x", {{1}, {2}, {3}});
+  PredicateCache cache;
+  // The query compiles against three partitions ...
+  const PredicateCache::Coverage seen = PredicateCache::Coverage::Of(*table);
+  // ... an INSERT lands while it runs ...
+  table->AppendPartition(IntPartition(3, 4));
+  cache.OnInsert(*table);
+  // ... and its entry claims only what it saw: partition 3 is scanned on
+  // every hit until an entry covers it.
+  cache.Insert("scan", *table,
+               PredicateCache::Population{seen, "", {"x"}, {1}});
+  EXPECT_EQ(cache.Lookup("scan", *table), (std::vector<PartitionId>{1, 3}));
+}
+
+TEST(PredicateCacheTest, WriteStaleAtInsertIsDropped) {
+  auto table = IntTable("t", "x", {{1}, {2}});
+  PredicateCache cache;
+  const PredicateCache::Coverage seen = PredicateCache::Coverage::Of(*table);
+  table->ReplacePartition(1, IntPartition(1, 5));
+  cache.OnUpdate(*table, "x");
+  // The query compiled before the UPDATE; its partition set may be wrong
+  // for the new data, so publishing it would be unsafe.
+  cache.Insert("scan", *table,
+               PredicateCache::Population{seen, "", {"x"}, {0}});
+  EXPECT_FALSE(cache.Lookup("scan", *table).has_value());
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(PredicateCacheTest, DeleteDropsPartitionFromScanEntry) {
+  auto table = IntTable("t", "x", {{1}, {2}, {3}, {4}});
+  PredicateCache cache;
+  cache.Insert("scan", *table,
+               PredicateCache::Population{PredicateCache::Coverage::Of(*table),
+                                          "", {"x"}, {1, 3}});
+  table->DeletePartition(1);
+  cache.OnDelete(*table, 1);
+  // Every remaining qualifying partition is still listed (3 -> 2).
+  EXPECT_EQ(cache.Lookup("scan", *table), (std::vector<PartitionId>{2}));
 }
 
 TEST(PredicateCacheTest, DeleteOfContributingPartitionInvalidates) {

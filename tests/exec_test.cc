@@ -2,12 +2,14 @@
 
 #include <limits>
 
+#include "common/metrics.h"
 #include "exec/column_batch.h"
 #include "exec/engine.h"
 #include "exec/row_eval.h"
 #include "exec/scan_op.h"
 #include "expr/builder.h"
 #include "expr/evaluator.h"
+#include "expr/jit/bytecode.h"
 #include "test_util.h"
 #include "workload/table_gen.h"
 
@@ -679,6 +681,119 @@ TEST_F(ExecTest, PredicateCacheRoundTrip) {
   }
   // The cached run scans at most as many partitions.
   EXPECT_LE(second.stats.scanned_partitions, first.stats.scanned_partitions);
+}
+
+/// Ten partitions whose zone maps all overlap `a > 5 AND b > 5`, although
+/// only partitions 2 and 7 hold a row satisfying both terms — the case
+/// where a scan entry beats zone maps.
+std::shared_ptr<Table> CorrelatedTable() {
+  Schema schema({Field{"a", DataType::kInt64, false},
+                 Field{"b", DataType::kInt64, false}});
+  std::vector<std::vector<Value>> rows;
+  for (int64_t p = 0; p < 10; ++p) {
+    rows.push_back({Value(int64_t{0}), Value(int64_t{10})});
+    rows.push_back({Value(int64_t{10}), Value(int64_t{0})});
+    const bool qualifies = p == 2 || p == 7;
+    rows.push_back({Value(qualifies ? int64_t{8} : int64_t{1}),
+                    Value(qualifies ? int64_t{8} : int64_t{1})});
+  }
+  return MakeTable("corr", schema, rows, 3);
+}
+
+ExprPtr CorrelatedPredicate() {
+  return And({Gt(Col("a"), Lit(int64_t{5})), Gt(Col("b"), Lit(int64_t{5}))});
+}
+
+std::string RowsText(const std::vector<Row>& rows) {
+  std::string s;
+  for (const Row& row : rows) {
+    for (const Value& v : row) s += v.ToString() + ",";
+    s += "\n";
+  }
+  return s;
+}
+
+TEST(PlanTest, FingerprintSeparatesLiteralsThatRenderAlike) {
+  // Six significant digits render both floats as 0.123456.
+  ExprPtr near_a = Gt(Col("val"), Lit(0.1234561));
+  ExprPtr near_b = Gt(Col("val"), Lit(0.1234564));
+  ASSERT_EQ(near_a->ToString(), near_b->ToString());
+  EXPECT_NE(ScanPlan("t", near_a)->Fingerprint(),
+            ScanPlan("t", near_b)->Fingerprint());
+  // An unescaped quote inside a string literal renders like two terms.
+  ExprPtr two_terms =
+      Or({Eq(Col("cat"), Lit("a")), Eq(Col("cat"), Lit("b"))});
+  ExprPtr one_term = Or({Eq(Col("cat"), Lit("a') OR (cat = 'b"))});
+  ASSERT_EQ(two_terms->ToString(), one_term->ToString());
+  EXPECT_NE(ScanPlan("t", two_terms)->Fingerprint(),
+            ScanPlan("t", one_term)->Fingerprint());
+  EXPECT_EQ(ScanPlan("t", Eq(Col("cat"), Lit("c1")))->Fingerprint(),
+            ScanPlan("t", Eq(Col("cat"), Lit("c1")))->Fingerprint());
+}
+
+TEST_F(ExecTest, ScanEntryRestrictsRepeatsAndCreditsCache) {
+  ASSERT_TRUE(catalog_.RegisterTable(CorrelatedTable()).ok());
+  for (int threads : {1, 4}) {
+    PredicateCache cache;
+    config_.predicate_cache = &cache;
+    config_.exec.num_threads = threads;
+    auto plan = ScanPlan("corr", CorrelatedPredicate());
+    QueryResult first = Run(plan);
+    EXPECT_FALSE(first.predicate_cache_hit);
+    EXPECT_EQ(first.stats.scanned_partitions, 10);
+    EXPECT_EQ(first.stats.pruned_by_cache, 0);
+    QueryResult second = Run(plan);
+    EXPECT_TRUE(second.predicate_cache_hit);
+    EXPECT_EQ(second.stats.pruned_by_cache, 8);
+    EXPECT_EQ(second.stats.scanned_partitions, 2);
+    EXPECT_EQ(second.stats.scanned_partitions + second.stats.TotalPruned(),
+              second.stats.total_partitions);
+    EXPECT_EQ(RowsText(second.rows), RowsText(first.rows));
+    ASSERT_EQ(second.rows.size(), 2u);
+    // The same scan under a LIMIT or an aggregate hits the scan entry too.
+    QueryResult limited =
+        Run(LimitPlan(ScanPlan("corr", CorrelatedPredicate()), 5));
+    EXPECT_TRUE(limited.predicate_cache_hit);
+    EXPECT_EQ(RowsText(limited.rows), RowsText(first.rows));
+    QueryResult counted = Run(AggregatePlan(
+        ScanPlan("corr", CorrelatedPredicate()), {},
+        {AggPlanSpec{AggFunc::kCount, "", "n"}}));
+    EXPECT_TRUE(counted.predicate_cache_hit);
+    ASSERT_EQ(counted.rows.size(), 1u);
+    EXPECT_EQ(counted.rows[0][0].int64_value(), 2);
+  }
+}
+
+TEST_F(ExecTest, EarlyStoppedScanPublishesNoScanEntry) {
+  ASSERT_TRUE(catalog_.RegisterTable(CorrelatedTable()).ok());
+  PredicateCache cache;
+  config_.predicate_cache = &cache;
+  config_.exec.num_threads = 1;
+  // LIMIT 1 stops the scan at partition 2: partition 7's row was never
+  // seen, so an entry from this run would lose it.
+  QueryResult limited =
+      Run(LimitPlan(ScanPlan("corr", CorrelatedPredicate()), 1));
+  ASSERT_EQ(limited.rows.size(), 1u);
+  EXPECT_EQ(cache.size(), 0u);
+  QueryResult full = Run(ScanPlan("corr", CorrelatedPredicate()));
+  EXPECT_FALSE(full.predicate_cache_hit);
+  EXPECT_EQ(full.rows.size(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST_F(ExecTest, ScanEntryHitsPromoteTheFilter) {
+  ASSERT_TRUE(catalog_.RegisterTable(CorrelatedTable()).ok());
+  PredicateCache cache;
+  config_.predicate_cache = &cache;
+  config_.exec.num_threads = 1;
+  config_.exec.specialize_after = 2;
+  auto plan = ScanPlan("corr", CorrelatedPredicate());
+  const int64_t compiles_before = jit::Counters().compiles->Value();
+  const int64_t hits_before = jit::Counters().hits->Value();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(Run(plan).rows.size(), 2u);
+  // Populate, hit 1, hit 2 (promotes), hit 3 (reuses the program).
+  EXPECT_EQ(jit::Counters().compiles->Value() - compiles_before, 1);
+  EXPECT_GT(jit::Counters().hits->Value(), hits_before);
 }
 
 }  // namespace

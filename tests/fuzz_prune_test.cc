@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,11 +17,13 @@
 #include "common/trace.h"
 #include "core/filter_pruner.h"
 #include "core/limit_pruner.h"
+#include "core/predicate_cache.h"
 #include "shard/coordinator.h"
 #include "shard/shard_map.h"
 #include "exec/column_batch.h"
 #include "exec/engine.h"
 #include "exec/parallel/pipeline.h"
+#include "exec/profile.h"
 #include "exec/row_eval.h"
 #include "expr/evaluator.h"
 #include "expr/range_analysis.h"
@@ -213,8 +216,10 @@ constexpr BoundaryInitMode kAllBoundaryInits[] = {
 /// A random micro-partition matching the synthetic schema
 /// (id int64, key int64, val float64 nullable, cat string, ts int64) —
 /// the INSERT/UPDATE payload for the DML-churn fuzz.
-MicroPartition RandomPartition(Rng* rng, PartitionId id) {
-  const size_t rows = static_cast<size_t>(rng->UniformInt(3, 50));
+MicroPartition RandomPartition(Rng* rng, PartitionId id, size_t num_rows = 0) {
+  const size_t rows = num_rows > 0
+                          ? num_rows
+                          : static_cast<size_t>(rng->UniformInt(3, 50));
   ColumnVector ids(DataType::kInt64), key(DataType::kInt64),
       val(DataType::kFloat64), cat(DataType::kString), ts(DataType::kInt64);
   for (size_t r = 0; r < rows; ++r) {
@@ -234,6 +239,17 @@ MicroPartition RandomPartition(Rng* rng, PartitionId id) {
   cols.push_back(std::move(val));
   cols.push_back(std::move(cat));
   cols.push_back(std::move(ts));
+  return MicroPartition(id, std::move(cols));
+}
+
+/// A copy of `old` with one column regenerated: a truthful single-column
+/// UPDATE, so the predicate cache can be notified with OnUpdate(column).
+MicroPartition UpdateColumn(Rng* rng, const MicroPartition& old,
+                            PartitionId id, size_t column) {
+  MicroPartition fresh =
+      RandomPartition(rng, id, static_cast<size_t>(old.row_count()));
+  std::vector<ColumnVector> cols = old.columns();
+  cols[column] = fresh.column(column);
   return MicroPartition(id, std::move(cols));
 }
 
@@ -1038,6 +1054,155 @@ TEST(FuzzPruneTest, DmlChurnKeepsOracleAgreement) {
       ExpectParallelIdentical(&engine, topk, topk_rows, ctx);
     }
   }
+}
+
+/// Predicate caching must never change an answer. Random predicates under
+/// scan, TopK, LIMIT and Aggregate-over-scan shapes repeat through one
+/// shared cache while DML churns the table between rounds — appends,
+/// notified single-column updates and deletes, un-notified replaces and
+/// deletes, dropped zone maps — at threads {1,2,4}. Every run must match a
+/// cache-off engine: rows exactly for scan, LIMIT and aggregate; the
+/// winning order values for top-k (ties make several row sets valid, as in
+/// EngineAgreesWithUnprunedExecution). The stats stay sound with the cache
+/// credited, and a traced run's per-node sum reconciles pruned_by_cache.
+TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
+  int64_t scan_entry_hits = 0, topk_entry_hits = 0, cache_pruned = 0;
+  for (int iter = 0; iter < 30; ++iter) {
+    Rng rng(233000 + iter);
+    auto table = RandomTable(&rng, "p");
+    FuzzEngine engine(table);
+    PredicateCache cache;
+    std::vector<ExprPtr> preds;
+    for (int i = 0; i < 3; ++i) {
+      preds.push_back(RandomPredicate(&rng, *table, 2));
+      ASSERT_TRUE(BindExpr(preds.back(), table->schema()).ok());
+    }
+    const int64_t k = rng.UniformInt(1, 15);
+    const bool desc = rng.Bernoulli(0.5);
+    // Cached engines at 1, 2 and 4 threads, all sharing `cache`.
+    std::vector<std::unique_ptr<Engine>> cached_engines;
+    for (int threads : {1, 2, 4}) {
+      EngineConfig config;
+      config.predicate_cache = &cache;
+      config.exec.num_threads = threads;
+      cached_engines.push_back(
+          std::make_unique<Engine>(engine.catalog(), config));
+    }
+
+    for (int round = 0; round < 8; ++round) {
+      const std::string ctx =
+          "iter " + std::to_string(iter) + " round " + std::to_string(round);
+      const auto any_pid = [&]() {
+        return static_cast<PartitionId>(rng.UniformInt(
+            0, static_cast<int64_t>(table->num_partitions()) - 1));
+      };
+      switch (round == 0 ? -1 : rng.UniformInt(0, 5)) {
+        case 0:  // INSERT
+          table->AppendPartition(RandomPartition(
+              &rng, static_cast<PartitionId>(table->num_partitions())));
+          cache.OnInsert(*table);
+          break;
+        case 1: {  // UPDATE of one column, notified
+          const PartitionId pid = any_pid();
+          const auto column = static_cast<size_t>(rng.UniformInt(0, 4));
+          table->ReplacePartition(
+              pid, UpdateColumn(&rng, table->partition_metadata(pid), pid,
+                                column));
+          cache.OnUpdate(*table, table->schema().field(column).name);
+          break;
+        }
+        case 2:  // DELETE, notified
+          if (table->num_partitions() > 1) {
+            const PartitionId pid = any_pid();
+            table->DeletePartition(pid);
+            cache.OnDelete(*table, pid);
+          }
+          break;
+        case 3: {  // replace, not notified
+          const PartitionId pid = any_pid();
+          table->ReplacePartition(pid, RandomPartition(&rng, pid));
+          break;
+        }
+        case 4:  // DELETE, not notified
+          if (table->num_partitions() > 1) table->DeletePartition(any_pid());
+          break;
+        case 5:  // §8.1 drift: zone maps lost, data unchanged
+          table->DropStatsOnFraction(0.2, rng.Next());
+          break;
+        default:
+          break;
+      }
+
+      for (size_t p = 0; p < preds.size(); ++p) {
+        const ExprPtr& pred = preds[p];
+        const std::string pctx = ctx + " pred " + std::to_string(p);
+        const PlanPtr plans[] = {
+            ScanPlan("p", pred),
+            TopKPlan(ScanPlan("p", pred), "key", desc, k),
+            LimitPlan(ScanPlan("p", pred), k),
+            AggregatePlan(ScanPlan("p", pred), {"cat"},
+                          {AggPlanSpec{AggFunc::kCount, "", "n"},
+                           AggPlanSpec{AggFunc::kSum, "key", "key_sum"}}),
+        };
+        for (size_t shape = 0; shape < 4; ++shape) {
+          const PlanPtr& plan = plans[shape];
+          const bool is_topk = shape == 1;
+          const auto answer = [&](const std::vector<Row>& rows) {
+            if (!is_topk) return Serialize(rows);
+            std::vector<std::string> keys;
+            for (const Row& r : rows) keys.push_back(r[1].ToString());
+            std::sort(keys.begin(), keys.end());
+            std::string s;
+            for (const std::string& key : keys) s += key + ",";
+            return s;
+          };
+          const std::string expected = answer(engine.Run(plan, true, 1));
+          // Runs 0-2 at 1, 2 and 4 threads; run 3 traced at 2 threads.
+          for (size_t run = 0; run < 4; ++run) {
+            const bool traced = run == 3;
+            Trace trace;
+            ExecuteOptions opts;
+            if (traced) opts.trace = &trace;
+            auto result = cached_engines[traced ? 1 : run]->Execute(plan, opts);
+            ASSERT_TRUE(result.ok()) << pctx << ": "
+                                     << result.status().ToString();
+            const QueryResult& r = result.value();
+            const std::string sctx = pctx + " shape " + std::to_string(shape) +
+                                     " run " + std::to_string(run);
+            ASSERT_EQ(expected, answer(r.rows))
+                << sctx << ": the cached engine's answer differs";
+            if (is_topk) {
+              for (const Row& row : r.rows) {
+                auto keep = EvalRowPredicate(*pred, row);
+                ASSERT_TRUE(keep.has_value() && *keep) << sctx;
+              }
+            }
+            ASSERT_GE(r.stats.pruned_by_cache, 0) << sctx;
+            ASSERT_LE(r.stats.scanned_partitions + r.stats.TotalPruned(),
+                      r.stats.total_partitions)
+                << sctx;
+            if (r.predicate_cache_hit) {
+              ++(is_topk ? topk_entry_hits : scan_entry_hits);
+            } else {
+              ASSERT_EQ(r.stats.pruned_by_cache, 0) << sctx;
+            }
+            cache_pruned += r.stats.pruned_by_cache;
+            if (traced) {
+              ASSERT_NE(r.profile, nullptr) << sctx;
+              ASSERT_EQ(testing_util::DiffStats(r.profile->SumPruning(),
+                                                r.stats),
+                        "")
+                  << sctx << ": EXPLAIN ANALYZE does not reconcile";
+            }
+          }
+        }
+      }
+    }
+  }
+  // Non-vacuous: both entry kinds were served, and hits excluded partitions.
+  EXPECT_GT(scan_entry_hits, 0);
+  EXPECT_GT(topk_entry_hits, 0);
+  EXPECT_GT(cache_pruned, 0);
 }
 
 TEST(FuzzPruneTest, JoinPruningNeverDropsMatchingProbePartitions) {

@@ -281,6 +281,157 @@ TEST(PredicateCacheConcurrencyTest, MirrorJoinTopKPlansDoNotDeadlock) {
   EXPECT_GT(cache.hits() + cache.misses(), 0);
 }
 
+// --------------------------------------------------------------------------
+// Scan entries and refreshes
+// --------------------------------------------------------------------------
+
+/// Engines sharing one cache populate and hit scan entries concurrently:
+/// every filtered scan, LIMIT and aggregate over a scan must return exactly
+/// what a cache-off engine returns, whichever thread wrote the entry.
+TEST(PredicateCacheConcurrencyTest, ConcurrentScanEntriesKeepRowsIdentical) {
+  Catalog catalog;
+  workload::TableGenConfig cfg;
+  cfg.name = "t";
+  cfg.num_partitions = 32;
+  cfg.rows_per_partition = 60;
+  cfg.layout = workload::Layout::kRandom;
+  cfg.seed = 77;
+  ASSERT_TRUE(catalog.RegisterTable(workload::SyntheticTable(cfg)).ok());
+  // Plans are bound during execution, so each thread builds its own.
+  auto make_plans = [] {
+    std::vector<PlanPtr> plans;
+    for (int64_t lo : {100, 400, 700}) {
+      auto pred = [lo] {
+        return And({Between(Col("key"), Value(lo), Value(lo + 40)),
+                    Lt(Col("val"), Lit(0.5))});
+      };
+      plans.push_back(ScanPlan("t", pred()));
+      plans.push_back(LimitPlan(ScanPlan("t", pred()), 3));
+      plans.push_back(AggregatePlan(ScanPlan("t", pred()), {},
+                                    {AggPlanSpec{AggFunc::kCount, "", "n"}}));
+    }
+    return plans;
+  };
+  auto rows_of = [](const QueryResult& r) {
+    std::string s;
+    for (const Row& row : r.rows) {
+      for (const Value& v : row) s += v.ToString() + ",";
+      s += "\n";
+    }
+    return s;
+  };
+  std::vector<std::string> expected;
+  {
+    EngineConfig config;
+    config.exec.num_threads = 1;
+    Engine reference(&catalog, config);
+    for (const PlanPtr& plan : make_plans()) {
+      auto r = reference.Execute(plan);
+      ASSERT_TRUE(r.ok());
+      expected.push_back(rows_of(r.value()));
+    }
+  }
+
+  PredicateCache cache(/*capacity=*/64);
+  constexpr int kThreads = 4;
+  constexpr int kRepeats = 12;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      EngineConfig config;
+      config.predicate_cache = &cache;
+      config.exec.num_threads = 1 + t % 2;
+      Engine engine(&catalog, config);
+      std::vector<PlanPtr> plans = make_plans();
+      for (int i = 0; i < kRepeats; ++i) {
+        const size_t p = static_cast<size_t>(t + i) % plans.size();
+        auto r = engine.Execute(plans[p]);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(rows_of(r.value()), expected[p]) << "plan " << p;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_GT(cache.hits(), 0);
+}
+
+/// Refreshes racing appends. A query that compiled before an INSERT
+/// publishes an entry covering the old partition count; one that compiled
+/// after covers the new partitions too. Whatever order the refreshes land
+/// in, every lookup must still return the appended partitions (14, 15
+/// here) — an entry never claims coverage its writer did not see. The
+/// appends themselves precede the race: a Table is not safe to append to
+/// while queries read it, so the writers' snapshots model the interleaving.
+TEST(PredicateCacheConcurrencyTest, RefreshesRacingAppendsKeepNewPartitions) {
+  PredicateCache cache(/*capacity=*/16);
+  auto table = CacheTable("t", 16);
+  const PredicateCache::Coverage before{14, table->dml_version()};
+  const PredicateCache::Coverage after = PredicateCache::Coverage::Of(*table);
+  cache.Insert("fp", *table,
+               PredicateCache::Population{before, "", {"key"}, {3}});
+  constexpr int kWriters = 3;
+  constexpr int kReaders = 3;
+  constexpr int kIters = 2000;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kIters; ++i) {
+        if ((i + w) % 2 == 0) {
+          cache.Insert("fp", *table,
+                       PredicateCache::Population{before, "", {"key"}, {3}});
+        } else {
+          cache.Insert("fp", *table,
+                       PredicateCache::Population{after, "", {"key"},
+                                                  {3, 14, 15}});
+        }
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIters; ++i) {
+        auto hit = cache.Lookup("fp", *table);
+        ASSERT_TRUE(hit.has_value());
+        EXPECT_EQ(*hit, (std::vector<PartitionId>{3, 14, 15}));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+/// Hit counts are per query shape, not per population: concurrent
+/// NoteHit calls racing refreshes of the same entry see strictly
+/// increasing counts, and no hit is lost to a refresh.
+TEST(PredicateCacheConcurrencyTest, HitCountsStayMonotoneAcrossRefreshes) {
+  PredicateCache cache(/*capacity=*/16);
+  auto table = CacheTable("t", 16);
+  cache.Insert("fp", *table, "key", {0});
+  constexpr int kHitters = 4;
+  constexpr int kHits = 3000;
+  std::atomic<bool> done{false};
+  std::thread refresher([&] {
+    for (int i = 0; !done.load(); ++i) {
+      cache.Insert("fp", *table, "key", {static_cast<PartitionId>(i % 16)});
+    }
+  });
+  std::vector<std::thread> hitters;
+  for (int h = 0; h < kHitters; ++h) {
+    hitters.emplace_back([&] {
+      int64_t last = 0;
+      for (int i = 0; i < kHits; ++i) {
+        const int64_t now = cache.NoteHit("fp");
+        ASSERT_GT(now, last);
+        last = now;
+      }
+    });
+  }
+  for (auto& th : hitters) th.join();
+  done.store(true);
+  refresher.join();
+  EXPECT_EQ(cache.NoteHit("fp"), int64_t{kHitters} * kHits + 1);
+}
+
 /// Single-threaded sanity: after one Insert, repeats hit; eviction respects
 /// capacity FIFO; size() never exceeds capacity under churn.
 TEST(PredicateCacheConcurrencyTest, CapacityRespectedUnderChurn) {

@@ -55,6 +55,9 @@ inline std::string DiffStats(const PruningStats& a, const PruningStats& b) {
   if (a.pruned_by_topk != b.pruned_by_topk) {
     return diff("pruned_by_topk", a.pruned_by_topk, b.pruned_by_topk);
   }
+  if (a.pruned_by_cache != b.pruned_by_cache) {
+    return diff("pruned_by_cache", a.pruned_by_cache, b.pruned_by_cache);
+  }
   if (a.scanned_partitions != b.scanned_partitions) {
     return diff("scanned_partitions", a.scanned_partitions,
                 b.scanned_partitions);

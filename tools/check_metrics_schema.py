@@ -23,6 +23,7 @@ REQUIRED_COUNTERS = [
     "predcache.hits",
     "predcache.misses",
     "predcache.coalesced_waits",
+    "predcache.partitions_skipped",
     "service.submitted",
     "service.rejected",
     "service.completed",
