@@ -51,27 +51,39 @@ void PredicateCache::NoteInvalidated(const Entry& entry) {
 void PredicateCache::Insert(const std::string& fingerprint, const Table& table,
                             Population population) {
   std::vector<PartitionId>& partitions = population.partitions;
-  std::sort(partitions.begin(), partitions.end());
-  partitions.erase(std::unique(partitions.begin(), partitions.end()),
-                   partitions.end());
+  const bool sufficient = population.sufficient_rows != kAllRows;
+  // A k-sufficient entry keeps delivery order, so a hit scans the
+  // partitions that delivered the rows first; the other kinds are ascending.
+  if (!sufficient) {
+    std::sort(partitions.begin(), partitions.end());
+    partitions.erase(std::unique(partitions.begin(), partitions.end()),
+                     partitions.end());
+  }
   MutexLock lock(&mutex_);
   // A write whose query compiled before the table's latest DML describes a
   // table that no longer exists; it would only miss (or clobber a fresher
   // entry), so it is dropped — coalesced waiters still wake below. So is one
   // listing a partition past its own coverage: Lookup appends every id from
-  // the coverage on, and would list that partition twice.
-  const bool current =
+  // the coverage on, and would list that partition twice. So is a
+  // k-sufficient write over a live scan entry, which serves every need.
+  const Entry* live = LiveEntryLocked(fingerprint, table);
+  const bool publish =
       population.coverage.dml_version == table.dml_version() &&
       population.coverage.partitions <= table.num_partitions() &&
-      (partitions.empty() ||
-       static_cast<size_t>(partitions.back()) < population.coverage.partitions);
-  if (current) {
+      std::all_of(partitions.begin(), partitions.end(),
+                  [&](PartitionId pid) {
+                    return static_cast<size_t>(pid) <
+                           population.coverage.partitions;
+                  }) &&
+      !(sufficient && live != nullptr && live->sufficient_rows == kAllRows);
+  if (publish) {
     auto it = entries_.find(fingerprint);
     if (it != entries_.end() && it->second.table_name == table.name() &&
         it->second.table_instance == table.instance_id()) {
       // Refresh: the scan set and its stamp change; the hit count and any
       // compiled program belong to the query shape and survive.
       it->second.partitions = std::move(partitions);
+      it->second.sufficient_rows = population.sufficient_rows;
       it->second.coverage = population.coverage;
     } else {
       Entry entry;
@@ -80,6 +92,7 @@ void PredicateCache::Insert(const std::string& fingerprint, const Table& table,
       entry.order_column = std::move(population.order_column);
       entry.predicate_columns = std::move(population.predicate_columns);
       entry.partitions = std::move(partitions);
+      entry.sufficient_rows = population.sufficient_rows;
       entry.coverage = population.coverage;
       if (it != entries_.end()) {
         // Another table instance's entry under this fingerprint: replaced
@@ -106,10 +119,10 @@ void PredicateCache::Insert(const std::string& fingerprint, const Table& table,
                     std::move(partitions)});
 }
 
-std::optional<std::vector<PartitionId>> PredicateCache::EntryScanSetLocked(
+const PredicateCache::Entry* PredicateCache::LiveEntryLocked(
     const std::string& fingerprint, const Table& table) const {
   auto it = entries_.find(fingerprint);
-  if (it == entries_.end()) return std::nullopt;
+  if (it == entries_.end()) return nullptr;
   const Entry& entry = it->second;
   if (entry.table_name != table.name() ||
       entry.table_instance != table.instance_id() ||
@@ -117,11 +130,22 @@ std::optional<std::vector<PartitionId>> PredicateCache::EntryScanSetLocked(
       entry.coverage.partitions > table.num_partitions()) {
     // A replaced table (new instance under the same name) or DML the cache
     // was not told about: the entry describes another version of the data.
-    return std::nullopt;
+    return nullptr;
   }
-  std::vector<PartitionId> result = entry.partitions;
+  return &entry;
+}
+
+std::optional<std::vector<PartitionId>> PredicateCache::EntryScanSetLocked(
+    const std::string& fingerprint, const Table& table, int64_t need,
+    int64_t* sufficient_rows) const {
+  const Entry* entry = LiveEntryLocked(fingerprint, table);
+  // A k-sufficient entry holds too few rows for a larger need: the rows
+  // past its sum may live in any partition.
+  if (entry == nullptr || entry->sufficient_rows < need) return std::nullopt;
+  if (sufficient_rows != nullptr) *sufficient_rows = entry->sufficient_rows;
+  std::vector<PartitionId> result = entry->partitions;
   // INSERTs are safe (§8.2) but their partitions must be scanned too.
-  for (size_t pid = entry.coverage.partitions; pid < table.num_partitions();
+  for (size_t pid = entry->coverage.partitions; pid < table.num_partitions();
        ++pid) {
     result.push_back(static_cast<PartitionId>(pid));
   }
@@ -129,9 +153,10 @@ std::optional<std::vector<PartitionId>> PredicateCache::EntryScanSetLocked(
 }
 
 std::optional<std::vector<PartitionId>> PredicateCache::Lookup(
-    const std::string& fingerprint, const Table& table) const {
+    const std::string& fingerprint, const Table& table, int64_t need,
+    int64_t* sufficient_rows) const {
   MutexLock lock(&mutex_);
-  auto result = EntryScanSetLocked(fingerprint, table);
+  auto result = EntryScanSetLocked(fingerprint, table, need, sufficient_rows);
   if (result.has_value()) {
     ++hits_;
   } else {
@@ -147,7 +172,7 @@ std::optional<std::vector<PartitionId>> PredicateCache::LookupOrPopulate(
   MutexLock lock(&mutex_);
   bool waited = false;
   for (;;) {
-    auto result = EntryScanSetLocked(fingerprint, table);
+    auto result = EntryScanSetLocked(fingerprint, table, kAllRows, nullptr);
     if (result.has_value()) {
       ++hits_;
       NoteLookup(result, table);
@@ -252,13 +277,16 @@ void PredicateCache::OnUpdate(const Table& table, const std::string& column) {
 void PredicateCache::OnDelete(const Table& table, PartitionId deleted_pid) {
   MutexLock lock(&mutex_);
   ApplyNotificationLocked(table, [deleted_pid](Entry* e) {
-    auto pos = std::lower_bound(e->partitions.begin(), e->partitions.end(),
-                                deleted_pid);
-    if (pos != e->partitions.end() && *pos == deleted_pid) {
+    auto pos = std::find(e->partitions.begin(), e->partitions.end(),
+                         deleted_pid);
+    if (pos != e->partitions.end()) {
       // A contributing top-k partition is gone: the replacement (k+1-th)
-      // row may live anywhere (§8.2). A scan entry just loses it — the
-      // remaining qualifying partitions are unchanged.
-      if (!e->order_column.empty()) return false;
+      // row may live anywhere (§8.2). A k-sufficient entry loses rows of
+      // its sum. A scan entry just loses it — the remaining qualifying
+      // partitions are unchanged.
+      if (!e->order_column.empty() || e->sufficient_rows != kAllRows) {
+        return false;
+      }
       e->partitions.erase(pos);
     }
     // Table compacts ids after deletion; remap the survivors.

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -22,25 +23,41 @@ struct CompiledPredicate;
 
 /// Predicate caching (§8.2; Schmidt et al., "Predicate Caching", SIGMOD
 /// 2024): a repeated query reads only the micro-partitions that produced its
-/// rows last time. Two entry kinds share one map, keyed by a plan node's
+/// rows last time. Three entry kinds share one map, keyed by a plan node's
 /// Fingerprint() (table plus bound predicate, literals included):
-///   scan entry  -> the partitions where a scan's filter kept >= 1 row.
-///                  Exact for any parent operator: every qualifying row
-///                  lives in the entry (or in a partition appended since).
-///   top-k entry -> the partitions that contributed rows to a TopK's final
-///                  heap, keyed by the TopK node.
+///   scan entry         -> the partitions where a scan's filter kept >= 1
+///                         row. Exact for any parent operator: every
+///                         qualifying row lives in the entry (or in a
+///                         partition appended since).
+///   k-sufficient entry -> keyed by the scan too: the partitions that
+///                         delivered qualifying rows to a LIMIT (§4) before
+///                         it stopped, in delivery order, and the sum of
+///                         their qualifying rows. `LIMIT k` without ORDER BY
+///                         accepts *any* k qualifying rows, so the entry
+///                         serves a lookup whose need (offset + k) the sum
+///                         covers, and no other.
+///   top-k entry        -> the partitions that contributed rows to a TopK's
+///                         final heap, keyed by the TopK node.
 ///
 /// When an entry is written. A top-k entry after every finished top-k
 /// query. A scan entry only when the scan delivered its *whole* post-filter-
 /// pruning scan set: a partition skipped at runtime (top-k boundary, join
-/// summary), a scan set narrowed by LIMIT pruning or by a top-k entry's
-/// restriction, an early stop (LIMIT), cancellation, a passed deadline or a
-/// load fault each block the write — the recorded set would miss
-/// qualifying partitions the scan never looked at.
+/// summary), a scan set narrowed by LIMIT pruning or by a top-k or
+/// k-sufficient entry's restriction, an early stop (LIMIT), cancellation, a
+/// passed deadline or a load fault each block the write — the recorded set
+/// would miss qualifying partitions the scan never looked at. A k-sufficient
+/// entry when a LIMIT over a scan/project chain stopped its scan early or
+/// had it narrowed by LIMIT pruning, and the delivered partitions held at
+/// least the LIMIT's need.
+///
+/// Kinds under one fingerprint. A k-sufficient write never downgrades a
+/// live scan entry; a scan-entry write always replaces a k-sufficient one.
 ///
 /// Refresh, not reset. Insert on a live entry of the same table instance
-/// replaces only its partitions and coverage stamp; the hit count and the
-/// compiled program (specialization tier) survive, so promotion fires.
+/// replaces only its partitions, row sum and coverage stamp; the hit count
+/// and the compiled program (specialization tier) survive, so promotion
+/// fires. A k-sufficient hit that stops early again refreshes its entry the
+/// same way.
 ///
 /// Coverage and DML. Each entry is stamped with what the writing query saw
 /// at compile time: the table's partition count and Table::dml_version().
@@ -54,7 +71,9 @@ struct CompiledPredicate;
 ///                                    are restamped.
 ///   DELETE, notified (OnDelete)   -> a top-k entry holding the partition
 ///                                    is invalidated (the k+1-th row may
-///                                    live elsewhere); a scan entry drops
+///                                    live elsewhere), and so is a
+///                                    k-sufficient one (its row sum no
+///                                    longer holds); a scan entry drops
 ///                                    it; surviving ids are remapped.
 ///   DeletePartition/ReplacePartition with no notification
 ///                                 -> Lookup misses: the table's DML
@@ -79,8 +98,8 @@ struct CompiledPredicate;
 /// populating owner (it receives a PopulateTicket and is expected to
 /// Insert), and every other thread asking for the same fingerprint blocks
 /// until the owner publishes — then hits — or abandons the ticket — then
-/// one waiter takes over as the new owner. Scan entries use the
-/// non-blocking pair only.
+/// one waiter takes over as the new owner. Scan and k-sufficient entries
+/// use the non-blocking pair only.
 class PredicateCache {
   /// An in-flight coalesced population: waiters block on `cv` until the
   /// owner publishes (Insert) or abandons (ticket destruction). Private;
@@ -142,6 +161,10 @@ class PredicateCache {
 
   explicit PredicateCache(size_t capacity = 1024) : capacity_(capacity) {}
 
+  /// The need of a lookup that wants every qualifying row, and the row sum
+  /// of an entry that holds every one of them (scan and top-k entries).
+  static constexpr int64_t kAllRows = std::numeric_limits<int64_t>::max();
+
   /// What a query saw of its table at compile time: the partition count and
   /// DML version of its snapshot. An entry written from the query's run
   /// covers exactly this much of the table.
@@ -161,8 +184,13 @@ class PredicateCache {
     /// The columns the scan predicate reads (ReferencedColumns).
     std::vector<std::string> predicate_columns;
     /// Top-k: the contributing partitions. Scan: the partitions where the
-    /// filter kept at least one row. Ids below coverage.partitions.
+    /// filter kept at least one row. k-sufficient: the partitions that
+    /// delivered qualifying rows, in delivery order. Ids below
+    /// coverage.partitions.
     std::vector<PartitionId> partitions;
+    /// k-sufficient: the qualifying rows `partitions` hold. kAllRows for
+    /// a scan or top-k entry.
+    int64_t sufficient_rows = kAllRows;
   };
 
   /// Publishes `population` under `fingerprint` (see the class comment for
@@ -176,12 +204,17 @@ class PredicateCache {
               std::string order_column, std::vector<PartitionId> partitions)
       SNOW_EXCLUDES(mutex_);
 
-  /// Returns the scan set for a repeated query, ascending: cached partitions
-  /// plus any partition appended after the entry's coverage. nullopt on a
-  /// miss, after invalidation, or when un-notified DML moved the table's
-  /// version past the entry's stamp.
-  std::optional<std::vector<PartitionId>> Lookup(const std::string& fingerprint,
-                                                 const Table& table) const
+  /// Returns the scan set for a repeated query: cached partitions (ascending;
+  /// in delivery order for a k-sufficient entry) plus any partition appended
+  /// after the entry's coverage. `need` is how many qualifying rows the
+  /// query wants (offset + k under a LIMIT): an entry serves it only when
+  /// its row sum covers it, so a k-sufficient entry never serves kAllRows.
+  /// On a hit, `*sufficient_rows` (if given) receives the serving entry's
+  /// row sum. nullopt on a miss, after invalidation, or when un-notified
+  /// DML moved the table's version past the entry's stamp.
+  std::optional<std::vector<PartitionId>> Lookup(
+      const std::string& fingerprint, const Table& table,
+      int64_t need = kAllRows, int64_t* sufficient_rows = nullptr) const
       SNOW_EXCLUDES(mutex_);
 
   /// Coalescing lookup. On a hit, behaves like Lookup. On a miss, the first
@@ -278,6 +311,7 @@ class PredicateCache {
     std::string order_column;
     std::vector<std::string> predicate_columns;
     std::vector<PartitionId> partitions;
+    int64_t sufficient_rows = kAllRows;
     Coverage coverage;
     /// Specialization state: hits since the entry was created (refreshes
     /// keep it), and the compiled bytecode program once the entry was
@@ -304,11 +338,15 @@ class PredicateCache {
   void ApplyNotificationLocked(const Table& table,
                                const std::function<bool(Entry*)>& apply)
       SNOW_REQUIRES(mutex_);
-  /// The entry's scan set (with post-insert partitions appended), or
-  /// nullopt. No counter updates.
+  /// The live entry under `fingerprint` for `table`'s current version, or
+  /// null.
+  const Entry* LiveEntryLocked(const std::string& fingerprint,
+                               const Table& table) const SNOW_REQUIRES(mutex_);
+  /// The scan set of the live entry whose row sum covers `need` (with
+  /// post-insert partitions appended), or nullopt. No counter updates.
   std::optional<std::vector<PartitionId>> EntryScanSetLocked(
-      const std::string& fingerprint, const Table& table) const
-      SNOW_REQUIRES(mutex_);
+      const std::string& fingerprint, const Table& table, int64_t need,
+      int64_t* sufficient_rows) const SNOW_REQUIRES(mutex_);
   /// Wakes waiters and retires the in-flight record, if any.
   void ResolveInFlightLocked(const std::string& fingerprint)
       SNOW_REQUIRES(mutex_);

@@ -70,7 +70,10 @@ struct PruningStats {
   /// plus pruned cannot exceed the total either. (It may be *less* — a LIMIT
   /// that stops its scan early leaves the rest of the scan set neither
   /// scanned nor pruned, so equality would be a false alarm. A predicate-
-  /// cache hit is no such gap: it takes credit as pruned_by_cache.)
+  /// cache hit credits every partition outside its entry as
+  /// pruned_by_cache, and a repeated LIMIT hits a k-sufficient entry, so the
+  /// gap remains on a cache miss and, on a hit, only among the entry's own
+  /// partitions and those appended since it was written.)
   /// Speculative loads are re-accounted top-k prunes, hence bounded by them;
   /// shard counters mirror the same containment one level up.
   void DCheckInvariants() const {

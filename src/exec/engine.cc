@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <set>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -120,6 +121,20 @@ struct Engine::CompileContext {
     /// Made by a TopK for the scan its order column traces to (a top-k
     /// entry); otherwise the scan's own entry.
     bool topk = false;
+    /// The serving entry's row sum: kAllRows unless a k-sufficient entry
+    /// served the hit.
+    int64_t sufficient_rows = PredicateCache::kAllRows;
+
+    bool limit_hit() const {
+      return partitions.has_value() &&
+             sufficient_rows != PredicateCache::kAllRows;
+    }
+    /// The kind of entry that served a hit, for traces and EXPLAIN ANALYZE.
+    std::string EntryKind() const {
+      if (topk) return "topk";
+      if (!limit_hit()) return "scan";
+      return "limit(rows=" + std::to_string(sufficient_rows) + ")";
+    }
   };
 
   struct PendingTopK {
@@ -156,6 +171,15 @@ struct Engine::CompileContext {
   /// Top-k entry lookups, keyed by the scan they restrict. Made before the
   /// TopK's child compiles, so the scan applies a hit before filter pruning.
   std::map<const PlanNode*, CacheProbe> topk_cache_probes;
+  /// The qualifying rows a LIMIT over a scan/project chain needs of its
+  /// scan (offset + k), keyed by the scan and set before the LIMIT's child
+  /// compiles: the scan's lookup then accepts a k-sufficient entry, and its
+  /// run may write one. Other scans need every qualifying row.
+  std::map<const PlanNode*, int64_t> limit_needs;
+  /// Scans a join prunes at Open with its build-side summary (§6), marked
+  /// before the join's children compile. A summary that prunes anything
+  /// refuses their cache write, so they record nothing.
+  std::set<const PlanNode*> join_probe_scans;
   /// Traced queries only: the profile the compiled operators meter into
   /// (one ProfileNode per operator) and the operators that got one — the
   /// engine hands them the trace pointer once the execute span exists.
@@ -391,6 +415,14 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       ctx->stats.total_partitions += static_cast<int64_t>(full.size());
       const auto coverage = PredicateCache::Coverage::Of(*table);
 
+      // Like a top-k probe, a LIMIT's need belongs to the first compile of
+      // this node after the LIMIT set it.
+      int64_t need = PredicateCache::kAllRows;
+      auto limit_need = ctx->limit_needs.find(plan.get());
+      if (limit_need != ctx->limit_needs.end()) {
+        need = limit_need->second;
+        ctx->limit_needs.erase(limit_need);
+      }
       // §8.2 predicate cache, ahead of every pruning pass: a hit narrows the
       // candidates to the partitions the entry proved can matter (plus any
       // appended since), so filter pruning only looks at those. The
@@ -406,8 +438,8 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
           ctx->topk_cache_probes.erase(topk_probe);
         } else if (plan->predicate) {
           probe.fingerprint = plan->Fingerprint();
-          probe.partitions =
-              config_.predicate_cache->Lookup(probe.fingerprint, *table);
+          probe.partitions = config_.predicate_cache->Lookup(
+              probe.fingerprint, *table, need, &probe.sufficient_rows);
         }
       }
       const ScanSet candidates = probe.partitions.has_value()
@@ -416,7 +448,14 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       const int64_t pruned_by_cache =
           static_cast<int64_t>(full.size() - candidates.size());
       ctx->stats.pruned_by_cache += pruned_by_cache;
-      if (probe.partitions.has_value()) ctx->result->predicate_cache_hit = true;
+      if (probe.partitions.has_value()) {
+        ctx->result->predicate_cache_hit = true;
+        if (probe.limit_hit()) ctx->result->predicate_cache_limit_hit = true;
+        if (ctx->opts->trace != nullptr) {
+          ctx->opts->trace->AnnotateStr(ctx->compile_span, "cache_entry",
+                                        probe.EntryKind());
+        }
+      }
 
       FilterPruneResult filter_result;
       const bool compile_time_pruning =
@@ -516,31 +555,50 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
           }
         }
       }
+      // A runtime top-k pruner (attached under every TopK that traced its
+      // order column here, so under every top-k entry lookup too) skips
+      // partitions, and a join's probe side loses them to the build
+      // summary: such a scan records nothing, though the lookup above may
+      // still hit an entry another query wrote.
+      CompileContext::PendingTopK* pending =
+          ctx->FindPendingForScan(plan.get());
       if (scan != nullptr && config_.predicate_cache != nullptr &&
-          plan->predicate && !(probe.topk && probe.partitions.has_value())) {
-        // Scan entry: recorded over the filter-pruned scan set, published
-        // only if the scan delivers all of it (see QualifyingPartitions). A
-        // top-k entry's restriction is no such set, so it records nothing.
+          plan->predicate && pending == nullptr &&
+          ctx->join_probe_scans.count(plan.get()) == 0) {
+        // Recorded over the filter-pruned scan set. A run that delivered all
+        // of it writes a scan entry (see QualifyingPartitions); a LIMIT run
+        // whose delivered partitions held its need writes a k-sufficient
+        // one, and so does any run under a k-sufficient restriction.
         scan->RecordQualifying();
         post_run_hooks_.push_back(
-            [this, scan, table, coverage,
-             fingerprint = probe.topk ? plan->Fingerprint() : probe.fingerprint,
+            [this, scan, table, coverage, need, restricted = probe.limit_hit(),
+             fingerprint = probe.fingerprint,
              columns = ReferencedColumns(plan->predicate)]() {
-              std::optional<std::vector<PartitionId>> qualifying =
+              std::optional<TableScanOp::QualifyingRecord> record =
                   scan->QualifyingPartitions();
-              if (!qualifying.has_value()) return;
+              if (!record.has_value()) return;
+              int64_t sufficient_rows = PredicateCache::kAllRows;
+              if (!record->complete || restricted) {
+                // Without a LIMIT the need is kAllRows: nothing to write.
+                if (record->rows < need) return;
+                sufficient_rows = record->rows;
+              }
               // Injection site: the population write-back fails after a
               // successful query (cache node fault).
               if (SNOW_FAILPOINT("predcache.populate")) return;
               config_.predicate_cache->Insert(
                   fingerprint, *table,
                   PredicateCache::Population{coverage, "", columns,
-                                             std::move(*qualifying)});
+                                             std::move(record->partitions),
+                                             sufficient_rows});
             });
       }
       if (ctx->profile != nullptr) {
         ProfileNode* node = ctx->profile->NewNode(
-            ctx->leaf != nullptr ? "Gather" : "Scan", plan->table);
+            ctx->leaf != nullptr ? "Gather" : "Scan",
+            probe.partitions.has_value()
+                ? plan->table + " [cache " + probe.EntryKind() + "]"
+                : plan->table);
         // Compile-time pruning attribution: this scan's share of the
         // query-wide counters bumped above. Runtime deltas flow in through
         // the profile-stats mirror; LIMIT pruning lands here from kLimit.
@@ -551,7 +609,7 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         source->set_profile_stats(&node->pruning);
         ctx->profiled_ops.push_back(source.get());
       }
-      if (auto* pending = ctx->FindPendingForScan(plan.get())) {
+      if (pending != nullptr) {
         source->AttachTopKPruner(pending->pruner);
         ScanSet prepared = pending->pruner->Prepare(
             *table, source->scan_set(), filter_result.fully_matching);
@@ -585,6 +643,13 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
 
     case PlanNode::Kind::kLimit: {
       const PlanNode* target = TraceLimitTarget(plan->child);
+      // §8.2 predicate cache: LIMIT k accepts any k qualifying rows, so over
+      // a scan/project chain the scan needs only offset + k of them — a
+      // k-sufficient entry holding that many may serve it.
+      if (target != nullptr && config_.predicate_cache != nullptr &&
+          ctx->leaf == nullptr && IsScanProjectChain(plan->child)) {
+        ctx->limit_needs[target] = plan->limit_k + plan->limit_offset;
+      }
       auto child = Compile(plan->child, ctx);
       if (!child.ok()) return child.status();
       OperatorPtr input = std::move(child).value();
@@ -781,6 +846,23 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
     }
 
     case PlanNode::Kind::kJoin: {
+      // §6: the probe-side scan the build summary will prune, traced before
+      // the children compile so that scan knows it (see join_probe_scans).
+      // Not for probe-preserved (LEFT OUTER) joins: their unmatched probe
+      // rows are emitted null-padded, so a probe partition that cannot
+      // match the build side still contributes rows and must not be pruned.
+      ColumnTrace key_trace;
+      if (config_.enable_join_pruning &&
+          plan->join_kind != JoinKind::kProbeOuter) {
+        key_trace = TraceColumnToScan(ctx->tables, plan->left, plan->left_key);
+        if (key_trace.agg_node != nullptr ||
+            key_trace.build_join_node != nullptr) {
+          key_trace = ColumnTrace();
+        }
+        if (key_trace.scan != nullptr) {
+          ctx->join_probe_scans.insert(key_trace.scan);
+        }
+      }
       auto left = Compile(plan->left, ctx);
       if (!left.ok()) return left.status();
       OperatorPtr probe = std::move(left).value();
@@ -838,22 +920,12 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         ctx->profiled_ops.push_back(join.get());
       }
       // §6: wire the probe-side scan for partition-level summary pruning.
-      // Not for probe-preserved (LEFT OUTER) joins: their unmatched probe
-      // rows are emitted null-padded, so a probe partition that cannot
-      // match the build side still contributes rows and must not be pruned.
-      if (config_.enable_join_pruning &&
-          plan->join_kind != JoinKind::kProbeOuter) {
-        ColumnTrace key_trace =
-            TraceColumnToScan(ctx->tables, plan->left, plan->left_key);
-        if (key_trace.scan != nullptr && key_trace.agg_node == nullptr &&
-            key_trace.build_join_node == nullptr) {
-          auto it = ctx->scans.find(key_trace.scan);
-          if (it != ctx->scans.end() && it->second.scan != nullptr) {
-            auto col =
-                it->second.table->schema().FindColumn(key_trace.column);
-            if (col.has_value()) {
-              join->AttachProbeScan(it->second.scan, col.value());
-            }
+      if (key_trace.scan != nullptr) {
+        auto it = ctx->scans.find(key_trace.scan);
+        if (it != ctx->scans.end() && it->second.scan != nullptr) {
+          auto col = it->second.table->schema().FindColumn(key_trace.column);
+          if (col.has_value()) {
+            join->AttachProbeScan(it->second.scan, col.value());
           }
         }
       }

@@ -148,6 +148,9 @@ struct QueryResult {
   LimitClassification limit_class = LimitClassification::kNotALimitQuery;
   bool topk_pruning_attached = false;
   bool predicate_cache_hit = false;
+  /// A hit was served by a k-sufficient entry: the LIMIT returned *some*
+  /// offset + k qualifying rows, not necessarily an uncached run's.
+  bool predicate_cache_limit_hit = false;
   int64_t scan_set_bytes = 0;  ///< Serialized scan-set size shipped to compute.
   /// Row count of each batch the root operator emitted, in delivery order
   /// (only recorded under ExecuteOptions::collect_batch_rows). For a bare

@@ -22,10 +22,11 @@ namespace snowprune {
 /// in scan-set order.
 struct MorselItem {
   bool loaded = false;
-  /// The filter kept at least one row of the loaded partition. Recorded
-  /// before any pipeline stage consumes the batch (the predicate cache's
-  /// qualifying-partition record reads it on the fused-fold path too).
-  bool kept_rows = false;
+  /// Rows the filter kept of the loaded partition (0 when not loaded).
+  /// Recorded before any pipeline stage consumes the batch (the predicate
+  /// cache's qualifying-partition record reads it on the fused-fold path
+  /// too).
+  int64_t kept_rows = 0;
   ColumnBatch batch;
   PruningStats stats;
   /// Optional per-partition output of an operator-installed pipeline stage

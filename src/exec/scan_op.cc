@@ -62,7 +62,7 @@ void TableScanOp::Open() {
   cursor_ = 0;
   item_cursor_ = 0;
   visited_ = 0;
-  qualifying_.clear();
+  qualifying_ = QualifyingRecord();
   specialized_batches_.store(0, std::memory_order_relaxed);
   interpreted_batches_.store(0, std::memory_order_relaxed);
   error_ = Status::OK();
@@ -101,22 +101,24 @@ int64_t TableScanOp::ApplyJoinSummary(const BuildSummary& summary,
 }
 
 void TableScanOp::Account(PartitionId pid, const PruningStats& delta,
-                          bool kept_rows) {
+                          int64_t kept_rows) {
   if (stats_ != nullptr) stats_->Merge(delta);
   if (profile_stats_ != nullptr) profile_stats_->Merge(delta);
   if (!record_qualifying_) return;
   if (delta.scanned_partitions + delta.pruned_by_filter == 1) ++visited_;
-  if (kept_rows) qualifying_.push_back(pid);
+  if (kept_rows > 0) {
+    qualifying_.partitions.push_back(pid);
+    qualifying_.rows += kept_rows;
+  }
 }
 
-std::optional<std::vector<PartitionId>> TableScanOp::QualifyingPartitions()
-    const {
-  if (!record_qualifying_ || !error_.ok() ||
-      scan_set_.size() != recorded_scan_set_size_ ||
-      visited_ != recorded_scan_set_size_) {
-    return std::nullopt;
-  }
-  return qualifying_;
+std::optional<TableScanOp::QualifyingRecord>
+TableScanOp::QualifyingPartitions() const {
+  if (!record_qualifying_ || !error_.ok()) return std::nullopt;
+  QualifyingRecord record = qualifying_;
+  record.complete = scan_set_.size() == recorded_scan_set_size_ &&
+                    visited_ == recorded_scan_set_size_;
+  return record;
 }
 
 bool TableScanOp::Cancelled() {
@@ -209,7 +211,8 @@ MorselResult TableScanOp::ProcessMorsel(size_t morsel_index) {
     Status load_error;
     item.loaded = ScanPartition(scan_set_[pos], &item.batch, &item.stats,
                                 &worker_scratch, &load_error);
-    item.kept_rows = item.loaded && item.batch.num_rows() > 0;
+    item.kept_rows =
+        item.loaded ? static_cast<int64_t>(item.batch.num_rows()) : 0;
     if (!load_error.ok()) {
       // A load fault poisons the whole morsel: later partitions stay
       // unloaded so the consumer sees the error at this scan-set position
@@ -278,11 +281,12 @@ bool TableScanOp::NextColumnsInner(ColumnBatch* out,
           item.stats.scanned_rows = 0;
           item.stats.pruned_by_topk += 1;
           item.loaded = false;
+          item.kept_rows = 0;
           item.payload.reset();
         }
         // Per-partition stats merge on the consumer thread, in scan-set
         // order.
-        Account(pid, item.stats, item.loaded && item.kept_rows);
+        Account(pid, item.stats, item.kept_rows);
         if (!item.loaded) continue;
         *out = std::move(item.batch);
         if (item_payload != nullptr) *item_payload = std::move(item.payload);
@@ -312,7 +316,7 @@ bool TableScanOp::NextColumnsInner(ColumnBatch* out,
     PruningStats delta;
     const bool loaded =
         ScanPartition(pid, out, &delta, &eval_scratch_, &load_error);
-    Account(pid, delta, loaded && out->num_rows() > 0);
+    Account(pid, delta, loaded ? static_cast<int64_t>(out->num_rows()) : 0);
     if (loaded) return true;
     if (!load_error.ok()) {
       error_ = std::move(load_error);
@@ -346,7 +350,7 @@ bool TableScanOp::NextPayload(MorselPayload* out) {
       trace_->MergeBuffer(&current_morsel_.spans, trace_parent_);
     }
     for (const MorselItem& item : current_morsel_.items) {
-      Account(scan_set_[cursor_++], item.stats, item.loaded && item.kept_rows);
+      Account(scan_set_[cursor_++], item.stats, item.kept_rows);
     }
     // Folded scans never have a top-k pruner attached (the aggregate only
     // fuses without one), so no delivery-time re-check is needed here.

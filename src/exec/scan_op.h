@@ -148,20 +148,29 @@ class TableScanOp : public ScanSource {
   /// Returns the number of partitions pruned.
   int64_t ApplyJoinSummary(const BuildSummary& summary, size_t key_column);
 
-  /// Predicate-cache hook (scan entries): from Open() on, note which
-  /// partitions the filter kept at least one row of. The engine calls it
-  /// right after compile-time filter pruning, while the scan set still holds
-  /// every partition that may contain a qualifying row.
+  /// Predicate-cache hook (scan and k-sufficient entries): from Open() on,
+  /// note which partitions the filter kept rows of, and how many. The engine
+  /// calls it right after compile-time filter pruning, while the scan set
+  /// still holds every partition that may contain a qualifying row.
   void RecordQualifying() {
     record_qualifying_ = true;
     recorded_scan_set_size_ = scan_set_.size();
   }
-  /// The partitions where the filter kept at least one row — provided the
-  /// scan delivered the whole scan set it held at RecordQualifying(): none
-  /// dropped from it later (LIMIT pruning, a join summary), none skipped at
-  /// runtime (top-k boundary), no early stop (LIMIT, cancellation, deadline,
-  /// load fault). nullopt otherwise. Read after the scan finished.
-  std::optional<std::vector<PartitionId>> QualifyingPartitions() const;
+  /// The record RecordQualifying() asked for, read after the scan finished.
+  struct QualifyingRecord {
+    /// Delivered partitions where the filter kept at least one row, in
+    /// delivery order, and the qualifying rows they held.
+    std::vector<PartitionId> partitions;
+    int64_t rows = 0;
+    /// The scan delivered the whole scan set it held at RecordQualifying():
+    /// none dropped from it later (LIMIT pruning, a join summary), none
+    /// skipped at runtime (top-k boundary), no early stop (LIMIT). Only then
+    /// are `partitions` all the qualifying ones.
+    bool complete = false;
+  };
+  /// nullopt when nothing was recorded or the scan stopped on a fault
+  /// (cancellation and a passed deadline discard the run in the engine).
+  std::optional<QualifyingRecord> QualifyingPartitions() const;
 
   /// Emit per-row provenance (source partition ids) for the predicate cache
   /// when materializing boxed batches (NextColumns() always carries
@@ -268,8 +277,8 @@ class TableScanOp : public ScanSource {
   void PlanMorsels();
   /// Consumer-side bookkeeping of one delivered scan-set position: merges
   /// its stats delta into the query's stats (and the profile mirror) and
-  /// feeds the qualifying-partition record.
-  void Account(PartitionId pid, const PruningStats& delta, bool kept_rows);
+  /// feeds the qualifying-partition record with the rows the filter kept.
+  void Account(PartitionId pid, const PruningStats& delta, int64_t kept_rows);
 
   ExprPtr filter_;
   /// Batches run by compiled_filter_ vs. the interpreter; atomics because
@@ -286,7 +295,7 @@ class TableScanOp : public ScanSource {
   bool record_qualifying_ = false;
   size_t recorded_scan_set_size_ = 0;
   size_t visited_ = 0;
-  std::vector<PartitionId> qualifying_;
+  QualifyingRecord qualifying_;
   /// Consumer-thread predicate-eval scratch (serial path; workers use a
   /// thread-local scratch that outlives queries — see ProcessMorsel).
   EvalScratch eval_scratch_;

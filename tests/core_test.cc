@@ -683,6 +683,102 @@ TEST(PredicateCacheTest, DeleteOfContributingPartitionInvalidates) {
   EXPECT_EQ((*hit)[0], 1u);
 }
 
+/// A k-sufficient entry written by a LIMIT over a scan that reads x: the
+/// partitions that delivered `rows` qualifying rows, in delivery order.
+PredicateCache::Population Sufficient(const Table& table,
+                                      std::vector<PartitionId> partitions,
+                                      int64_t rows) {
+  return PredicateCache::Population{PredicateCache::Coverage::Of(table), "",
+                                    {"x"}, std::move(partitions), rows};
+}
+
+TEST(PredicateCacheTest, KSufficientEntryServesOnlyNeedsItsRowsCover) {
+  auto table = IntTable("t", "x", {{1}, {2}, {3}, {4}});
+  PredicateCache cache;
+  cache.Insert("scan", *table, Sufficient(*table, {3, 1}, 5));
+  int64_t rows = 0;
+  // At or below the row sum: a hit, in delivery order.
+  EXPECT_EQ(cache.Lookup("scan", *table, 5, &rows),
+            (std::vector<PartitionId>{3, 1}));
+  EXPECT_EQ(rows, 5);
+  EXPECT_TRUE(cache.Lookup("scan", *table, 1).has_value());
+  // Above it, and for a scan that wants every row: a miss.
+  EXPECT_FALSE(cache.Lookup("scan", *table, 6).has_value());
+  EXPECT_FALSE(cache.Lookup("scan", *table).has_value());
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 2);
+}
+
+TEST(PredicateCacheTest, KSufficientWriteNeverDowngradesAScanEntry) {
+  auto table = IntTable("t", "x", {{1}, {2}, {3}, {4}});
+  PredicateCache cache;
+  cache.Insert("scan", *table,
+               PredicateCache::Population{PredicateCache::Coverage::Of(*table),
+                                          "", {"x"}, {1, 3}});
+  cache.Insert("scan", *table, Sufficient(*table, {3}, 1));
+  int64_t rows = 0;
+  EXPECT_EQ(cache.Lookup("scan", *table, PredicateCache::kAllRows, &rows),
+            (std::vector<PartitionId>{1, 3}));
+  EXPECT_EQ(rows, PredicateCache::kAllRows);
+  // The other way round, the scan entry replaces the k-sufficient one and
+  // serves every need from then on.
+  cache.Insert("other", *table, Sufficient(*table, {2}, 1));
+  cache.Insert("other", *table,
+               PredicateCache::Population{PredicateCache::Coverage::Of(*table),
+                                          "", {"x"}, {0, 2}});
+  EXPECT_EQ(cache.Lookup("other", *table), (std::vector<PartitionId>{0, 2}));
+  EXPECT_EQ(cache.Lookup("other", *table, 1), (std::vector<PartitionId>{0, 2}));
+  // A scan entry a DML step left behind is no live entry: a k-sufficient
+  // write from the new version replaces it.
+  table->ReplacePartition(0, IntPartition(0, 9));  // no notification
+  cache.Insert("scan", *table, Sufficient(*table, {3}, 1));
+  EXPECT_EQ(cache.Lookup("scan", *table, 1), (std::vector<PartitionId>{3}));
+  EXPECT_FALSE(cache.Lookup("scan", *table).has_value());
+}
+
+TEST(PredicateCacheTest, KSufficientEntryRefreshKeepsHitCount) {
+  auto table = IntTable("t", "x", {{1}, {2}, {3}, {4}});
+  PredicateCache cache;
+  cache.Insert("scan", *table, Sufficient(*table, {3, 1}, 2));
+  for (int i = 0; i < 3; ++i) cache.NoteHit("scan");
+  // A hit that stopped early again publishes what it delivered this time.
+  cache.Insert("scan", *table, Sufficient(*table, {1}, 1));
+  EXPECT_EQ(cache.NoteHit("scan"), 4);
+  EXPECT_EQ(cache.Lookup("scan", *table, 1), (std::vector<PartitionId>{1}));
+  EXPECT_FALSE(cache.Lookup("scan", *table, 2).has_value());
+}
+
+TEST(PredicateCacheTest, KSufficientEntryUnderDml) {
+  auto table = IntTable("t", "x", {{1}, {2}, {3}, {4}});
+  PredicateCache cache;
+  cache.Insert("scan", *table, Sufficient(*table, {3, 1}, 2));
+  // INSERT: the appended partition is scanned after the listed ones.
+  table->AppendPartition(IntPartition(4, 5));
+  cache.OnInsert(*table);
+  EXPECT_EQ(cache.Lookup("scan", *table, 2),
+            (std::vector<PartitionId>{3, 1, 4}));
+  // DELETE of an unlisted partition: ids are remapped, the entry stays.
+  table->DeletePartition(0);
+  cache.OnDelete(*table, 0);
+  EXPECT_EQ(cache.Lookup("scan", *table, 2),
+            (std::vector<PartitionId>{2, 0, 3}));
+  // An UPDATE of a column the predicate does not read restamps it.
+  table->ReplacePartition(3, IntPartition(3, 6));
+  cache.OnUpdate(*table, "y");
+  EXPECT_TRUE(cache.Lookup("scan", *table, 2).has_value());
+  // DELETE of a listed partition: its rows no longer count toward the sum.
+  table->DeletePartition(2);
+  cache.OnDelete(*table, 2);
+  EXPECT_FALSE(cache.Lookup("scan", *table, 1).has_value());
+  EXPECT_EQ(cache.size(), 0u);
+  // An UPDATE of a predicate column may move qualifying rows anywhere.
+  cache.Insert("scan", *table, Sufficient(*table, {0}, 1));
+  table->ReplacePartition(1, IntPartition(1, 7));
+  cache.OnUpdate(*table, "x");
+  EXPECT_FALSE(cache.Lookup("scan", *table, 1).has_value());
+  EXPECT_EQ(cache.size(), 0u);
+}
+
 TEST(PredicateCacheTest, CapacityEvictsOldest) {
   auto table = IntTable("t", "x", {{1}});
   PredicateCache cache(2);

@@ -3,8 +3,10 @@
 #include <limits>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "exec/column_batch.h"
 #include "exec/engine.h"
+#include "exec/profile.h"
 #include "exec/row_eval.h"
 #include "exec/scan_op.h"
 #include "expr/builder.h"
@@ -764,21 +766,60 @@ TEST_F(ExecTest, ScanEntryRestrictsRepeatsAndCreditsCache) {
   }
 }
 
-TEST_F(ExecTest, EarlyStoppedScanPublishesNoScanEntry) {
+TEST_F(ExecTest, EarlyStoppedScanPublishesOnlyAKSufficientEntry) {
   ASSERT_TRUE(catalog_.RegisterTable(CorrelatedTable()).ok());
-  PredicateCache cache;
-  config_.predicate_cache = &cache;
-  config_.exec.num_threads = 1;
-  // LIMIT 1 stops the scan at partition 2: partition 7's row was never
-  // seen, so an entry from this run would lose it.
-  QueryResult limited =
-      Run(LimitPlan(ScanPlan("corr", CorrelatedPredicate()), 1));
-  ASSERT_EQ(limited.rows.size(), 1u);
-  EXPECT_EQ(cache.size(), 0u);
-  QueryResult full = Run(ScanPlan("corr", CorrelatedPredicate()));
-  EXPECT_FALSE(full.predicate_cache_hit);
-  EXPECT_EQ(full.rows.size(), 2u);
-  EXPECT_EQ(cache.size(), 1u);
+  for (int threads : {1, 4}) {
+    PredicateCache cache;
+    config_.predicate_cache = &cache;
+    config_.exec.num_threads = threads;
+    auto limit = [](int64_t k) {
+      return LimitPlan(ScanPlan("corr", CorrelatedPredicate()), k);
+    };
+    // LIMIT 1 stops the scan at partition 2: partition 7's row was never
+    // seen, so the run may only claim that partition 2 holds one row.
+    QueryResult limited = Run(limit(1));
+    ASSERT_EQ(limited.rows.size(), 1u);
+    EXPECT_FALSE(limited.predicate_cache_hit);
+    EXPECT_EQ(cache.size(), 1u);
+    // A repeat reads partition 2 alone; the other nine are the cache's.
+    QueryResult repeat = Run(limit(1));
+    EXPECT_TRUE(repeat.predicate_cache_limit_hit);
+    EXPECT_EQ(repeat.stats.pruned_by_cache, 9);
+    EXPECT_EQ(repeat.stats.scanned_partitions, 1);
+    EXPECT_EQ(RowsText(repeat.rows), RowsText(limited.rows));
+    // The compile span and the EXPLAIN ANALYZE scan line name the entry.
+    Trace trace;
+    ExecuteOptions opts;
+    opts.trace = &trace;
+    auto traced = Engine(&catalog_, config_).Execute(limit(1), opts);
+    ASSERT_TRUE(traced.ok());
+    EXPECT_NE(traced.value().profile->ToText().find(
+                  "Scan corr [cache limit(rows=1)]"),
+              std::string::npos);
+    bool annotated = false;
+    for (const TraceSpan& span : trace.spans()) {
+      for (const TraceAnnotation& a : span.annotations) {
+        annotated |= span.name == "compile" && a.key == "cache_entry" &&
+                     a.str_value == "limit(rows=1)";
+      }
+    }
+    EXPECT_TRUE(annotated);
+    // Two rows are more than the entry holds: a miss, as for a full scan.
+    QueryResult two = Run(limit(2));
+    EXPECT_FALSE(two.predicate_cache_hit);
+    EXPECT_EQ(two.rows.size(), 2u);
+    QueryResult full = Run(ScanPlan("corr", CorrelatedPredicate()));
+    EXPECT_FALSE(full.predicate_cache_hit);
+    EXPECT_EQ(full.rows.size(), 2u);
+    EXPECT_EQ(cache.size(), 1u);
+    // The full scan's entry replaced the k-sufficient one, and the next
+    // LIMIT is served by it without downgrading it.
+    QueryResult after = Run(limit(1));
+    EXPECT_TRUE(after.predicate_cache_hit);
+    EXPECT_FALSE(after.predicate_cache_limit_hit);
+    EXPECT_TRUE(
+        Run(ScanPlan("corr", CorrelatedPredicate())).predicate_cache_hit);
+  }
 }
 
 TEST_F(ExecTest, ScanEntryHitsPromoteTheFilter) {

@@ -1061,14 +1061,24 @@ TEST(FuzzPruneTest, DmlChurnKeepsOracleAgreement) {
 /// shared cache while DML churns the table between rounds — appends,
 /// notified single-column updates and deletes, un-notified replaces and
 /// deletes, dropped zone maps — at threads {1,2,4}. Every run must match a
-/// cache-off engine: rows exactly for scan, LIMIT and aggregate; the
-/// winning order values for top-k (ties make several row sets valid, as in
-/// EngineAgreesWithUnprunedExecution). The stats stay sound with the cache
+/// cache-off engine: rows exactly for scan, aggregate, and a LIMIT that
+/// missed or was served by a scan entry; the winning order values for top-k
+/// (ties make several row sets valid, as in
+/// EngineAgreesWithUnprunedExecution). A LIMIT served by a k-sufficient
+/// entry may return any offset + k qualifying rows, so it is checked by
+/// count plus membership: min(k, matches - offset) rows, each satisfying
+/// the predicate, multiset-contained in the unlimited answer. Each round
+/// opens with a LIMIT whose k and offset change every run, before the scan
+/// shape can re-publish a scan entry, so k-sufficient entries are written,
+/// served, refreshed and refused. The stats stay sound with the cache
 /// credited, and a traced run's per-node sum reconciles pruned_by_cache.
 TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
-  int64_t scan_entry_hits = 0, topk_entry_hits = 0, cache_pruned = 0;
+  int64_t scan_entry_hits = 0, topk_entry_hits = 0, limit_entry_hits = 0,
+          cache_pruned = 0;
   for (int iter = 0; iter < 30; ++iter) {
     Rng rng(233000 + iter);
+    // The opening LIMIT's k and offset (a stream of its own).
+    Rng limit_rng(911000 + iter);
     auto table = RandomTable(&rng, "p");
     FuzzEngine engine(table);
     PredicateCache cache;
@@ -1136,7 +1146,15 @@ TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
       for (size_t p = 0; p < preds.size(); ++p) {
         const ExprPtr& pred = preds[p];
         const std::string pctx = ctx + " pred " + std::to_string(p);
+        // Every LIMIT row comes out of the unlimited answer.
+        const std::vector<Row> unlimited =
+            engine.Run(ScanPlan("p", pred), true, 1);
+        std::multiset<std::string> unlimited_rows;
+        for (const Row& row : unlimited) {
+          unlimited_rows.insert(Serialize({row}));
+        }
         const PlanPtr plans[] = {
+            nullptr,  // the opening LIMIT, built per run
             ScanPlan("p", pred),
             TopKPlan(ScanPlan("p", pred), "key", desc, k),
             LimitPlan(ScanPlan("p", pred), k),
@@ -1144,9 +1162,9 @@ TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
                           {AggPlanSpec{AggFunc::kCount, "", "n"},
                            AggPlanSpec{AggFunc::kSum, "key", "key_sum"}}),
         };
-        for (size_t shape = 0; shape < 4; ++shape) {
-          const PlanPtr& plan = plans[shape];
-          const bool is_topk = shape == 1;
+        for (size_t shape = 0; shape < 5; ++shape) {
+          const bool is_topk = shape == 2;
+          const bool is_limit = shape == 0 || shape == 3;
           const auto answer = [&](const std::vector<Row>& rows) {
             if (!is_topk) return Serialize(rows);
             std::vector<std::string> keys;
@@ -1156,9 +1174,19 @@ TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
             for (const std::string& key : keys) s += key + ",";
             return s;
           };
-          const std::string expected = answer(engine.Run(plan, true, 1));
+          std::string expected;
           // Runs 0-2 at 1, 2 and 4 threads; run 3 traced at 2 threads.
           for (size_t run = 0; run < 4; ++run) {
+            PlanPtr plan = plans[shape];
+            int64_t limit_k = k, offset = 0;
+            if (shape == 0) {
+              limit_k = limit_rng.UniformInt(1, 40);
+              offset = limit_rng.UniformInt(0, 3);
+              plan = LimitPlan(ScanPlan("p", pred), limit_k, offset);
+            }
+            if (run == 0 || shape == 0) {
+              expected = answer(engine.Run(plan, true, 1));
+            }
             const bool traced = run == 3;
             Trace trace;
             ExecuteOptions opts;
@@ -1169,8 +1197,30 @@ TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
             const QueryResult& r = result.value();
             const std::string sctx = pctx + " shape " + std::to_string(shape) +
                                      " run " + std::to_string(run);
-            ASSERT_EQ(expected, answer(r.rows))
-                << sctx << ": the cached engine's answer differs";
+            if (r.predicate_cache_limit_hit) {
+              // Any offset + k qualifying rows are a right answer.
+              ASSERT_TRUE(is_limit)
+                  << sctx << ": a k-sufficient entry served a scan that "
+                             "needs every qualifying row";
+              ++limit_entry_hits;
+              const int64_t matches = static_cast<int64_t>(unlimited.size());
+              ASSERT_EQ(
+                  static_cast<int64_t>(r.rows.size()),
+                  std::min(limit_k, std::max<int64_t>(0, matches - offset)))
+                  << sctx << ": a k-sufficient hit returned too few rows";
+              std::multiset<std::string> pool = unlimited_rows;
+              for (const Row& row : r.rows) {
+                auto keep = EvalRowPredicate(*pred, row);
+                ASSERT_TRUE(keep.has_value() && *keep) << sctx;
+                auto at = pool.find(Serialize({row}));
+                ASSERT_NE(at, pool.end())
+                    << sctx << ": a LIMIT row the unlimited query lacks";
+                pool.erase(at);
+              }
+            } else {
+              ASSERT_EQ(expected, answer(r.rows))
+                  << sctx << ": the cached engine's answer differs";
+            }
             if (is_topk) {
               for (const Row& row : r.rows) {
                 auto keep = EvalRowPredicate(*pred, row);
@@ -1182,7 +1232,9 @@ TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
                       r.stats.total_partitions)
                 << sctx;
             if (r.predicate_cache_hit) {
-              ++(is_topk ? topk_entry_hits : scan_entry_hits);
+              if (!r.predicate_cache_limit_hit) {
+                ++(is_topk ? topk_entry_hits : scan_entry_hits);
+              }
             } else {
               ASSERT_EQ(r.stats.pruned_by_cache, 0) << sctx;
             }
@@ -1199,9 +1251,11 @@ TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
       }
     }
   }
-  // Non-vacuous: both entry kinds were served, and hits excluded partitions.
+  // Non-vacuous: all three entry kinds were served, and hits excluded
+  // partitions.
   EXPECT_GT(scan_entry_hits, 0);
   EXPECT_GT(topk_entry_hits, 0);
+  EXPECT_GT(limit_entry_hits, 0);
   EXPECT_GT(cache_pruned, 0);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -430,6 +431,85 @@ TEST(PredicateCacheConcurrencyTest, HitCountsStayMonotoneAcrossRefreshes) {
   done.store(true);
   refresher.join();
   EXPECT_EQ(cache.NoteHit("fp"), int64_t{kHitters} * kHits + 1);
+}
+
+/// LIMIT runs write k-sufficient entries and full scans write scan entries,
+/// all under one scan fingerprint, from concurrent engines. Once a full scan
+/// has finished, its scan entry must serve every lookup that wants all
+/// qualifying rows: no racing k-sufficient write may downgrade it, and every
+/// LIMIT answer keeps its full count whichever entry served it.
+TEST(PredicateCacheConcurrencyTest, LimitWritersNeverDowngradeAScanEntry) {
+  Catalog catalog;
+  workload::TableGenConfig cfg;
+  cfg.name = "t";
+  cfg.num_partitions = 24;
+  cfg.rows_per_partition = 80;
+  cfg.seed = 77;
+  ASSERT_TRUE(catalog.RegisterTable(workload::SyntheticTable(cfg)).ok());
+  auto table = catalog.GetTable("t");
+  // Every engine binds its own plan: binding writes into the predicate.
+  auto scan = [] { return ScanPlan("t", Gt(Col("val"), Lit(500.0))); };
+  PlanPtr bound = scan();
+  ASSERT_TRUE(BindExpr(bound->predicate, table->schema()).ok());
+  const std::string fingerprint = bound->Fingerprint();
+
+  auto reference = Engine(&catalog, EngineConfig()).Execute(scan());
+  ASSERT_TRUE(reference.ok());
+  const auto matches = static_cast<int64_t>(reference.value().rows.size());
+  ASSERT_GT(matches, 60);
+
+  PredicateCache cache;
+  auto engine = [&] {
+    EngineConfig config;
+    config.predicate_cache = &cache;
+    config.exec.num_threads = 2;
+    return std::make_unique<Engine>(&catalog, config);
+  };
+
+  constexpr int kIters = 150;
+  std::atomic<bool> scan_published{false};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      auto limit_engine = engine();
+      for (int i = 0; i < kIters; ++i) {
+        const int64_t k = 1 + (i * 7 + w) % 60;
+        auto result = limit_engine->Execute(LimitPlan(scan(), k));
+        ASSERT_TRUE(result.ok());
+        ASSERT_EQ(static_cast<int64_t>(result.value().rows.size()),
+                  std::min(k, matches));
+      }
+    });
+    threads.emplace_back([&] {
+      auto scan_engine = engine();
+      for (int i = 0; i < kIters / 5; ++i) {
+        auto result = scan_engine->Execute(scan());
+        ASSERT_TRUE(result.ok());
+        ASSERT_EQ(static_cast<int64_t>(result.value().rows.size()), matches);
+        scan_published.store(true);
+      }
+    });
+  }
+  std::thread checker([&] {
+    while (!done.load()) {
+      // Read the flag first: a scan entry published before it was set must
+      // be visible to the lookup that follows.
+      const bool published = scan_published.load();
+      int64_t rows = 0;
+      auto hit =
+          cache.Lookup(fingerprint, *table, PredicateCache::kAllRows, &rows);
+      if (published) {
+        ASSERT_TRUE(hit.has_value());
+        ASSERT_EQ(rows, PredicateCache::kAllRows);
+      }
+    }
+  });
+  for (auto& th : threads) th.join();
+  done.store(true);
+  checker.join();
+  EXPECT_TRUE(scan_published.load());
+  EXPECT_TRUE(cache.Lookup(fingerprint, *table).has_value());
 }
 
 /// Single-threaded sanity: after one Insert, repeats hit; eviction respects
