@@ -83,7 +83,7 @@ uint64_t HashBytes(const void* data, size_t len) {
 
 uint64_t HashBoolValue(bool b) { return Mix64(b ? 3 : 5); }
 
-uint64_t HashStringValue(const std::string& s) {
+uint64_t HashStringValue(std::string_view s) {
   return HashBytes(s.data(), s.size());
 }
 

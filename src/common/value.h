@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace snowprune {
@@ -76,7 +77,7 @@ uint64_t HashValue(const Value& v);
 uint64_t HashBoolValue(bool b);
 uint64_t HashInt64Value(int64_t v);
 uint64_t HashFloat64Value(double d);
-uint64_t HashStringValue(const std::string& s);
+uint64_t HashStringValue(std::string_view s);
 
 }  // namespace snowprune
 

@@ -98,7 +98,7 @@ std::shared_ptr<void> BuildSortedRunFor(DataType type, const ColumnBatch& batch,
       return BuildSortedRun<std::string_view>(
           batch, column, desc,
           [](const ColumnVector& c, uint32_t r) {
-            return std::string_view(c.StringAt(r));
+            return c.StringAt(r);
           },
           std::string_view());
   }
@@ -411,7 +411,7 @@ bool SortOp::NextInner(Batch* out) {
         // std::string_view orders like std::string::compare.
         sort_typed(
             [](const ColumnVector& c, uint32_t r) {
-              return std::string_view(c.StringAt(r));
+              return c.StringAt(r);
             },
             std::string_view());
         break;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
 
 #include "expr/like.h"
 
@@ -214,9 +215,8 @@ void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
       break;
     case DataType::kString:
       if (lit.is_string()) {
-        const std::string& y = lit.string_value();
-        const auto& xs = col.string_data();
-        run([&](size_t r) { return xs[r].compare(y); });
+        const std::string_view y = lit.string_value();
+        run([&](size_t r) { return col.StringAt(r).compare(y); });
         return;
       }
       break;
@@ -265,9 +265,7 @@ void CompareColumnColumn(const ColumnVector& a, const ColumnVector& b,
     return;
   }
   if (a.type() == DataType::kString && b.type() == DataType::kString) {
-    const auto& xs = a.string_data();
-    const auto& ys = b.string_data();
-    run([&](size_t r) { return xs[r].compare(ys[r]); });
+    run([&](size_t r) { return a.StringAt(r).compare(b.StringAt(r)); });
     return;
   }
   if (a.type() == DataType::kBool && b.type() == DataType::kBool) {
@@ -623,10 +621,10 @@ void InListMask(const InListExpr& e, const MicroPartition& part,
       return;
     }
     case DataType::kString: {
-      const auto& xs = col->string_data();
       run([&](size_t r) {
+        const std::string_view x = col->StringAt(r);
         for (const Value& cand : vals) {
-          if (cand.is_string() && xs[r] == cand.string_value()) return true;
+          if (cand.is_string() && x == cand.string_value()) return true;
         }
         return false;
       });
@@ -662,10 +660,9 @@ void StringMatchMask(const Expr& input, const MicroPartition& part,
     return;
   }
   const auto& nulls = col->null_mask();
-  const auto& xs = col->string_data();
   ForEachRow(rows, [&](uint32_t r) {
     (*out)[r] = nulls[r] ? kPredNull
-                         : (match(xs[r]) ? kPredTrue : kPredFalse);
+                         : (match(col->StringAt(r)) ? kPredTrue : kPredFalse);
   });
 }
 
@@ -719,7 +716,7 @@ void EvalMask(const Expr& expr, const MicroPartition& part,
       const auto& e = static_cast<const LikeExpr&>(expr);
       StringMatchMask(
           *e.input(), part,
-          [&](const std::string& s) { return LikeMatch(s, e.pattern()); },
+          [&](std::string_view s) { return LikeMatch(s, e.pattern()); },
           expr, rows, out);
       return;
     }
@@ -727,7 +724,7 @@ void EvalMask(const Expr& expr, const MicroPartition& part,
       const auto& e = static_cast<const StartsWithExpr&>(expr);
       StringMatchMask(
           *e.input(), part,
-          [&](const std::string& s) {
+          [&](std::string_view s) {
             return s.compare(0, e.prefix().size(), e.prefix()) == 0;
           },
           expr, rows, out);

@@ -2,13 +2,10 @@
 
 namespace snowprune {
 
-namespace {
-
-/// Recursive wildcard match over [ti..] vs [pi..] with memo-free greedy %:
-/// classic two-pointer algorithm with backtracking on the last %.
-bool MatchImpl(const std::string& text, const std::string& pattern) {
+/// Two-pointer wildcard match with backtracking on the last %.
+bool LikeMatch(std::string_view text, std::string_view pattern) {
   size_t ti = 0, pi = 0;
-  size_t star_pi = std::string::npos, star_ti = 0;
+  size_t star_pi = std::string_view::npos, star_ti = 0;
   while (ti < text.size()) {
     if (pi < pattern.size() &&
         (pattern[pi] == '_' || pattern[pi] == text[ti])) {
@@ -17,7 +14,7 @@ bool MatchImpl(const std::string& text, const std::string& pattern) {
     } else if (pi < pattern.size() && pattern[pi] == '%') {
       star_pi = pi++;
       star_ti = ti;
-    } else if (star_pi != std::string::npos) {
+    } else if (star_pi != std::string_view::npos) {
       pi = star_pi + 1;
       ti = ++star_ti;
     } else {
@@ -26,12 +23,6 @@ bool MatchImpl(const std::string& text, const std::string& pattern) {
   }
   while (pi < pattern.size() && pattern[pi] == '%') ++pi;
   return pi == pattern.size();
-}
-
-}  // namespace
-
-bool LikeMatch(const std::string& text, const std::string& pattern) {
-  return MatchImpl(text, pattern);
 }
 
 std::string LikePrefix(const std::string& pattern) {

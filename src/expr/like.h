@@ -3,11 +3,12 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace snowprune {
 
 /// SQL LIKE matcher with % (any run) and _ (any single char); no escapes.
-bool LikeMatch(const std::string& text, const std::string& pattern);
+bool LikeMatch(std::string_view text, std::string_view pattern);
 
 /// The literal prefix of a LIKE pattern before the first wildcard
 /// ("Marked-%-Ridge" -> "Marked-"). Empty when the pattern starts with a

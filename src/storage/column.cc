@@ -1,8 +1,65 @@
 #include "storage/column.h"
 
 #include <cassert>
+#include <limits>
+#include <string>
+
+#include "common/check.h"
 
 namespace snowprune {
+
+namespace {
+
+template <typename V>
+size_t CapacityBytes(const std::vector<V>& v) {
+  return v.capacity() * sizeof(V);
+}
+
+Value Box(bool v) { return Value(v); }
+Value Box(int64_t v) { return Value(v); }
+Value Box(double v) { return Value(v); }
+Value Box(std::string_view v) { return Value(std::string(v)); }
+
+/// Zone map of one typed column. Mirrors the boxed Value::Compare loop
+/// exactly: the first non-null row seeds min and max, and a later row
+/// replaces them only on a strict < or > — so a NaN seed sticks, a later
+/// NaN never enters, and of -0.0 and 0.0 the first seen is kept. Only the
+/// final min and max are boxed.
+template <typename At>
+ColumnStats TypedStats(const std::vector<uint8_t>& nulls, At at) {
+  ColumnStats stats;
+  stats.has_stats = true;
+  stats.row_count = static_cast<int64_t>(nulls.size());
+  using T = decltype(at(size_t{0}));
+  T min{}, max{};
+  bool seen = false;
+  for (size_t i = 0; i < nulls.size(); ++i) {
+    if (nulls[i]) {
+      ++stats.null_count;
+      continue;
+    }
+    const T v = at(i);
+    if (!seen) {
+      min = v;
+      max = v;
+      seen = true;
+    } else {
+      if (v < min) min = v;
+      if (v > max) max = v;
+    }
+  }
+  if (seen) {
+    stats.min = Box(min);
+    stats.max = Box(max);
+  }
+  return stats;
+}
+
+}  // namespace
+
+ColumnVector::ColumnVector(DataType type) : type_(type) {
+  if (type_ == DataType::kString) string_offsets_.push_back(0);
+}
 
 void ColumnVector::AppendNull() {
   null_mask_.push_back(1);
@@ -10,7 +67,9 @@ void ColumnVector::AppendNull() {
     case DataType::kBool: bools_.push_back(0); break;
     case DataType::kInt64: ints_.push_back(0); break;
     case DataType::kFloat64: doubles_.push_back(0.0); break;
-    case DataType::kString: strings_.emplace_back(); break;
+    case DataType::kString:
+      string_offsets_.push_back(string_offsets_.back());
+      break;
   }
 }
 
@@ -32,10 +91,13 @@ void ColumnVector::AppendFloat64(double v) {
   doubles_.push_back(v);
 }
 
-void ColumnVector::AppendString(std::string v) {
+void ColumnVector::AppendString(std::string_view v) {
   assert(type_ == DataType::kString);
+  SNOW_CHECK_LE(v.size(), std::numeric_limits<uint32_t>::max() -
+                              string_bytes_.size());
   null_mask_.push_back(0);
-  strings_.push_back(std::move(v));
+  string_bytes_.insert(string_bytes_.end(), v.begin(), v.end());
+  string_offsets_.push_back(static_cast<uint32_t>(string_bytes_.size()));
 }
 
 void ColumnVector::AppendValue(const Value& v) {
@@ -61,32 +123,51 @@ Value ColumnVector::ValueAt(size_t i) const {
     case DataType::kBool: return Value(BoolAt(i));
     case DataType::kInt64: return Value(Int64At(i));
     case DataType::kFloat64: return Value(Float64At(i));
-    case DataType::kString: return Value(StringAt(i));
+    case DataType::kString: return Value(std::string(StringAt(i)));
   }
   return Value::Null();
 }
 
 ColumnStats ColumnVector::ComputeStats() const {
-  ColumnStats stats;
-  stats.has_stats = true;
-  stats.row_count = static_cast<int64_t>(size());
-  bool seen = false;
-  for (size_t i = 0; i < size(); ++i) {
-    if (IsNull(i)) {
-      ++stats.null_count;
-      continue;
-    }
-    Value v = ValueAt(i);
-    if (!seen) {
-      stats.min = v;
-      stats.max = v;
-      seen = true;
-    } else {
-      if (Value::Compare(v, stats.min) < 0) stats.min = v;
-      if (Value::Compare(v, stats.max) > 0) stats.max = v;
-    }
+  switch (type_) {
+    case DataType::kBool:
+      return TypedStats(null_mask_, [&](size_t i) { return BoolAt(i); });
+    case DataType::kInt64:
+      return TypedStats(null_mask_, [&](size_t i) { return ints_[i]; });
+    case DataType::kFloat64:
+      return TypedStats(null_mask_, [&](size_t i) { return doubles_[i]; });
+    case DataType::kString:
+      return TypedStats(null_mask_, [&](size_t i) { return StringAt(i); });
   }
-  return stats;
+  return ColumnStats{};
+}
+
+void ColumnVector::Reserve(size_t rows, size_t string_bytes) {
+  null_mask_.reserve(null_mask_.size() + rows);
+  switch (type_) {
+    case DataType::kBool: bools_.reserve(bools_.size() + rows); break;
+    case DataType::kInt64: ints_.reserve(ints_.size() + rows); break;
+    case DataType::kFloat64: doubles_.reserve(doubles_.size() + rows); break;
+    case DataType::kString:
+      string_offsets_.reserve(string_offsets_.size() + rows);
+      string_bytes_.reserve(string_bytes_.size() + string_bytes);
+      break;
+  }
+}
+
+void ColumnVector::ShrinkToFit() {
+  null_mask_.shrink_to_fit();
+  bools_.shrink_to_fit();
+  ints_.shrink_to_fit();
+  doubles_.shrink_to_fit();
+  string_offsets_.shrink_to_fit();
+  string_bytes_.shrink_to_fit();
+}
+
+size_t ColumnVector::MemoryBytes() const {
+  return CapacityBytes(null_mask_) + CapacityBytes(bools_) +
+         CapacityBytes(ints_) + CapacityBytes(doubles_) +
+         CapacityBytes(string_offsets_) + CapacityBytes(string_bytes_);
 }
 
 }  // namespace snowprune

@@ -1,6 +1,25 @@
 #include "storage/partition.h"
 
+#include "common/check.h"
+
 namespace snowprune {
+
+MicroPartition::MicroPartition(PartitionId id,
+                               std::vector<ColumnVector> columns)
+    : id_(id), columns_(std::move(columns)) {
+  row_count_ = columns_.empty() ? 0 : columns_[0].size();
+  for (auto& col : columns_) {
+    SNOW_DCHECK_EQ(col.size(), row_count_);
+    col.ShrinkToFit();
+  }
+  RecomputeStats();
+}
+
+size_t MicroPartition::MemoryBytes() const {
+  size_t bytes = 0;
+  for (const auto& col : columns_) bytes += col.MemoryBytes();
+  return bytes;
+}
 
 void MicroPartition::DropStats() {
   has_stats_ = false;

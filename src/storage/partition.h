@@ -21,11 +21,9 @@ using PartitionId = uint32_t;
 /// a load (metered by the owning Table) to model decoupled storage IO.
 class MicroPartition {
  public:
-  MicroPartition(PartitionId id, std::vector<ColumnVector> columns)
-      : id_(id), columns_(std::move(columns)) {
-    row_count_ = columns_.empty() ? 0 : columns_[0].size();
-    RecomputeStats();
-  }
+  /// Seals `columns` (all of one length) into a partition: releases their
+  /// spare capacity and computes the zone maps.
+  MicroPartition(PartitionId id, std::vector<ColumnVector> columns);
 
   PartitionId id() const { return id_; }
   int64_t row_count() const { return static_cast<int64_t>(row_count_); }
@@ -39,6 +37,9 @@ class MicroPartition {
   const ColumnStats& stats(size_t i) const { return stats_[i]; }
   const std::vector<ColumnStats>& all_stats() const { return stats_; }
   bool has_stats() const { return has_stats_; }
+
+  /// Heap bytes held by the partition's column buffers.
+  size_t MemoryBytes() const;
 
   /// Simulates an external file that carries no metadata (§8.1).
   void DropStats();

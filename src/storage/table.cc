@@ -17,6 +17,12 @@ int64_t Table::num_rows() const {
   return total;
 }
 
+size_t Table::MemoryBytes() const {
+  size_t bytes = 0;
+  for (const auto& p : partitions_) bytes += p.MemoryBytes();
+  return bytes;
+}
+
 void Table::DeletePartition(PartitionId pid) {
   assert(pid < partitions_.size());
   partitions_.erase(partitions_.begin() + pid);
@@ -87,25 +93,31 @@ Status TableBuilder::AppendRow(const std::vector<Value>& row) {
       return Status::InvalidArgument("NULL in non-nullable column " +
                                      schema_.field(i).name);
     }
-    open_columns_[i].AppendValue(v);
   }
-  if (++open_rows_ >= target_partition_rows_) CutPartition();
+  for (size_t i = 0; i < row.size(); ++i) open_columns_[i].AppendValue(row[i]);
+  if (++open_rows_ >= target_partition_rows_) CutPartition(true);
   return Status::OK();
 }
 
-void TableBuilder::CutPartition() {
+void TableBuilder::CutPartition(bool more_rows_follow) {
   if (open_rows_ == 0) return;
+  // The next partition is likely sized like this one, so its buffers are
+  // allocated once at that size instead of regrown by doubling and copied
+  // again when sealed.
+  std::vector<ColumnVector> next;
+  next.reserve(open_columns_.size());
+  for (const auto& col : open_columns_) {
+    next.emplace_back(col.type());
+    if (more_rows_follow) next.back().Reserve(open_rows_, col.string_bytes());
+  }
   auto pid = static_cast<PartitionId>(table_->num_partitions());
   table_->AppendPartition(MicroPartition(pid, std::move(open_columns_)));
-  open_columns_.clear();
-  for (const auto& f : schema_.fields()) {
-    open_columns_.emplace_back(f.type);
-  }
+  open_columns_ = std::move(next);
   open_rows_ = 0;
 }
 
 std::shared_ptr<Table> TableBuilder::Finish() {
-  CutPartition();
+  CutPartition(false);
   return table_;
 }
 

@@ -40,6 +40,8 @@ class Table {
 
   size_t num_partitions() const { return partitions_.size(); }
   int64_t num_rows() const;
+  /// Heap bytes held by every partition's column buffers (capacities).
+  size_t MemoryBytes() const;
 
   /// Metadata-store access: zone map of (partition, column). Never counts
   /// as a load. Partition ids are dense positions that DML compaction
@@ -124,14 +126,17 @@ class TableBuilder {
   TableBuilder(std::string name, Schema schema, size_t target_partition_rows);
 
   /// Appends one row; `row` must have one Value per schema column with a
-  /// matching type (or NULL).
+  /// matching type (or NULL). The whole row is validated before any column
+  /// is touched, so a rejected row leaves the open partition unchanged.
   Status AppendRow(const std::vector<Value>& row);
 
   /// Flushes the trailing partial partition and returns the table.
   std::shared_ptr<Table> Finish();
 
  private:
-  void CutPartition();
+  /// Seals the open partition. When `more_rows_follow`, the next open
+  /// partition's buffers are reserved at the sealed one's size.
+  void CutPartition(bool more_rows_follow);
 
   std::string name_;
   Schema schema_;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+
 #include "common/rng.h"
 #include "core/filter_pruner.h"
 #include "core/join_pruner.h"
@@ -10,6 +15,7 @@
 #include "expr/builder.h"
 #include "expr/jit/bytecode.h"
 #include "expr/jit/compiler.h"
+#include "storage/table.h"
 #include "test_util.h"
 
 namespace snowprune {
@@ -18,6 +24,182 @@ namespace {
 using testing_util::IntTable;
 using testing_util::MakeTable;
 using testing_util::MatchCountsPerPartition;
+
+// ------------------------------------------------------------ Zone maps ----
+
+/// The boxed zone-map loop the typed kernel replaced: every row boxed, min
+/// and max updated through Value::Compare.
+ColumnStats BoxedReferenceStats(const ColumnVector& col) {
+  ColumnStats stats;
+  stats.has_stats = true;
+  stats.row_count = static_cast<int64_t>(col.size());
+  bool seen = false;
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (col.IsNull(i)) {
+      ++stats.null_count;
+      continue;
+    }
+    Value v = col.ValueAt(i);
+    if (!seen) {
+      stats.min = v;
+      stats.max = v;
+      seen = true;
+    } else {
+      if (Value::Compare(v, stats.min) < 0) stats.min = v;
+      if (Value::Compare(v, stats.max) > 0) stats.max = v;
+    }
+  }
+  return stats;
+}
+
+/// Identical kind and payload; doubles compare by bit pattern so NaN and
+/// the sign of zero count.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case DataType::kBool: return a.bool_value() == b.bool_value();
+    case DataType::kInt64: return a.int64_value() == b.int64_value();
+    case DataType::kFloat64: {
+      const double x = a.float64_value(), y = b.float64_value();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case DataType::kString: return a.string_value() == b.string_value();
+  }
+  return false;
+}
+
+void ExpectSameStats(const ColumnVector& col, const std::string& what) {
+  const ColumnStats typed = col.ComputeStats();
+  const ColumnStats boxed = BoxedReferenceStats(col);
+  EXPECT_EQ(typed.has_stats, boxed.has_stats) << what;
+  EXPECT_EQ(typed.row_count, boxed.row_count) << what;
+  EXPECT_EQ(typed.null_count, boxed.null_count) << what;
+  EXPECT_TRUE(SameValue(typed.min, boxed.min))
+      << what << ": min " << typed.min.ToString() << " vs "
+      << boxed.min.ToString();
+  EXPECT_TRUE(SameValue(typed.max, boxed.max))
+      << what << ": max " << typed.max.ToString() << " vs "
+      << boxed.max.ToString();
+}
+
+/// One random cell of `type`, drawn from a small domain so ties, NaN,
+/// signed zeros, empty strings and >15-byte (heap-allocated) strings all
+/// recur.
+void AppendRandomCell(Rng* rng, double null_p, ColumnVector* col) {
+  if (rng->Bernoulli(null_p)) {
+    col->AppendNull();
+    return;
+  }
+  switch (col->type()) {
+    case DataType::kBool: col->AppendBool(rng->Bernoulli(0.5)); break;
+    case DataType::kInt64:
+      col->AppendInt64(rng->Bernoulli(0.1)
+                           ? std::numeric_limits<int64_t>::min()
+                           : rng->UniformInt(-5, 5));
+      break;
+    case DataType::kFloat64: {
+      static const double kSpecial[] = {
+          std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0,
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::infinity()};
+      col->AppendFloat64(rng->Bernoulli(0.3)
+                             ? kSpecial[rng->UniformInt(0, 4)]
+                             : static_cast<double>(rng->UniformInt(-3, 3)) / 2);
+      break;
+    }
+    case DataType::kString: {
+      static const char* kStrings[] = {"", "a", "ab", "b",
+                                       "a-long-category-name-0",
+                                       "a-long-category-name-1"};
+      col->AppendString(kStrings[rng->UniformInt(0, 5)]);
+      break;
+    }
+  }
+}
+
+TEST(ZoneMapKernelTest, TypedKernelMatchesBoxedReference) {
+  Rng rng(2718);
+  const DataType kTypes[] = {DataType::kBool, DataType::kInt64,
+                             DataType::kFloat64, DataType::kString};
+  for (DataType type : kTypes) {
+    for (int iter = 0; iter < 300; ++iter) {
+      const size_t rows = static_cast<size_t>(rng.UniformInt(0, 40));
+      // Every few iterations the column is all NULL.
+      const double null_p = iter % 7 == 0 ? 1.0 : rng.Uniform() * 0.5;
+      ColumnVector col(type);
+      for (size_t r = 0; r < rows; ++r) AppendRandomCell(&rng, null_p, &col);
+      ExpectSameStats(col, std::string(ToString(type)) + " iter " +
+                               std::to_string(iter));
+    }
+  }
+}
+
+TEST(ZoneMapKernelTest, EdgeCasesMatchBoxedReference) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  {  // NaN seed sticks; later NaNs never enter.
+    ColumnVector col(DataType::kFloat64);
+    col.AppendFloat64(nan);
+    col.AppendFloat64(1.0);
+    col.AppendFloat64(-1.0);
+    ExpectSameStats(col, "nan seed");
+    EXPECT_TRUE(std::isnan(col.ComputeStats().min.float64_value()));
+  }
+  {
+    ColumnVector col(DataType::kFloat64);
+    col.AppendNull();
+    col.AppendFloat64(2.0);
+    col.AppendFloat64(nan);
+    col.AppendFloat64(-2.0);
+    ExpectSameStats(col, "nan later");
+  }
+  {  // Of -0.0 and 0.0 the first seen is kept.
+    ColumnVector col(DataType::kFloat64);
+    col.AppendFloat64(-0.0);
+    col.AppendFloat64(0.0);
+    ExpectSameStats(col, "signed zeros");
+    EXPECT_TRUE(std::signbit(col.ComputeStats().max.float64_value()));
+  }
+  {
+    ColumnVector col(DataType::kString);
+    col.AppendString("a-string-longer-than-fifteen");
+    col.AppendNull();
+    col.AppendString("");
+    ExpectSameStats(col, "empty and long strings");
+    EXPECT_EQ(col.ComputeStats().min.string_value(), "");
+  }
+  for (DataType type : {DataType::kBool, DataType::kInt64, DataType::kFloat64,
+                        DataType::kString}) {
+    ColumnVector empty(type);
+    ExpectSameStats(empty, "zero rows");
+    ColumnVector nulls(type);
+    nulls.AppendNull();
+    nulls.AppendNull();
+    ExpectSameStats(nulls, "all null");
+    EXPECT_TRUE(nulls.ComputeStats().ToInterval().all_null);
+  }
+}
+
+/// A sealed 500-row string column of 5-byte cNNNN values must stay in the
+/// offsets + bytes layout: ~5 KB (mask, 501 offsets, 2500 bytes), where one
+/// std::string per cell took ~16 KB.
+TEST(ZoneMapKernelTest, StringColumnFootprintIsBounded) {
+  Schema schema({Field{"cat", DataType::kString, false}});
+  TableBuilder builder("t", schema, /*target_partition_rows=*/500);
+  char buf[16];
+  for (int i = 0; i < 500; ++i) {
+    std::snprintf(buf, sizeof(buf), "c%04d", i % 50);
+    ASSERT_TRUE(builder.AppendRow({Value(std::string(buf))}).ok());
+  }
+  auto table = builder.Finish();
+  ASSERT_EQ(table->num_partitions(), 1u);
+  const ColumnVector& col = table->partition_metadata(0).column(0);
+  EXPECT_EQ(col.StringAt(499), "c0049");
+  EXPECT_LT(col.MemoryBytes(), 6u * 1024);
+  // Sealing the partition released every buffer's spare capacity.
+  EXPECT_EQ(col.MemoryBytes(), 500 + 501 * sizeof(uint32_t) + 2500);
+  EXPECT_EQ(table->MemoryBytes(), col.MemoryBytes());
+}
 
 // --------------------------------------------------------- PruningTree ----
 

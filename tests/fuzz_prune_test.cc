@@ -215,7 +215,7 @@ constexpr BoundaryInitMode kAllBoundaryInits[] = {
 
 /// A random micro-partition matching the synthetic schema
 /// (id int64, key int64, val float64 nullable, cat string, ts int64) —
-/// the INSERT/UPDATE payload for the DML-churn fuzz.
+/// the INSERT/UPDATE payload for the DML-churn and predicate-cache fuzz.
 MicroPartition RandomPartition(Rng* rng, PartitionId id, size_t num_rows = 0) {
   const size_t rows = num_rows > 0
                           ? num_rows
@@ -230,7 +230,12 @@ MicroPartition RandomPartition(Rng* rng, PartitionId id, size_t num_rows = 0) {
     } else {
       val.AppendFloat64(rng->Uniform() * 2.0 - 0.5);
     }
-    cat.AppendString("c" + std::to_string(rng->UniformInt(0, 30)));
+    // Beside the cNN categories: an empty cell (a zero-length arena slot)
+    // and one longer than the small-string buffer.
+    const int64_t c = rng->UniformInt(0, 32);
+    cat.AppendString(c == 31   ? std::string()
+                     : c == 32 ? std::string("c-long-category-name-over-15")
+                               : "c" + std::to_string(c));
     ts.AppendInt64(rng->UniformInt(-100, 2100));
   }
   std::vector<ColumnVector> cols;

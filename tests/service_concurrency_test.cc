@@ -212,11 +212,22 @@ TEST_F(ServiceConcurrencyTest, BoundedQueueRejectsWithResourceExhausted) {
   scfg.num_threads = 1;
   scfg.max_in_flight = 1;
   scfg.queue_capacity = 1;
+  // force_parallel puts every scan on the service's one worker even at
+  // width 1, so a latch task holding that worker keeps every admitted
+  // query from finishing until the latch is released.
+  scfg.engine.exec.force_parallel = true;
   QueryService service(&catalog_, scfg);
 
-  // Back-to-back submits: by the third, at most one query is executing and
-  // one is queued, so it must bounce (unless the first finished within the
-  // microseconds between submits, which a 40-partition scan prevents).
+  Mutex latch_mutex;
+  CondVar latch_cv;
+  bool released = false;
+  service.scan_pool()->Submit([&] {
+    MutexLock lock(&latch_mutex);
+    while (!released) latch_cv.Wait(&latch_mutex);
+  });
+
+  // No query can complete while the latch holds, and at most one query
+  // executes and one queues, so at least one of three submits must bounce.
   std::vector<QueryService::Handle> accepted;
   int rejected = 0;
   for (int i = 0; i < 3; ++i) {
@@ -228,6 +239,11 @@ TEST_F(ServiceConcurrencyTest, BoundedQueueRejectsWithResourceExhausted) {
       ++rejected;
     }
   }
+  {
+    MutexLock lock(&latch_mutex);
+    released = true;
+  }
+  latch_cv.NotifyAll();
   EXPECT_GE(rejected, 1);
   for (auto& h : accepted) {
     auto result = h.Await();

@@ -51,6 +51,37 @@ TEST(ColumnVectorTest, AllNullStats) {
   EXPECT_TRUE(stats.ToInterval().all_null);
 }
 
+TEST(ColumnVectorTest, StringCellsReadBackThroughTheArena) {
+  const std::string long_value = "a-value-longer-than-fifteen-bytes";
+  ColumnVector col(DataType::kString);
+  col.AppendString("");
+  col.AppendNull();
+  col.AppendString("abc");
+  col.AppendString(long_value);
+  ASSERT_EQ(col.size(), 4u);
+  EXPECT_EQ(col.StringAt(0), "");
+  EXPECT_EQ(col.StringAt(1), "");  // NULL keeps a zero-length slot
+  EXPECT_TRUE(col.ValueAt(1).is_null());
+  EXPECT_EQ(col.StringAt(2), "abc");
+  EXPECT_EQ(col.StringAt(3), long_value);
+  EXPECT_EQ(col.ValueAt(3).string_value(), long_value);
+}
+
+/// The join hash and join summaries hash string cells straight from the
+/// arena (HashStringValue on StringAt) and boxed keys through HashValue;
+/// the two must agree or join pruning drops matches.
+TEST(ColumnVectorTest, StringCellHashMatchesBoxedValueHash) {
+  const std::string cells[] = {"", "short", "a-value-longer-than-fifteen"};
+  ColumnVector col(DataType::kString);
+  for (const std::string& c : cells) col.AppendString(c);
+  for (size_t i = 0; i < col.size(); ++i) {
+    EXPECT_EQ(HashStringValue(col.StringAt(i)), HashValue(col.ValueAt(i)))
+        << "cell " << i;
+    EXPECT_EQ(HashStringValue(col.StringAt(i)), HashValue(Value(cells[i])))
+        << "cell " << i;
+  }
+}
+
 TEST(TableBuilderTest, CutsPartitionsAtTarget) {
   std::vector<std::vector<Value>> rows;
   for (int i = 0; i < 25; ++i) {
@@ -75,6 +106,39 @@ TEST(TableBuilderTest, RejectsArityAndTypeMismatch) {
   Schema float_schema({Field{"f", DataType::kFloat64, true}});
   TableBuilder fb("f", float_schema, 4);
   EXPECT_TRUE(fb.AppendRow({Value(int64_t{3})}).ok());
+}
+
+TEST(TableBuilderTest, RejectedRowLeavesColumnsAligned) {
+  Schema schema({Field{"a", DataType::kInt64, false},
+                 Field{"b", DataType::kString, true},
+                 Field{"c", DataType::kFloat64, true},
+                 Field{"d", DataType::kInt64, true}});
+  TableBuilder builder("t", schema, 10);
+  ASSERT_TRUE(builder
+                  .AppendRow({Value(int64_t{1}), Value("x"), Value(1.5),
+                              Value(int64_t{10})})
+                  .ok());
+  // Columns 0-2 are valid; column 3 carries a string.
+  Status bad = builder.AppendRow(
+      {Value(int64_t{2}), Value("y"), Value(2.5), Value("not an int")});
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(builder
+                  .AppendRow({Value(int64_t{3}), Value::Null(), Value(3.5),
+                              Value(int64_t{30})})
+                  .ok());
+  auto table = builder.Finish();
+  ASSERT_EQ(table->num_partitions(), 1u);
+  const MicroPartition& part = table->partition_metadata(0);
+  EXPECT_EQ(part.row_count(), 2);
+  for (const ColumnVector& col : part.columns()) {
+    EXPECT_EQ(col.size(), 2u);
+  }
+  // The row after the rejected one landed at index 1 in every column.
+  EXPECT_EQ(part.column(0).Int64At(1), 3);
+  EXPECT_TRUE(part.column(1).IsNull(1));
+  EXPECT_EQ(part.column(2).Float64At(1), 3.5);
+  EXPECT_EQ(part.column(3).Int64At(1), 30);
+  EXPECT_EQ(table->stats(0, 0).max.int64_value(), 3);
 }
 
 TEST(TableBuilderTest, RejectsNullInNonNullableColumn) {
