@@ -7,14 +7,17 @@
 /// `--json[=PATH]` emits the measurements machine-readably so the perf
 /// trajectory is tracked across PRs (BENCH_*.json); `--smoke` shrinks every
 /// size for CI.
+#include <chrono>
 #include <memory>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/clock.h"
 #include "common/trace.h"
 #include "exec/engine.h"
 #include "exec/parallel/pipeline.h"
 #include "expr/builder.h"
+#include "expr/evaluator.h"
 #include "workload/query_gen.h"
 #include "workload/simulator.h"
 
@@ -23,6 +26,16 @@ using namespace snowprune::bench;    // NOLINT
 using namespace snowprune::workload; // NOLINT
 
 namespace {
+
+/// The filters of the scan_filter and arith_filter classes (topk and sort
+/// reuse the first).
+ExprPtr ScanFilterPredicate() {
+  return Between(Col("key"), Value(int64_t{100000}), Value(int64_t{900000}));
+}
+ExprPtr ArithFilterPredicate() {
+  return Gt(Add(Mul(Col("key"), Lit(int64_t{3})), Col("ts")),
+            Lit(int64_t{2000000}));
+}
 
 /// One measured query class: a fixed representative plan, timed serially
 /// (best-of-N), normalized by the rows the execution layer actually chewed
@@ -40,13 +53,9 @@ struct ClassPoint {
 };
 
 ClassPoint RunClass(Catalog* catalog, const char* cls, const PlanPtr& plan,
-                    int reps, size_t trace_sample, bool specialize) {
+                    int reps, size_t trace_sample) {
   EngineConfig config;
   config.exec.num_threads = 1;  // single-thread ns/row: the kernel cost
-  // Eager compilation (or the tier fully off): the sweep measures the
-  // specialized steady state, not the promotion ramp.
-  config.exec.specialize = specialize;
-  config.exec.specialize_after = 0;
   Engine engine(catalog, config);
   ClassPoint point;
   point.cls = cls;
@@ -80,14 +89,12 @@ ClassPoint RunClass(Catalog* catalog, const char* cls, const PlanPtr& plan,
 /// pure execution cost). Join/top-k/sort are the classes the fully columnar
 /// pipeline (PR 4) targets; scan+agg is the PR 2 reference point.
 std::vector<ClassPoint> ClassLatencySweep(Catalog* catalog, int reps,
-                                          size_t trace_sample,
-                                          bool specialize) {
+                                          size_t trace_sample) {
   std::vector<ClassPoint> points;
-  auto filter = Between(Col("key"), Value(int64_t{100000}),
-                        Value(int64_t{900000}));
+  auto filter = ScanFilterPredicate();
   points.push_back(RunClass(catalog, "scan_filter",
                             ScanPlan("probe_random", filter), reps,
-                            trace_sample, specialize));
+                            trace_sample));
   points.push_back(RunClass(
       catalog, "scan_agg",
       AggregatePlan(ScanPlan("probe_random"), {"cat"},
@@ -95,28 +102,87 @@ std::vector<ClassPoint> ClassLatencySweep(Catalog* catalog, int reps,
                      AggPlanSpec{AggFunc::kSum, "key", "key_sum"},
                      AggPlanSpec{AggFunc::kMin, "ts", "ts_min"},
                      AggPlanSpec{AggFunc::kMax, "key", "key_max"}}),
-      reps, trace_sample, specialize));
-  points.push_back(RunClass(
-      catalog, "arith_filter",
-      ScanPlan("probe_random",
-               Gt(Add(Mul(Col("key"), Lit(int64_t{3})), Col("ts")),
-                  Lit(int64_t{2000000}))),
-      reps, trace_sample, specialize));
+      reps, trace_sample));
+  points.push_back(RunClass(catalog, "arith_filter",
+                            ScanPlan("probe_random", ArithFilterPredicate()),
+                            reps, trace_sample));
   points.push_back(RunClass(
       catalog, "join",
       JoinPlan(ScanPlan("probe_random"), ScanPlan("build_small"), "key",
                "key"),
-      reps, trace_sample, specialize));
+      reps, trace_sample));
   points.push_back(RunClass(
       catalog, "topk",
       TopKPlan(ScanPlan("probe_random", filter), "key", /*descending=*/true,
                100),
-      reps, trace_sample, specialize));
+      reps, trace_sample));
   points.push_back(RunClass(catalog, "sort",
                             SortPlan(ScanPlan("probe_random", filter), "key",
                                      /*descending=*/false),
-                            reps, trace_sample, specialize));
+                            reps, trace_sample));
   return points;
+}
+
+/// One filter predicate evaluated over every probe_random partition by the
+/// vectorized interpreter (ComputeSelection) and by the scalar oracle
+/// (EvalPredicateMask), passes alternating in one process, best of `reps`
+/// each. tools/check_eval_gain.py gates the ratio.
+struct EvalPoint {
+  const char* cls;
+  int64_t rows = 0;
+  double vectorized_ns_per_row = 0.0;
+  double scalar_ns_per_row = 0.0;
+};
+
+EvalPoint CompareEvaluators(const Table& table, const char* cls,
+                            const ExprPtr& pred, int reps) {
+  if (!BindExpr(pred, table.schema()).ok()) std::abort();
+  EvalPoint point;
+  point.cls = cls;
+  EvalScratch scratch;
+  std::vector<uint32_t> selection;
+  double best_vectorized_ms = 0.0;
+  double best_scalar_ms = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    int64_t rows = 0;
+    int64_t selected = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (size_t pid = 0; pid < table.num_partitions(); ++pid) {
+      const MicroPartition& part =
+          table.partition_metadata(static_cast<PartitionId>(pid));
+      ComputeSelection(*pred, part, &selection, &scratch);
+      selected += static_cast<int64_t>(selection.size());
+      rows += static_cast<int64_t>(part.row_count());
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    int64_t matched = 0;
+    for (size_t pid = 0; pid < table.num_partitions(); ++pid) {
+      for (uint8_t m : EvalPredicateMask(
+               *pred, table.partition_metadata(static_cast<PartitionId>(pid)))) {
+        matched += m;
+      }
+    }
+    const double vectorized_ms = MsBetween(t0, t1);
+    const double scalar_ms = MsSince(t1);
+    if (selected != matched) {
+      std::printf("evaluators disagree on %s: %lld vs %lld rows\n", cls,
+                  static_cast<long long>(selected),
+                  static_cast<long long>(matched));
+      std::abort();
+    }
+    if (rep == 0 || vectorized_ms < best_vectorized_ms) {
+      best_vectorized_ms = vectorized_ms;
+    }
+    if (rep == 0 || scalar_ms < best_scalar_ms) best_scalar_ms = scalar_ms;
+    point.rows = rows;
+  }
+  if (point.rows > 0) {
+    point.vectorized_ns_per_row =
+        best_vectorized_ms * 1e6 / static_cast<double>(point.rows);
+    point.scalar_ns_per_row =
+        best_scalar_ms * 1e6 / static_cast<double>(point.rows);
+  }
+  return point;
 }
 
 /// One point of the pipeline-parallel operator sweep: a join/top-k/sort
@@ -235,39 +301,33 @@ int main(int argc, char** argv) {
   // smoke size, and the CI trace-overhead gate compares two smoke runs, so
   // single-shot timings would be all scheduler noise.
   const int reps = 5;
-  // --specialize: "both" (default) measures the sweep interpreted AND
-  // eagerly specialized, so one run carries the comparison the CI
-  // specialization gate checks; "on"/"off" measure a single variant.
-  const bool sweep_interpreted = opts.specialize != "on";
-  const bool sweep_specialized = opts.specialize != "off";
-  std::vector<ClassPoint> classes;
-  std::vector<ClassPoint> classes_specialized;
-  if (sweep_interpreted) {
-    std::printf("\n%-14s %12s %12s %14s   (serial, best of %d, "
-                "specialize=off)\n",
-                "class", "wall ms", "ns/row", "scanned rows", reps);
-    classes = ClassLatencySweep(catalog.get(), reps, opts.trace_sample,
-                                /*specialize=*/false);
-    for (const ClassPoint& p : classes) {
-      std::printf("%-14s %12.2f %12.1f %14lld\n", p.cls, p.wall_ms,
-                  p.NsPerRow(), static_cast<long long>(p.scanned_rows));
-    }
+  std::printf("\n%-14s %12s %12s %14s   (serial, best of %d)\n", "class",
+              "wall ms", "ns/row", "scanned rows", reps);
+  const std::vector<ClassPoint> classes =
+      ClassLatencySweep(catalog.get(), reps, opts.trace_sample);
+  for (const ClassPoint& p : classes) {
+    std::printf("%-14s %12.2f %12.1f %14lld\n", p.cls, p.wall_ms,
+                p.NsPerRow(), static_cast<long long>(p.scanned_rows));
   }
-  if (sweep_specialized) {
-    std::printf("\n%-14s %12s %12s %14s   (serial, best of %d, "
-                "specialize=on, eager)\n",
-                "class", "wall ms", "ns/row", "scanned rows", reps);
-    classes_specialized = ClassLatencySweep(catalog.get(), reps,
-                                            opts.trace_sample,
-                                            /*specialize=*/true);
-    for (const ClassPoint& p : classes_specialized) {
-      std::printf("%-14s %12.2f %12.1f %14lld\n", p.cls, p.wall_ms,
-                  p.NsPerRow(), static_cast<long long>(p.scanned_rows));
-    }
+
+  // --- Vectorized interpreter vs scalar oracle ----------------------------
+  // The filter classes' predicates straight through both evaluators, on
+  // the same partitions, without the engine around them.
+  const int eval_reps = 31;
+  std::printf("\n%-14s %12s %12s %8s   (probe_random, best of %d)\n",
+              "class", "vector ns", "scalar ns", "ratio", eval_reps);
+  const auto probe = catalog->GetTable("probe_random");
+  const EvalPoint evaluators[] = {
+      CompareEvaluators(*probe, "scan_filter", ScanFilterPredicate(),
+                        eval_reps),
+      CompareEvaluators(*probe, "arith_filter", ArithFilterPredicate(),
+                        eval_reps),
+  };
+  for (const EvalPoint& p : evaluators) {
+    std::printf("%-14s %12.2f %12.2f %8.3f\n", p.cls, p.vectorized_ns_per_row,
+                p.scalar_ns_per_row,
+                p.vectorized_ns_per_row / p.scalar_ns_per_row);
   }
-  // Single-variant runs report their rows as "classes" (the trajectory and
-  // trace-overhead tooling read that key regardless of mode).
-  if (!sweep_interpreted) classes = std::move(classes_specialized);
 
   // --- Pipeline-parallel operator sweep -----------------------------------
   // Join build / top-k filter / sort runs as worker-side pipeline stages;
@@ -358,25 +418,27 @@ int main(int argc, char** argv) {
     json.Key("topk_mean").Number(r.topk_ratios.Mean());
     json.Key("join_mean").Number(r.join_ratios.Mean());
     json.EndObject();
-    json.Key("specialize_mode").String(opts.specialize);
-    auto emit_classes = [&json](const char* key,
-                                const std::vector<ClassPoint>& points) {
-      json.Key(key).BeginArray();
-      for (const ClassPoint& p : points) {
-        json.BeginObject();
-        json.Key("class").String(p.cls);
-        json.Key("wall_ms").Number(p.wall_ms);
-        json.Key("ns_per_row").Number(p.NsPerRow());
-        json.Key("scanned_rows").Int(p.scanned_rows);
-        json.Key("result_rows").Int(p.result_rows);
-        json.EndObject();
-      }
-      json.EndArray();
-    };
-    emit_classes("classes", classes);
-    if (sweep_interpreted && sweep_specialized) {
-      emit_classes("classes_specialized", classes_specialized);
+    json.Key("classes").BeginArray();
+    for (const ClassPoint& p : classes) {
+      json.BeginObject();
+      json.Key("class").String(p.cls);
+      json.Key("wall_ms").Number(p.wall_ms);
+      json.Key("ns_per_row").Number(p.NsPerRow());
+      json.Key("scanned_rows").Int(p.scanned_rows);
+      json.Key("result_rows").Int(p.result_rows);
+      json.EndObject();
     }
+    json.EndArray();
+    json.Key("evaluators").BeginArray();
+    for (const EvalPoint& p : evaluators) {
+      json.BeginObject();
+      json.Key("class").String(p.cls);
+      json.Key("rows").Int(p.rows);
+      json.Key("vectorized_ns_per_row").Number(p.vectorized_ns_per_row);
+      json.Key("scalar_ns_per_row").Number(p.scalar_ns_per_row);
+      json.EndObject();
+    }
+    json.EndArray();
     json.Key("parallel_classes").BeginArray();
     for (const ParallelClassPoint& p : parallel_classes) {
       json.BeginObject();

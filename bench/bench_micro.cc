@@ -9,8 +9,6 @@
 #include "exec/engine.h"
 #include "expr/builder.h"
 #include "expr/evaluator.h"
-#include "expr/jit/compiler.h"
-#include "expr/jit/executor.h"
 #include "expr/like.h"
 #include "expr/range_analysis.h"
 #include "workload/table_gen.h"
@@ -211,31 +209,22 @@ void BM_ArithCompare(benchmark::State& state) {
 }
 BENCHMARK(BM_ArithCompare)->Arg(0)->Arg(1);
 
-/// The specialization tier (PR 10) on the arith_filter shape. Arg 0 = the
-/// fused bytecode program (kSelectCmp root: compare straight into the
-/// selection vector), Arg 1 = the vectorized interpreter it replaces
-/// (identical to BM_ArithCompare/0), Arg 2 = a hand-written raw loop over
-/// the key column — the ceiling a specialized kernel could reach. The gap
-/// 0↔1 is what fusion buys; the gap 0↔2 is the remaining dispatch cost.
+/// The arith_filter shape against its ceiling. Arg 0 = the vectorized
+/// interpreter (identical to BM_ArithCompare/0), Arg 1 = a hand-written raw
+/// loop over the key column. The gap is the interpreter's dispatch and
+/// lane-materialization cost on this shape.
 void BM_FusedPredicate(benchmark::State& state) {
   auto table = BenchTable();
   auto pred = Gt(Add(Mul(Col("key"), Lit(int64_t{3})), Col("key")),
                  Lit(int64_t{500000}));
   (void)BindExpr(pred, table->schema());
   const MicroPartition& part = table->partition_metadata(42);
-  jit::CompileResult compiled = jit::CompilePredicate(pred, table->schema());
-  if (compiled.program == nullptr) {
-    state.SkipWithError("arith_filter shape did not compile");
-    return;
-  }
   std::vector<uint32_t> selection;
   EvalScratch scratch;
   const uint32_t n = static_cast<uint32_t>(part.row_count());
   const int64_t* key = part.column(1).int64_data().data();
   for (auto _ : state) {
     if (state.range(0) == 0) {
-      jit::ExecuteSelection(*compiled.program, part, &selection, &scratch);
-    } else if (state.range(0) == 1) {
       ComputeSelection(*pred, part, &selection, &scratch);
     } else {
       selection.clear();
@@ -247,37 +236,7 @@ void BM_FusedPredicate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * part.row_count());
 }
-BENCHMARK(BM_FusedPredicate)->Arg(0)->Arg(1)->Arg(2);
-
-/// A fused projection kernel (value program): arithmetic over two columns
-/// materialized into typed lanes. Arg 0 = the bytecode program, Arg 1 = the
-/// per-row scalar evaluation a boxed projection performs on this shape.
-void BM_FusedArithProject(benchmark::State& state) {
-  auto table = BenchTable();
-  auto expr = Add(Mul(Col("key"), Lit(int64_t{3})), Col("ts"));
-  (void)BindExpr(expr, table->schema());
-  const MicroPartition& part = table->partition_metadata(42);
-  jit::CompileResult compiled =
-      jit::CompileValueProgram(expr, table->schema());
-  if (compiled.program == nullptr) {
-    state.SkipWithError("projection shape did not compile");
-    return;
-  }
-  NumericLanes lanes;
-  EvalScratch scratch;
-  for (auto _ : state) {
-    if (state.range(0) == 0) {
-      jit::ExecuteValue(*compiled.program, part, &lanes, &scratch);
-      benchmark::DoNotOptimize(lanes);
-    } else {
-      for (size_t r = 0; r < part.row_count(); ++r) {
-        benchmark::DoNotOptimize(EvalScalar(*expr, part, r));
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * part.row_count());
-}
-BENCHMARK(BM_FusedArithProject)->Arg(0)->Arg(1);
+BENCHMARK(BM_FusedPredicate)->Arg(0)->Arg(1);
 
 /// Vectorized IF as a value (the §3 guiding-example shape) — previously the
 /// scalar fallback, now condition-split typed lanes.

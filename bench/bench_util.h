@@ -30,13 +30,6 @@ struct BenchOptions {
   /// (1 = all, 0 = tracing off). The overhead-regression CI step compares a
   /// --trace-sample=1 run against a plain run of the same bench.
   size_t trace_sample = 0;
-  /// --specialize=on|off|both: the expression-specialization tier for the
-  /// per-class latency sweep. "both" (default) runs the sweep twice —
-  /// interpreted into "classes", eagerly specialized into
-  /// "classes_specialized" — so one JSON carries the comparison the
-  /// specialization CI gate checks. "on"/"off" run one sweep into
-  /// "classes".
-  std::string specialize = "both";
 };
 
 inline BenchOptions ParseOptions(int argc, char** argv) {
@@ -52,19 +45,11 @@ inline BenchOptions ParseOptions(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
       opts.trace_sample = static_cast<size_t>(std::strtoul(argv[i] + 15,
                                                            nullptr, 10));
-    } else if (std::strncmp(argv[i], "--specialize=", 13) == 0) {
-      opts.specialize = argv[i] + 13;
-      if (opts.specialize != "on" && opts.specialize != "off" &&
-          opts.specialize != "both") {
-        std::fprintf(stderr, "bad --specialize=%s (expected on|off|both)\n",
-                     opts.specialize.c_str());
-        opts.specialize = "both";
-      }
     } else {
       std::fprintf(
           stderr,
           "unknown option %s (expected --smoke, --json[=PATH], "
-          "--trace-sample=N, --specialize=on|off|both)\n",
+          "--trace-sample=N)\n",
           argv[i]);
     }
   }

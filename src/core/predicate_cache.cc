@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/metrics.h"
-#include "expr/jit/bytecode.h"
 
 namespace snowprune {
 
@@ -44,10 +43,6 @@ void NoteLookup(const std::optional<std::vector<PartitionId>>& result,
 
 }  // namespace
 
-void PredicateCache::NoteInvalidated(const Entry& entry) {
-  if (entry.program != nullptr) jit::Counters().invalidations->Add();
-}
-
 void PredicateCache::Insert(const std::string& fingerprint, const Table& table,
                             Population population) {
   std::vector<PartitionId>& partitions = population.partitions;
@@ -80,8 +75,8 @@ void PredicateCache::Insert(const std::string& fingerprint, const Table& table,
     auto it = entries_.find(fingerprint);
     if (it != entries_.end() && it->second.table_name == table.name() &&
         it->second.table_instance == table.instance_id()) {
-      // Refresh: the scan set and its stamp change; the hit count and any
-      // compiled program belong to the query shape and survive.
+      // Refresh: the scan set and its stamp change; the columns the
+      // entry is invalidated by belong to the query shape and stay.
       it->second.partitions = std::move(partitions);
       it->second.sufficient_rows = population.sufficient_rows;
       it->second.coverage = population.coverage;
@@ -96,8 +91,7 @@ void PredicateCache::Insert(const std::string& fingerprint, const Table& table,
       entry.coverage = population.coverage;
       if (it != entries_.end()) {
         // Another table instance's entry under this fingerprint: replaced
-        // wholesale, its program included.
-        NoteInvalidated(it->second);
+        // wholesale.
         it->second = std::move(entry);
       } else {
         entries_.emplace(fingerprint, std::move(entry));
@@ -232,7 +226,6 @@ void PredicateCache::OnInsert(const Table& table) {
 
 PredicateCache::EntryMap::iterator PredicateCache::EraseLocked(
     EntryMap::iterator it) {
-  NoteInvalidated(it->second);
   insertion_order_.remove(it->first);
   return entries_.erase(it);
 }
@@ -300,63 +293,9 @@ void PredicateCache::OnDelete(const Table& table, PartitionId deleted_pid) {
 
 void PredicateCache::EvictIfNeeded() {
   while (entries_.size() > capacity_ && !insertion_order_.empty()) {
-    auto it = entries_.find(insertion_order_.front());
-    if (it != entries_.end()) {
-      NoteInvalidated(it->second);
-      entries_.erase(it);
-    }
+    entries_.erase(insertion_order_.front());
     insertion_order_.pop_front();
   }
-}
-
-int64_t PredicateCache::NoteHit(const std::string& fingerprint) {
-  MutexLock lock(&mutex_);
-  auto it = entries_.find(fingerprint);
-  if (it == entries_.end()) return 0;
-  return ++it->second.hits;
-}
-
-std::shared_ptr<const jit::CompiledPredicate> PredicateCache::GetProgram(
-    const std::string& fingerprint, const Table& table) {
-  MutexLock lock(&mutex_);
-  auto it = entries_.find(fingerprint);
-  if (it == entries_.end()) return nullptr;
-  Entry& entry = it->second;
-  if (entry.program != nullptr &&
-      entry.program->table_instance != table.instance_id()) {
-    // Stale program: DML swapped the table version under this name.
-    NoteInvalidated(entry);
-    entry.program = nullptr;
-    entry.compile_declined = false;
-  }
-  return entry.program;
-}
-
-std::shared_ptr<const jit::CompiledPredicate>
-PredicateCache::GetOrCompileProgram(
-    const std::string& fingerprint, const Table& table,
-    const std::function<std::shared_ptr<const jit::CompiledPredicate>()>&
-        compile) {
-  MutexLock lock(&mutex_);
-  auto it = entries_.find(fingerprint);
-  if (it == entries_.end()) return nullptr;
-  Entry& entry = it->second;
-  if (entry.program != nullptr) {
-    if (entry.program->table_instance == table.instance_id()) {
-      return entry.program;
-    }
-    NoteInvalidated(entry);
-    entry.program = nullptr;
-    entry.compile_declined = false;
-  }
-  if (entry.compile_declined) return nullptr;
-  // Compiling under mutex_ makes exactly-once trivial: concurrent promoters
-  // of the same entry block for the microseconds one compilation takes,
-  // then read the published program — no duplicated work, no extra
-  // synchronization protocol.
-  entry.program = compile();
-  if (entry.program == nullptr) entry.compile_declined = true;
-  return entry.program;
 }
 
 }  // namespace snowprune

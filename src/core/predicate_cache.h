@@ -17,10 +17,6 @@
 
 namespace snowprune {
 
-namespace jit {
-struct CompiledPredicate;
-}  // namespace jit
-
 /// Predicate caching (§8.2; Schmidt et al., "Predicate Caching", SIGMOD
 /// 2024): a repeated query reads only the micro-partitions that produced its
 /// rows last time. Three entry kinds share one map, keyed by a plan node's
@@ -54,10 +50,9 @@ struct CompiledPredicate;
 /// live scan entry; a scan-entry write always replaces a k-sufficient one.
 ///
 /// Refresh, not reset. Insert on a live entry of the same table instance
-/// replaces only its partitions, row sum and coverage stamp; the hit count
-/// and the compiled program (specialization tier) survive, so promotion
-/// fires. A k-sufficient hit that stops early again refreshes its entry the
-/// same way.
+/// replaces only its partitions, row sum and coverage stamp; the columns it
+/// is invalidated by and its eviction slot stay. A k-sufficient hit that
+/// stops early again refreshes its entry the same way.
 ///
 /// Coverage and DML. Each entry is stamped with what the writing query saw
 /// at compile time: the table's partition count and Table::dml_version().
@@ -275,32 +270,6 @@ class PredicateCache {
     return Counters{entries_.size(), hits_, misses_, coalesced_waits_};
   }
 
-  // ---- Expression specialization tier (src/expr/jit/) --------------------
-
-  /// Bumps and returns the entry's hit count — the promotion signal: once it
-  /// crosses ExecConfig::specialize_after, the engine compiles the entry's
-  /// predicate. Returns 0 when the fingerprint has no live entry.
-  int64_t NoteHit(const std::string& fingerprint) SNOW_EXCLUDES(mutex_);
-
-  /// The entry's compiled program, validated against the table instance the
-  /// program was compiled for. A stale program (DML replaced the table) is
-  /// dropped and counted as a jit.invalidation.
-  std::shared_ptr<const jit::CompiledPredicate> GetProgram(
-      const std::string& fingerprint, const Table& table)
-      SNOW_EXCLUDES(mutex_);
-
-  /// Returns the entry's program, compiling it exactly once under
-  /// concurrency: the compile callback runs while the cache mutex is held
-  /// (compilation is microseconds — cheaper than a second condition-variable
-  /// protocol), so N streams crossing the promotion threshold together
-  /// produce one compilation and share the result. Returns nullptr when the
-  /// entry is gone or the callback declines (uncompilable shape; recorded so
-  /// the entry is not re-tried on every hit).
-  std::shared_ptr<const jit::CompiledPredicate> GetOrCompileProgram(
-      const std::string& fingerprint, const Table& table,
-      const std::function<std::shared_ptr<const jit::CompiledPredicate>()>&
-          compile) SNOW_EXCLUDES(mutex_);
-
  private:
   struct Entry {
     std::string table_name;
@@ -313,20 +282,8 @@ class PredicateCache {
     std::vector<PartitionId> partitions;
     int64_t sufficient_rows = kAllRows;
     Coverage coverage;
-    /// Specialization state: hits since the entry was created (refreshes
-    /// keep it), and the compiled bytecode program once the entry was
-    /// promoted (shared across streams/shards).
-    int64_t hits = 0;
-    std::shared_ptr<const jit::CompiledPredicate> program;
-    /// A promotion that failed to compile (unsupported shape); stops every
-    /// later hit from re-running the compiler.
-    bool compile_declined = false;
   };
   using EntryMap = std::map<std::string, Entry>;
-
-  /// Counts a dropped compiled program (jit.invalidations); called on every
-  /// entry-erase path.
-  static void NoteInvalidated(const Entry& entry);
 
   void EvictIfNeeded() SNOW_REQUIRES(mutex_);
   /// Drops an entry (DML invalidation); returns the next iterator.

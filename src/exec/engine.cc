@@ -14,7 +14,6 @@
 #include "exec/parallel/thread_pool.h"
 #include "exec/scan_op.h"
 #include "exec/topk_op.h"
-#include "expr/jit/compiler.h"
 
 namespace snowprune {
 
@@ -67,35 +66,6 @@ void CollectTables(const Catalog& catalog, const PlanPtr& plan,
   CollectTables(catalog, plan->child, out);
   CollectTables(catalog, plan->left, out);
   CollectTables(catalog, plan->right, out);
-}
-
-/// Specialization-tier entry point shared by every compile site (eager scan
-/// attach, gathered scans included, and cache-hit promotion): compile the
-/// bound predicate to bytecode, stamp the table version it may run against,
-/// and record the decision as a "compile.specialize" span under the query's
-/// compile span (bytecode length, per-term fallback count, and the reject
-/// reason as a jit::RejectReason code — 0 means compiled).
-std::shared_ptr<const jit::CompiledPredicate> CompileSpecialized(
-    const ExprPtr& predicate, const Schema& schema, uint64_t table_instance,
-    Trace* trace, uint32_t parent_span) {
-  const uint32_t span = trace != nullptr
-                            ? trace->BeginSpan("compile.specialize", parent_span)
-                            : 0;
-  jit::CompileResult compiled = jit::CompilePredicate(predicate, schema);
-  if (compiled.program != nullptr) {
-    compiled.program->table_instance = table_instance;
-  }
-  if (trace != nullptr) {
-    trace->AnnotateInt(span, "bytecode_len",
-                       compiled.program != nullptr
-                           ? static_cast<int64_t>(compiled.program->code.size())
-                           : 0);
-    trace->AnnotateInt(span, "fallback_terms", compiled.fallback_terms);
-    trace->AnnotateInt(span, "reject_reason",
-                       static_cast<int64_t>(compiled.reason));
-    trace->EndSpan(span);
-  }
-  return std::move(compiled.program);
 }
 
 }  // namespace
@@ -185,8 +155,7 @@ struct Engine::CompileContext {
   /// engine hands them the trace pointer once the execute span exists.
   QueryProfile* profile = nullptr;
   std::vector<Operator*> profiled_ops;
-  /// The open "compile" span id (traced queries; 0 untraced) —
-  /// "compile.specialize" spans nest under it.
+  /// The open "compile" span id (traced queries; 0 untraced).
   uint32_t compile_span = 0;
   bool track_source = false;
   /// True once this compile owns a predicate-cache population ticket.
@@ -385,16 +354,6 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
 #endif
           auto op = std::make_unique<TableScanOp>(table, it->second,
                                                   plan->predicate, nullptr);
-          if (config_.exec.specialize && ctx->opts->compiled_filters != nullptr) {
-            // The coordinator compiled once and shares the program with
-            // every shard sub-query; a sub-query never compiles locally.
-            auto cf = ctx->opts->compiled_filters->find(plan->table);
-            if (cf != ctx->opts->compiled_filters->end() &&
-                cf->second != nullptr &&
-                cf->second->table_instance == table->instance_id()) {
-              op->set_compiled_filter(cf->second);
-            }
-          }
           if (ctx->profile != nullptr) {
             // Rows/batches/time only: pruning already happened (and was
             // metered) on the coordinator, so this node claims none of it.
@@ -516,44 +475,6 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         if (ctx->track_source) op->set_track_source(true);
         scan = op.get();
         source = std::move(op);
-      }
-      if (config_.exec.specialize && plan->predicate) {
-        if (config_.exec.specialize_after == 0) {
-          // Eager mode: specialize every compiled filter at query-compile
-          // time, no promotion threshold. A gathered scan's program is
-          // shared with every shard sub-query, which attach it only when
-          // their snapshot holds the table version it is stamped with.
-          source->set_compiled_filter(CompileSpecialized(
-              plan->predicate, table->schema(), table->instance_id(),
-              ctx->opts->trace, ctx->compile_span));
-        } else if (probe.partitions.has_value()) {
-          // Promotion lifecycle, riding every hit of either entry kind: each
-          // repeat bumps the entry's hit count; past the threshold its
-          // predicate is compiled exactly once (under the cache mutex —
-          // concurrent promoters share the one program) and attached to
-          // this scan. Below the threshold an already-promoted entry still
-          // serves its program, so one stream's promotion accelerates all.
-          PredicateCache* cache = config_.predicate_cache;
-          const int64_t entry_hits = cache->NoteHit(probe.fingerprint);
-          std::shared_ptr<const jit::CompiledPredicate> program;
-          if (entry_hits >= config_.exec.specialize_after) {
-            const ExprPtr& predicate = plan->predicate;
-            Trace* query_trace = ctx->opts->trace;
-            const uint32_t parent_span = ctx->compile_span;
-            program = cache->GetOrCompileProgram(
-                probe.fingerprint, *table,
-                [&predicate, &table, query_trace, parent_span]() {
-                  return CompileSpecialized(predicate, table->schema(),
-                                            table->instance_id(), query_trace,
-                                            parent_span);
-                });
-          } else if (entry_hits > 0) {
-            program = cache->GetProgram(probe.fingerprint, *table);
-          }
-          if (program != nullptr) {
-            source->set_compiled_filter(std::move(program));
-          }
-        }
       }
       // A runtime top-k pruner (attached under every TopK that traced its
       // order column here, so under every top-k entry lookup too) skips

@@ -82,14 +82,11 @@ struct ExecConfig {
   /// provably stays below 2^53, where double accumulation is exact and
   /// therefore merge-order-independent).
   bool parallel_preagg = true;
-  /// Expression specialization tier (src/expr/jit/): compile hot predicates
-  /// into fused bytecode kernels. Off disables every compile/attach site —
-  /// scans run the vectorized interpreter unconditionally.
+  /// Inert: the bytecode expression tier it switched is gone and every scan
+  /// runs the vectorized interpreter. Kept only because the repo benchmark's
+  /// reference config (perfbench/src/check.cc) still assigns it; delete it
+  /// together with that assignment.
   bool specialize = true;
-  /// Predicate-cache hits before a cached query shape is promoted to a
-  /// compiled program. 0 = eager: every compiled query's scan filter is
-  /// specialized at compile time (benches, fuzz oracle, sharded scatter).
-  int specialize_after = 8;
 };
 
 /// Engine-wide configuration: which pruning techniques run and how they are
@@ -202,13 +199,6 @@ struct ExecuteOptions {
   /// kDeadlineExceeded. Checked at entry, per root batch, and per partition
   /// on workers.
   int64_t deadline_ns = 0;
-  /// Pre-compiled specialization programs, keyed by table name (set by the
-  /// shard coordinator so every shard sub-query shares one compilation).
-  /// Only consulted on the scan-set-override path — the same path that
-  /// shares the pre-bound predicate tree.
-  const std::map<std::string,
-                 std::shared_ptr<const jit::CompiledPredicate>>*
-      compiled_filters = nullptr;
 };
 
 /// Compiles and executes plans against a catalog, applying the paper's four

@@ -9,7 +9,6 @@
 #include "exec/parallel/pipeline.h"
 #include "exec/profile.h"
 #include "expr/evaluator.h"
-#include "expr/jit/executor.h"
 
 namespace snowprune {
 
@@ -63,8 +62,6 @@ void TableScanOp::Open() {
   item_cursor_ = 0;
   visited_ = 0;
   qualifying_ = QualifyingRecord();
-  specialized_batches_.store(0, std::memory_order_relaxed);
-  interpreted_batches_.store(0, std::memory_order_relaxed);
   error_ = Status::OK();
   current_morsel_ = MorselResult();
   scheduler_.reset();
@@ -165,19 +162,7 @@ bool TableScanOp::ScanPartition(PartitionId pid, ColumnBatch* out,
   }
   if (filter_) {
     std::vector<uint32_t> selection;
-    // Specialization tier: the fused bytecode kernel filters the batch when
-    // a program is attached and validates against it; otherwise (or on
-    // column drift) the vectorized interpreter runs. Byte-identical
-    // selections either way — the fuzz oracle asserts it.
-    if (compiled_filter_ != nullptr &&
-        jit::ExecuteSelection(*compiled_filter_, part, &selection, scratch)) {
-      specialized_batches_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      if (compiled_filter_ != nullptr) {
-        interpreted_batches_.fetch_add(1, std::memory_order_relaxed);
-      }
-      ComputeSelection(*filter_, part, &selection, scratch);
-    }
+    ComputeSelection(*filter_, part, &selection, scratch);
     *out = ColumnBatch::Selected(part, pid, std::move(selection));
   } else {
     *out = ColumnBatch::AllOf(part, pid);
@@ -362,17 +347,6 @@ bool TableScanOp::NextPayload(MorselPayload* out) {
 }
 
 void TableScanOp::Close() {
-  if (profile_ != nullptr && compiled_filter_ != nullptr) {
-    // EXPLAIN ANALYZE attribution: which execution tier filtered the
-    // batches. Appended at Close so parallel workers are done counting.
-    profile_->detail +=
-        " [specialized " +
-        std::to_string(specialized_batches_.load(std::memory_order_relaxed)) +
-        "/" +
-        std::to_string(specialized_batches_.load(std::memory_order_relaxed) +
-                       interpreted_batches_.load(std::memory_order_relaxed)) +
-        " batches]";
-  }
   scheduler_.reset();
   current_morsel_ = MorselResult();
   item_cursor_ = 0;

@@ -23,16 +23,11 @@
 
 namespace snowprune {
 
-namespace jit {
-struct CompiledPredicate;
-}  // namespace jit
-
 /// What plan compilation needs of a scan-set leaf, whether it loads its
 /// partitions (TableScanOp) or replays a scatter's answers for them
 /// (GatherSourceOp): the scan set, which LIMIT pruning and top-k
 /// preparation replace; the top-k pruner consulted before each partition;
-/// the specialized filter program; the query's stats and their profile
-/// mirror.
+/// the query's stats and their profile mirror.
 class ScanSource : public Operator {
  public:
   ScanSource(std::shared_ptr<Table> table, ScanSet scan_set,
@@ -53,20 +48,6 @@ class ScanSource : public Operator {
   const ScanSet& scan_set() const { return scan_set_; }
   const std::shared_ptr<Table>& table() const { return table_; }
 
-  /// Engine hook (specialization tier): a bytecode program compiled from
-  /// this scan's filter. Each batch tries the fused executor first and falls
-  /// back to the vectorized interpreter when the program cannot run against
-  /// it (column drift) — selections are byte-identical either way. Shared:
-  /// the same program may be attached to many scans across streams/shards;
-  /// a GatherSourceOp filters nothing itself and ships it to its shards.
-  void set_compiled_filter(
-      std::shared_ptr<const jit::CompiledPredicate> program) {
-    compiled_filter_ = std::move(program);
-  }
-  const std::shared_ptr<const jit::CompiledPredicate>& compiled_filter() const {
-    return compiled_filter_;
-  }
-
   /// Profiling hook (traced queries only): a second PruningStats that
   /// receives exactly the runtime deltas this scan contributes to the
   /// query's stats_, attributed to this scan's profile node. Kept separate
@@ -78,7 +59,6 @@ class ScanSource : public Operator {
  protected:
   std::shared_ptr<Table> table_;
   ScanSet scan_set_;
-  std::shared_ptr<const jit::CompiledPredicate> compiled_filter_;
   PruningStats* stats_;
   PruningStats* profile_stats_ = nullptr;
   TopKPruner* topk_pruner_ = nullptr;
@@ -177,15 +157,6 @@ class TableScanOp : public ScanSource {
   /// provenance — it is the batch's partition id).
   void set_track_source(bool track) { track_source_ = track; }
 
-  /// EXPLAIN ANALYZE attribution: batches filtered by the compiled program
-  /// vs. ones that fell back to the interpreter (this execution).
-  int64_t specialized_batches() const {
-    return specialized_batches_.load(std::memory_order_relaxed);
-  }
-  int64_t interpreted_batches() const {
-    return interpreted_batches_.load(std::memory_order_relaxed);
-  }
-
   /// Engine hook: execute this scan partition-parallel on `pool`. Must be
   /// called before Open(). `window` bounds how many morsels may be buffered
   /// or in flight ahead of the consumer; `morsel_min_rows` is the row
@@ -281,10 +252,6 @@ class TableScanOp : public ScanSource {
   void Account(PartitionId pid, const PruningStats& delta, int64_t kept_rows);
 
   ExprPtr filter_;
-  /// Batches run by compiled_filter_ vs. the interpreter; atomics because
-  /// parallel workers filter batches concurrently.
-  std::atomic<int64_t> specialized_batches_{0};
-  std::atomic<int64_t> interpreted_batches_{0};
   FilterPruner* runtime_filter_pruner_
       SNOW_PT_GUARDED_BY(runtime_prune_mutex_) = nullptr;
   bool track_source_ = false;

@@ -120,15 +120,38 @@ inline void ForEachRow(const RowSpan& rows, Fn&& fn) {
   }
 }
 
-// Scratch-pool accessors (AcquireMask/AcquireRows/AcquireLanes and their
-// Releases) live in evaluator.h, shared with the bytecode executor.
+/// LIFO accessors over the EvalScratch pools. Acquire sizes the buffer for
+/// `n` rows and bumps the depth; Release must mirror in strict LIFO order.
+/// The deques keep references stable while nested acquisitions extend the
+/// pools.
+std::vector<uint8_t>& AcquireMask(EvalScratch* s, size_t n) {
+  if (s->term_depth == s->term_buffers.size()) s->term_buffers.emplace_back();
+  std::vector<uint8_t>& buf = s->term_buffers[s->term_depth++];
+  buf.resize(n);
+  return buf;
+}
+void ReleaseMask(EvalScratch* s) { --s->term_depth; }
+
+std::vector<uint32_t>& AcquireRows(EvalScratch* s) {
+  if (s->row_depth == s->row_buffers.size()) s->row_buffers.emplace_back();
+  return s->row_buffers[s->row_depth++];
+}
+void ReleaseRows(EvalScratch* s) { --s->row_depth; }
+
+NumericLanes& AcquireLanes(EvalScratch* s, size_t n) {
+  if (s->lane_depth == s->lane_buffers.size()) s->lane_buffers.emplace_back();
+  NumericLanes& lanes = s->lane_buffers[s->lane_depth++];
+  lanes.Resize(n);
+  return lanes;
+}
+void ReleaseLanes(EvalScratch* s) { --s->lane_depth; }
 
 void EvalMask(const Expr& expr, const MicroPartition& part,
               const RowSpan& rows, std::vector<uint8_t>* out,
               EvalScratch* scratch);
 
 /// Per-row scalar fallback for the rare shapes the vectorized evaluator does
-/// not specialize (string/bool-valued subexpressions in value position,
+/// not cover (string/bool-valued subexpressions in value position,
 /// unbound columns). Boxes only the values this subtree touches, and only
 /// for the rows still alive; the batch's data flow stays unboxed.
 void FallbackMask(const Expr& expr, const MicroPartition& part,

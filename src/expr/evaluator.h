@@ -83,33 +83,6 @@ struct EvalScratch {
   size_t lane_depth = 0;
 };
 
-/// LIFO accessors over the EvalScratch pools, shared by the vectorized
-/// interpreter and the bytecode executor (src/expr/jit/). Acquire sizes the
-/// buffer for `n` rows and bumps the depth; Release must mirror in strict
-/// LIFO order. The deques keep references stable while nested acquisitions
-/// extend the pools.
-inline std::vector<uint8_t>& AcquireMask(EvalScratch* s, size_t n) {
-  if (s->term_depth == s->term_buffers.size()) s->term_buffers.emplace_back();
-  std::vector<uint8_t>& buf = s->term_buffers[s->term_depth++];
-  buf.resize(n);
-  return buf;
-}
-inline void ReleaseMask(EvalScratch* s) { --s->term_depth; }
-
-inline std::vector<uint32_t>& AcquireRows(EvalScratch* s) {
-  if (s->row_depth == s->row_buffers.size()) s->row_buffers.emplace_back();
-  return s->row_buffers[s->row_depth++];
-}
-inline void ReleaseRows(EvalScratch* s) { --s->row_depth; }
-
-inline NumericLanes& AcquireLanes(EvalScratch* s, size_t n) {
-  if (s->lane_depth == s->lane_buffers.size()) s->lane_buffers.emplace_back();
-  NumericLanes& lanes = s->lane_buffers[s->lane_depth++];
-  lanes.Resize(n);
-  return lanes;
-}
-inline void ReleaseLanes(EvalScratch* s) { --s->lane_depth; }
-
 /// Vectorized predicate evaluation (the ColumnBatch hot path): fills `out`
 /// with one PredicateOutcome per partition row. Semantics are identical to
 /// EvalPredicate row-by-row; comparisons against literals, column-column

@@ -167,16 +167,8 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
   // over exactly the shard's slice, against the shared snapshot, with the
   // caller's cancel flag fanned out to every sub-query. The predicate was
   // bound by the compile; the scan-set override makes the shard engines
-  // skip re-binding, so concurrent sub-queries share the tree read-only,
-  // and likewise the one program the compile specialized it to (eager
-  // mode; the promotion path does not apply — sharded scatters bypass the
-  // predicate cache entirely).
+  // skip re-binding, so concurrent sub-queries share the tree read-only.
   PlanPtr sub_plan = ScanPlan(scan_node_->table, scan_node_->predicate);
-  std::map<std::string, std::shared_ptr<const jit::CompiledPredicate>>
-      compiled_filters;
-  if (gather->compiled_filter() != nullptr) {
-    compiled_filters[scan_node_->table] = gather->compiled_filter();
-  }
 
   std::vector<Result<QueryResult>> shard_results;
   shard_results.reserve(contacted.size());
@@ -217,7 +209,6 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
     opts.scan_sets = &overrides;
     opts.collect_batch_rows = true;
     opts.deadline_ns = opts_.deadline_ns;
-    if (!compiled_filters.empty()) opts.compiled_filters = &compiled_filters;
     if (!shard_traces.empty()) opts.trace = shard_traces[i].get();
     // Transient-failure retry loop. Each attempt executes against the same
     // snapshot and scan-set slice, so a successful retry is byte-identical

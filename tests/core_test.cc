@@ -13,8 +13,6 @@
 #include "core/pruning_tree.h"
 #include "core/topk_pruner.h"
 #include "expr/builder.h"
-#include "expr/jit/bytecode.h"
-#include "expr/jit/compiler.h"
 #include "storage/table.h"
 #include "test_util.h"
 
@@ -759,25 +757,27 @@ TEST(PredicateCacheTest, UpdateToOrderColumnInvalidates) {
   EXPECT_FALSE(cache.Lookup("topk", *table).has_value());
 }
 
-TEST(PredicateCacheTest, RefreshKeepsHitCountAndProgram) {
+TEST(PredicateCacheTest, RefreshReplacesOnlyTheScanSet) {
   auto table = IntTable("t", "x", {{1}, {2}, {3}});
-  ExprPtr pred = Gt(Col("x"), Lit(int64_t{1}));
-  ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
-  PredicateCache cache;
-  cache.Insert("q", *table, "x", {0, 1});
-  for (int i = 0; i < 3; ++i) cache.NoteHit("q");
-  auto program = cache.GetOrCompileProgram("q", *table, [&]() {
-    jit::CompileResult compiled = jit::CompilePredicate(pred, table->schema());
-    compiled.program->table_instance = table->instance_id();
-    return std::shared_ptr<const jit::CompiledPredicate>(
-        std::move(compiled.program));
-  });
-  ASSERT_NE(program, nullptr);
-  // A repeat run re-publishes the entry: only its scan set changes.
-  cache.Insert("q", *table, "x", {1, 2});
-  EXPECT_EQ(cache.NoteHit("q"), 4);
-  EXPECT_EQ(cache.GetProgram("q", *table), program);
+  PredicateCache cache(/*capacity=*/2);
+  cache.Insert("q", *table,
+               PredicateCache::Population{PredicateCache::Coverage::Of(*table),
+                                          "", {"x"}, {0, 1}});
+  cache.Insert("other", *table, "x", {0});
+  // A repeat run re-publishes the entry: only its scan set changes. The
+  // predicate columns it is invalidated by and its eviction slot stay.
+  cache.Insert("q", *table,
+               PredicateCache::Population{PredicateCache::Coverage::Of(*table),
+                                          "", {}, {1, 2}});
   EXPECT_EQ(cache.Lookup("q", *table), (std::vector<PartitionId>{1, 2}));
+  cache.OnUpdate(*table, "x");
+  EXPECT_FALSE(cache.Lookup("q", *table).has_value());
+  cache.Insert("q", *table, "", {1});
+  cache.Insert("q2", *table, "", {2});
+  cache.Insert("q", *table, "", {0});  // refresh: "q" stays the oldest
+  cache.Insert("q3", *table, "", {0});
+  EXPECT_FALSE(cache.Lookup("q", *table).has_value());
+  EXPECT_TRUE(cache.Lookup("q2", *table).has_value());
 }
 
 TEST(PredicateCacheTest, UnnotifiedReplaceOrDeleteMisses) {
@@ -918,14 +918,12 @@ TEST(PredicateCacheTest, KSufficientWriteNeverDowngradesAScanEntry) {
   EXPECT_FALSE(cache.Lookup("scan", *table).has_value());
 }
 
-TEST(PredicateCacheTest, KSufficientEntryRefreshKeepsHitCount) {
+TEST(PredicateCacheTest, KSufficientEntryRefresh) {
   auto table = IntTable("t", "x", {{1}, {2}, {3}, {4}});
   PredicateCache cache;
   cache.Insert("scan", *table, Sufficient(*table, {3, 1}, 2));
-  for (int i = 0; i < 3; ++i) cache.NoteHit("scan");
   // A hit that stopped early again publishes what it delivered this time.
   cache.Insert("scan", *table, Sufficient(*table, {1}, 1));
-  EXPECT_EQ(cache.NoteHit("scan"), 4);
   EXPECT_EQ(cache.Lookup("scan", *table, 1), (std::vector<PartitionId>{1}));
   EXPECT_FALSE(cache.Lookup("scan", *table, 2).has_value());
 }

@@ -11,7 +11,6 @@
 #include "exec/scan_op.h"
 #include "expr/builder.h"
 #include "expr/evaluator.h"
-#include "expr/jit/bytecode.h"
 #include "test_util.h"
 #include "workload/table_gen.h"
 
@@ -820,21 +819,6 @@ TEST_F(ExecTest, EarlyStoppedScanPublishesOnlyAKSufficientEntry) {
     EXPECT_TRUE(
         Run(ScanPlan("corr", CorrelatedPredicate())).predicate_cache_hit);
   }
-}
-
-TEST_F(ExecTest, ScanEntryHitsPromoteTheFilter) {
-  ASSERT_TRUE(catalog_.RegisterTable(CorrelatedTable()).ok());
-  PredicateCache cache;
-  config_.predicate_cache = &cache;
-  config_.exec.num_threads = 1;
-  config_.exec.specialize_after = 2;
-  auto plan = ScanPlan("corr", CorrelatedPredicate());
-  const int64_t compiles_before = jit::Counters().compiles->Value();
-  const int64_t hits_before = jit::Counters().hits->Value();
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(Run(plan).rows.size(), 2u);
-  // Populate, hit 1, hit 2 (promotes), hit 3 (reuses the program).
-  EXPECT_EQ(jit::Counters().compiles->Value() - compiles_before, 1);
-  EXPECT_GT(jit::Counters().hits->Value(), hits_before);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -28,8 +29,6 @@
 #include "expr/evaluator.h"
 #include "expr/range_analysis.h"
 #include "expr/builder.h"
-#include "expr/jit/compiler.h"
-#include "expr/jit/executor.h"
 #include "test_util.h"
 #include "workload/production_model.h"
 #include "workload/query_gen.h"
@@ -415,21 +414,6 @@ class FuzzEngine {
     return RunFull(plan, pruning, threads).rows;
   }
 
-  /// Default config except for the expression-specialization tier, forced
-  /// fully eager (compile every filter at plan time) or fully off.
-  QueryResult RunSpecialized(const PlanPtr& plan, int threads,
-                             bool specialize) {
-    EngineConfig config;
-    config.exec.num_threads = threads;
-    config.exec.specialize = specialize;
-    config.exec.specialize_after = 0;
-    Engine engine(&catalog_, config);
-    ExecuteOptions opts;
-    auto result = engine.Execute(plan, opts);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return std::move(result).value();
-  }
-
  private:
   Catalog catalog_;
 };
@@ -552,30 +536,113 @@ TEST(FuzzPruneTest, EngineAgreesWithUnprunedExecution) {
   }
 }
 
+/// Asserts that the vectorized selection of every partition of `table`
+/// equals the scalar oracle's mask (EvalPredicateMask, row by row through
+/// EvalScalar), and that the scratch pools unwound. A null `scratch` takes
+/// the allocating ComputeSelection overload.
+void ExpectSelectionMatchesScalar(const Table& table, const ExprPtr& pred,
+                                  EvalScratch* scratch,
+                                  const std::string& ctx) {
+  for (size_t pid = 0; pid < table.num_partitions(); ++pid) {
+    const MicroPartition& part =
+        table.partition_metadata(static_cast<PartitionId>(pid));
+    std::vector<uint8_t> oracle = EvalPredicateMask(*pred, part);
+    std::vector<uint32_t> selection;
+    if (scratch != nullptr) {
+      ComputeSelection(*pred, part, &selection, scratch);
+      ASSERT_EQ(scratch->term_depth, 0u) << ctx;
+      ASSERT_EQ(scratch->lane_depth, 0u) << ctx;
+      ASSERT_EQ(scratch->row_depth, 0u) << ctx;
+    } else {
+      ComputeSelection(*pred, part, &selection);
+    }
+    std::vector<uint32_t> expected;
+    for (uint32_t r = 0; r < oracle.size(); ++r) {
+      if (oracle[r]) expected.push_back(r);
+    }
+    ASSERT_EQ(selection, expected) << ctx << " partition " << pid
+                                   << " predicate " << pred->ToString();
+  }
+}
+
+/// Hand-picked numeric edges beside the random streams: int64 overflow
+/// boundaries on + - x, zero divisors, NULLs in both numeric lanes, NaN,
+/// infinities and -0.0, and strings for the per-term fallbacks.
+/// Schema: a(int64) b(int64, nullable) x(float64, nullable) s(string,
+/// nullable); 64 rows cut into partitions of 9.
+std::shared_ptr<Table> NumericEdgeTable() {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<int64_t> as = {0, 1, -1, 7, kMax, kMin, kMax - 1, 100};
+  const std::vector<Value> bs = {Value(int64_t{0}), Value::Null(),
+                                 Value(int64_t{3}), Value(kMax),
+                                 Value(int64_t{-5}), Value(int64_t{2}),
+                                 Value::Null(), Value(kMin + 1)};
+  const std::vector<Value> xs = {Value(kNan), Value(0.5), Value::Null(),
+                                 Value(kInf), Value(-kInf), Value(-0.0),
+                                 Value(1e18), Value(3.25)};
+  std::vector<std::vector<Value>> rows;
+  for (size_t i = 0; i < 64; ++i) {
+    rows.push_back({Value(as[i % as.size()]), bs[(i / 3) % bs.size()],
+                    xs[(i / 5) % xs.size()],
+                    i % 4 == 0 ? Value::Null()
+                               : Value("row" + std::to_string(i % 6))});
+  }
+  return testing_util::MakeTable(
+      "edges",
+      Schema({Field{"a", DataType::kInt64, false},
+              Field{"b", DataType::kInt64, true},
+              Field{"x", DataType::kFloat64, true},
+              Field{"s", DataType::kString, true}}),
+      rows, 9);
+}
+
+/// Checks each edge predicate over NumericEdgeTable against the scalar
+/// oracle.
+void ExpectEdgesMatchScalar(std::vector<ExprPtr> predicates) {
+  auto table = NumericEdgeTable();
+  EvalScratch scratch;
+  for (size_t i = 0; i < predicates.size(); ++i) {
+    ASSERT_TRUE(BindExpr(predicates[i], table->schema()).ok());
+    ASSERT_NO_FATAL_FAILURE(ExpectSelectionMatchesScalar(
+        *table, predicates[i], &scratch, "edge " + std::to_string(i)));
+  }
+}
+
 /// The vectorized selection path (ColumnBatch hot path) must agree with the
 /// brute-force scalar mask on every random table × predicate — including
-/// the shapes that take the per-row fallback (arithmetic, IF).
+/// the shapes that take the per-row fallback (arithmetic, IF) — and on the
+/// compare/connective/IN edges: NaN orderings, NULL-heavy AND/OR terms,
+/// mixed int/double IN-lists, and string terms beside numeric ones.
 TEST(FuzzPruneTest, VectorizedSelectionAgreesWithScalarOracle) {
   for (int iter = 0; iter < 150; ++iter) {
     Rng rng(73000 + iter);
     auto table = RandomTable(&rng, "v" + std::to_string(iter));
     ExprPtr pred = RandomPredicate(&rng, *table, 2);
     ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
-    for (size_t pid = 0; pid < table->num_partitions(); ++pid) {
-      const MicroPartition& part =
-          table->partition_metadata(static_cast<PartitionId>(pid));
-      std::vector<uint8_t> oracle = EvalPredicateMask(*pred, part);
-      std::vector<uint32_t> selection;
-      ComputeSelection(*pred, part, &selection);
-      std::vector<uint32_t> expected;
-      for (uint32_t r = 0; r < oracle.size(); ++r) {
-        if (oracle[r]) expected.push_back(r);
-      }
-      ASSERT_EQ(selection, expected)
-          << "iter " << iter << " partition " << pid << " predicate "
-          << pred->ToString();
-    }
+    ASSERT_NO_FATAL_FAILURE(ExpectSelectionMatchesScalar(
+        *table, pred, nullptr, "iter " + std::to_string(iter)));
   }
+  ExpectEdgesMatchScalar({
+      Le(Col("x"), Lit(0.5)),
+      Eq(Col("x"), Col("x")),
+      Ne(Col("x"), Lit(0.0)),
+      Gt(Col("a"), Col("x")),
+      And({Gt(Col("a"), Lit(int64_t{-10})), Le(Col("b"), Lit(int64_t{7})),
+           Ge(Col("x"), Lit(-1.0))}),
+      Or({IsNull(Col("b")), Gt(Col("a"), Col("b")), Lt(Col("x"), Lit(0.0))}),
+      NotTrue(Gt(Col("a"), Lit(int64_t{50}))),
+      Not(Or({Eq(Col("b"), Lit(int64_t{3})), IsNull(Col("x"))})),
+      And({IsNotNull(Col("x")), IsNull(Col("b"))}),
+      In(Col("a"), {Value(int64_t{7}), Value(2.0), Value(int64_t{0})}),
+      In(Col("a"), {Value(0.5), Value(-1.0), Value(100.0)}),
+      In(Col("x"), {Value(int64_t{0}), Value(0.5), Value(int64_t{3})}),
+      In(Col("b"), {Value(3.0), Value::Null(), Value(int64_t{-5})}),
+      And({Gt(Col("a"), Lit(int64_t{0})), StartsWith(Col("s"), "row")}),
+      Or({Like(Col("s"), "%5"), Le(Col("a"), Lit(int64_t{1}))}),
+  });
 }
 
 /// A random numeric *value* expression over the synthetic schema: nested
@@ -646,7 +713,9 @@ ExprPtr RandomArithIfPredicate(Rng* rng, const Table& table, int depth) {
 /// The typed arithmetic/IF lanes and selection-aware connectives must agree
 /// with the brute-force scalar evaluator on every row — including NULL
 /// propagation through arithmetic, divide-by-zero, int64 overflow fallback
-/// to double, and per-row IF branch selection.
+/// to double, and per-row IF branch selection. Beside the random stream,
+/// the edge table drives + - x across the int64 bounds, zero divisors,
+/// NULL lanes and IF over arithmetic exactly.
 TEST(FuzzPruneTest, VectorizedArithIfAgreesWithScalarOracle) {
   for (int iter = 0; iter < 150; ++iter) {
     Rng rng(101000 + iter);
@@ -654,168 +723,36 @@ TEST(FuzzPruneTest, VectorizedArithIfAgreesWithScalarOracle) {
     ExprPtr pred = RandomArithIfPredicate(&rng, *table, 3);
     ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
     EvalScratch scratch;  // reused across partitions, as the scan does
-    for (size_t pid = 0; pid < table->num_partitions(); ++pid) {
-      const MicroPartition& part =
-          table->partition_metadata(static_cast<PartitionId>(pid));
-      std::vector<uint8_t> oracle = EvalPredicateMask(*pred, part);
-      std::vector<uint32_t> selection;
-      ComputeSelection(*pred, part, &selection, &scratch);
-      std::vector<uint32_t> expected;
-      for (uint32_t r = 0; r < oracle.size(); ++r) {
-        if (oracle[r]) expected.push_back(r);
-      }
-      ASSERT_EQ(selection, expected)
-          << "iter " << iter << " partition " << pid << " predicate "
-          << pred->ToString();
-    }
+    ASSERT_NO_FATAL_FAILURE(ExpectSelectionMatchesScalar(
+        *table, pred, &scratch, "iter " + std::to_string(iter)));
   }
-}
-
-// --------------------------------------------------------------------------
-// Expression-specialization (bytecode) oracle
-// --------------------------------------------------------------------------
-
-/// Specialization compile oracle: every random predicate that compiles to
-/// bytecode must produce a selection byte-identical to the vectorized
-/// interpreter on every partition — over the same two random-predicate
-/// streams the interpreter oracles above use. The sweep must also hit all
-/// three compiler outcomes (fully native, per-term interpreter fallback,
-/// whole-shape rejection) non-vacuously, so the fallback rules are actually
-/// exercised, not just never triggered.
-TEST(FuzzPruneTest, SpecializedSelectionAgreesWithInterpreter) {
-  int64_t compiled = 0;
-  int64_t with_fallback_terms = 0;
-  int64_t rejected = 0;
-  auto check = [&](int iter, const Table& table, const ExprPtr& pred) {
-    jit::CompileResult result = jit::CompilePredicate(pred, table.schema());
-    if (result.program == nullptr) {
-      ASSERT_NE(result.reason, jit::RejectReason::kNone)
-          << "iter " << iter << ": rejection must carry a reason";
-      ++rejected;
-      return;
-    }
-    ++compiled;
-    if (!result.program->fallback_terms.empty()) ++with_fallback_terms;
-    EvalScratch scratch;  // shared with the interpreter, as the scan does
-    for (size_t pid = 0; pid < table.num_partitions(); ++pid) {
-      const MicroPartition& part =
-          table.partition_metadata(static_cast<PartitionId>(pid));
-      std::vector<uint32_t> specialized;
-      ASSERT_TRUE(jit::ExecuteSelection(*result.program, part, &specialized,
-                                        &scratch))
-          << "iter " << iter << " partition " << pid
-          << ": program refused the batch it was compiled for";
-      std::vector<uint32_t> interpreted;
-      ComputeSelection(*pred, part, &interpreted, &scratch);
-      ASSERT_EQ(specialized, interpreted)
-          << "iter " << iter << " partition " << pid << " predicate "
-          << pred->ToString();
-    }
-  };
-  for (int iter = 0; iter < 150; ++iter) {
-    Rng rng(73000 + iter);  // RandomPredicate stream of the oracle above
-    auto table = RandomTable(&rng, "js");
-    ExprPtr pred = RandomPredicate(&rng, *table, 2);
-    ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
-    check(iter, *table, pred);
-  }
-  for (int iter = 0; iter < 150; ++iter) {
-    Rng rng(101000 + iter);  // RandomArithIfPredicate stream
-    auto table = RandomTable(&rng, "ja");
-    ExprPtr pred = RandomArithIfPredicate(&rng, *table, 3);
-    ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
-    check(1000 + iter, *table, pred);
-  }
-  EXPECT_GT(compiled, 0);
-  EXPECT_GT(with_fallback_terms, 0);
-  EXPECT_GT(rejected, 0);
-}
-
-/// Engine-level specialization oracle: with the tier forced eager
-/// (specialize_after = 0), every plan shape must return rows AND
-/// deterministic PruningStats byte-identical to the interpreter-only
-/// engine at every thread count — specialization must be a pure
-/// performance tier, invisible to results and pruning decisions.
-TEST(FuzzPruneTest, SpecializedEngineIsByteIdentical) {
-  for (int iter = 0; iter < 40; ++iter) {
-    Rng rng(141000 + iter);
-    auto table = RandomTable(&rng, "je");
-    const std::string ctx = "iter " + std::to_string(iter);
-    FuzzEngine engine(table);
-    ExprPtr pred = RandomPredicate(&rng, *table, 2);
-    ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
-
-    const int64_t k = rng.UniformInt(1, 25);
-    std::vector<PlanPtr> plans;
-    plans.push_back(ScanPlan("je", pred));
-    plans.push_back(
-        TopKPlan(ScanPlan("je", pred), "key", rng.Bernoulli(0.5), k));
-    plans.push_back(
-        AggregatePlan(ScanPlan("je", pred), {"cat"},
-                      {AggPlanSpec{AggFunc::kCount, "", "n"},
-                       AggPlanSpec{AggFunc::kSum, "key", "key_sum"}}));
-
-    for (size_t p = 0; p < plans.size(); ++p) {
-      QueryResult interpreted = engine.RunSpecialized(plans[p], 1, false);
-      for (int threads : {1, 2, 4}) {
-        QueryResult specialized =
-            engine.RunSpecialized(plans[p], threads, true);
-        const std::string sctx = ctx + " plan " + std::to_string(p) +
-                                 " threads " + std::to_string(threads);
-        ASSERT_EQ(Serialize(interpreted.rows), Serialize(specialized.rows))
-            << sctx << ": specialization changed the rows";
-        ASSERT_EQ(
-            testing_util::DiffStats(interpreted.stats, specialized.stats), "")
-            << sctx << ": specialization changed PruningStats";
-      }
-    }
-  }
-}
-
-/// Sharded specialization oracle: the coordinator compiles each filter once
-/// and ships the program to every shard engine; at shards {1, 2}, with the
-/// tier on and off, rows and deterministic PruningStats must stay
-/// byte-identical to the serial interpreter-only run.
-TEST(FuzzPruneTest, ShardedSpecializationMatchesSerialOracle) {
-  for (int iter = 0; iter < 25; ++iter) {
-    Rng rng(151000 + iter);
-    auto table = RandomTable(&rng, "jh");
-    const std::string ctx = "iter " + std::to_string(iter);
-    FuzzEngine engine(table);
-    ExprPtr pred = RandomPredicate(&rng, *table, 2);
-    ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
-
-    const int64_t k = rng.UniformInt(1, 25);
-    std::vector<PlanPtr> plans;
-    plans.push_back(ScanPlan("jh", pred));
-    plans.push_back(
-        TopKPlan(ScanPlan("jh", pred), "key", rng.Bernoulli(0.5), k));
-
-    for (size_t p = 0; p < plans.size(); ++p) {
-      QueryResult serial = engine.RunSpecialized(plans[p], 1, false);
-      for (size_t shards : {1u, 2u}) {
-        for (bool specialize : {false, true}) {
-          shard::ShardExecConfig config;
-          config.num_shards = shards;
-          config.engine.exec.specialize = specialize;
-          config.engine.exec.specialize_after = 0;
-          shard::ShardCoordinator coordinator(engine.catalog(), config);
-          auto result = coordinator.Execute(plans[p]);
-          const std::string sctx = ctx + " plan " + std::to_string(p) +
-                                   " shards " + std::to_string(shards) +
-                                   " specialize " +
-                                   (specialize ? "on" : "off");
-          ASSERT_TRUE(result.ok())
-              << sctx << ": " << result.status().ToString();
-          ASSERT_EQ(Serialize(serial.rows), Serialize(result.value().rows))
-              << sctx << ": sharded specialization changed the rows";
-          ASSERT_EQ(
-              testing_util::DiffStats(serial.stats, result.value().stats), "")
-              << sctx << ": sharded specialization changed PruningStats";
-        }
-      }
-    }
-  }
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  ExpectEdgesMatchScalar({
+      // a*3+b overflows for the kMax/kMin rows and falls to double per row.
+      Gt(Add(Mul(Col("a"), Lit(int64_t{3})), Col("b")), Lit(int64_t{500000})),
+      Gt(Add(Col("a"), Lit(kMax)), Lit(int64_t{0})),
+      Lt(Sub(Col("a"), Lit(int64_t{5})), Lit(int64_t{0})),
+      Gt(Sub(Lit(kMin), Col("b")), Lit(int64_t{-1})),
+      Ge(Mul(Col("a"), Col("a")), Lit(int64_t{49})),
+      Lt(Mul(Col("b"), Lit(kMin)), Lit(0.0)),
+      // Zero divisors yield NULL, never a match or a crash.
+      Gt(Div(Col("a"), Col("b")), Lit(int64_t{2})),
+      Le(Div(Col("x"), Col("b")), Lit(1.0)),
+      IsNull(Div(Col("a"), Lit(int64_t{0}))),
+      // NULL lanes on both sides, and mixed int/double arithmetic.
+      Gt(Add(Col("b"), Col("x")), Lit(int64_t{0})),
+      Lt(Add(Col("a"), Col("x")), Lit(100.0)),
+      Eq(Sub(Col("x"), Col("x")), Lit(0.0)),
+      // IF over arithmetic, split on nullable conditions.
+      Gt(If(IsNull(Col("b")), Lit(int64_t{-1}), Col("b")), Lit(int64_t{1})),
+      Gt(If(Gt(Col("a"), Lit(int64_t{0})), Add(Col("a"), Col("x")),
+            Sub(Col("b"), Lit(int64_t{1}))),
+         Lit(int64_t{0})),
+      Le(If(Gt(Col("x"), Lit(0.0)), Mul(Col("a"), Lit(int64_t{2})),
+            Div(Col("b"), Col("a"))),
+         Lit(int64_t{10})),
+  });
 }
 
 /// Columnar-vs-boxed pipeline identity: a join / top-k / sort directly over

@@ -401,36 +401,37 @@ TEST(PredicateCacheConcurrencyTest, RefreshesRacingAppendsKeepNewPartitions) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-/// Hit counts are per query shape, not per population: concurrent
-/// NoteHit calls racing refreshes of the same entry see strictly
-/// increasing counts, and no hit is lost to a refresh.
-TEST(PredicateCacheConcurrencyTest, HitCountsStayMonotoneAcrossRefreshes) {
+/// Lookups racing refreshes of the same entry: every lookup hits and sees
+/// one whole population (a single partition), never a torn or missing
+/// entry, and every hit is counted.
+TEST(PredicateCacheConcurrencyTest, LookupsStayWholeAcrossRefreshes) {
   PredicateCache cache(/*capacity=*/16);
   auto table = CacheTable("t", 16);
   cache.Insert("fp", *table, "key", {0});
-  constexpr int kHitters = 4;
-  constexpr int kHits = 3000;
+  constexpr int kReaders = 4;
+  constexpr int kLookups = 3000;
   std::atomic<bool> done{false};
   std::thread refresher([&] {
     for (int i = 0; !done.load(); ++i) {
       cache.Insert("fp", *table, "key", {static_cast<PartitionId>(i % 16)});
     }
   });
-  std::vector<std::thread> hitters;
-  for (int h = 0; h < kHitters; ++h) {
-    hitters.emplace_back([&] {
-      int64_t last = 0;
-      for (int i = 0; i < kHits; ++i) {
-        const int64_t now = cache.NoteHit("fp");
-        ASSERT_GT(now, last);
-        last = now;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < kLookups; ++i) {
+        auto hit = cache.Lookup("fp", *table);
+        ASSERT_TRUE(hit.has_value());
+        ASSERT_EQ(hit->size(), 1u);
+        ASSERT_LT((*hit)[0], 16u);
       }
     });
   }
-  for (auto& th : hitters) th.join();
+  for (auto& th : readers) th.join();
   done.store(true);
   refresher.join();
-  EXPECT_EQ(cache.NoteHit("fp"), int64_t{kHitters} * kHits + 1);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), int64_t{kReaders} * kLookups);
 }
 
 /// LIMIT runs write k-sufficient entries and full scans write scan entries,

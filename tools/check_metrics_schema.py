@@ -38,10 +38,6 @@ REQUIRED_COUNTERS = [
     "shard.retries",
     "shard.retry_exhausted",
     "failpoint.trips",
-    "jit.compiles",
-    "jit.hits",
-    "jit.fallbacks",
-    "jit.invalidations",
 ]
 REQUIRED_GAUGES = [
     "pool.queue_depth",

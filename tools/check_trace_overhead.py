@@ -11,7 +11,8 @@ free when tracing is off and cheap when on (per-operator wrappers time one
 Next call per *batch*, not per row), so a large gap here means a hot-path
 regression. A single --smoke pair runs for well under a second, so one pair
 mostly measures the host's noise; pairs taken alternately share the host's
-state, and the median over several of them is what the gate compares.
+state, and the median over several of them (CI takes nine) is what the
+gate compares.
 
 Usage: check_trace_overhead.py PLAIN.json TRACED.json
            [PLAIN2.json TRACED2.json ...] [--threshold=0.05]
