@@ -23,7 +23,7 @@ enum class StatusCode {
 };
 
 /// True for transient failures worth retrying against an unchanged snapshot
-/// (shard sub-query faults, momentary resource exhaustion). Deterministic
+/// (shard slice-scan faults, momentary resource exhaustion). Deterministic
 /// errors — bad plans, internal invariant breaks, cancellation, expired
 /// deadlines — are terminal: retrying cannot change the outcome.
 inline bool IsRetryable(StatusCode code) {

@@ -30,7 +30,7 @@ namespace snowprune {
 ///    process-wide PipelineCounters.
 ///
 /// Timestamps are absolute steady-clock nanoseconds (one clock per
-/// process), so spans recorded by shard sub-engines or pool workers align
+/// process), so spans recorded by shard slice scans or pool workers align
 /// with the parent trace without translation; renderers subtract the
 /// trace's earliest start.
 
@@ -86,7 +86,7 @@ class Trace {
   /// Splices a worker's buffer under `parent_id`, re-basing the buffer's
   /// local ids. Consumer thread only; the buffer is consumed.
   void MergeBuffer(SpanBuffer* buffer, uint32_t parent_id);
-  /// Splices a completed child trace (e.g. one shard sub-query) under
+  /// Splices a completed child trace (e.g. one shard's slice scan) under
   /// `parent_id`. Timestamps need no adjustment — same process clock. The
   /// child's stage/barrier counters are folded in too.
   void MergeChildTrace(Trace* child, uint32_t parent_id);

@@ -334,38 +334,6 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
     case PlanNode::Kind::kScan: {
       auto table = FindTable(ctx->tables, plan->table);
       if (!table) return Status::NotFound("no table named " + plan->table);
-      if (ctx->opts->scan_sets != nullptr) {
-        auto it = ctx->opts->scan_sets->find(plan->table);
-        if (it != ctx->opts->scan_sets->end()) {
-          // Sharded sub-query: execute exactly the coordinator's slice. All
-          // compile-time pruning already ran globally on the coordinator,
-          // which also pre-bound the predicate against this snapshot's
-          // schema — re-binding here would race with the other shards'
-          // sub-queries sharing the same predicate tree. No stats: the
-          // coordinator meters the gathered stream itself.
-#if SNOW_DCHECK_IS_ON
-          // Scatter-edge contract: an override scan set must be a subset of
-          // this snapshot's partitions. The coordinator pruned against the
-          // same Table objects this sub-query binds to, so any out-of-range
-          // id means the shard map and snapshot went out of sync.
-          for (PartitionId pid : it->second) {
-            SNOW_DCHECK_LT(static_cast<size_t>(pid), table->num_partitions());
-          }
-#endif
-          auto op = std::make_unique<TableScanOp>(table, it->second,
-                                                  plan->predicate, nullptr);
-          if (ctx->profile != nullptr) {
-            // Rows/batches/time only: pruning already happened (and was
-            // metered) on the coordinator, so this node claims none of it.
-            op->set_profile(ctx->profile->NewNode("Scan", plan->table));
-            ctx->profiled_ops.push_back(op.get());
-          }
-          ctx->scans[plan.get()] = CompileContext::ScanInfo{
-              op.get(), op.get(), table, FilterPruneResult{},
-              PredicateCache::Coverage::Of(*table)};
-          return OperatorPtr(std::move(op));
-        }
-      }
       if (plan->predicate) {
         Status s = BindExpr(plan->predicate, table->schema());
         if (!s.ok()) return s;
@@ -941,7 +909,7 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
 
   // Snapshot every referenced table once: DML (ReplaceTable/DropTable) that
   // lands after this point does not affect this query. An injected snapshot
-  // (shard sub-queries) extends the same guarantee across a whole scatter.
+  // (the shard coordinator's) extends the same guarantee to its shard map.
   if (opts.tables != nullptr) {
     ctx.tables = *opts.tables;
   } else {
@@ -968,10 +936,6 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
     return compiled.status();
   }
   OperatorPtr root = std::move(compiled).value();
-  if (leaf != nullptr) {
-    Status scattered = leaf->Scatter(ctx.gather, query_span.id());
-    if (!scattered.ok()) return scattered;
-  }
 
   // Partition-parallel execution (§2's "highly parallel execution layer"):
   // fan every scan's post-pruning scan set out across the worker pool. An
@@ -979,14 +943,15 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
   // overrides num_threads; otherwise the engine lazily owns a private pool.
   // A one-worker fleet leaves the scans untouched — the serial path runs
   // bit-for-bit as before, with no pool or scheduler involved.
-  ThreadPool* pool = config_.exec.pool;
   const size_t num_threads =
-      pool != nullptr ? pool->num_threads()
+      config_.exec.pool != nullptr ? config_.exec.pool->num_threads()
       : config_.exec.num_threads > 0
           ? static_cast<size_t>(config_.exec.num_threads)
           : ThreadPool::DefaultConcurrency();
-  // A sharded query's scans ran on the shards; its gather needs no pool.
-  if (leaf == nullptr && (num_threads > 1 || config_.exec.force_parallel)) {
+  ThreadPool* pool = nullptr;
+  size_t window = 0;
+  if (num_threads > 1 || config_.exec.force_parallel) {
+    pool = config_.exec.pool;
     if (pool == nullptr) {
       if (!pool_ || pool_->num_threads() != num_threads) {
         pool_ = std::make_unique<ThreadPool>(num_threads);
@@ -996,9 +961,15 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
     // The default window budgets against the executing pool's real width —
     // for a shared pool that is the service-wide worker fleet, not the
     // per-query thread knob.
-    const size_t window = config_.exec.morsel_window > 0
-                              ? config_.exec.morsel_window
-                              : pool->num_threads() * 4;
+    window = config_.exec.morsel_window > 0 ? config_.exec.morsel_window
+                                            : pool->num_threads() * 4;
+  }
+  if (leaf != nullptr) {
+    // A sharded query's slices are scanned on the same pool; its gather
+    // replays their answers on this thread.
+    Status scattered = leaf->Scatter(ctx.gather, pool, window, query_span.id());
+    if (!scattered.ok()) return scattered;
+  } else if (pool != nullptr) {
     for (auto& [node, info] : ctx.scans) {
       info.scan->EnableParallel(pool, window, config_.exec.morsel_min_rows);
     }
@@ -1060,7 +1031,6 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
   while (root->Next(&batch)) {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) break;
     if (DeadlinePassed(opts.deadline_ns)) break;
-    if (opts.collect_batch_rows) result.batch_rows.push_back(batch.rows.size());
     for (auto& row : batch.rows) result.rows.push_back(std::move(row));
   }
   root->Close();
@@ -1104,24 +1074,21 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
     profile->barrier_tasks = opts.trace->barrier_tasks();
     result.profile = profile;
 #if SNOW_DCHECK_IS_ON
-    if (opts.scan_sets == nullptr) {
-      // Per-node attribution must reconcile exactly: the profile's summed
-      // pruning counters are the query's PruningStats, redistributed over
-      // the source nodes. (Scan-set overrides skip compile-time metering —
-      // the coordinator's gather accounts the whole sharded query.)
-      const PruningStats sum = profile->SumPruning();
-      SNOW_DCHECK_EQ(sum.total_partitions, result.stats.total_partitions);
-      SNOW_DCHECK_EQ(sum.pruned_by_filter, result.stats.pruned_by_filter);
-      SNOW_DCHECK_EQ(sum.pruned_by_limit, result.stats.pruned_by_limit);
-      SNOW_DCHECK_EQ(sum.pruned_by_join, result.stats.pruned_by_join);
-      SNOW_DCHECK_EQ(sum.pruned_by_topk, result.stats.pruned_by_topk);
-      SNOW_DCHECK_EQ(sum.pruned_by_cache, result.stats.pruned_by_cache);
-      SNOW_DCHECK_EQ(sum.scanned_partitions, result.stats.scanned_partitions);
-      SNOW_DCHECK_EQ(sum.scanned_rows, result.stats.scanned_rows);
-      SNOW_DCHECK_EQ(sum.speculative_loads, result.stats.speculative_loads);
-      SNOW_DCHECK_EQ(sum.shards_total, result.stats.shards_total);
-      SNOW_DCHECK_EQ(sum.shards_pruned, result.stats.shards_pruned);
-    }
+    // Per-node attribution must reconcile exactly: the profile's summed
+    // pruning counters are the query's PruningStats, redistributed over the
+    // source nodes.
+    const PruningStats sum = profile->SumPruning();
+    SNOW_DCHECK_EQ(sum.total_partitions, result.stats.total_partitions);
+    SNOW_DCHECK_EQ(sum.pruned_by_filter, result.stats.pruned_by_filter);
+    SNOW_DCHECK_EQ(sum.pruned_by_limit, result.stats.pruned_by_limit);
+    SNOW_DCHECK_EQ(sum.pruned_by_join, result.stats.pruned_by_join);
+    SNOW_DCHECK_EQ(sum.pruned_by_topk, result.stats.pruned_by_topk);
+    SNOW_DCHECK_EQ(sum.pruned_by_cache, result.stats.pruned_by_cache);
+    SNOW_DCHECK_EQ(sum.scanned_partitions, result.stats.scanned_partitions);
+    SNOW_DCHECK_EQ(sum.scanned_rows, result.stats.scanned_rows);
+    SNOW_DCHECK_EQ(sum.speculative_loads, result.stats.speculative_loads);
+    SNOW_DCHECK_EQ(sum.shards_total, result.stats.shards_total);
+    SNOW_DCHECK_EQ(sum.shards_pruned, result.stats.shards_pruned);
 #endif
   }
   return result;

@@ -149,17 +149,11 @@ struct QueryResult {
   /// offset + k qualifying rows, not necessarily an uncached run's.
   bool predicate_cache_limit_hit = false;
   int64_t scan_set_bytes = 0;  ///< Serialized scan-set size shipped to compute.
-  /// Row count of each batch the root operator emitted, in delivery order
-  /// (only recorded under ExecuteOptions::collect_batch_rows). For a bare
-  /// scan with a scan-set override this aligns 1:1 with the override's
-  /// partition ids — the sharded gather uses it to find each partition's
-  /// rows without any row-level provenance.
-  std::vector<size_t> batch_rows;
   /// EXPLAIN ANALYZE-style per-operator report. Built only for traced
   /// executions (ExecuteOptions::trace set); null otherwise. Shared so the
   /// service can keep it on the query handle after the result moves on.
   std::shared_ptr<QueryProfile> profile;
-  /// Shard sub-queries this query re-ran after transient faults (sharded
+  /// Shard slice scans this query re-ran after transient faults (sharded
   /// execution only; 0 elsewhere). A non-zero count with an OK status means
   /// the retry layer absorbed the faults — the rows above are byte-identical
   /// to a fault-free run.
@@ -173,20 +167,10 @@ struct ExecuteOptions {
   const std::atomic<bool>* cancel = nullptr;
   /// Pre-resolved table snapshot. When set, the engine skips its own catalog
   /// snapshot and compiles against exactly these table versions — the shard
-  /// coordinator passes one snapshot to every shard sub-query so DML
-  /// (Catalog::ReplaceTable) stays snapshot-atomic across the whole scatter.
+  /// coordinator builds its shard map from the same version it compiles and
+  /// scatters against, so DML (Catalog::ReplaceTable) stays snapshot-atomic
+  /// across the whole scatter.
   const std::map<std::string, std::shared_ptr<Table>>* tables = nullptr;
-  /// Per-table scan-set override. A scan of a listed table executes exactly
-  /// the given partitions, in the given order: compile-time pruning, runtime
-  /// pruner attachment, pending top-k preparation, predicate binding and
-  /// stats metering are all skipped for it — the caller (the coordinator)
-  /// already ran every compile-time pass globally and pre-bound the
-  /// predicate against the snapshot's schema. Skipping the re-bind is what
-  /// lets concurrent shard sub-queries share one predicate tree without
-  /// racing on its binding state.
-  const std::map<std::string, ScanSet>* scan_sets = nullptr;
-  /// Record QueryResult::batch_rows.
-  bool collect_batch_rows = false;
   /// Per-query trace (caller-owned, one query at a time). When set, the
   /// engine records compile/execute spans, operators meter themselves into
   /// a QueryProfile attached to the result, and pool workers record morsel
@@ -221,8 +205,8 @@ class Engine {
   Result<QueryResult> Execute(const PlanPtr& plan,
                               const std::atomic<bool>* cancel = nullptr);
 
-  /// Extended entry point: snapshot injection, scan-set overrides, and
-  /// per-batch row accounting (see ExecuteOptions).
+  /// Extended entry point: snapshot injection, tracing and a deadline (see
+  /// ExecuteOptions).
   Result<QueryResult> Execute(const PlanPtr& plan, const ExecuteOptions& opts);
 
   const EngineConfig& config() const { return config_; }
@@ -239,9 +223,12 @@ class Engine {
     /// Cross-shard pruning: `full` minus the partitions of every shard
     /// whose merged zone maps exclude the (bound) predicate.
     virtual ScanSet Probe(const ExprPtr& predicate, const ScanSet& full) = 0;
-    /// Sends the gather's final scan set to the shards and installs their
-    /// answers on it. `query_span` parents the scatter's spans.
-    virtual Status Scatter(GatherSourceOp* gather, uint32_t query_span) = 0;
+    /// Scans the gather's final scan set shard by shard and installs the
+    /// answers on it. The slice scans run on `pool` with morsel window
+    /// `window` — the query's resolved pool, null when the engine runs
+    /// serial. `query_span` parents the scatter's spans.
+    virtual Status Scatter(GatherSourceOp* gather, ThreadPool* pool,
+                           size_t window, uint32_t query_span) = 0;
   };
 
  private:

@@ -1,7 +1,6 @@
 #include "exec/scan_op.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -362,7 +361,7 @@ void GatherSourceOp::MeterShards(int64_t total, int64_t pruned) {
 
 void GatherSourceOp::Open() {
   cursor_ = 0;
-  cursors_.assign(answers_.size(), Cursor{});
+  heads_.assign(answers_.size(), 0);
 }
 
 bool GatherSourceOp::Next(Batch* out) {
@@ -377,24 +376,18 @@ bool GatherSourceOp::NextInner(Batch* out) {
   out->source.clear();
   while (cursor_ < scan_set_.size()) {
     const PartitionId pid = scan_set_[cursor_++];
-    // The answer holding this partition, if it was scattered: its rows are
-    // [row, row + n) of that answer.
-    ShardAnswer* answer = nullptr;
-    size_t row = 0, n = 0;
+    // The batch holding this partition, if it was scattered.
+    Batch* batch = nullptr;
     for (size_t s = 0; s < answers_.size(); ++s) {
-      Cursor& at = cursors_[s];
-      if (at.batch < answers_[s].slice.size() &&
-          answers_[s].slice[at.batch] == pid) {
-        answer = &answers_[s];
-        row = at.row;
-        n = answer->batch_rows[at.batch++];
-        at.row += n;
+      size_t& head = heads_[s];
+      if (head < answers_[s].slice.size() && answers_[s].slice[head] == pid) {
+        batch = &answers_[s].batches[head++];
         break;
       }
     }
     const bool skip =
         topk_pruner_ != nullptr && topk_pruner_->ShouldSkip(*table_, pid);
-    SNOW_DCHECK(skip || answer != nullptr);
+    SNOW_DCHECK(skip || batch != nullptr);
     const int64_t rows = table_->partition_metadata(pid).row_count();
     for (PruningStats* stats : {stats_, profile_stats_}) {
       if (stats == nullptr) continue;
@@ -405,16 +398,11 @@ bool GatherSourceOp::NextInner(Batch* out) {
         // Exactly the serial scan's pre-load check; an answer the scatter
         // already produced for this partition was a speculative load.
         ++stats->pruned_by_topk;
-        if (answer != nullptr) ++stats->speculative_loads;
+        if (batch != nullptr) ++stats->speculative_loads;
       }
     }
     if (skip) continue;
-    if (answer != nullptr) {
-      auto first = answer->rows.begin() + static_cast<std::ptrdiff_t>(row);
-      out->rows.assign(std::make_move_iterator(first),
-                       std::make_move_iterator(
-                           first + static_cast<std::ptrdiff_t>(n)));
-    }
+    if (batch != nullptr) *out = std::move(*batch);
     return true;  // one batch per partition, even with no surviving rows
   }
   return false;

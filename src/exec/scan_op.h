@@ -289,28 +289,25 @@ class TableScanOp : public ScanSource {
   std::unique_ptr<ParallelScanScheduler> scheduler_;
 };
 
-/// One shard's answer to a sharded scan: the partitions its sub-query
-/// scanned, in the gather's scan-set order, and its rows — the first
-/// batch_rows[0] of them from slice[0], the next batch_rows[1] from
-/// slice[1], and so on.
+/// One shard's answer to a sharded scan: the partitions its slice scan
+/// read, in the gather's scan-set order, and one batch per partition —
+/// batches[i] holds slice[i]'s surviving rows.
 struct ShardAnswer {
   ScanSet slice;
-  std::vector<Row> rows;
-  std::vector<size_t> batch_rows;
+  std::vector<Batch> batches;
 };
 
 /// The coordinator-side stand-in for a sharded table scan: iterates the
 /// final global scan set in order, consults the (evolving) top-k boundary
 /// before each partition exactly where the serial scan would — before the
-/// "load" — and emits the partition's rows from its shard's answer as one
-/// batch (even an empty one, matching TableScanOp's one-batch-per-partition
-/// contract). Each answer is read in place through its own cursor: slices
-/// follow scan-set order, so a partition's rows are always at the head of
-/// one cursor. Per-partition stats are metered here, in scan-set order, so
-/// the gathered PruningStats reproduce a serial run's counters bit-for-bit;
-/// an answer dropped by a boundary that tightened after the scatter is the
-/// sharded analog of a parallel worker's stale lookahead load and is
-/// surfaced as speculative_loads.
+/// "load" — and emits the partition's batch from its shard's answer (even an
+/// empty one, matching TableScanOp's one-batch-per-partition contract).
+/// Slices follow scan-set order, so a partition's batch is always at the
+/// head of one answer. Per-partition stats are metered here, in scan-set
+/// order, so the gathered PruningStats reproduce a serial run's counters
+/// bit-for-bit; an answer dropped by a boundary that tightened after the
+/// scatter is the sharded analog of a parallel worker's stale lookahead
+/// load and is surfaced as speculative_loads.
 class GatherSourceOp : public ScanSource {
  public:
   using ScanSource::ScanSource;
@@ -333,12 +330,9 @@ class GatherSourceOp : public ScanSource {
  private:
   bool NextInner(Batch* out);
 
-  struct Cursor {
-    size_t batch = 0;  ///< Next slice position.
-    size_t row = 0;    ///< First row of that partition.
-  };
   std::vector<ShardAnswer> answers_;
-  std::vector<Cursor> cursors_;
+  /// Per answer: the next slice position.
+  std::vector<size_t> heads_;
   size_t cursor_ = 0;
 };
 

@@ -68,7 +68,7 @@ struct QueryServiceConfig {
   /// ServiceStats::deadline_exceeded (and shed_expired for pre-execution
   /// sheds).
   std::chrono::nanoseconds default_deadline{0};
-  /// Per-shard sub-query retry policy (sharded configs; see RetryPolicy).
+  /// Per-shard slice-scan retry policy (sharded configs; see RetryPolicy).
   shard::RetryPolicy retry;
   /// Template for the per-driver engines. `exec.pool`, `exec.num_threads`
   /// and (unless explicitly set) `exec.morsel_window` are overridden by the
@@ -243,7 +243,7 @@ class QueryService {
   /// all point at the shared catalog, pool, and predicate cache.
   std::vector<std::unique_ptr<Engine>> engines_;
   /// One coordinator per driver thread when num_shards > 1 (empty
-  /// otherwise); each wraps per-shard engines over the same shared pool.
+  /// otherwise); each runs its shards' slice scans on the same shared pool.
   std::vector<std::unique_ptr<shard::ShardCoordinator>> coordinators_;
 
   mutable Mutex mutex_;

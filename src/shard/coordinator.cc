@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -42,7 +43,7 @@ int64_t RetryBackoffUs(const RetryPolicy& policy, int retry) {
 namespace {
 
 /// Join-free single-scan chain? That is the shape the scatter can answer
-/// with one sub-plan per shard; everything else falls back to the
+/// with one slice scan per shard; everything else falls back to the
 /// single-engine path.
 bool SupportedShape(const PlanPtr& plan, size_t* scans) {
   if (!plan) return false;
@@ -73,10 +74,10 @@ const PlanNode* FindScan(const PlanPtr& plan) {
 /// gather, against the query's one table snapshot.
 class ShardCoordinator::ScatterLeaf : public Engine::ShardedLeaf {
  public:
-  ScatterLeaf(ShardCoordinator* coordinator, const PlanNode* scan_node,
+  ScatterLeaf(ShardCoordinator* coordinator, ExprPtr predicate,
               const ShardMap* map, const ExecuteOptions* opts)
       : coordinator_(coordinator),
-        scan_node_(scan_node),
+        predicate_(std::move(predicate)),
         map_(*map),
         opts_(*opts) {}
 
@@ -100,16 +101,19 @@ class ShardCoordinator::ScatterLeaf : public Engine::ShardedLeaf {
     return ScanSet(std::move(remaining));
   }
 
-  Status Scatter(GatherSourceOp* gather, uint32_t query_span) override;
+  Status Scatter(GatherSourceOp* gather, ThreadPool* pool, size_t window,
+                 uint32_t query_span) override;
 
  private:
   ShardCoordinator* const coordinator_;
-  const PlanNode* const scan_node_;
+  /// The scan's predicate, bound by the compile before Scatter runs.
+  const ExprPtr predicate_;
   const ShardMap& map_;
   const ExecuteOptions& opts_;
 };
 
 Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
+                                              ThreadPool* pool, size_t window,
                                               uint32_t query_span) {
   Trace* trace = opts_.trace;
   ScopedSpan scatter_span(trace, "scatter", query_span);
@@ -128,8 +132,8 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
     if (pruner != nullptr && pruner->ShouldSkip(table, pid)) continue;
     // Scatter-edge contract, debug-checked: every scattered partition id is
     // a real partition of the shared snapshot, and lands exactly on the
-    // shard that owns it — the sub-queries' slice-subset DCHECK on the
-    // engine side and the gather's per-shard cursors both build on this.
+    // shard that owns it — the slice scans' loads and the gather's
+    // per-shard heads both build on this.
     SNOW_DCHECK_LT(static_cast<size_t>(pid), table.num_partitions());
     SNOW_DCHECK_LT(map_.shard_of(pid), map_.num_shards());
     slices[map_.shard_of(pid)].Add(pid);
@@ -163,21 +167,16 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
     return Status::DeadlineExceeded("deadline passed before scatter");
   }
 
-  // Scatter: a bare scan sub-plan (all other operators run gather-side)
-  // over exactly the shard's slice, against the shared snapshot, with the
-  // caller's cancel flag fanned out to every sub-query. The predicate was
-  // bound by the compile; the scan-set override makes the shard engines
-  // skip re-binding, so concurrent sub-queries share the tree read-only.
-  PlanPtr sub_plan = ScanPlan(scan_node_->table, scan_node_->predicate);
-
-  std::vector<Result<QueryResult>> shard_results;
-  shard_results.reserve(contacted.size());
-  for (size_t i = 0; i < contacted.size(); ++i) {
-    shard_results.emplace_back(Status::Internal("shard sub-query unrun"));
-  }
-  // Traced scatter: each sub-query records into its own Trace (scatter
-  // threads never touch the parent), stitched under the scatter span after
-  // the joins below — the join is the only synchronization needed.
+  // Scatter: each contacted shard scans exactly its slice of the shared
+  // snapshot (all other operators run gather-side) with the predicate the
+  // compile bound, so concurrent slice scans share the tree read-only. The
+  // scans meter nothing: the gather accounts every partition in scan-set
+  // order.
+  std::vector<Result<std::vector<Batch>>> shard_results(
+      contacted.size(), Status::Internal("shard slice unscanned"));
+  // Traced scatter: each shard records into its own Trace (scatter threads
+  // never touch the parent), stitched under the scatter span after the
+  // joins below — the join is the only synchronization needed.
   std::vector<std::unique_ptr<Trace>> shard_traces;
   if (trace != nullptr) {
     shard_traces.reserve(contacted.size());
@@ -189,7 +188,8 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
   // mutex-annotated): each scatter thread i writes only shard_results[i] —
   // pre-sized above, never resized while threads run — and reads only
   // shared state that is frozen for the scatter's duration (slices,
-  // snapshot, sub_plan, the pre-bound predicate tree). The retry budget and
+  // snapshot, the pre-bound predicate tree). The pool is thread-safe and
+  // none of its workers waits on a scatter thread. The retry budget and
   // retry tally are shared atomics. The joins below are the sole
   // synchronization edge back to the coordinator thread.
   static Counter* const retries_counter =
@@ -197,44 +197,57 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
   static Counter* const retry_exhausted_counter =
       MetricsRegistry::Instance().GetCounter("shard.retry_exhausted");
   const RetryPolicy& retry = coordinator_->config_.retry;
+  const size_t morsel_min_rows =
+      coordinator_->config_.engine.exec.morsel_min_rows;
   std::atomic<int> retry_budget{retry.retry_budget};
   std::atomic<int64_t> total_retries{0};
   auto run_shard = [&](size_t i) {
-    const size_t s = contacted[i];
-    std::map<std::string, ScanSet> overrides;
-    overrides[scan_node_->table] = slices[s];
-    ExecuteOptions opts;
-    opts.cancel = opts_.cancel;
-    opts.tables = opts_.tables;
-    opts.scan_sets = &overrides;
-    opts.collect_batch_rows = true;
-    opts.deadline_ns = opts_.deadline_ns;
-    if (!shard_traces.empty()) opts.trace = shard_traces[i].get();
-    // Transient-failure retry loop. Each attempt executes against the same
-    // snapshot and scan-set slice, so a successful retry is byte-identical
-    // to a first-try success: the answers gathered below cannot tell the
+    const ScanSet& slice = slices[contacted[i]];
+    Trace* shard_trace = shard_traces.empty() ? nullptr : shard_traces[i].get();
+    // Transient-failure retry loop. Each attempt is a fresh scan of the same
+    // snapshot and slice, so a successful retry is byte-identical to a
+    // first-try success: the answers gathered below cannot tell the
     // attempts apart.
     for (int attempt = 1;; ++attempt) {
-      Result<QueryResult> sub = [&]() -> Result<QueryResult> {
-        // Injection sites: the sub-query is lost on the way out (launch) or
-        // its response is lost on the way back (complete — the work was
-        // done, the answer is gone). Both are the retryable wire faults a
-        // real scatter sees.
+      Result<std::vector<Batch>> scanned = [&]() -> Result<std::vector<Batch>> {
+        // Injection sites: the slice request is lost on the way out
+        // (launch) or its response is lost on the way back (complete — the
+        // work was done, the answer is gone). Both are the retryable wire
+        // faults a real scatter sees.
         if (SNOW_FAILPOINT("shard.scatter_launch")) {
           return InjectedFault("shard.scatter_launch");
         }
-        Result<QueryResult> r =
-            coordinator_->shard_engines_[s]->Execute(sub_plan, opts);
-        if (r.ok() && SNOW_FAILPOINT("shard.scatter_complete")) {
+        ScopedSpan scan_span(shard_trace, "shard.scan");
+        scan_span.AnnotateInt("partitions", static_cast<int64_t>(slice.size()));
+        TableScanOp scan(gather->table(), slice, predicate_, nullptr);
+        if (pool != nullptr) scan.EnableParallel(pool, window, morsel_min_rows);
+        scan.set_cancel_flag(opts_.cancel);
+        scan.set_deadline_ns(opts_.deadline_ns);
+        scan.set_trace(shard_trace, scan_span.id());
+        std::vector<Batch> batches;
+        batches.reserve(slice.size());
+        scan.Open();
+        Batch batch;
+        while (scan.Next(&batch)) batches.push_back(std::move(batch));
+        scan.Close();
+        if (!scan.error().ok()) return scan.error();
+        if (opts_.cancel != nullptr &&
+            opts_.cancel->load(std::memory_order_relaxed)) {
+          return Status::Cancelled("query cancelled");
+        }
+        if (DeadlinePassed(opts_.deadline_ns)) {
+          return Status::DeadlineExceeded("deadline exceeded during scatter");
+        }
+        if (SNOW_FAILPOINT("shard.scatter_complete")) {
           return InjectedFault("shard.scatter_complete");
         }
-        return r;
+        return batches;
       }();
-      if (sub.ok() || !IsRetryable(sub.status().code()) ||
+      if (scanned.ok() || !IsRetryable(scanned.status().code()) ||
           (opts_.cancel != nullptr &&
            opts_.cancel->load(std::memory_order_relaxed)) ||
           DeadlinePassed(opts_.deadline_ns)) {
-        shard_results[i] = std::move(sub);
+        shard_results[i] = std::move(scanned);
         return;
       }
       if (attempt >= retry.max_attempts ||
@@ -242,18 +255,18 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
         // Out of attempts or out of per-query budget: surface the
         // underlying transient error untouched.
         retry_exhausted_counter->Add();
-        shard_results[i] = std::move(sub);
+        shard_results[i] = std::move(scanned);
         return;
       }
       const int64_t backoff_us = RetryBackoffUs(retry, attempt);
-      if (opts.trace != nullptr) {
-        // The retry lands in this shard's own sub-trace (stitched under the
+      if (shard_trace != nullptr) {
+        // The retry lands in this shard's own trace (stitched under the
         // scatter span later), next to the failed attempt's spans.
-        const uint32_t span = opts.trace->BeginSpan("shard.retry");
-        opts.trace->AnnotateInt(span, "attempt", attempt);
-        opts.trace->AnnotateInt(span, "backoff_us", backoff_us);
-        opts.trace->AnnotateStr(span, "error", sub.status().ToString());
-        opts.trace->EndSpan(span);
+        const uint32_t span = shard_trace->BeginSpan("shard.retry");
+        shard_trace->AnnotateInt(span, "attempt", attempt);
+        shard_trace->AnnotateInt(span, "backoff_us", backoff_us);
+        shard_trace->AnnotateStr(span, "error", scanned.status().ToString());
+        shard_trace->EndSpan(span);
       }
       total_retries.fetch_add(1, std::memory_order_relaxed);
       retries_counter->Add();
@@ -263,13 +276,14 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
     }
   };
   if (contacted.size() == 1) {
-    // Single-survivor fast path: no thread handoff, the sub-query runs on
-    // the coordinator's own thread.
+    // Single-survivor fast path: no thread handoff, the slice is scanned
+    // from the coordinator's own thread.
     run_shard(0);
   } else if (!contacted.empty()) {
-    // Dedicated scatter threads — never the shared worker pool, whose
-    // workers the sub-queries' own morsels need (a sub-query blocking on a
-    // pool occupied by the sub-queries themselves would deadlock).
+    // Dedicated scatter threads, one per shard, each consuming its slice's
+    // scan — never the worker pool itself, whose workers those scans'
+    // morsels need (a consumer blocking on a pool occupied by consumers
+    // would deadlock).
     std::vector<std::thread> threads;
     threads.reserve(contacted.size());
     for (size_t i = 0; i < contacted.size(); ++i) {
@@ -285,8 +299,8 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
     trace->AnnotateInt(scatter_span.id(), "threads",
                        static_cast<int64_t>(info.scatter_threads));
     trace->AnnotateInt(scatter_span.id(), "retries", info.retries);
-    for (auto& sub_trace : shard_traces) {
-      trace->MergeChildTrace(sub_trace.get(), scatter_span.id());
+    for (auto& shard_trace : shard_traces) {
+      trace->MergeChildTrace(shard_trace.get(), scatter_span.id());
     }
   }
 
@@ -301,19 +315,24 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
   answers.reserve(contacted.size());
   for (size_t i = 0; i < contacted.size(); ++i) {
     if (!shard_results[i].ok()) return shard_results[i].status();
-    QueryResult& sub = shard_results[i].value();
+    std::vector<Batch>& batches = shard_results[i].value();
     ScanSet& slice = slices[contacted[i]];
-    if (sub.batch_rows.size() != slice.size()) {
-      return Status::Internal("shard sub-query fragment misalignment");
+    // Answer shape: a slice scan loads every partition it holds (no runtime
+    // pruner is attached), so anything but one batch per partition means
+    // the gather would replay rows under the wrong partition.
+    if (batches.size() != slice.size()) {
+      return Status::Internal("shard answer holds " +
+                              std::to_string(batches.size()) +
+                              " batches for a slice of " +
+                              std::to_string(slice.size()) + " partitions");
     }
-    answers.push_back(ShardAnswer{std::move(slice), std::move(sub.rows),
-                                  std::move(sub.batch_rows)});
+    answers.push_back(ShardAnswer{std::move(slice), std::move(batches)});
   }
   gather->SetAnswers(std::move(answers));
   // Injection site: the gathered answers are lost before replay (a
   // coordinator-side buffer fault). The scatter work is gone with them —
   // this is the one site where a fault costs a whole query's worth of
-  // sub-query work, which is exactly what the chaos oracle should see.
+  // slice scans, which is exactly what the chaos oracle should see.
   if (SNOW_FAILPOINT("shard.gather_replay")) {
     return InjectedFault("shard.gather_replay");
   }
@@ -325,11 +344,6 @@ ShardCoordinator::ShardCoordinator(Catalog* catalog, ShardExecConfig config)
       config_(std::move(config)),
       engine_(catalog, config_.engine) {
   config_.num_shards = std::max<size_t>(1, config_.num_shards);
-  shard_engines_.reserve(config_.num_shards);
-  for (size_t s = 0; s < config_.num_shards; ++s) {
-    shard_engines_.push_back(
-        std::make_unique<Engine>(catalog, config_.engine));
-  }
 }
 
 ShardCoordinator::~ShardCoordinator() = default;
@@ -379,9 +393,8 @@ Result<QueryResult> ShardCoordinator::Execute(const PlanPtr& plan,
       (!config_.engine.enable_filter_pruning ||
        config_.engine.filter_pruning_phase == FilterPruningPhase::kCompileTime);
   const PlanNode* scan_node = supported ? FindScan(plan) : nullptr;
-  // Snapshot the one referenced table: the compile and every shard
-  // sub-query execute against this version, so DML stays snapshot-atomic
-  // across shards.
+  // Snapshot the one referenced table: the compile, the shard map and every
+  // slice scan see this version, so DML stays snapshot-atomic across shards.
   std::shared_ptr<Table> table =
       supported ? catalog_->GetTable(scan_node->table) : nullptr;
   if (!table) return engine_.Execute(plan, opts);
@@ -395,7 +408,7 @@ Result<QueryResult> ShardCoordinator::Execute(const PlanPtr& plan,
   queries_sharded->Add();
 
   const auto t0 = std::chrono::steady_clock::now();
-  ScatterLeaf leaf(this, scan_node, &map, &opts);
+  ScatterLeaf leaf(this, scan_node->predicate, &map, &opts);
   Result<QueryResult> result = engine_.Execute(plan, opts, &leaf);
   if (result.ok()) {
     result.value().wall_ms = MsSince(t0);  // compile, scatter and gather

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,10 +13,10 @@
 namespace snowprune {
 namespace shard {
 
-/// Retry policy for transient shard sub-query failures. A failed shard is
-/// re-executed against the same snapshot and scan-set slice, so a
-/// successful retry is byte-identical to a first-try success; terminal
-/// (non-retryable) failures surface immediately.
+/// Retry policy for transient shard failures. A failed shard's slice is
+/// scanned afresh against the same snapshot, so a successful retry is
+/// byte-identical to a first-try success; terminal (non-retryable) failures
+/// surface immediately.
 struct RetryPolicy {
   /// Attempts per shard, first try included. 1 disables retries.
   int max_attempts = 3;
@@ -40,9 +39,10 @@ struct RetryPolicy {
 int64_t RetryBackoffUs(const RetryPolicy& policy, int retry);
 
 /// Sharded-execution sizing: how many shards the catalog is partitioned
-/// into and how partitions are placed. `engine` is the template for the
-/// per-shard engines and the unsharded fallback engine alike (pool
-/// injection, pruning toggles, ...).
+/// into and how partitions are placed. `engine` configures the
+/// coordinator's one engine (pool injection, pruning toggles, ...), which
+/// compiles and gathers every query, sharded or not; its pool and morsel
+/// window also run every shard's slice scan.
 struct ShardExecConfig {
   size_t num_shards = 1;
   ShardPolicy policy = ShardPolicy::kRange;
@@ -71,12 +71,13 @@ struct ShardExecConfig {
 ///     set on a GatherSourceOp in place of the table scan.
 ///  2. scatter: the coordinator slices that scan set by shard ownership
 ///     (partitions already skippable under the initialized top-k boundary
-///     are dropped before contact); each surviving shard's engine executes
-///     a bare scan sub-plan over exactly its slice, against the one shared
-///     table snapshot, on a dedicated scatter thread (the calling thread
-///     when only one shard survives), retrying transient faults.
-///  3. gather: the GatherSourceOp replays each shard's answer in place, in
-///     global scan-set order, through the *real* operator pipeline (limit /
+///     are dropped before contact); each surviving shard scans exactly its
+///     slice with one TableScanOp over the one shared table snapshot, the
+///     compile's bound predicate and the engine's pool, drained into one
+///     batch per partition from a dedicated scatter thread (the calling
+///     thread when only one shard survives), retrying transient faults.
+///  3. gather: the GatherSourceOp replays each shard's batches in global
+///     scan-set order, through the *real* operator pipeline (limit /
 ///     top-k / sort / aggregate) with the top-k boundary consulted before
 ///     each partition — the same consumer-side merge discipline the
 ///     parallel engine uses, so rows AND per-table PruningStats are
@@ -88,8 +89,8 @@ struct ShardExecConfig {
 /// run on the same engine without a leaf — trivially identical.
 ///
 /// Thread safety: a coordinator executes one query at a time (the query
-/// service gives each driver thread its own coordinator); the shard
-/// sub-queries it scatters run concurrently on internal threads.
+/// service gives each driver thread its own coordinator); the slice scans
+/// it scatters run concurrently on internal threads.
 class ShardCoordinator {
  public:
   /// Per-execution observability (valid until the next Execute call).
@@ -101,11 +102,11 @@ class ShardCoordinator {
     size_t scatter_threads = 0;
     /// Per shard: excluded by the merged-zone-map probe (cross-shard level).
     std::vector<uint8_t> summary_pruned;
-    /// Per shard: executed a sub-query (its slice of the final scan set,
-    /// minus init-boundary skips, was non-empty).
+    /// Per shard: scanned a slice (its share of the final scan set, minus
+    /// init-boundary skips, was non-empty).
     std::vector<uint8_t> contacted;
-    /// Shard sub-query re-executions after transient faults (summed over
-    /// shards; 0 on a fault-free run).
+    /// Slice re-scans after transient faults (summed over shards; 0 on a
+    /// fault-free run).
     int64_t retries = 0;
   };
 
@@ -113,25 +114,26 @@ class ShardCoordinator {
   ~ShardCoordinator();
 
   /// Compiles, prunes the shard map, scatters, gathers. `cancel` fans out
-  /// to every in-flight shard sub-query (they share the flag) and is polled
+  /// to every in-flight slice scan (they share the flag) and is polled
   /// between coordinator phases.
   Result<QueryResult> Execute(const PlanPtr& plan,
                               const std::atomic<bool>* cancel = nullptr);
 
   /// Traced execution: records compile/scatter/gather spans on `trace`,
-  /// gives every contacted shard's sub-query its own child trace (stitched
-  /// under the scatter span once the scatter joins), and attaches an
-  /// EXPLAIN ANALYZE profile to the result whose per-node pruning counters
-  /// — all attributed to the gather source, where the coordinator meters —
-  /// reconcile exactly against the query's PruningStats. Null `trace`
-  /// behaves like the plain overload.
+  /// gives every contacted shard its own child trace — a "shard.scan" span
+  /// per attempt holding its "scan.morsel" spans, plus any "shard.retry"
+  /// spans — stitched under the scatter span once the scatter joins, and
+  /// attaches an EXPLAIN ANALYZE profile to the result whose per-node
+  /// pruning counters — all attributed to the gather source, where the
+  /// coordinator meters — reconcile exactly against the query's
+  /// PruningStats. Null `trace` behaves like the plain overload.
   Result<QueryResult> Execute(const PlanPtr& plan,
                               const std::atomic<bool>* cancel, Trace* trace);
 
   /// Full-control entry point: adds a per-query deadline (absolute
-  /// steady-clock ns, 0 = none). The deadline fans out to every shard
-  /// sub-query and is checked between coordinator phases and before each
-  /// retry backoff; past it the query returns kDeadlineExceeded.
+  /// steady-clock ns, 0 = none). The deadline fans out to every slice scan
+  /// and is checked between coordinator phases and before each retry
+  /// backoff; past it the query returns kDeadlineExceeded.
   Result<QueryResult> Execute(const PlanPtr& plan,
                               const std::atomic<bool>* cancel, Trace* trace,
                               int64_t deadline_ns);
@@ -150,7 +152,6 @@ class ShardCoordinator {
   ShardExecConfig config_;
   /// Compiles and gathers every query, sharded or not.
   Engine engine_;
-  std::vector<std::unique_ptr<Engine>> shard_engines_;
   std::map<std::string, ShardMap> map_cache_;
   ExecInfo last_exec_;
 };

@@ -141,7 +141,7 @@ struct StreamDriverResult {
   /// Queries that completed with kDeadlineExceeded (shed while queued or
   /// stopped mid-execution). Not counted in queries_failed.
   int64_t queries_deadline_exceeded = 0;
-  /// Shard sub-query retries absorbed by successful queries — the overhead
+  /// Shard slice-scan retries absorbed by successful queries — the overhead
   /// side of graceful degradation (retries/query in the bench ladder).
   int64_t shard_retries = 0;
   int64_t cache_hit_queries = 0;  ///< Queries served off the predicate cache.

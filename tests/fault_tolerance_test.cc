@@ -3,13 +3,15 @@
 /// deterministic under a seed), retry backoff determinism, per-query
 /// deadlines (queued sheds never execute; running queries stop on the
 /// cancellation plumbing), retry byte-identity across shard × thread
-/// configurations, budget exhaustion surfacing the underlying error, the
+/// configurations, a traced retry's spans, budget exhaustion surfacing the
+/// underlying error, the
 /// failpoint wiring self-tests CI depends on (a disarmed registry never
 /// fires; every armed reachable site trips during a storm), and a
 /// TSan-registered injection storm asserting the service leaks no in-flight
 /// or pool slots. Runs under ThreadSanitizer in CI (build-tsan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -20,6 +22,7 @@
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "exec/engine.h"
 #include "exec/plan.h"
 #include "service/query_service.h"
@@ -296,16 +299,17 @@ TEST_F(FaultToleranceTest, RetriedShardIsByteIdenticalAcrossConfigs) {
 
   for (size_t shards : {size_t{2}, size_t{4}}) {
     for (int threads : {1, 4}) {
-      for (const char* site : {"shard.scatter_launch",
+      for (const char* site : {"shard.scatter_launch", "scan.partition_load",
                                "shard.scatter_complete"}) {
         ShardExecConfig cfg;
         cfg.num_shards = shards;
         cfg.engine.exec.num_threads = threads;
         ShardCoordinator coordinator(&catalog_, cfg);
 
-        // The first evaluation fires: exactly one shard sub-query fails
-        // once (at launch, or by poisoning its completed result) and is
-        // retried against the same snapshot and scan-set slice.
+        // The first evaluation fires: exactly one shard's slice scan fails
+        // once (at launch, at a partition load in the middle of the scan,
+        // or by poisoning its completed answer) and is retried from a fresh
+        // scan of the same snapshot and slice.
         FailPoint* fp = FailPointRegistry::Instance().Find(site);
         ASSERT_NE(fp, nullptr);
         fp->ArmOnceAfterK(0);
@@ -329,6 +333,73 @@ TEST_F(FaultToleranceTest, RetriedShardIsByteIdenticalAcrossConfigs) {
       }
     }
   }
+}
+
+/// A traced sharded query that absorbs one launch fault: the retry shows up
+/// under the scatter span as one shard.retry span carrying its attempt,
+/// backoff and error, next to one shard.scan span per contacted shard (each
+/// holding that shard's scan.morsel spans), and tracing changes nothing in
+/// the answer.
+TEST_F(FaultToleranceTest, TracedRetryIsRecordedUnderScatter) {
+  RegisterAllSites();
+  ShardExecConfig cfg;
+  cfg.num_shards = 4;
+  cfg.engine.exec.num_threads = 2;
+  ShardCoordinator coordinator(&catalog_, cfg);
+  auto untraced = coordinator.Execute(ScanPlan("fact"));
+  ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
+
+  FailPoint* fp = FailPointRegistry::Instance().Find("shard.scatter_launch");
+  ASSERT_NE(fp, nullptr);
+  fp->ArmOnceAfterK(0);
+  Trace trace;
+  auto traced = coordinator.Execute(ScanPlan("fact"), nullptr, &trace);
+  fp->Disarm();
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  const ShardCoordinator::ExecInfo& info = coordinator.last_exec();
+  ASSERT_TRUE(info.sharded);
+  EXPECT_EQ(info.retries, 1);
+  EXPECT_EQ(info.shards_contacted, 4u);
+
+  uint32_t scatter = 0;
+  for (const TraceSpan& span : trace.spans()) {
+    if (span.name == "scatter") scatter = span.id;
+  }
+  ASSERT_NE(scatter, 0u);
+  size_t retries = 0, shard_scans = 0, morsels = 0;
+  std::vector<uint32_t> shard_scan_ids;
+  for (const TraceSpan& span : trace.spans()) {
+    if (span.name == "shard.scan" && span.parent == scatter) {
+      ++shard_scans;
+      shard_scan_ids.push_back(span.id);
+    }
+    if (span.name != "shard.retry" || span.parent != scatter) continue;
+    ++retries;
+    std::vector<std::string> keys;
+    for (const TraceAnnotation& a : span.annotations) keys.push_back(a.key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"attempt", "backoff_us",
+                                              "error"}));
+    EXPECT_EQ(span.annotations[0].int_value, 1);
+    EXPECT_EQ(span.annotations[1].int_value,
+              RetryBackoffUs(cfg.retry, /*retry=*/1));
+    EXPECT_NE(span.annotations[2].str_value.find("injected fault"),
+              std::string::npos);
+  }
+  for (const TraceSpan& span : trace.spans()) {
+    if (span.name == "scan.morsel") {
+      ++morsels;
+      EXPECT_NE(std::find(shard_scan_ids.begin(), shard_scan_ids.end(),
+                          span.parent),
+                shard_scan_ids.end())
+          << "a morsel span outside every shard.scan span";
+    }
+  }
+  EXPECT_EQ(retries, 1u);
+  EXPECT_EQ(shard_scans, info.shards_contacted);
+  EXPECT_GT(morsels, 0u);
+
+  EXPECT_EQ(Serialize(traced.value()), Serialize(untraced.value()));
+  EXPECT_EQ(DiffStats(traced.value().stats, untraced.value().stats), "");
 }
 
 TEST_F(FaultToleranceTest, RetryExhaustionSurfacesUnderlyingError) {

@@ -1238,7 +1238,7 @@ TEST(FuzzPruneTest, JoinPruningNeverDropsMatchingProbePartitions) {
 // Sharded scatter-gather oracle
 // --------------------------------------------------------------------------
 
-/// Sharded execution at every (shard count × shard-engine thread count)
+/// Sharded execution at every (shard count × engine thread count)
 /// must return rows and deterministic PruningStats byte-identical to a
 /// serial single-engine run — with the cross-shard counters additive on
 /// top — and a shard excluded by its merged zone maps must hold zero

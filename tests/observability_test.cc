@@ -169,13 +169,13 @@ TEST(TraceTest, MergeBufferRebasesIdsDeterministically) {
   }
 }
 
-/// MergeChildTrace splices a shard sub-query's whole trace under a parent
+/// MergeChildTrace splices a shard's whole slice-scan trace under a parent
 /// span and folds its stage/barrier counters into the parent's.
 TEST(TraceTest, MergeChildTraceFoldsCounters) {
   Trace parent;
   const uint32_t scatter = parent.BeginSpan("scatter");
   Trace child;
-  const uint32_t sub = child.BeginSpan("query");
+  const uint32_t sub = child.BeginSpan("shard.scan");
   child.EndSpan(sub);
   child.IncStageTasks();
   child.IncStageTasks();
@@ -184,7 +184,7 @@ TEST(TraceTest, MergeChildTraceFoldsCounters) {
   parent.EndSpan(scatter);
 
   ASSERT_EQ(parent.spans().size(), 2u);
-  EXPECT_EQ(parent.spans()[1].name, "query");
+  EXPECT_EQ(parent.spans()[1].name, "shard.scan");
   EXPECT_EQ(parent.spans()[1].parent, scatter);
   EXPECT_EQ(parent.stage_tasks(), 2);
   EXPECT_EQ(parent.barrier_tasks(), 3);
@@ -314,7 +314,7 @@ TEST(ProfileTest, ShardedTopKProfileReconciles) {
   EXPECT_NE(text.find("TopK"), std::string::npos);
   EXPECT_NE(text.find("Gather"), std::string::npos);
   EXPECT_NE(text.find("shards"), std::string::npos);
-  // The trace shows the coordinator phases with the shard sub-queries
+  // The trace shows the coordinator phases with the shards' slice scans
   // stitched under the scatter span.
   bool saw_scatter = false;
   bool saw_gather = false;

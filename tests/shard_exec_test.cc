@@ -1,13 +1,15 @@
 /// Sharded scatter-gather execution: the coordinator's cross-shard pruning
 /// level (shard-summary exclusion before any shard is contacted), the
 /// single-survivor fast path, gather-side merge determinism for the
-/// stateful operators, cancellation fan-out, DML snapshot atomicity
+/// stateful operators, one worker pool for every shard's slice scan,
+/// cancellation fan-out, DML snapshot atomicity
 /// through the query service, and the service's shard-aware morsel-window
 /// budgeting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,7 +101,7 @@ TEST(ShardExecTest, AllShardsPrunedAnswersFromSummariesAlone) {
 }
 
 /// A predicate matching exactly one range shard takes the single-survivor
-/// fast path: the sub-query runs inline on the coordinator's thread.
+/// fast path: the slice is scanned inline from the coordinator's thread.
 TEST(ShardExecTest, SingleSurvivingShardRunsInline) {
   Catalog catalog;
   auto table = RangedTable("t", 8, 10);  // keys 0..79, 2 partitions/shard
@@ -151,7 +153,7 @@ TEST(ShardExecTest, EmptyShardsAreNeverAssignedOrCounted) {
 
 /// Aggregate / top-k / sort results must be byte-identical (rows AND
 /// deterministic stats) to a serial single-engine run at every shard count
-/// × shard-engine thread count — including Float64 order keys with NaN,
+/// × engine thread count — including Float64 order keys with NaN,
 /// where the sort's comparator fallback decides placement.
 TEST(ShardExecTest, GatherMergeIsDeterministicAcrossShardAndThreadCounts) {
   Catalog catalog;
@@ -223,6 +225,46 @@ TEST(ShardExecTest, JoinsFallBackToSingleEngine) {
 }
 
 // ---------------------------------------------------------------------------
+// One worker pool
+// ---------------------------------------------------------------------------
+
+/// The process's live thread count, from /proc/self/status; -1 when that
+/// file is unavailable.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+/// Every shard's slice scan runs on the coordinator engine's one pool: a
+/// query contacting all four shards at exec.num_threads = 4, with no
+/// injected pool, leaves at most that pool's four workers behind (the
+/// scatter threads are joined before Execute returns).
+TEST(ShardExecTest, OnePoolServesEveryShard) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable(RangedTable("t", 16, 64)).ok());
+  ShardExecConfig config;
+  config.num_shards = 4;
+  config.engine.exec.num_threads = 4;
+  ShardCoordinator coordinator(&catalog, config);
+
+  const int before = ProcessThreads();
+  if (before < 0) GTEST_SKIP() << "/proc/self/status is not readable";
+  auto result = coordinator.Execute(ScanPlan("t"));
+  const int after = ProcessThreads();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(coordinator.last_exec().shards_contacted, 4u);
+  EXPECT_EQ(coordinator.last_exec().scatter_threads, 4u);
+  EXPECT_LE(after - before, 4) << "threads before " << before << ", after "
+                               << after;
+  EXPECT_EQ(Serialize(RunSerial(&catalog, ScanPlan("t"))),
+            Serialize(result.value()));
+}
+
+// ---------------------------------------------------------------------------
 // Cancellation fan-out
 // ---------------------------------------------------------------------------
 
@@ -244,7 +286,7 @@ TEST(ShardExecTest, CancelledBeforeScatterLoadsNothing) {
 }
 
 /// Cancelling mid-run from another thread must fan out to every in-flight
-/// shard sub-query and surface as Cancelled (or complete, if the race is
+/// slice scan and surface as Cancelled (or complete, if the race is
 /// lost) — never crash, deadlock, or return a partial result as OK.
 TEST(ShardExecTest, MidRunCancelFansOutToShards) {
   Catalog catalog;
@@ -279,7 +321,7 @@ TEST(ShardExecTest, MidRunCancelFansOutToShards) {
 // ---------------------------------------------------------------------------
 
 /// ReplaceTable concurrent with sharded queries: every query must see ONE
-/// table version across all its shard sub-queries — all rows from the old
+/// table version across all its slice scans — all rows from the old
 /// version or all from the new, never a mix — and the shard map must follow
 /// the version it reads.
 TEST(ShardExecTest, ReplaceTableIsSnapshotAtomicAcrossShards) {
