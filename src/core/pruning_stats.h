@@ -7,9 +7,10 @@
 
 namespace snowprune {
 
-/// Per-query pruning accounting, aggregated across all table scans of the
-/// query. Ratios are reported relative to the total number of partitions the
-/// query would otherwise process (the paper's Figure 4 convention).
+/// Pruning accounting: one per scan (its ledger, see ScanSource), and per
+/// query as the sum of its scans' ledgers. Ratios are reported relative to
+/// the total number of partitions the query would otherwise process (the
+/// paper's Figure 4 convention).
 struct PruningStats {
   int64_t total_partitions = 0;   ///< Before any pruning, all scans.
   int64_t pruned_by_filter = 0;   ///< §3 compile-time filter pruning.

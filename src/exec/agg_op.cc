@@ -119,7 +119,7 @@ void HashAggregateOp::Open() {
   // feedback depends on seeing rows in scan order. Likewise a scan with a
   // top-k pruner attached: pre-aggregated morsels cannot be un-accumulated
   // if the consumer-side boundary re-check would have dropped them.
-  if (parallel_preagg_allowed_ && scan != nullptr && scan->parallel_enabled() &&
+  if (scan != nullptr && scan->parallel_enabled() &&
       !scan->has_topk_pruner() && !group_limit_enabled_ &&
       AggsMergeExactly(*scan)) {
     parallel_path_ = true;

@@ -32,6 +32,14 @@ struct AggSpec {
 /// whose key is strictly weaker than the k-th group key can no longer
 /// found a top-k group nor contribute to one ("requires changes to the
 /// GROUP BY operator to maintain its own top-k heap", §5.2).
+///
+/// Over a parallel TableScanOp the scan and aggregate fuse: workers
+/// pre-aggregate each morsel into a partial group map which the consumer
+/// merges in scan-set order. Only taken when every aggregate merges exactly
+/// (COUNT/MIN/MAX always; SUM/AVG only over int64 inputs, whose double
+/// accumulation is exact), so results stay byte-identical to serial
+/// execution; otherwise the operator falls back to consuming ordered
+/// column batches.
 class HashAggregateOp : public Operator {
  public:
   HashAggregateOp(OperatorPtr input, std::vector<size_t> group_columns,
@@ -44,15 +52,6 @@ class HashAggregateOp : public Operator {
   /// the planner) must have inclusive_updates == false.
   void EnableGroupLimit(size_t order_group_index, bool descending, int64_t k,
                         TopKPruner* pruner);
-
-  /// Engine hook: permit scan+aggregate fusion when the input is a parallel
-  /// TableScanOp. Workers then pre-aggregate each morsel into a partial
-  /// group map which the consumer merges in scan-set order. Only taken when
-  /// every aggregate merges exactly (COUNT/MIN/MAX always; SUM/AVG only
-  /// over int64 inputs, whose double accumulation is exact), so results
-  /// stay byte-identical to serial execution; otherwise the operator
-  /// silently falls back to consuming ordered column batches.
-  void EnableParallelPreAgg() { parallel_preagg_allowed_ = true; }
 
   void Open() override;
   bool Next(Batch* out) override;
@@ -117,7 +116,6 @@ class HashAggregateOp : public Operator {
   int64_t group_limit_k_ = 0;
   TopKPruner* pruner_ = nullptr;
 
-  bool parallel_preagg_allowed_ = false;
   bool parallel_path_ = false;
   TableScanOp* scan_input_ = nullptr;  ///< Set iff parallel_path_.
   /// Set when the input is a TableScanOp whose batches this operator

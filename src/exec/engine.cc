@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <set>
 
@@ -54,18 +56,29 @@ std::shared_ptr<Table> FindTable(const TableSnapshot& tables,
   return it == tables.end() ? nullptr : it->second;
 }
 
-/// Missing tables are simply left out; the scan compile reports NotFound.
-void CollectTables(const Catalog& catalog, const PlanPtr& plan,
-                   TableSnapshot* out) {
-  if (!plan) return;
-  if (plan->kind == PlanNode::Kind::kScan &&
+/// The one walk over a plan before it compiles. A plan must be a tree:
+/// compilation keys its per-scan state by node, so a node reached twice
+/// (shared by two parents, or its own descendant) is refused. Unless `out`
+/// is null (an injected snapshot), the walk also snapshots every table a
+/// scan names; missing tables are left out and the scan compile reports
+/// NotFound.
+Status WalkPlan(const Catalog& catalog, const PlanPtr& plan,
+                std::set<const PlanNode*>* seen, TableSnapshot* out) {
+  if (!plan) return Status::OK();
+  if (!seen->insert(plan.get()).second) {
+    return Status::InvalidArgument(
+        "plan node reached twice: a plan must be a tree");
+  }
+  if (out != nullptr && plan->kind == PlanNode::Kind::kScan &&
       out->find(plan->table) == out->end()) {
     auto table = catalog.GetTable(plan->table);
     if (table) (*out)[plan->table] = std::move(table);
   }
-  CollectTables(catalog, plan->child, out);
-  CollectTables(catalog, plan->left, out);
-  CollectTables(catalog, plan->right, out);
+  for (const PlanPtr* input : {&plan->child, &plan->left, &plan->right}) {
+    Status s = WalkPlan(catalog, *input, seen, out);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -117,7 +130,6 @@ struct Engine::CompileContext {
     bool descending = true;
   };
 
-  PruningStats stats;
   QueryResult* result = nullptr;
   /// Per-call options (never null during Compile/Execute).
   const ExecuteOptions* opts = nullptr;
@@ -127,14 +139,9 @@ struct Engine::CompileContext {
   GatherSourceOp* gather = nullptr;
   /// The query's catalog snapshot (see TableSnapshot above).
   TableSnapshot tables;
+  /// Per-node state is sound because the plan is a tree (see WalkPlan).
   std::map<const PlanNode*, ScanInfo> scans;
   std::map<const PlanNode*, HashAggregateOp*> agg_ops;
-  /// Operators eligible for pipeline-parallel stages (join build, top-k
-  /// candidate filter, sorted runs), enabled after compile when the engine
-  /// runs parallel and ExecConfig::parallel_pipeline is on.
-  std::vector<HashJoinOp*> join_ops;
-  std::vector<TopKOp*> topk_ops;
-  std::vector<SortOp*> sort_ops;
   std::vector<std::unique_ptr<TopKPruner>> pruners;
   std::vector<std::unique_ptr<FilterPruner>> runtime_filter_pruners;
   std::vector<PendingTopK> pending_topk;
@@ -164,6 +171,30 @@ struct Engine::CompileContext {
   /// holding no ticket, so two queries can never hold-and-wait on each
   /// other's populations (ABBA deadlock).
   bool cache_populate_held = false;
+  /// Actions deferred to after a successful run (predicate-cache
+  /// population). A failed query drops them with the context, which
+  /// abandons any coalescing ticket they hold.
+  std::vector<std::function<void()>> post_run_hooks;
+
+  /// The query's PruningStats: the sum of every scan's ledger.
+  PruningStats SumLedgers() const {
+    PruningStats sum;
+    for (const auto& [node, info] : scans) sum.Merge(info.source->ledger());
+    return sum;
+  }
+
+  /// Traced queries: gives `op` its profile node, linked over its inputs'
+  /// nodes, and lists it for the trace hand-off. No-op untraced.
+  void Profile(Operator* op, std::string name, std::string detail,
+               std::initializer_list<ProfileNode*> inputs = {}) {
+    if (profile == nullptr) return;
+    ProfileNode* node = profile->NewNode(std::move(name), std::move(detail));
+    for (ProfileNode* input : inputs) {
+      if (input != nullptr) node->children.push_back(input);
+    }
+    op->set_profile(node);
+    profiled_ops.push_back(op);
+  }
 
   PendingTopK* FindPendingForScan(const PlanNode* scan_node) {
     for (auto& p : pending_topk) {
@@ -234,10 +265,14 @@ ColumnTrace TraceColumnToScan(const TableSnapshot& tables, const PlanPtr& plan,
       const auto& ref = static_cast<const ColumnRefExpr&>(*plan->exprs[idx]);
       return TraceColumnToScan(tables, plan->child, ref.name());
     }
-    case PlanNode::Kind::kLimit:
-    case PlanNode::Kind::kTopK:
     case PlanNode::Kind::kSort:
       return TraceColumnToScan(tables, plan->child, column);
+    case PlanNode::Kind::kLimit:
+    case PlanNode::Kind::kTopK:
+      // They drop rows, so no Figure 7 shape reaches through them: a scan
+      // below a LIMIT or a TopK must deliver the rows that operator picks,
+      // which a boundary or a summary from above knows nothing of.
+      return {};
     case PlanNode::Kind::kJoin: {
       if (PlanOutputsColumn(tables, plan->left, column)) {
         // Probe side: boundary-based skipping is safe for any join kind —
@@ -339,17 +374,12 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         if (!s.ok()) return s;
       }
       ScanSet full = table->FullScanSet();
-      ctx->stats.total_partitions += static_cast<int64_t>(full.size());
       const auto coverage = PredicateCache::Coverage::Of(*table);
 
-      // Like a top-k probe, a LIMIT's need belongs to the first compile of
-      // this node after the LIMIT set it.
+      // Set by a LIMIT above this scan before it compiled its child.
       int64_t need = PredicateCache::kAllRows;
       auto limit_need = ctx->limit_needs.find(plan.get());
-      if (limit_need != ctx->limit_needs.end()) {
-        need = limit_need->second;
-        ctx->limit_needs.erase(limit_need);
-      }
+      if (limit_need != ctx->limit_needs.end()) need = limit_need->second;
       // §8.2 predicate cache, ahead of every pruning pass: a hit narrows the
       // candidates to the partitions the entry proved can matter (plus any
       // appended since), so filter pruning only looks at those. The
@@ -358,11 +388,8 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       if (config_.predicate_cache != nullptr && ctx->leaf == nullptr) {
         auto topk_probe = ctx->topk_cache_probes.find(plan.get());
         if (topk_probe != ctx->topk_cache_probes.end()) {
-          // Consumed by the TopK's own child, the first compile of this
-          // node after the lookup; any later compile of a shared node is
-          // not under that TopK.
+          // Made by the TopK above this scan (a top-k entry).
           probe = std::move(topk_probe->second);
-          ctx->topk_cache_probes.erase(topk_probe);
         } else if (plan->predicate) {
           probe.fingerprint = plan->Fingerprint();
           probe.partitions = config_.predicate_cache->Lookup(
@@ -372,9 +399,6 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       const ScanSet candidates = probe.partitions.has_value()
                                      ? ScanSet(*probe.partitions)
                                      : full;
-      const int64_t pruned_by_cache =
-          static_cast<int64_t>(full.size() - candidates.size());
-      ctx->stats.pruned_by_cache += pruned_by_cache;
       if (probe.partitions.has_value()) {
         ctx->result->predicate_cache_hit = true;
         if (probe.limit_hit()) ctx->result->predicate_cache_limit_hit = true;
@@ -406,7 +430,6 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         } else {
           filter_result = pruner.Prune(*table, candidates);
         }
-        ctx->stats.pruned_by_filter += filter_result.pruned;
       } else {
         filter_result.scan_set = candidates;
         filter_result.input_partitions =
@@ -424,13 +447,13 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       std::unique_ptr<ScanSource> source;
       TableScanOp* scan = nullptr;
       if (ctx->leaf != nullptr) {
-        auto gather = std::make_unique<GatherSourceOp>(
-            table, filter_result.scan_set, &ctx->stats);
+        auto gather =
+            std::make_unique<GatherSourceOp>(table, filter_result.scan_set);
         ctx->gather = gather.get();
         source = std::move(gather);
       } else {
         auto op = std::make_unique<TableScanOp>(table, filter_result.scan_set,
-                                                plan->predicate, &ctx->stats);
+                                                plan->predicate);
         if (config_.enable_filter_pruning && !compile_time_pruning &&
             plan->predicate) {
           // §3.2: pruning deferred to the execution layer. The pruner must
@@ -444,6 +467,14 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         scan = op.get();
         source = std::move(op);
       }
+      // The scan's compile-time pruning, each partition counted once: the
+      // cache excluded it, or filter pruning (the shard probe included)
+      // did.
+      PruningStats* ledger = source->mutable_ledger();
+      ledger->total_partitions = static_cast<int64_t>(full.size());
+      ledger->pruned_by_cache =
+          static_cast<int64_t>(full.size() - candidates.size());
+      ledger->pruned_by_filter = filter_result.pruned;
       // A runtime top-k pruner (attached under every TopK that traced its
       // order column here, so under every top-k entry lookup too) skips
       // partitions, and a join's probe side loses them to the build
@@ -459,7 +490,7 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         // whose delivered partitions held its need writes a k-sufficient
         // one, and so does any run under a k-sufficient restriction.
         scan->RecordQualifying();
-        post_run_hooks_.push_back(
+        ctx->post_run_hooks.push_back(
             [this, scan, table, coverage, need, restricted = probe.limit_hit(),
              fingerprint = probe.fingerprint,
              columns = ReferencedColumns(plan->predicate)]() {
@@ -482,22 +513,10 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
                                              sufficient_rows});
             });
       }
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            ctx->leaf != nullptr ? "Gather" : "Scan",
-            probe.partitions.has_value()
-                ? plan->table + " [cache " + probe.EntryKind() + "]"
-                : plan->table);
-        // Compile-time pruning attribution: this scan's share of the
-        // query-wide counters bumped above. Runtime deltas flow in through
-        // the profile-stats mirror; LIMIT pruning lands here from kLimit.
-        node->pruning.total_partitions += static_cast<int64_t>(full.size());
-        node->pruning.pruned_by_cache += pruned_by_cache;
-        node->pruning.pruned_by_filter += filter_result.pruned;
-        source->set_profile(node);
-        source->set_profile_stats(&node->pruning);
-        ctx->profiled_ops.push_back(source.get());
-      }
+      ctx->Profile(source.get(), ctx->leaf != nullptr ? "Gather" : "Scan",
+                   probe.partitions.has_value()
+                       ? plan->table + " [cache " + probe.EntryKind() + "]"
+                       : plan->table);
       if (pending != nullptr) {
         source->AttachTopKPruner(pending->pruner);
         ScanSet prepared = pending->pruner->Prepare(
@@ -520,13 +539,8 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       ProfileNode* child_node = input->profile();
       auto project = std::make_unique<ProjectOp>(std::move(input), plan->exprs,
                                                  plan->names);
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "Project", std::to_string(plan->exprs.size()) + " exprs");
-        if (child_node != nullptr) node->children.push_back(child_node);
-        project->set_profile(node);
-        ctx->profiled_ops.push_back(project.get());
-      }
+      ctx->Profile(project.get(), "Project",
+                   std::to_string(plan->exprs.size()) + " exprs", {child_node});
       return OperatorPtr(std::move(project));
     }
 
@@ -552,27 +566,18 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
               *info.table, info.filter_result,
               plan->limit_k + plan->limit_offset);
           info.source->ReplaceScanSet(res.scan_set);
-          ctx->stats.pruned_by_limit += res.pruned;
-          // LIMIT pruning acts on the target scan's partitions, so the
-          // profile charges it to that source node (keeping the per-node
-          // sum reconcilable against the query's PruningStats).
-          if (info.source->profile() != nullptr) {
-            info.source->profile()->pruning.pruned_by_limit += res.pruned;
-          }
+          // LIMIT pruning acts on the target scan's partitions: its ledger.
+          info.source->mutable_ledger()->pruned_by_limit += res.pruned;
           ctx->result->limit_class = MapOutcome(res.outcome);
         }
       }
       ProfileNode* child_node = input->profile();
       auto limit = std::make_unique<LimitOp>(std::move(input), plan->limit_k,
                                              plan->limit_offset);
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "Limit", "k=" + std::to_string(plan->limit_k) + " offset=" +
-                         std::to_string(plan->limit_offset));
-        if (child_node != nullptr) node->children.push_back(child_node);
-        limit->set_profile(node);
-        ctx->profiled_ops.push_back(limit.get());
-      }
+      ctx->Profile(limit.get(), "Limit",
+                   "k=" + std::to_string(plan->limit_k) +
+                       " offset=" + std::to_string(plan->limit_offset),
+                   {child_node});
       return OperatorPtr(std::move(limit));
     }
 
@@ -675,22 +680,17 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       auto topk = std::make_unique<TopKOp>(std::move(input), idx.value(),
                                            plan->descending, plan->limit_k,
                                            publisher);
-      ctx->topk_ops.push_back(topk.get());
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "TopK", plan->order_column + " k=" + std::to_string(plan->limit_k) +
-                        (plan->descending ? " desc" : " asc"));
-        if (child_node != nullptr) node->children.push_back(child_node);
-        topk->set_profile(node);
-        ctx->profiled_ops.push_back(topk.get());
-      }
+      ctx->Profile(topk.get(), "TopK",
+                   plan->order_column + " k=" + std::to_string(plan->limit_k) +
+                       (plan->descending ? " desc" : " asc"),
+                   {child_node});
       if (cache_eligible) {
         // Record contributions post-execution; stash what we need. Insert
         // publishes the coalesced population; if the hook is destroyed
         // without running, the captured ticket abandons it instead.
         TopKOp* topk_ptr = topk.get();
         auto& info = ctx->scans.at(trace.scan);
-        post_run_hooks_.push_back(
+        ctx->post_run_hooks.push_back(
             [this, topk_ptr, cache_fingerprint, cache_ticket,
              table = info.table, coverage = info.coverage,
              column = trace.column,
@@ -722,15 +722,9 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       ProfileNode* child_node = input->profile();
       auto sort = std::make_unique<SortOp>(std::move(input), idx.value(),
                                            plan->descending);
-      ctx->sort_ops.push_back(sort.get());
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "Sort",
-            plan->order_column + (plan->descending ? " desc" : " asc"));
-        if (child_node != nullptr) node->children.push_back(child_node);
-        sort->set_profile(node);
-        ctx->profiled_ops.push_back(sort.get());
-      }
+      ctx->Profile(sort.get(), "Sort",
+                   plan->order_column + (plan->descending ? " desc" : " asc"),
+                   {child_node});
       return OperatorPtr(std::move(sort));
     }
 
@@ -767,15 +761,10 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
           auto replicated = std::make_unique<TopKOp>(
               std::move(build), idx.value(), pending->descending, pending->k,
               pending->pruner);
-          ctx->topk_ops.push_back(replicated.get());
-          if (ctx->profile != nullptr) {
-            ProfileNode* node = ctx->profile->NewNode(
-                "TopK", pending->scan_column + " k=" +
-                            std::to_string(pending->k) + " (replicated)");
-            if (build_node != nullptr) node->children.push_back(build_node);
-            replicated->set_profile(node);
-            ctx->profiled_ops.push_back(replicated.get());
-          }
+          ctx->Profile(replicated.get(), "TopK",
+                       pending->scan_column + " k=" +
+                           std::to_string(pending->k) + " (replicated)",
+                       {build_node});
           build = std::move(replicated);
         }
       }
@@ -788,8 +777,6 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       }
       HashJoinOp::Config jcfg;
       jcfg.enable_partition_pruning = config_.enable_join_pruning;
-      jcfg.summary_kind = config_.join_summary_kind;
-      jcfg.summary_budget_bytes = config_.join_summary_budget_bytes;
       jcfg.row_level_bloom = config_.join_row_level_bloom;
       ProfileNode* probe_node = probe->profile();
       ProfileNode* build_child_node = build->profile();
@@ -797,17 +784,9 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
                                                std::move(build), pidx.value(),
                                                bidx.value(), plan->join_kind,
                                                jcfg);
-      ctx->join_ops.push_back(join.get());
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "HashJoin", plan->left_key + "=" + plan->right_key);
-        if (probe_node != nullptr) node->children.push_back(probe_node);
-        if (build_child_node != nullptr) {
-          node->children.push_back(build_child_node);
-        }
-        join->set_profile(node);
-        ctx->profiled_ops.push_back(join.get());
-      }
+      ctx->Profile(join.get(), "HashJoin",
+                   plan->left_key + "=" + plan->right_key,
+                   {probe_node, build_child_node});
       // §6: wire the probe-side scan for partition-level summary pruning.
       if (key_trace.scan != nullptr) {
         auto it = ctx->scans.find(key_trace.scan);
@@ -849,15 +828,10 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       auto agg = std::make_unique<HashAggregateOp>(
           std::move(input), std::move(group_cols), std::move(aggs));
       ctx->agg_ops[plan.get()] = agg.get();
-      if (ctx->profile != nullptr) {
-        ProfileNode* node = ctx->profile->NewNode(
-            "HashAggregate",
-            "groups=" + std::to_string(plan->group_columns.size()) +
-                " aggs=" + std::to_string(plan->aggregates.size()));
-        if (child_node != nullptr) node->children.push_back(child_node);
-        agg->set_profile(node);
-        ctx->profiled_ops.push_back(agg.get());
-      }
+      ctx->Profile(agg.get(), "HashAggregate",
+                   "groups=" + std::to_string(plan->group_columns.size()) +
+                       " aggs=" + std::to_string(plan->aggregates.size()),
+                   {child_node});
       return OperatorPtr(std::move(agg));
     }
   }
@@ -891,7 +865,15 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
   ctx.result = &result;
   ctx.opts = &opts;
   ctx.leaf = leaf;
-  post_run_hooks_.clear();
+
+  // Snapshot every referenced table once: DML (ReplaceTable/DropTable) that
+  // lands after this point does not affect this query. An injected snapshot
+  // (the shard coordinator's) extends the same guarantee to its shard map.
+  std::set<const PlanNode*> seen;
+  Status walked = WalkPlan(*catalog_, plan, &seen,
+                           opts.tables != nullptr ? nullptr : &ctx.tables);
+  if (!walked.ok()) return walked;
+  if (opts.tables != nullptr) ctx.tables = *opts.tables;
 
   // Traced execution: the whole call becomes one "query" span with compile
   // and execute children, and the compiled operators meter themselves into
@@ -907,34 +889,21 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
                             : 0;
   ctx.compile_span = compile_span;
 
-  // Snapshot every referenced table once: DML (ReplaceTable/DropTable) that
-  // lands after this point does not affect this query. An injected snapshot
-  // (the shard coordinator's) extends the same guarantee to its shard map.
-  if (opts.tables != nullptr) {
-    ctx.tables = *opts.tables;
-  } else {
-    CollectTables(*catalog_, plan, &ctx.tables);
-  }
-
   auto compiled = Compile(plan, &ctx);
   if (opts.trace != nullptr) {
     // Compile-time pruning decisions, readable straight off the span.
+    const PruningStats compiled_stats = ctx.SumLedgers();
     opts.trace->AnnotateInt(compile_span, "total_partitions",
-                            ctx.stats.total_partitions);
+                            compiled_stats.total_partitions);
     opts.trace->AnnotateInt(compile_span, "pruned_by_cache",
-                            ctx.stats.pruned_by_cache);
+                            compiled_stats.pruned_by_cache);
     opts.trace->AnnotateInt(compile_span, "pruned_by_filter",
-                            ctx.stats.pruned_by_filter);
+                            compiled_stats.pruned_by_filter);
     opts.trace->AnnotateInt(compile_span, "pruned_by_limit",
-                            ctx.stats.pruned_by_limit);
+                            compiled_stats.pruned_by_limit);
     opts.trace->EndSpan(compile_span);
   }
-  if (!compiled.ok()) {
-    // Dropping the hooks releases any coalescing ticket a partial compile
-    // acquired, so cache waiters are never stranded by a failed query.
-    post_run_hooks_.clear();
-    return compiled.status();
-  }
+  if (!compiled.ok()) return compiled.status();
   OperatorPtr root = std::move(compiled).value();
 
   // Partition-parallel execution (§2's "highly parallel execution layer"):
@@ -970,24 +939,12 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
     Status scattered = leaf->Scatter(ctx.gather, pool, window, query_span.id());
     if (!scattered.ok()) return scattered;
   } else if (pool != nullptr) {
+    // The operator reading a parallel scan checks at Open() whether it can
+    // push its per-row work onto the scan's workers (an aggregate's fold, a
+    // join build, a top-k filter, a sort run); a scan feeds at most one
+    // such stage.
     for (auto& [node, info] : ctx.scans) {
       info.scan->EnableParallel(pool, window, config_.exec.morsel_min_rows);
-    }
-    if (config_.exec.parallel_preagg) {
-      // Aggregates sitting directly on a parallel scan may fuse: workers
-      // pre-aggregate their morsel and ship a partial group map instead of
-      // rows. The operator itself checks the exact-merge eligibility rules.
-      for (auto& [node, agg] : ctx.agg_ops) agg->EnableParallelPreAgg();
-    }
-    if (config_.exec.parallel_pipeline) {
-      // Pipeline-parallel operators above the scan: each checks at Open()
-      // whether its input really is a parallel scan (and, for top-k, k > 0)
-      // before installing its worker stage. Note a scan feeds at most one
-      // stage: an aggregate's fold, a join build, a top-k filter, and a
-      // sort run can never compete for the same scan in one plan shape.
-      for (auto* op : ctx.join_ops) op->EnablePipelineParallel();
-      for (auto* op : ctx.topk_ops) op->EnablePipelineParallel();
-      for (auto* op : ctx.sort_ops) op->EnablePipelineParallel();
     }
   }
 
@@ -1002,8 +959,6 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
     info.scan->set_deadline_ns(opts.deadline_ns);
   }
   if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-    // Dropping the hooks abandons any predicate-cache population ticket.
-    post_run_hooks_.clear();
     return Status::Cancelled("query cancelled before execution");
   }
 
@@ -1039,7 +994,6 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
   if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
     // The operator tree tore down above (Close joins any in-flight
     // workers); partial output is discarded, tickets are abandoned.
-    post_run_hooks_.clear();
     return Status::Cancelled("query cancelled");
   }
 
@@ -1049,21 +1003,18 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
   // deadline that expired during teardown.
   for (const auto& [node, info] : ctx.scans) {
     if (info.scan != nullptr && !info.scan->error().ok()) {
-      post_run_hooks_.clear();
       return info.scan->error();
     }
   }
 
   if (DeadlinePassed(opts.deadline_ns)) {
-    post_run_hooks_.clear();
     return Status::DeadlineExceeded("deadline exceeded during execution");
   }
 
-  for (auto& hook : post_run_hooks_) hook();
-  post_run_hooks_.clear();
+  for (auto& hook : ctx.post_run_hooks) hook();
 
   result.schema = root->output_schema();
-  result.stats = ctx.stats;
+  result.stats = ctx.SumLedgers();
   // Debug-build soundness audit: no pruning level may claim more partitions
   // than the query had (see PruningStats::DCheckInvariants).
   result.stats.DCheckInvariants();
@@ -1073,10 +1024,18 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
     profile->stage_tasks = opts.trace->stage_tasks();
     profile->barrier_tasks = opts.trace->barrier_tasks();
     result.profile = profile;
+    for (const auto& [node, info] : ctx.scans) {
+      info.source->profile()->pruning = info.source->ledger();
+    }
 #if SNOW_DCHECK_IS_ON
-    // Per-node attribution must reconcile exactly: the profile's summed
-    // pruning counters are the query's PruningStats, redistributed over the
-    // source nodes.
+    // Per-node attribution reconciles exactly when every source got exactly
+    // one profile node of its own: the nodes then hold the very ledgers the
+    // query's PruningStats sums.
+    std::set<const ProfileNode*> source_nodes;
+    for (const auto& [node, info] : ctx.scans) {
+      source_nodes.insert(info.source->profile());
+    }
+    SNOW_DCHECK_EQ(source_nodes.size(), ctx.scans.size());
     const PruningStats sum = profile->SumPruning();
     SNOW_DCHECK_EQ(sum.total_partitions, result.stats.total_partitions);
     SNOW_DCHECK_EQ(sum.pruned_by_filter, result.stats.pruned_by_filter);

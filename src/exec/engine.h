@@ -2,7 +2,6 @@
 #define SNOWPRUNE_EXEC_ENGINE_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -40,6 +39,9 @@ struct ExecConfig {
   /// identical PruningStats (batches are delivered in scan-set order and
   /// the consumer re-checks the top-k boundary at delivery time; wasted
   /// worker lookahead is surfaced as PruningStats::speculative_loads).
+  /// A join build, top-k, sort or aggregate reading a parallel scan pushes
+  /// its per-row work onto the scan's workers as a morsel stage, with the
+  /// same byte-identity (see each operator's header).
   /// Exception: the opt-in time-based PruningTree cutoff makes filter
   /// stats timing-dependent regardless of thread count (see scan_op.h).
   /// Ignored when `pool` is injected (the pool's width decides).
@@ -65,23 +67,6 @@ struct ExecConfig {
   /// worker). Off by default — the serial path needs no pool at all; this
   /// exists to measure pure parallel-path overhead (bench_headline).
   bool force_parallel = false;
-  /// Pipeline-parallel operators above the scan: when the engine runs
-  /// parallel, the join build (per-worker key hashing + summary partials,
-  /// deterministic hash-table construction), the top-k heap (per-worker
-  /// bounded-heap candidate filters) and the sort (per-worker sorted runs +
-  /// consumer k-way merge) each push their per-row work onto the same scan
-  /// workers as morsel pipeline stages. Rows AND PruningStats stay
-  /// byte-identical to serial at every thread count (see the operators'
-  /// headers for the per-operator exactness arguments). Streaming operators
-  /// (project, filter, limit) stay on the consumer: they are O(rows kept)
-  /// and not pipeline breakers.
-  bool parallel_pipeline = true;
-  /// Allow worker-side partial aggregation (scan+aggregate fusion) for
-  /// GROUP BY plans whose aggregates merge exactly (COUNT/MIN/MAX always;
-  /// SUM/AVG only over int64 inputs whose zone-map-bounded running sum
-  /// provably stays below 2^53, where double accumulation is exact and
-  /// therefore merge-order-independent).
-  bool parallel_preagg = true;
   /// Inert: the bytecode expression tier it switched is gone and every scan
   /// runs the vectorized interpreter. Kept only because the repo benchmark's
   /// reference config (perfbench/src/check.cc) still assigns it; delete it
@@ -104,8 +89,6 @@ struct EngineConfig {
   OrderStrategy topk_order_strategy = OrderStrategy::kFullSort;
   BoundaryInitMode topk_boundary_init = BoundaryInitMode::kStricter;
 
-  SummaryKind join_summary_kind = SummaryKind::kRangeSet;
-  size_t join_summary_budget_bytes = 1024;
   bool join_row_level_bloom = false;
 
   /// Optional §8.2 predicate cache: scan and top-k entries (not owned).
@@ -195,7 +178,9 @@ class Engine {
   ~Engine();
 
   /// Compiles and runs `plan`. The plan's expressions get (re)bound to the
-  /// referenced tables' schemas as a side effect.
+  /// referenced tables' schemas as a side effect. The plan must be a tree:
+  /// a node reached twice (shared by two parents, or in a cycle) fails with
+  /// InvalidArgument before anything compiles.
   ///
   /// `cancel`, when non-null, is a caller-owned flag polled throughout
   /// execution (it must outlive the call): once set, scans stop delivering
@@ -244,8 +229,6 @@ class Engine {
   /// Lazily created worker pool, shared across this engine's queries;
   /// recreated when ExecConfig::num_threads changes between executions.
   std::unique_ptr<ThreadPool> pool_;
-  /// Actions deferred to after execution (predicate-cache population).
-  std::vector<std::function<void()>> post_run_hooks_;
 };
 
 }  // namespace snowprune

@@ -277,8 +277,8 @@ void HashJoinOp::Open() {
   // is constructed once from flat (hash, entry) pairs collected in build
   // order, so serial and parallel builds produce the same structure.
   auto* build_scan = dynamic_cast<TableScanOp*>(build_.get());
-  const bool parallel_build = pipeline_parallel_ && build_scan != nullptr &&
-                              build_scan->parallel_enabled();
+  const bool parallel_build =
+      build_scan != nullptr && build_scan->parallel_enabled();
   if (parallel_build) {
     // Per-worker build stage: hash each partition's key cells and collect
     // a summary partial while the morsel is still on the worker — the

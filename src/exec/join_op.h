@@ -98,6 +98,13 @@ const char* ToString(JoinKind kind);
 /// vector drives the per-row probes and only the *surviving* output rows
 /// are ever boxed, at this operator's output boundary (the pipeline's
 /// project/result boundary). Non-scan children use the classic boxed path.
+///
+/// A parallel table-scan build child parallelizes the build phase: workers
+/// hash each morsel's key cells and collect per-item summary partials
+/// alongside the scan itself; the consumer merges partials in scan-set
+/// order (so the BuildSummary — and the §6 pruning it drives — is
+/// byte-identical to serial) and constructs the deterministic hash table
+/// from the flat pairs, itself fanned out when large.
 class HashJoinOp : public Operator {
  public:
   struct Config {
@@ -117,15 +124,6 @@ class HashJoinOp : public Operator {
     probe_scan_ = scan;
     probe_scan_key_column_ = scan_key_column;
   }
-
-  /// Engine hook: parallelize the build phase when the build child is a
-  /// parallel table scan. Workers hash each morsel's key cells and collect
-  /// per-item summary partials alongside the scan itself; the consumer
-  /// merges partials in scan-set order (so the BuildSummary — and the §6
-  /// pruning it drives — is byte-identical to serial) and constructs the
-  /// deterministic hash table from the flat pairs, itself fanned out when
-  /// large. Off (fully serial build) unless the engine enables it.
-  void EnablePipelineParallel() { pipeline_parallel_ = true; }
 
   void Open() override;
   bool Next(Batch* out) override;
@@ -187,8 +185,6 @@ class HashJoinOp : public Operator {
   /// Set when the probe child is a table scan: probe ColumnBatches
   /// directly instead of materialized rows.
   TableScanOp* probe_columnar_ = nullptr;
-
-  bool pipeline_parallel_ = false;
 
   std::vector<bool> build_matched_;
   JoinHashTable hash_table_;

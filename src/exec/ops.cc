@@ -293,23 +293,21 @@ void SortOp::Open() {
   done_ = false;
   buffered_.rows.clear();
   buffered_.source.clear();
-  if (pipeline_parallel_) {
-    auto* scan = dynamic_cast<TableScanOp*>(input_.get());
-    if (scan != nullptr && scan->parallel_enabled()) {
-      // Worker-side sorted-run stage: each partition's decorate + sort —
-      // the O(n log n) share of the operator — happens on the worker that
-      // scanned it. Captures by value only; no SortOp member is touched
-      // from workers.
-      const size_t col = order_column_;
-      const bool desc = descending_;
-      const DataType type = input_->output_schema().field(col).type;
-      scan->set_morsel_stage([col, desc, type](MorselResult* morsel) {
-        for (MorselItem& item : morsel->items) {
-          if (!item.loaded) continue;
-          item.payload = BuildSortedRunFor(type, item.batch, col, desc);
-        }
-      });
-    }
+  auto* scan = dynamic_cast<TableScanOp*>(input_.get());
+  if (scan != nullptr && scan->parallel_enabled()) {
+    // Worker-side sorted-run stage: each partition's decorate + sort — the
+    // O(n log n) share of the operator — happens on the worker that
+    // scanned it. Captures by value only; no SortOp member is touched from
+    // workers.
+    const size_t col = order_column_;
+    const bool desc = descending_;
+    const DataType type = input_->output_schema().field(col).type;
+    scan->set_morsel_stage([col, desc, type](MorselResult* morsel) {
+      for (MorselItem& item : morsel->items) {
+        if (!item.loaded) continue;
+        item.payload = BuildSortedRunFor(type, item.batch, col, desc);
+      }
+    });
   }
   input_->Open();
 }

@@ -78,7 +78,7 @@ class LimitOp : public Operator {
 /// permutation over the unboxed order-key column — rows are boxed once, in
 /// output order, at this operator's boundary.
 ///
-/// Pipeline-parallel mode (EnablePipelineParallel + a parallel scan input):
+/// Pipeline-parallel mode (a parallel table-scan input):
 /// scan workers decorate and stable-sort each partition's surviving rows
 /// into a typed-key run while the morsel is still on the worker; the
 /// consumer k-way-merges the runs in scan-set order, breaking key ties by
@@ -87,10 +87,6 @@ class LimitOp : public Operator {
 class SortOp : public Operator {
  public:
   SortOp(OperatorPtr input, size_t order_column, bool descending);
-
-  /// Engine hook: allow the worker-side sorted-run stage when the input is
-  /// a parallel table scan.
-  void EnablePipelineParallel() { pipeline_parallel_ = true; }
 
   void Open() override;
   bool Next(Batch* out) override;
@@ -105,7 +101,6 @@ class SortOp : public Operator {
   OperatorPtr input_;
   size_t order_column_;
   bool descending_;
-  bool pipeline_parallel_ = false;
   Batch buffered_;
   bool done_ = false;
 };

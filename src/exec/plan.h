@@ -25,7 +25,9 @@ struct AggPlanSpec {
 /// engine's plan-building API in lieu of a SQL frontend), compiled and
 /// executed by Engine. Scans carry their WHERE clause; the engine performs
 /// compile-time pruning, LIMIT pushdown (§4.3), top-k pruner attachment
-/// (Figure 7), and join-summary wiring (§6) during compilation.
+/// (Figure 7), and join-summary wiring (§6) during compilation. A plan is a
+/// tree: build a fresh node per use, since Engine::Execute refuses a plan
+/// that reaches one node twice.
 struct PlanNode {
   enum class Kind { kScan, kProject, kLimit, kTopK, kJoin, kAggregate, kSort };
 

@@ -12,10 +12,11 @@
 namespace snowprune {
 
 /// One plan operator's runtime accounting — the per-node row of an
-/// EXPLAIN ANALYZE report. `pruning` is populated only on source nodes
-/// (table scan, shard gather source): those are where partitions live, so
-/// summing `pruning` over the tree reconciles exactly against the query's
-/// whole-query PruningStats (DCHECK-enforced by the engine).
+/// EXPLAIN ANALYZE report. `pruning` is set only on source nodes (table
+/// scan, shard gather source), once the query finished: it is a copy of
+/// that scan's pruning ledger (see ScanSource). The query's PruningStats
+/// is the sum of the same ledgers, so summing `pruning` over the tree
+/// reconciles exactly (DCHECK-enforced by the engine).
 struct ProfileNode {
   std::string name;    ///< Operator kind, e.g. "TopK", "Scan".
   std::string detail;  ///< Operator parameters, e.g. "lineitem", "k=10".

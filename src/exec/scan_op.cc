@@ -12,8 +12,8 @@
 namespace snowprune {
 
 TableScanOp::TableScanOp(std::shared_ptr<Table> table, ScanSet scan_set,
-                         ExprPtr filter, PruningStats* stats)
-    : ScanSource(std::move(table), std::move(scan_set), stats),
+                         ExprPtr filter)
+    : ScanSource(std::move(table), std::move(scan_set)),
       filter_(std::move(filter)) {}
 
 TableScanOp::~TableScanOp() = default;
@@ -91,15 +91,13 @@ int64_t TableScanOp::ApplyJoinSummary(const BuildSummary& summary,
                                        static_cast<long>(cursor_));
   new_ids.insert(new_ids.end(), pruned.scan_set.begin(), pruned.scan_set.end());
   scan_set_ = ScanSet(std::move(new_ids));
-  if (stats_ != nullptr) stats_->pruned_by_join += pruned.pruned;
-  if (profile_stats_ != nullptr) profile_stats_->pruned_by_join += pruned.pruned;
+  ledger_.pruned_by_join += pruned.pruned;
   return pruned.pruned;
 }
 
 void TableScanOp::Account(PartitionId pid, const PruningStats& delta,
                           int64_t kept_rows) {
-  if (stats_ != nullptr) stats_->Merge(delta);
-  if (profile_stats_ != nullptr) profile_stats_->Merge(delta);
+  ledger_.Merge(delta);
   if (!record_qualifying_) return;
   if (delta.scanned_partitions + delta.pruned_by_filter == 1) ++visited_;
   if (kept_rows > 0) {
@@ -130,7 +128,7 @@ bool TableScanOp::Cancelled() {
 }
 
 bool TableScanOp::ScanPartition(PartitionId pid, ColumnBatch* out,
-                                PruningStats* stats, EvalScratch* scratch,
+                                PruningStats* delta, EvalScratch* scratch,
                                 Status* error) {
   // Deferred filter pruning (§3.2): the same zone-map check the compile
   // phase would have done, executed just before the load. The adaptive tree
@@ -138,13 +136,13 @@ bool TableScanOp::ScanPartition(PartitionId pid, ColumnBatch* out,
   if (runtime_filter_pruner_ != nullptr) {
     MutexLock lock(&runtime_prune_mutex_);
     if (runtime_filter_pruner_->CanPrune(*table_, pid)) {
-      if (stats != nullptr) ++stats->pruned_by_filter;
+      ++delta->pruned_by_filter;
       return false;
     }
   }
   // Runtime top-k pruning: consult the boundary *before* loading (§5.2).
   if (topk_pruner_ != nullptr && topk_pruner_->ShouldSkip(*table_, pid)) {
-    if (stats != nullptr) ++stats->pruned_by_topk;
+    ++delta->pruned_by_topk;
     return false;
   }
   // Injection site: the partition survived every prune but its load fails
@@ -155,10 +153,8 @@ bool TableScanOp::ScanPartition(PartitionId pid, ColumnBatch* out,
     return false;
   }
   const MicroPartition& part = table_->LoadPartition(pid);
-  if (stats != nullptr) {
-    ++stats->scanned_partitions;
-    stats->scanned_rows += part.row_count();
-  }
+  ++delta->scanned_partitions;
+  delta->scanned_rows += part.row_count();
   if (filter_) {
     std::vector<uint32_t> selection;
     ComputeSelection(*filter_, part, &selection, scratch);
@@ -351,14 +347,6 @@ void TableScanOp::Close() {
   item_cursor_ = 0;
 }
 
-void GatherSourceOp::MeterShards(int64_t total, int64_t pruned) {
-  for (PruningStats* stats : {stats_, profile_stats_}) {
-    if (stats == nullptr) continue;
-    stats->shards_total += total;
-    stats->shards_pruned += pruned;
-  }
-}
-
 void GatherSourceOp::Open() {
   cursor_ = 0;
   heads_.assign(answers_.size(), 0);
@@ -388,20 +376,15 @@ bool GatherSourceOp::NextInner(Batch* out) {
     const bool skip =
         topk_pruner_ != nullptr && topk_pruner_->ShouldSkip(*table_, pid);
     SNOW_DCHECK(skip || batch != nullptr);
-    const int64_t rows = table_->partition_metadata(pid).row_count();
-    for (PruningStats* stats : {stats_, profile_stats_}) {
-      if (stats == nullptr) continue;
-      if (!skip) {
-        ++stats->scanned_partitions;
-        stats->scanned_rows += rows;
-      } else {
-        // Exactly the serial scan's pre-load check; an answer the scatter
-        // already produced for this partition was a speculative load.
-        ++stats->pruned_by_topk;
-        if (batch != nullptr) ++stats->speculative_loads;
-      }
+    if (skip) {
+      // Exactly the serial scan's pre-load check; an answer the scatter
+      // already produced for this partition was a speculative load.
+      ++ledger_.pruned_by_topk;
+      if (batch != nullptr) ++ledger_.speculative_loads;
+      continue;
     }
-    if (skip) continue;
+    ++ledger_.scanned_partitions;
+    ledger_.scanned_rows += table_->partition_metadata(pid).row_count();
     if (batch != nullptr) *out = std::move(*batch);
     return true;  // one batch per partition, even with no surviving rows
   }

@@ -27,14 +27,18 @@ namespace snowprune {
 /// partitions (TableScanOp) or replays a scatter's answers for them
 /// (GatherSourceOp): the scan set, which LIMIT pruning and top-k
 /// preparation replace; the top-k pruner consulted before each partition;
-/// the query's stats and their profile mirror.
+/// and the scan's pruning ledger.
+///
+/// The ledger counts every decision about this scan's partitions exactly
+/// once: compile writes the cache, shard-probe, filter and LIMIT counts,
+/// the scan itself the join, top-k, scanned and speculative ones (on the
+/// consumer thread), the scatter the shard counts. The query's
+/// PruningStats, its compile-span annotations and this scan's profile node
+/// are all read off the ledgers after the fact.
 class ScanSource : public Operator {
  public:
-  ScanSource(std::shared_ptr<Table> table, ScanSet scan_set,
-             PruningStats* stats)
-      : table_(std::move(table)),
-        scan_set_(std::move(scan_set)),
-        stats_(stats) {}
+  ScanSource(std::shared_ptr<Table> table, ScanSet scan_set)
+      : table_(std::move(table)), scan_set_(std::move(scan_set)) {}
 
   /// Planner hook (§5): the TopK operator in the same pipeline publishes
   /// boundary updates through this pruner.
@@ -48,19 +52,15 @@ class ScanSource : public Operator {
   const ScanSet& scan_set() const { return scan_set_; }
   const std::shared_ptr<Table>& table() const { return table_; }
 
-  /// Profiling hook (traced queries only): a second PruningStats that
-  /// receives exactly the runtime deltas this scan contributes to the
-  /// query's stats_, attributed to this scan's profile node. Kept separate
-  /// from stats_ so the untraced path's metering code is byte-unchanged.
-  void set_profile_stats(PruningStats* stats) { profile_stats_ = stats; }
+  const PruningStats& ledger() const { return ledger_; }
+  PruningStats* mutable_ledger() { return &ledger_; }
 
   const Schema& output_schema() const override { return table_->schema(); }
 
  protected:
   std::shared_ptr<Table> table_;
   ScanSet scan_set_;
-  PruningStats* stats_;
-  PruningStats* profile_stats_ = nullptr;
+  PruningStats ledger_;
   TopKPruner* topk_pruner_ = nullptr;
 };
 
@@ -88,7 +88,7 @@ class ScanSource : public Operator {
 /// checks, and an optional per-morsel reduction run on workers; batches are
 /// still delivered to the consumer in scan-set order, so every downstream
 /// operator — and the query result — is bit-identical to serial execution.
-/// Per-partition PruningStats are merged into the query's stats on the
+/// Per-partition PruningStats are merged into the scan's ledger on the
 /// consumer thread, in scan-set order.
 ///
 /// One stats-parity exception: with runtime filter pruning AND the adaptive
@@ -112,8 +112,7 @@ class TableScanOp : public ScanSource {
   /// distinct morsels and must not touch consumer-side state.
   using MorselStage = std::function<void(MorselResult*)>;
 
-  TableScanOp(std::shared_ptr<Table> table, ScanSet scan_set, ExprPtr filter,
-              PruningStats* stats);
+  TableScanOp(std::shared_ptr<Table> table, ScanSet scan_set, ExprPtr filter);
   ~TableScanOp() override;
 
   /// Planner hook (§3.2): deferred filter pruning. When compile-time
@@ -241,14 +240,14 @@ class TableScanOp : public ScanSource {
   /// A load fault (the scan.partition_load failpoint) sets `*error` and
   /// returns false; callers must check the error before treating false as
   /// "pruned".
-  bool ScanPartition(PartitionId pid, ColumnBatch* out, PruningStats* stats,
+  bool ScanPartition(PartitionId pid, ColumnBatch* out, PruningStats* delta,
                      EvalScratch* scratch, Status* error);
   /// Groups consecutive scan-set positions into morsel ranges under the
   /// row-count budget.
   void PlanMorsels();
   /// Consumer-side bookkeeping of one delivered scan-set position: merges
-  /// its stats delta into the query's stats (and the profile mirror) and
-  /// feeds the qualifying-partition record with the rows the filter kept.
+  /// its stats delta into the ledger and feeds the qualifying-partition
+  /// record with the rows the filter kept.
   void Account(PartitionId pid, const PruningStats& delta, int64_t kept_rows);
 
   ExprPtr filter_;
@@ -303,8 +302,8 @@ struct ShardAnswer {
 /// "load" — and emits the partition's batch from its shard's answer (even an
 /// empty one, matching TableScanOp's one-batch-per-partition contract).
 /// Slices follow scan-set order, so a partition's batch is always at the
-/// head of one answer. Per-partition stats are metered here, in scan-set
-/// order, so the gathered PruningStats reproduce a serial run's counters
+/// head of one answer. Per-partition stats are metered into the ledger
+/// here, in scan-set order, so it reproduces a serial scan's counters
 /// bit-for-bit; an answer dropped by a boundary that tightened after the
 /// scatter is the sharded analog of a parallel worker's stale lookahead
 /// load and is surfaced as speculative_loads.
@@ -319,10 +318,6 @@ class GatherSourceOp : public ScanSource {
   void SetAnswers(std::vector<ShardAnswer> answers) {
     answers_ = std::move(answers);
   }
-  /// Meters the cross-shard pruning level (shards the scatter did not
-  /// contact) with the rest of this source's counters.
-  void MeterShards(int64_t total, int64_t pruned);
-
   void Open() override;
   bool Next(Batch* out) override;
   void Close() override {}

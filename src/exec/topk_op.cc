@@ -52,8 +52,8 @@ void TopKOp::Open() {
     shared_root_ = Value::Null();
   }
   columnar_input_ = dynamic_cast<TableScanOp*>(input_.get());
-  if (pipeline_parallel_ && columnar_input_ != nullptr &&
-      columnar_input_->parallel_enabled() && k_ > 0) {
+  if (columnar_input_ != nullptr && columnar_input_->parallel_enabled() &&
+      k_ > 0) {
     InstallFilterStage();
   }
   input_->Open();

@@ -25,7 +25,7 @@ namespace snowprune {
 /// parallel results and stats byte-identical to serial lives in the scan's
 /// ordered delivery (TableScanOp::NextColumns) and is unaffected.
 ///
-/// Pipeline-parallel mode (EnablePipelineParallel + a parallel scan input):
+/// Pipeline-parallel mode (a parallel table-scan input):
 /// the boundary test over every row — the dominant cost — moves onto the
 /// scan workers as a per-morsel candidate filter. Each worker keeps a
 /// bounded heap over its morsel and a snapshot of the consumer heap's
@@ -54,10 +54,6 @@ class TopKOp : public Operator {
   /// down before input_; Close() normally joins first but unwinding can
   /// skip it — TableScanOp::Close() is idempotent).
   ~TopKOp() override;
-
-  /// Engine hook: allow the worker-side candidate-filter stage when the
-  /// input is a parallel table scan.
-  void EnablePipelineParallel() { pipeline_parallel_ = true; }
 
   void Open() override;
   bool Next(Batch* out) override;
@@ -100,7 +96,6 @@ class TopKOp : public Operator {
   bool descending_;
   int64_t k_;
   TopKPruner* pruner_;
-  bool pipeline_parallel_ = false;
   /// Set when the input is a TableScanOp consumed via NextColumns().
   TableScanOp* columnar_input_ = nullptr;
   /// True while the candidate-filter stage is installed this execution.

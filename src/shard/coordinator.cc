@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -44,9 +45,11 @@ namespace {
 
 /// Join-free single-scan chain? That is the shape the scatter can answer
 /// with one slice scan per shard; everything else falls back to the
-/// single-engine path.
-bool SupportedShape(const PlanPtr& plan, size_t* scans) {
-  if (!plan) return false;
+/// single-engine path. A chain that reaches a node twice is a cycle, which
+/// the engine refuses.
+bool SupportedShape(const PlanPtr& plan, size_t* scans,
+                    std::set<const PlanNode*>* seen) {
+  if (!plan || !seen->insert(plan.get()).second) return false;
   switch (plan->kind) {
     case PlanNode::Kind::kScan:
       return ++*scans == 1;
@@ -55,7 +58,7 @@ bool SupportedShape(const PlanPtr& plan, size_t* scans) {
     case PlanNode::Kind::kTopK:
     case PlanNode::Kind::kSort:
     case PlanNode::Kind::kAggregate:
-      return SupportedShape(plan->child, scans);
+      return SupportedShape(plan->child, scans, seen);
     case PlanNode::Kind::kJoin:
       return false;
   }
@@ -150,8 +153,11 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
   info.shards_contacted = contacted.size();
   const auto shards_pruned =
       static_cast<int64_t>(map_.assigned_shards() - contacted.size());
-  gather->MeterShards(static_cast<int64_t>(map_.assigned_shards()),
-                      shards_pruned);
+  // The cross-shard level goes on the gather's ledger, beside its
+  // per-partition counts.
+  gather->mutable_ledger()->shards_total =
+      static_cast<int64_t>(map_.assigned_shards());
+  gather->mutable_ledger()->shards_pruned = shards_pruned;
   static Counter* const scatter_fanout =
       MetricsRegistry::Instance().GetCounter("shard.scatter_fanout");
   static Counter* const shards_pruned_counter =
@@ -170,8 +176,8 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
   // Scatter: each contacted shard scans exactly its slice of the shared
   // snapshot (all other operators run gather-side) with the predicate the
   // compile bound, so concurrent slice scans share the tree read-only. The
-  // scans meter nothing: the gather accounts every partition in scan-set
-  // order.
+  // slice scans' ledgers are dropped: the gather accounts every partition
+  // in scan-set order.
   std::vector<Result<std::vector<Batch>>> shard_results(
       contacted.size(), Status::Internal("shard slice unscanned"));
   // Traced scatter: each shard records into its own Trace (scatter threads
@@ -219,7 +225,7 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
         }
         ScopedSpan scan_span(shard_trace, "shard.scan");
         scan_span.AnnotateInt("partitions", static_cast<int64_t>(slice.size()));
-        TableScanOp scan(gather->table(), slice, predicate_, nullptr);
+        TableScanOp scan(gather->table(), slice, predicate_);
         if (pool != nullptr) scan.EnableParallel(pool, window, morsel_min_rows);
         scan.set_cancel_flag(opts_.cancel);
         scan.set_deadline_ns(opts_.deadline_ns);
@@ -387,8 +393,9 @@ Result<QueryResult> ShardCoordinator::Execute(const PlanPtr& plan,
   opts.deadline_ns = deadline_ns;
 
   size_t scans = 0;
+  std::set<const PlanNode*> seen;
   const bool supported =
-      SupportedShape(plan, &scans) && scans == 1 &&
+      SupportedShape(plan, &scans, &seen) && scans == 1 &&
       config_.engine.predicate_cache == nullptr &&
       (!config_.engine.enable_filter_pruning ||
        config_.engine.filter_pruning_phase == FilterPruningPhase::kCompileTime);

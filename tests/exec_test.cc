@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
+#include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "exec/column_batch.h"
@@ -456,8 +458,7 @@ TEST(ColumnBatchTest, VectorizedSelectionAgreesWithScalarMask) {
 TEST_F(ExecTest, ScanEmitsColumnBatchesMatchingScalarOracle) {
   auto pred = Between(Col("key"), Value(int64_t{10000}), Value(int64_t{30000}));
   ASSERT_TRUE(BindExpr(pred, fact_->schema()).ok());
-  PruningStats stats;
-  TableScanOp scan(fact_, fact_->FullScanSet(), pred, &stats);
+  TableScanOp scan(fact_, fact_->FullScanSet(), pred);
   scan.Open();
   ColumnBatch batch;
   size_t batches = 0;
@@ -480,7 +481,7 @@ TEST_F(ExecTest, ScanEmitsColumnBatchesMatchingScalarOracle) {
   scan.Close();
   EXPECT_EQ(batches, fact_->num_partitions());  // one batch per partition
   EXPECT_GT(selected_rows, 0);
-  EXPECT_EQ(stats.scanned_partitions,
+  EXPECT_EQ(scan.ledger().scanned_partitions,
             static_cast<int64_t>(fact_->num_partitions()));
 }
 
@@ -819,6 +820,158 @@ TEST_F(ExecTest, EarlyStoppedScanPublishesOnlyAKSufficientEntry) {
     EXPECT_TRUE(
         Run(ScanPlan("corr", CorrelatedPredicate())).predicate_cache_hit);
   }
+}
+
+// ------------------------------------ Nested row-dropping operators ----
+
+constexpr workload::Layout kLayouts[] = {workload::Layout::kSorted,
+                                         workload::Layout::kClustered,
+                                         workload::Layout::kRandom};
+
+/// A synthetic table "t" of `partitions` × 50 rows (seed 7, no NULLs).
+std::shared_ptr<Table> Synthetic50(workload::Layout layout,
+                                   size_t partitions) {
+  workload::TableGenConfig cfg;
+  cfg.name = "t";
+  cfg.num_partitions = partitions;
+  cfg.rows_per_partition = 50;
+  cfg.layout = layout;
+  cfg.seed = 7;
+  return workload::SyntheticTable(cfg);
+}
+
+/// Runs `plan` serially over a 16×50 "t" with every pruning technique on
+/// or off.
+QueryResult RunOn16x50(workload::Layout layout, const PlanPtr& plan,
+                       bool pruning) {
+  Catalog catalog;
+  EXPECT_TRUE(catalog.RegisterTable(Synthetic50(layout, 16)).ok());
+  EngineConfig config;
+  config.enable_filter_pruning = pruning;
+  config.enable_limit_pruning = pruning;
+  config.enable_topk_pruning = pruning;
+  config.enable_join_pruning = pruning;
+  config.exec.num_threads = 1;
+  Engine engine(&catalog, config);
+  auto result = engine.Execute(plan);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? std::move(result).value() : QueryResult();
+}
+
+/// The rows' `key` values, largest first.
+std::vector<int64_t> KeysDescending(const QueryResult& r) {
+  std::vector<int64_t> keys;
+  const auto col = r.schema.FindColumn("key");
+  if (!col.has_value()) return keys;
+  for (const Row& row : r.rows) keys.push_back(row[*col].int64_value());
+  std::sort(keys.rbegin(), keys.rend());
+  return keys;
+}
+
+/// A TopK over a LIMIT ranks exactly the rows the LIMIT delivers. LIMIT
+/// pruning cuts the scan to partitions holding enough of them; a top-k
+/// pruner attached to that scan from above the LIMIT would skip those
+/// partitions under its initialized boundary and leave nothing to rank.
+TEST(NestedShapeTest, TopKOverLimitRanksTheLimitRows) {
+  for (workload::Layout layout : kLayouts) {
+    const QueryResult limited =
+        RunOn16x50(layout, LimitPlan(ScanPlan("t"), 10), true);
+    ASSERT_EQ(limited.rows.size(), 10u) << ToString(layout);
+    std::vector<int64_t> expected = KeysDescending(limited);
+    expected.resize(3);
+
+    auto plan = TopKPlan(LimitPlan(ScanPlan("t"), 10), "key",
+                         /*descending=*/true, 3);
+    EXPECT_EQ(KeysDescending(RunOn16x50(layout, plan, true)), expected)
+        << ToString(layout);
+    EXPECT_EQ(RunOn16x50(layout, plan, false).rows.size(), 3u)
+        << ToString(layout);
+  }
+}
+
+/// A TopK over a TopK in the other direction keeps the inner TopK's worst
+/// rows, which the outer boundary must not prune from under it.
+TEST(NestedShapeTest, TopKOverTopKMatchesUnprunedKeys) {
+  for (workload::Layout layout : kLayouts) {
+    for (int64_t k1 : {5, 20, 60, 200}) {
+      for (int64_t k2 : {3, 10}) {
+        for (bool inner_desc : {true, false}) {
+          auto plan = TopKPlan(TopKPlan(ScanPlan("t"), "key", inner_desc, k1),
+                               "key", !inner_desc, k2);
+          EXPECT_EQ(KeysDescending(RunOn16x50(layout, plan, true)),
+                    KeysDescending(RunOn16x50(layout, plan, false)))
+              << ToString(layout) << " k1=" << k1 << " k2=" << k2
+              << (inner_desc ? " inner desc" : " inner asc");
+        }
+      }
+    }
+  }
+}
+
+/// A join's probe-side summary pruning must not reach through a TopK
+/// either: the TopK would rank only the partitions that can match the
+/// build side (here the second-to-last partition's rows), not the whole
+/// table, and return rows from below its true top 60.
+TEST(NestedShapeTest, JoinOverTopKProbeMatchesUnprunedRows) {
+  for (workload::Layout layout : kLayouts) {
+    auto plan = JoinPlan(
+        TopKPlan(ScanPlan("t"), "key", /*descending=*/true, 60),
+        ScanPlan("t", Between(Col("id"), Value(int64_t{700}),
+                              Value(int64_t{749}))),
+        "key", "key");
+    EXPECT_EQ(KeysDescending(RunOn16x50(layout, plan, true)),
+              KeysDescending(RunOn16x50(layout, plan, false)))
+        << ToString(layout);
+  }
+}
+
+// ------------------------------------------------ Plans must be trees ----
+
+/// Compiles over an 8×50 clustered "t" (400 rows), serially.
+Result<QueryResult> RunOn8x50(const PlanPtr& plan) {
+  Catalog catalog;
+  EXPECT_TRUE(catalog
+                  .RegisterTable(
+                      Synthetic50(workload::Layout::kClustered, /*parts=*/8))
+                  .ok());
+  EngineConfig config;
+  config.exec.num_threads = 1;
+  Engine engine(&catalog, config);
+  return engine.Execute(plan);
+}
+
+/// One scan node on both sides of a join. Compiled twice, the build copy
+/// would take over the probe copy's bookkeeping: a probe-side load fault
+/// would go unchecked and the query return a truncated OK.
+TEST(PlanTreeTest, ScanSharedByBothJoinSidesIsRefused) {
+  auto s = ScanPlan("t");
+  FailPoint* fp =
+      FailPointRegistry::Instance().Register("scan.partition_load");
+  fp->ArmOnceAfterK(9);  // the build side's 8 loads, then one probe load
+  auto result = RunOn8x50(JoinPlan(s, s, "key", "key"));
+  fp->Disarm();
+  ASSERT_FALSE(result.ok()) << result.value().rows.size() << " rows";
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// One scan node under a TopK on the probe side and bare on the build
+/// side: the build copy would pick up the TopK's pruner.
+TEST(PlanTreeTest, ScanSharedUnderTopKAndJoinIsRefused) {
+  auto s = ScanPlan("t");
+  auto result = RunOn8x50(
+      JoinPlan(TopKPlan(s, "key", /*descending=*/true, 3), s, "cat", "cat"));
+  ASSERT_FALSE(result.ok()) << result.value().rows.size() << " rows";
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// A node that is its own child is refused instead of recursing forever.
+TEST(PlanTreeTest, CyclicPlanIsRefused) {
+  auto limit = LimitPlan(ScanPlan("t"), 5);
+  limit->child = limit;
+  auto result = RunOn8x50(limit);
+  limit->child = nullptr;  // break the ownership cycle
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

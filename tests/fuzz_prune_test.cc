@@ -533,6 +533,39 @@ TEST(FuzzPruneTest, EngineAgreesWithUnprunedExecution) {
         }
       }
     }
+
+    // --- Top-k over rows a LIMIT or a TopK already cut: the outer TopK
+    // ranks exactly the inner operator's rows. Over the LIMIT that means
+    // the best of the rows the pruned LIMIT above returned (NULL order
+    // keys never enter a heap); over an opposite-direction TopK the
+    // winning order values are unique, as for a plain top-k. ----------
+    const int64_t outer_k = k / 2 + 1;
+    auto topk_over_limit = TopKPlan(LimitPlan(ScanPlan("t", pred), k),
+                                    order_col, desc, outer_k);
+    std::vector<Row> ranked;
+    for (const Row& row : limit_on) {
+      if (!row[*order_idx].is_null()) ranked.push_back(row);
+    }
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [&](const Row& a, const Row& b) {
+                       const int c = Value::Compare(a[*order_idx],
+                                                    b[*order_idx]);
+                       return desc ? c > 0 : c < 0;
+                     });
+    if (static_cast<int64_t>(ranked.size()) > outer_k) ranked.resize(outer_k);
+    std::vector<Row> over_limit = engine.Run(topk_over_limit, true, 1);
+    ASSERT_EQ(order_values(over_limit), order_values(ranked))
+        << ctx << ": top-k over LIMIT did not rank the LIMIT's rows";
+    ExpectParallelIdentical(&engine, topk_over_limit, over_limit, ctx);
+
+    auto topk_over_topk = TopKPlan(TopKPlan(ScanPlan("t", pred), order_col,
+                                            desc, k),
+                                   order_col, !desc, outer_k);
+    std::vector<Row> over_topk = engine.Run(topk_over_topk, true, 1);
+    ASSERT_EQ(order_values(over_topk),
+              order_values(engine.Run(topk_over_topk, false, 1)))
+        << ctx << ": top-k over top-k changed the winning order values";
+    ExpectParallelIdentical(&engine, topk_over_topk, over_topk, ctx);
   }
 }
 

@@ -220,6 +220,20 @@ Result<QueryResult> RunTraced(Catalog* catalog, const PlanPtr& plan,
   return engine.Execute(plan, opts);
 }
 
+/// The first node named `name` with detail `detail`, depth first.
+const ProfileNode* FindProfileNode(const ProfileNode* node,
+                                   const std::string& name,
+                                   const std::string& detail) {
+  if (node == nullptr) return nullptr;
+  if (node->name == name && node->detail == detail) return node;
+  for (const ProfileNode* child : node->children) {
+    if (const ProfileNode* found = FindProfileNode(child, name, detail)) {
+      return found;
+    }
+  }
+  return nullptr;
+}
+
 /// The profile's per-node pruning counters sum to the query's PruningStats
 /// exactly, for plans covering every engine pruning level.
 TEST(ProfileTest, SumPruningReconcilesWithQueryStats) {
@@ -227,6 +241,12 @@ TEST(ProfileTest, SumPruningReconcilesWithQueryStats) {
   ASSERT_TRUE(catalog.RegisterTable(RangedTable("t", 8, 10)).ok());
   ASSERT_TRUE(
       catalog.RegisterTable(IntTable("build", "key", {{5, 6, 7}})).ok());
+  // A LIMIT over a build-outer join prunes the build scan "t" (§4.3): the
+  // count belongs on that scan's node, not the probe scan's.
+  const PlanPtr limit_over_join =
+      LimitPlan(JoinPlan(ScanPlan("build"), ScanPlan("t"), "key", "key",
+                         JoinKind::kBuildOuter),
+                5);
   const std::vector<PlanPtr> plans = {
       ScanPlan("t", Between(Col("key"), Value(int64_t{12}), Value(int64_t{25}))),
       LimitPlan(ScanPlan("t"), 5),
@@ -237,6 +257,7 @@ TEST(ProfileTest, SumPruningReconcilesWithQueryStats) {
       JoinPlan(ScanPlan("t"), ScanPlan("build"), "key", "key"),
       AggregatePlan(ScanPlan("t"), {},
                     {AggPlanSpec{AggFunc::kCount, "", "n"}}),
+      limit_over_join,
   };
   for (const PlanPtr& plan : plans) {
     Trace trace;
@@ -253,6 +274,13 @@ TEST(ProfileTest, SumPruningReconcilesWithQueryStats) {
               static_cast<int64_t>(r.rows.size()));
     EXPECT_FALSE(r.profile->ToText().empty());
     EXPECT_NE(r.profile->ToJson().find("\"plan\""), std::string::npos);
+    if (plan == limit_over_join) {
+      const ProfileNode* build_scan =
+          FindProfileNode(r.profile->root, "Scan", "t");
+      ASSERT_NE(build_scan, nullptr);
+      EXPECT_GT(r.stats.pruned_by_limit, 0);
+      EXPECT_EQ(build_scan->pruning.pruned_by_limit, r.stats.pruned_by_limit);
+    }
   }
 }
 

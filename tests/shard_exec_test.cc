@@ -224,6 +224,23 @@ TEST(ShardExecTest, JoinsFallBackToSingleEngine) {
   EXPECT_EQ(result.value().stats.shards_total, 0);
 }
 
+/// A cyclic chain is no scatter shape: the coordinator hands it to the
+/// engine, which refuses it instead of walking the chain forever.
+TEST(ShardExecTest, CyclicPlanIsRefused) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable(RangedTable("t", 4, 8)).ok());
+  auto limit = LimitPlan(ScanPlan("t"), 5);
+  limit->child = limit;
+  ShardExecConfig config;
+  config.num_shards = 2;
+  ShardCoordinator coordinator(&catalog, config);
+  auto result = coordinator.Execute(limit);
+  limit->child = nullptr;  // break the ownership cycle
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(coordinator.last_exec().sharded);
+}
+
 // ---------------------------------------------------------------------------
 // One worker pool
 // ---------------------------------------------------------------------------
