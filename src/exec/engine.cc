@@ -58,16 +58,24 @@ std::shared_ptr<Table> FindTable(const TableSnapshot& tables,
 
 /// The one walk over a plan before it compiles. A plan must be a tree:
 /// compilation keys its per-scan state by node, so a node reached twice
-/// (shared by two parents, or its own descendant) is refused. Unless `out`
-/// is null (an injected snapshot), the walk also snapshots every table a
-/// scan names; missing tables are left out and the scan compile reports
-/// NotFound.
+/// (shared by two parents, or its own descendant) is refused, as is a node
+/// missing an input (a unary node without `child`, a join without `left`
+/// or `right`). Unless `out` is null (an injected snapshot), the walk also
+/// snapshots every table a scan names; missing tables are left out and the
+/// scan compile reports NotFound.
 Status WalkPlan(const Catalog& catalog, const PlanPtr& plan,
                 std::set<const PlanNode*>* seen, TableSnapshot* out) {
   if (!plan) return Status::OK();
   if (!seen->insert(plan.get()).second) {
     return Status::InvalidArgument(
         "plan node reached twice: a plan must be a tree");
+  }
+  const bool is_join = plan->kind == PlanNode::Kind::kJoin;
+  if (plan->kind != PlanNode::Kind::kScan &&
+      (is_join ? !plan->left || !plan->right : !plan->child)) {
+    return Status::InvalidArgument(
+        is_join ? "join plan node is missing its left or right input"
+                : "plan node is missing its child");
   }
   if (out != nullptr && plan->kind == PlanNode::Kind::kScan &&
       out->find(plan->table) == out->end()) {

@@ -290,14 +290,15 @@ void HashJoinOp::Open() {
         if (!item.loaded) continue;
         auto partial = std::make_shared<JoinBuildItemPartial>();
         const ColumnVector& keys = item.batch.column(key);
-        const auto& nulls = keys.null_mask();
         const size_t n = item.batch.num_rows();
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t r = item.batch.row_index(i);
-          if (nulls[r]) continue;
-          partial->summary.Add(keys.ValueAt(r));
-          partial->hashes.push_back(HashCell(keys, r));
-        }
+        WithNullTest(keys.nulls(), [&](auto is_null) {
+          for (size_t i = 0; i < n; ++i) {
+            const uint32_t r = item.batch.row_index(i);
+            if (is_null(r)) continue;
+            partial->summary.Add(keys.ValueAt(r));
+            partial->hashes.push_back(HashCell(keys, r));
+          }
+        });
         item.payload = std::move(partial);
       }
     });
@@ -315,34 +316,32 @@ void HashJoinOp::Open() {
     while (build_scan->NextColumns(&batch, &payload)) {
       const auto bidx = static_cast<uint32_t>(build_batches_.size());
       const ColumnVector& keys = batch.column(build_key_);
-      const auto& nulls = keys.null_mask();
       const size_t n = batch.num_rows();
-      if (payload != nullptr) {
-        // Worker-prepared partial: merge the summary exactly (value order
-        // == scan-set row order == serial order) and zip the precomputed
-        // hashes back onto the non-null rows.
-        auto* partial = static_cast<JoinBuildItemPartial*>(payload.get());
+      // A worker-prepared partial (parallel build): merge its summary
+      // exactly (value order == scan-set row order == serial order) and zip
+      // its precomputed hashes back onto the non-null rows. Without one,
+      // summarize and hash here.
+      auto* partial = static_cast<JoinBuildItemPartial*>(payload.get());
+      if (partial != nullptr) {
         summary_builder.Append(std::move(partial->summary));
-        size_t next_hash = 0;
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t r = batch.row_index(i);
-          if (!nulls[r]) {
-            entries.push_back(JoinHashTable::Entry{
-                partial->hashes[next_hash++], build_refs_.size()});
-          }
-          build_refs_.push_back(BuildRef{bidx, r});
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t r = batch.row_index(i);
-          if (!nulls[r]) {
-            summary_builder.Add(keys.ValueAt(r));
-            entries.push_back(
-                JoinHashTable::Entry{HashCell(keys, r), build_refs_.size()});
-          }
-          build_refs_.push_back(BuildRef{bidx, r});
-        }
       }
+      size_t next_hash = 0;
+      WithNullTest(keys.nulls(), [&](auto is_null) {
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t r = batch.row_index(i);
+          if (!is_null(r)) {
+            if (partial != nullptr) {
+              entries.push_back(JoinHashTable::Entry{
+                  partial->hashes[next_hash++], build_refs_.size()});
+            } else {
+              summary_builder.Add(keys.ValueAt(r));
+              entries.push_back(
+                  JoinHashTable::Entry{HashCell(keys, r), build_refs_.size()});
+            }
+          }
+          build_refs_.push_back(BuildRef{bidx, r});
+        }
+      });
       build_batches_.push_back(std::move(batch));
     }
   } else {
@@ -463,34 +462,36 @@ bool HashJoinOp::NextInner(Batch* out) {
       out->rows.clear();
       out->source.clear();
       const ColumnVector& keys = in.column(probe_key_);
-      const auto& nulls = keys.null_mask();
       const size_t n = in.num_rows();
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = in.row_index(i);
-        bool matched = false;
-        if (!nulls[r]) {
-          const uint64_t h = HashCell(keys, r);
-          // Row-level bloom-join check: skip the hash-table probe entirely
-          // when the filter proves absence (CPU saving, not IO — §6.1).
-          if (bloom_ != nullptr && !bloom_->MayContainHash(h)) {
-            ++bloom_skipped_rows_;
-          } else {
-            matched = ProbeHash(
-                h, out, [&](Row* joined) { in.AppendRowValues(r, joined); },
-                [&](size_t entry) {
-                  return EntryKeyEqualsCell(keys, r, entry);
-                });
+      WithNullTest(keys.nulls(), [&](auto is_null) {
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t r = in.row_index(i);
+          bool matched = false;
+          if (!is_null(r)) {
+            const uint64_t h = HashCell(keys, r);
+            // Row-level bloom-join check: skip the hash-table probe
+            // entirely when the filter proves absence (CPU saving, not IO
+            // — §6.1).
+            if (bloom_ != nullptr && !bloom_->MayContainHash(h)) {
+              ++bloom_skipped_rows_;
+            } else {
+              matched = ProbeHash(
+                  h, out, [&](Row* joined) { in.AppendRowValues(r, joined); },
+                  [&](size_t entry) {
+                    return EntryKeyEqualsCell(keys, r, entry);
+                  });
+            }
+          }
+          if (!matched && kind_ == JoinKind::kProbeOuter) {
+            Row joined;
+            joined.reserve(schema_.num_columns());
+            in.AppendRowValues(r, &joined);
+            Row nulls_row = NullBuildRow();
+            joined.insert(joined.end(), nulls_row.begin(), nulls_row.end());
+            out->rows.push_back(std::move(joined));
           }
         }
-        if (!matched && kind_ == JoinKind::kProbeOuter) {
-          Row joined;
-          joined.reserve(schema_.num_columns());
-          in.AppendRowValues(r, &joined);
-          Row nulls_row = NullBuildRow();
-          joined.insert(joined.end(), nulls_row.begin(), nulls_row.end());
-          out->rows.push_back(std::move(joined));
-        }
-      }
+      });
       return true;
     }
   } else {

@@ -48,15 +48,16 @@ std::shared_ptr<void> BuildSortedRun(const ColumnBatch& batch, size_t column,
                                      bool desc, KeyOf key_of, KeyT null_key) {
   auto run = std::make_shared<SortedRun<KeyT>>();
   const ColumnVector& col = batch.column(column);
-  const auto& nulls = col.null_mask();
   const size_t n = batch.num_rows();
   run->entries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t r = batch.row_index(i);
-    run->entries.push_back(typename SortedRun<KeyT>::Entry{
-        nulls[r] ? null_key : key_of(col, r),
-        static_cast<uint8_t>(nulls[r] ? 1 : 0), r});
-  }
+  WithNullTest(col.nulls(), [&](auto is_null) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = batch.row_index(i);
+      const bool null = is_null(r);
+      run->entries.push_back(typename SortedRun<KeyT>::Entry{
+          null ? null_key : key_of(col, r), static_cast<uint8_t>(null), r});
+    }
+  });
   StableSortDecorated(&run->entries, desc);
   return run;
 }
@@ -76,13 +77,12 @@ std::shared_ptr<void> BuildSortedRunFor(DataType type, const ColumnBatch& batch,
       // plus a k-way merge is then NOT equivalent to one stable_sort over
       // the concatenated input, and the parallel output could diverge from
       // serial. Leave such partitions run-less — the consumer falls back to
-      // the serial whole-input sort and byte-identity is preserved.
+      // the serial whole-input sort and byte-identity is preserved. A NULL
+      // row's slot holds 0.0, so the mask need not be read.
       const ColumnVector& col = batch.column(column);
-      const auto& nulls = col.null_mask();
       const size_t n = batch.num_rows();
       for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = batch.row_index(i);
-        if (!nulls[r] && std::isnan(col.Float64At(r))) return nullptr;
+        if (std::isnan(col.Float64At(batch.row_index(i)))) return nullptr;
       }
       return BuildSortedRun<double>(
           batch, column, desc,
@@ -369,13 +369,16 @@ bool SortOp::NextInner(Batch* out) {
       order.reserve(total);
       for (size_t bi = 0; bi < batches.size(); ++bi) {
         const ColumnVector& col = batches[bi].column(order_column_);
-        const auto& nulls = col.null_mask();
         const size_t n = batches[bi].num_rows();
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t r = batches[bi].row_index(i);
-          order.push_back(Entry{nulls[r] ? null_key : key_of(col, r),
-                                nulls[r], static_cast<uint32_t>(bi), r});
-        }
+        WithNullTest(col.nulls(), [&](auto is_null) {
+          for (size_t i = 0; i < n; ++i) {
+            const uint32_t r = batches[bi].row_index(i);
+            const bool null = is_null(r);
+            order.push_back(Entry{null ? null_key : key_of(col, r),
+                                  static_cast<uint8_t>(null),
+                                  static_cast<uint32_t>(bi), r});
+          }
+        });
       }
       StableSortDecorated(&order, descending_);
       out->rows.clear();

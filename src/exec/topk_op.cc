@@ -109,37 +109,39 @@ void TopKOp::InstallFilterStage() {
       if (!item.loaded) continue;
       auto cands = std::make_shared<TopKItemCandidates>();
       const ColumnVector& keys = item.batch.column(col);
-      const auto& nulls = keys.null_mask();
       const size_t n = item.batch.num_rows();
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = item.batch.row_index(i);
-        if (nulls[r]) continue;  // NULL keys never qualify
-        if (snap_full) {
-          // Not strictly better than a full consumer root → serial rejects
-          // (sound for NaN candidates too: NaN is never strictly better,
-          // and a full serial heap admits only strictly-better rows).
-          const int c = -CompareCellVsValue(keys, r, snap_root);
-          if (!(desc ? c < 0 : c > 0)) continue;
-        }
-        if (!local_heap_sound) {
+      WithNullTest(keys.nulls(), [&](auto is_null) {
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t r = item.batch.row_index(i);
+          if (is_null(r)) continue;  // NULL keys never qualify
+          if (snap_full) {
+            // Not strictly better than a full consumer root → serial
+            // rejects (sound for NaN candidates too: NaN is never strictly
+            // better, and a full serial heap admits only strictly-better
+            // rows).
+            const int c = -CompareCellVsValue(keys, r, snap_root);
+            if (!(desc ? c < 0 : c > 0)) continue;
+          }
+          if (!local_heap_sound) {
+            cands->rows.push_back(r);
+            continue;
+          }
+          if (static_cast<int64_t>(local.size()) == k) {
+            // ≥ k earlier rows of this morsel are at least as good → the
+            // serial heap is full here with a root at least this strict.
+            const Ref& root = local.front();
+            const int c = CompareCells(keys, r, *root.col, root.row);
+            if (!(desc ? c > 0 : c < 0)) continue;
+            std::pop_heap(local.begin(), local.end(), heap_cmp);
+            local.back() = Ref{&keys, r};
+            std::push_heap(local.begin(), local.end(), heap_cmp);
+          } else {
+            local.push_back(Ref{&keys, r});
+            std::push_heap(local.begin(), local.end(), heap_cmp);
+          }
           cands->rows.push_back(r);
-          continue;
         }
-        if (static_cast<int64_t>(local.size()) == k) {
-          // ≥ k earlier rows of this morsel are at least as good → the
-          // serial heap is full here with a root at least this strict.
-          const Ref& root = local.front();
-          const int c = CompareCells(keys, r, *root.col, root.row);
-          if (!(desc ? c > 0 : c < 0)) continue;
-          std::pop_heap(local.begin(), local.end(), heap_cmp);
-          local.back() = Ref{&keys, r};
-          std::push_heap(local.begin(), local.end(), heap_cmp);
-        } else {
-          local.push_back(Ref{&keys, r});
-          std::push_heap(local.begin(), local.end(), heap_cmp);
-        }
-        cands->rows.push_back(r);
-      }
+      });
       item.payload = std::move(cands);
     }
   });
@@ -172,7 +174,6 @@ void TopKOp::ConsumeColumns() {
   TableScanOp::MorselPayload payload;
   while (columnar_input_->NextColumns(&in, &payload)) {
     const ColumnVector& keys = in.column(order_column_);
-    const auto& nulls = keys.null_mask();
     const PartitionId src = in.source();
     const bool float_keys = keys.type() == DataType::kFloat64;
     // The exact serial per-row heap step, shared by the full scan loop and
@@ -214,11 +215,13 @@ void TopKOp::ConsumeColumns() {
       for (uint32_t r : cands->rows) process_row(r);
     } else {
       const size_t n = in.num_rows();
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t r = in.row_index(i);
-        if (nulls[r]) continue;  // NULL keys never qualify
-        process_row(r);
-      }
+      WithNullTest(keys.nulls(), [&](auto is_null) {
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t r = in.row_index(i);
+          if (is_null(r)) continue;  // NULL keys never qualify
+          process_row(r);
+        }
+      });
     }
   }
 }

@@ -201,16 +201,17 @@ void FillRows(const RowSpan& rows, uint8_t v, std::vector<uint8_t>* out) {
 void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
                           CompareOp op, bool flip, const RowSpan& rows,
                           std::vector<uint8_t>* out) {
-  const auto& nulls = col.null_mask();
   auto run = [&](auto&& cmp_at) {
-    ForEachRow(rows, [&](uint32_t r) {
-      if (nulls[r]) {
-        (*out)[r] = kPredNull;
-        return;
-      }
-      int c = cmp_at(r);
-      if (flip) c = -c;
-      (*out)[r] = ApplyCmp(op, c) ? kPredTrue : kPredFalse;
+    WithNullTest(col.nulls(), [&](auto is_null) {
+      ForEachRow(rows, [&](uint32_t r) {
+        if (is_null(r)) {
+          (*out)[r] = kPredNull;
+          return;
+        }
+        int c = cmp_at(r);
+        if (flip) c = -c;
+        (*out)[r] = ApplyCmp(op, c) ? kPredTrue : kPredFalse;
+      });
     });
   };
   switch (col.type()) {
@@ -259,15 +260,17 @@ void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
 void CompareColumnColumn(const ColumnVector& a, const ColumnVector& b,
                          CompareOp op, const RowSpan& rows,
                          std::vector<uint8_t>* out) {
-  const auto& an = a.null_mask();
-  const auto& bn = b.null_mask();
   auto run = [&](auto&& cmp_at) {
-    ForEachRow(rows, [&](uint32_t r) {
-      if (an[r] || bn[r]) {
-        (*out)[r] = kPredNull;
-        return;
-      }
-      (*out)[r] = ApplyCmp(op, cmp_at(r)) ? kPredTrue : kPredFalse;
+    WithNullTest(a.nulls(), [&](auto a_null) {
+      WithNullTest(b.nulls(), [&](auto b_null) {
+        ForEachRow(rows, [&](uint32_t r) {
+          if (a_null(r) || b_null(r)) {
+            (*out)[r] = kPredNull;
+            return;
+          }
+          (*out)[r] = ApplyCmp(op, cmp_at(r)) ? kPredTrue : kPredFalse;
+        });
+      });
     });
   };
   const bool a_num = a.type() == DataType::kInt64 || a.type() == DataType::kFloat64;
@@ -383,20 +386,23 @@ bool EvalNumericLanes(const Expr& expr, const MicroPartition& part,
     case ExprKind::kColumnRef: {
       const ColumnVector* col = AsBoundColumn(expr, part);
       if (col == nullptr) return false;
-      const auto& nulls = col->null_mask();
       if (col->type() == DataType::kInt64) {
         const auto& xs = col->int64_data();
-        ForEachRow(rows, [&](uint32_t r) {
-          out->kind[r] = nulls[r] ? kLaneNull : kLaneInt64;
-          out->i64[r] = xs[r];
+        WithNullTest(col->nulls(), [&](auto is_null) {
+          ForEachRow(rows, [&](uint32_t r) {
+            out->kind[r] = is_null(r) ? kLaneNull : kLaneInt64;
+            out->i64[r] = xs[r];
+          });
         });
         return true;
       }
       if (col->type() == DataType::kFloat64) {
         const auto& xs = col->float64_data();
-        ForEachRow(rows, [&](uint32_t r) {
-          out->kind[r] = nulls[r] ? kLaneNull : kLaneDouble;
-          out->f64[r] = xs[r];
+        WithNullTest(col->nulls(), [&](auto is_null) {
+          ForEachRow(rows, [&](uint32_t r) {
+            out->kind[r] = is_null(r) ? kLaneNull : kLaneDouble;
+            out->f64[r] = xs[r];
+          });
         });
         return true;
       }
@@ -602,15 +608,16 @@ void InListMask(const InListExpr& e, const MicroPartition& part,
     FallbackMask(e, part, rows, out);
     return;
   }
-  const auto& nulls = col->null_mask();
   const auto& vals = e.values();
   auto run = [&](auto&& match_at) {
-    ForEachRow(rows, [&](uint32_t r) {
-      if (nulls[r]) {
-        (*out)[r] = kPredNull;
-        return;
-      }
-      (*out)[r] = match_at(r) ? kPredTrue : kPredFalse;
+    WithNullTest(col->nulls(), [&](auto is_null) {
+      ForEachRow(rows, [&](uint32_t r) {
+        if (is_null(r)) {
+          (*out)[r] = kPredNull;
+          return;
+        }
+        (*out)[r] = match_at(r) ? kPredTrue : kPredFalse;
+      });
     });
   };
   // "Equal" as Value::Compare reports 0 (neither less nor greater), so the
@@ -682,10 +689,12 @@ void StringMatchMask(const Expr& input, const MicroPartition& part,
     FillRows(rows, kPredNull, out);
     return;
   }
-  const auto& nulls = col->null_mask();
-  ForEachRow(rows, [&](uint32_t r) {
-    (*out)[r] = nulls[r] ? kPredNull
-                         : (match(col->StringAt(r)) ? kPredTrue : kPredFalse);
+  WithNullTest(col->nulls(), [&](auto is_null) {
+    ForEachRow(rows, [&](uint32_t r) {
+      (*out)[r] = is_null(r)
+                      ? kPredNull
+                      : (match(col->StringAt(r)) ? kPredTrue : kPredFalse);
+    });
   });
 }
 
@@ -727,11 +736,11 @@ void EvalMask(const Expr& expr, const MicroPartition& part,
         FallbackMask(expr, part, rows, out);
         return;
       }
-      const auto& nulls = col->null_mask();
-      ForEachRow(rows, [&](uint32_t r) {
-        const bool is_null = nulls[r] != 0;
-        (*out)[r] =
-            (e.negate() ? !is_null : is_null) ? kPredTrue : kPredFalse;
+      WithNullTest(col->nulls(), [&](auto is_null) {
+        ForEachRow(rows, [&](uint32_t r) {
+          const bool null = is_null(r);
+          (*out)[r] = (e.negate() ? !null : null) ? kPredTrue : kPredFalse;
+        });
       });
       return;
     }
@@ -759,11 +768,12 @@ void EvalMask(const Expr& expr, const MicroPartition& part,
     case ExprKind::kColumnRef: {
       const ColumnVector* col = AsBoundColumn(expr, part);
       if (col != nullptr && col->type() == DataType::kBool) {
-        const auto& nulls = col->null_mask();
         const auto& xs = col->bool_data();
-        ForEachRow(rows, [&](uint32_t r) {
-          (*out)[r] = nulls[r] ? kPredNull
-                               : (xs[r] != 0 ? kPredTrue : kPredFalse);
+        WithNullTest(col->nulls(), [&](auto is_null) {
+          ForEachRow(rows, [&](uint32_t r) {
+            (*out)[r] = is_null(r) ? kPredNull
+                                   : (xs[r] != 0 ? kPredTrue : kPredFalse);
+          });
         });
         return;
       }

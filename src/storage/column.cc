@@ -1,5 +1,6 @@
 #include "storage/column.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <string>
@@ -24,30 +25,33 @@ Value Box(std::string_view v) { return Value(std::string(v)); }
 /// exactly: the first non-null row seeds min and max, and a later row
 /// replaces them only on a strict < or > — so a NaN seed sticks, a later
 /// NaN never enters, and of -0.0 and 0.0 the first seen is kept. Only the
-/// final min and max are boxed.
+/// final min and max are boxed. A column without a mask takes the no-NULL
+/// loop.
 template <typename At>
-ColumnStats TypedStats(const std::vector<uint8_t>& nulls, At at) {
+ColumnStats TypedStats(const uint8_t* nulls, size_t rows, At at) {
   ColumnStats stats;
   stats.has_stats = true;
-  stats.row_count = static_cast<int64_t>(nulls.size());
+  stats.row_count = static_cast<int64_t>(rows);
   using T = decltype(at(size_t{0}));
   T min{}, max{};
   bool seen = false;
-  for (size_t i = 0; i < nulls.size(); ++i) {
-    if (nulls[i]) {
-      ++stats.null_count;
-      continue;
+  WithNullTest(nulls, [&](auto is_null) {
+    for (size_t i = 0; i < rows; ++i) {
+      if (is_null(i)) {
+        ++stats.null_count;
+        continue;
+      }
+      const T v = at(i);
+      if (!seen) {
+        min = v;
+        max = v;
+        seen = true;
+      } else {
+        if (v < min) min = v;
+        if (v > max) max = v;
+      }
     }
-    const T v = at(i);
-    if (!seen) {
-      min = v;
-      max = v;
-      seen = true;
-    } else {
-      if (v < min) min = v;
-      if (v > max) max = v;
-    }
-  }
+  });
   if (seen) {
     stats.min = Box(min);
     stats.max = Box(max);
@@ -62,7 +66,19 @@ ColumnVector::ColumnVector(DataType type) : type_(type) {
 }
 
 void ColumnVector::AppendNull() {
+  if (null_mask_.empty()) {
+    // The first NULL materializes the mask: all-valid for the rows before
+    // it, and reserved like the typed buffer so it is allocated once.
+    const size_t row_capacity =
+        type_ == DataType::kBool      ? bools_.capacity()
+        : type_ == DataType::kInt64   ? ints_.capacity()
+        : type_ == DataType::kFloat64 ? doubles_.capacity()
+        : string_offsets_.capacity() - 1;
+    null_mask_.reserve(std::max(size_ + 1, row_capacity));
+    null_mask_.resize(size_, 0);
+  }
   null_mask_.push_back(1);
+  ++size_;
   switch (type_) {
     case DataType::kBool: bools_.push_back(0); break;
     case DataType::kInt64: ints_.push_back(0); break;
@@ -75,19 +91,19 @@ void ColumnVector::AppendNull() {
 
 void ColumnVector::AppendBool(bool v) {
   assert(type_ == DataType::kBool);
-  null_mask_.push_back(0);
+  AppendValid();
   bools_.push_back(v ? 1 : 0);
 }
 
 void ColumnVector::AppendInt64(int64_t v) {
   assert(type_ == DataType::kInt64);
-  null_mask_.push_back(0);
+  AppendValid();
   ints_.push_back(v);
 }
 
 void ColumnVector::AppendFloat64(double v) {
   assert(type_ == DataType::kFloat64);
-  null_mask_.push_back(0);
+  AppendValid();
   doubles_.push_back(v);
 }
 
@@ -95,7 +111,7 @@ void ColumnVector::AppendString(std::string_view v) {
   assert(type_ == DataType::kString);
   SNOW_CHECK_LE(v.size(), std::numeric_limits<uint32_t>::max() -
                               string_bytes_.size());
-  null_mask_.push_back(0);
+  AppendValid();
   string_bytes_.insert(string_bytes_.end(), v.begin(), v.end());
   string_offsets_.push_back(static_cast<uint32_t>(string_bytes_.size()));
 }
@@ -131,19 +147,18 @@ Value ColumnVector::ValueAt(size_t i) const {
 ColumnStats ColumnVector::ComputeStats() const {
   switch (type_) {
     case DataType::kBool:
-      return TypedStats(null_mask_, [&](size_t i) { return BoolAt(i); });
+      return TypedStats(nulls(), size_, [&](size_t i) { return BoolAt(i); });
     case DataType::kInt64:
-      return TypedStats(null_mask_, [&](size_t i) { return ints_[i]; });
+      return TypedStats(nulls(), size_, [&](size_t i) { return ints_[i]; });
     case DataType::kFloat64:
-      return TypedStats(null_mask_, [&](size_t i) { return doubles_[i]; });
+      return TypedStats(nulls(), size_, [&](size_t i) { return doubles_[i]; });
     case DataType::kString:
-      return TypedStats(null_mask_, [&](size_t i) { return StringAt(i); });
+      return TypedStats(nulls(), size_, [&](size_t i) { return StringAt(i); });
   }
   return ColumnStats{};
 }
 
 void ColumnVector::Reserve(size_t rows, size_t string_bytes) {
-  null_mask_.reserve(null_mask_.size() + rows);
   switch (type_) {
     case DataType::kBool: bools_.reserve(bools_.size() + rows); break;
     case DataType::kInt64: ints_.reserve(ints_.size() + rows); break;

@@ -30,18 +30,24 @@ struct ColumnStats {
 };
 
 /// A typed, nullable column of values inside one micro-partition. Storage is
-/// unboxed (PAX-style) plus a null mask. Fixed-width types keep one
-/// contiguous vector of values; strings use the variable-size binary layout
-/// of Apache Arrow: one byte arena holding every cell back to back, and
-/// size()+1 uint32 offsets starting at 0, so cell i is the bytes
-/// [offsets[i], offsets[i+1]). NULL rows occupy a default-valued slot (a
-/// zero-length one for strings) so indexes stay aligned with the null mask.
+/// unboxed (PAX-style). Fixed-width types keep one contiguous vector of
+/// values; strings use the variable-size binary layout of Apache Arrow: one
+/// byte arena holding every cell back to back, and size()+1 uint32 offsets
+/// starting at 0, so cell i is the bytes [offsets[i], offsets[i+1]). NULL
+/// rows occupy a default-valued slot (a zero-length one for strings) so
+/// indexes stay aligned across buffers.
+///
+/// The null mask (one byte per row, 1 = NULL) is optional, as Arrow's
+/// validity buffer is: it is allocated by the first AppendNull, with zeros
+/// for the rows before it, so a column that never holds a NULL keeps no mask
+/// and nulls() returns nullptr. Whether a mask exists is the column's own
+/// fact; zone maps are never consulted for it.
 class ColumnVector {
  public:
   explicit ColumnVector(DataType type);
 
   DataType type() const { return type_; }
-  size_t size() const { return null_mask_.size(); }
+  size_t size() const { return size_; }
 
   void AppendNull();
   void AppendBool(bool v);
@@ -51,7 +57,7 @@ class ColumnVector {
   /// Boxed append; the value's type must match (or be NULL).
   void AppendValue(const Value& v);
 
-  bool IsNull(size_t i) const { return null_mask_[i] != 0; }
+  bool IsNull(size_t i) const { return !null_mask_.empty() && null_mask_[i]; }
   bool BoolAt(size_t i) const { return bools_[i] != 0; }
   int64_t Int64At(size_t i) const { return ints_[i]; }
   double Float64At(size_t i) const { return doubles_[i]; }
@@ -64,10 +70,13 @@ class ColumnVector {
   }
 
   /// Raw typed storage for vectorized consumers (the ColumnBatch hot path).
+  /// nulls() is the null mask, or nullptr when the column holds no NULL.
   /// Only the vector matching type() is populated; NULL rows hold a
   /// default-valued slot, so indexes align with the null mask. String
   /// cells are read through StringAt.
-  const std::vector<uint8_t>& null_mask() const { return null_mask_; }
+  const uint8_t* nulls() const {
+    return null_mask_.empty() ? nullptr : null_mask_.data();
+  }
   const std::vector<uint8_t>& bool_data() const { return bools_; }
   const std::vector<int64_t>& int64_data() const { return ints_; }
   const std::vector<double>& float64_data() const { return doubles_; }
@@ -78,8 +87,9 @@ class ColumnVector {
   /// Scans the column to produce its zone map.
   ColumnStats ComputeStats() const;
 
-  /// Pre-sizes the buffers for `rows` more rows carrying `string_bytes`
-  /// more string bytes.
+  /// Pre-sizes the value buffers for `rows` more rows carrying
+  /// `string_bytes` more string bytes. The null mask is sized by the first
+  /// AppendNull, to the value buffer's capacity.
   void Reserve(size_t rows, size_t string_bytes);
   /// Releases spare buffer capacity (a sealed partition never grows).
   void ShrinkToFit();
@@ -89,14 +99,34 @@ class ColumnVector {
   size_t MemoryBytes() const;
 
  private:
+  /// Appends a valid row's mask byte, if the column has a mask.
+  void AppendValid() {
+    if (!null_mask_.empty()) null_mask_.push_back(0);
+    ++size_;
+  }
+
   DataType type_;
-  std::vector<uint8_t> null_mask_;
+  size_t size_ = 0;
+  std::vector<uint8_t> null_mask_;  ///< Empty until the first NULL.
   std::vector<uint8_t> bools_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
   std::vector<uint32_t> string_offsets_;
   std::vector<char> string_bytes_;
 };
+
+/// Runs `body(is_null)` once, where `is_null(r)` tests row r against
+/// `nulls` (a ColumnVector::nulls()). For an all-valid column the test is
+/// the constant false, so a kernel written once compiles to a second loop
+/// that loads no mask byte; the choice is made once per call, not per row.
+template <typename Body>
+inline void WithNullTest(const uint8_t* nulls, Body&& body) {
+  if (nulls == nullptr) {
+    body([](size_t) { return false; });
+  } else {
+    body([nulls](size_t r) { return nulls[r] != 0; });
+  }
+}
 
 }  // namespace snowprune
 

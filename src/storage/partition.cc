@@ -34,6 +34,8 @@ void MicroPartition::RecomputeStats() {
   stats_.reserve(columns_.size());
   for (const auto& col : columns_) {
     stats_.push_back(col.ComputeStats());
+    // A column keeps a null mask exactly when it holds a NULL.
+    SNOW_DCHECK_EQ(col.nulls() == nullptr, stats_.back().null_count == 0);
   }
   has_stats_ = true;
 }

@@ -974,5 +974,42 @@ TEST(PlanTreeTest, CyclicPlanIsRefused) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+/// A plan node missing an input is refused with a Status before compile
+/// dereferences it.
+void ExpectMissingInputRefused(const PlanPtr& plan) {
+  auto result = RunOn8x50(plan);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PlanTreeTest, ProjectWithoutChildIsRefused) {
+  ExpectMissingInputRefused(ProjectPlan(nullptr, {Col("key")}, {"key"}));
+}
+
+TEST(PlanTreeTest, LimitWithoutChildIsRefused) {
+  ExpectMissingInputRefused(LimitPlan(nullptr, 5));
+}
+
+TEST(PlanTreeTest, TopKWithoutChildIsRefused) {
+  ExpectMissingInputRefused(TopKPlan(nullptr, "key", /*descending=*/true, 3));
+}
+
+TEST(PlanTreeTest, AggregateWithoutChildIsRefused) {
+  ExpectMissingInputRefused(AggregatePlan(
+      nullptr, {"cat"}, {AggPlanSpec{AggFunc::kCount, "", "n"}}));
+}
+
+TEST(PlanTreeTest, SortWithoutChildIsRefused) {
+  ExpectMissingInputRefused(SortPlan(nullptr, "key", /*descending=*/false));
+}
+
+TEST(PlanTreeTest, JoinWithoutEitherInputIsRefused) {
+  ExpectMissingInputRefused(JoinPlan(nullptr, ScanPlan("t"), "key", "key"));
+  ExpectMissingInputRefused(JoinPlan(ScanPlan("t"), nullptr, "key", "key"));
+  // Under another node, too: the walk reaches the join through its parent.
+  ExpectMissingInputRefused(
+      LimitPlan(JoinPlan(ScanPlan("t"), nullptr, "key", "key"), 5));
+}
+
 }  // namespace
 }  // namespace snowprune

@@ -632,10 +632,78 @@ std::shared_ptr<Table> NumericEdgeTable() {
       rows, 9);
 }
 
-/// Checks each edge predicate over NumericEdgeTable against the scalar
-/// oracle.
-void ExpectEdgesMatchScalar(std::vector<ExprPtr> predicates) {
-  auto table = NumericEdgeTable();
+/// The synthetic schema (id, key, val, cat, ts) plus flag(bool), with key,
+/// val, cat and flag nullable, in 12 partitions of 8 rows. Each nullable
+/// column is NULL-free in four partitions, all-NULL in four and mixed in
+/// four, with the modes staggered across columns, so the kernels run their
+/// mask-free and masked loops side by side (a NULL-free partition keeps no
+/// mask) and a column-vs-column term meets every pairing.
+std::shared_ptr<Table> MixedNullTable(const std::string& name, uint64_t seed) {
+  constexpr int64_t kPartitions = 12, kRows = 8;
+  Rng rng(seed);
+  std::vector<std::vector<Value>> rows;
+  for (int64_t p = 0; p < kPartitions; ++p) {
+    for (int64_t r = 0; r < kRows; ++r) {
+      // Column j's mode in partition p: 0 NULL-free, 1 all-NULL, 2 mixed
+      // (row 0 NULL, row 1 valid, the rest NULL with probability 0.4).
+      auto is_null = [&](int64_t j) {
+        switch ((p + j) % 3) {
+          case 0: return false;
+          case 1: return true;
+          default: return r == 0 || (r > 1 && rng.Bernoulli(0.4));
+        }
+      };
+      const bool key_null = is_null(0), val_null = is_null(1),
+                 cat_null = is_null(2), flag_null = is_null(3);
+      rows.push_back(
+          {Value(p * kRows + r),
+           key_null ? Value::Null() : Value(rng.UniformInt(-20, 60)),
+           val_null ? Value::Null() : Value(rng.Uniform() * 40.0 - 10.0),
+           cat_null ? Value::Null()
+                    : Value("c" + std::to_string(rng.UniformInt(0, 12))),
+           Value(rng.UniformInt(-20, 60)),
+           flag_null ? Value::Null() : Value(rng.Bernoulli(0.5))});
+    }
+  }
+  return testing_util::MakeTable(
+      name,
+      Schema({Field{"id", DataType::kInt64, false},
+              Field{"key", DataType::kInt64, true},
+              Field{"val", DataType::kFloat64, true},
+              Field{"cat", DataType::kString, true},
+              Field{"ts", DataType::kInt64, false},
+              Field{"flag", DataType::kBool, true}}),
+      rows, kRows);
+}
+
+/// Asserts that every nullable column of a MixedNullTable has mask-free,
+/// all-NULL and mixed partitions, so neither kernel path is tested
+/// vacuously.
+void ExpectBothNullPaths(const Table& table) {
+  for (size_t c : {1, 2, 3, 5}) {
+    int mask_free = 0, all_null = 0, mixed = 0;
+    for (size_t p = 0; p < table.num_partitions(); ++p) {
+      const auto pid = static_cast<PartitionId>(p);
+      const MicroPartition& part = table.partition_metadata(pid);
+      if (part.column(c).nulls() == nullptr) {
+        ++mask_free;
+      } else if (table.stats(pid, c).null_count == part.row_count()) {
+        ++all_null;
+      } else {
+        ++mixed;
+      }
+    }
+    ASSERT_GT(mask_free, 0) << "column " << c;
+    ASSERT_GT(all_null, 0) << "column " << c;
+    ASSERT_GT(mixed, 0) << "column " << c;
+  }
+}
+
+/// Checks each edge predicate over `table` (NumericEdgeTable unless given)
+/// against the scalar oracle.
+void ExpectEdgesMatchScalar(std::vector<ExprPtr> predicates,
+                            std::shared_ptr<Table> table = nullptr) {
+  if (table == nullptr) table = NumericEdgeTable();
   EvalScratch scratch;
   for (size_t i = 0; i < predicates.size(); ++i) {
     ASSERT_TRUE(BindExpr(predicates[i], table->schema()).ok());
@@ -658,6 +726,45 @@ TEST(FuzzPruneTest, VectorizedSelectionAgreesWithScalarOracle) {
     ASSERT_NO_FATAL_FAILURE(ExpectSelectionMatchesScalar(
         *table, pred, nullptr, "iter " + std::to_string(iter)));
   }
+  for (int iter = 0; iter < 40; ++iter) {
+    Rng rng(74000 + iter);
+    auto table = MixedNullTable("mn", rng.Next());
+    ASSERT_NO_FATAL_FAILURE(ExpectBothNullPaths(*table));
+    ExprPtr pred = RandomPredicate(&rng, *table, 2);
+    ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
+    ASSERT_NO_FATAL_FAILURE(ExpectSelectionMatchesScalar(
+        *table, pred, nullptr, "mixed-null iter " + std::to_string(iter)));
+  }
+  // Every predicate kernel over the mixed-null columns: column vs literal
+  // of each type, column vs column across mask-free and masked partitions,
+  // IS [NOT] NULL, IN, LIKE / STARTSWITH and a bare bool column.
+  ExpectEdgesMatchScalar(
+      {
+          Gt(Col("key"), Lit(int64_t{20})),
+          Le(Col("key"), Lit(10.5)),
+          Ne(Col("val"), Lit(int64_t{3})),
+          Ge(Col("cat"), Lit("c5")),
+          Eq(Col("flag"), Lit(true)),
+          Lt(Col("key"), Col("ts")),
+          Ge(Col("val"), Col("key")),
+          Ne(Col("cat"), Col("cat")),
+          Eq(Col("flag"), Col("flag")),
+          IsNull(Col("key")),
+          IsNotNull(Col("val")),
+          IsNull(Col("cat")),
+          IsNotNull(Col("flag")),
+          In(Col("key"), {Value(int64_t{3}), Value(7.0), Value::Null()}),
+          In(Col("val"), {Value(int64_t{0}), Value(1.5)}),
+          In(Col("cat"), {Value("c1"), Value("c7")}),
+          In(Col("flag"), {Value(false)}),
+          Like(Col("cat"), "c1%"),
+          StartsWith(Col("cat"), "c"),
+          Col("flag"),
+          Not(Col("flag")),
+          Or({IsNull(Col("key")),
+              And({Col("flag"), Gt(Col("val"), Lit(0.0))})}),
+      },
+      MixedNullTable("mn", 7));
   ExpectEdgesMatchScalar({
       Le(Col("x"), Lit(0.5)),
       Eq(Col("x"), Col("x")),
@@ -759,6 +866,27 @@ TEST(FuzzPruneTest, VectorizedArithIfAgreesWithScalarOracle) {
     ASSERT_NO_FATAL_FAILURE(ExpectSelectionMatchesScalar(
         *table, pred, &scratch, "iter " + std::to_string(iter)));
   }
+  for (int iter = 0; iter < 40; ++iter) {
+    Rng rng(102000 + iter);
+    auto table = MixedNullTable("mn", rng.Next());
+    ASSERT_NO_FATAL_FAILURE(ExpectBothNullPaths(*table));
+    ExprPtr pred = RandomArithIfPredicate(&rng, *table, 3);
+    ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
+    EvalScratch scratch;
+    ASSERT_NO_FATAL_FAILURE(ExpectSelectionMatchesScalar(
+        *table, pred, &scratch, "mixed-null iter " + std::to_string(iter)));
+  }
+  // Typed lanes read from mask-free, all-NULL and mixed partitions.
+  ExpectEdgesMatchScalar(
+      {
+          Gt(Add(Col("key"), Col("val")), Lit(int64_t{10})),
+          Lt(Mul(Col("key"), Col("ts")), Lit(int64_t{100})),
+          Ge(Sub(Col("val"), Lit(int64_t{2})), Col("ts")),
+          Le(Div(Col("ts"), Col("key")), Lit(1.0)),
+          Gt(If(IsNull(Col("key")), Col("val"), Col("key")), Lit(int64_t{5})),
+          IsNull(Add(Col("key"), Col("val"))),
+      },
+      MixedNullTable("mn", 8));
   const int64_t kMax = std::numeric_limits<int64_t>::max();
   const int64_t kMin = std::numeric_limits<int64_t>::min();
   ExpectEdgesMatchScalar({
@@ -795,37 +923,51 @@ TEST(FuzzPruneTest, VectorizedArithIfAgreesWithScalarOracle) {
 /// in parallel (1/2/4 threads) — and the columnar pipelines must never call
 /// the Materialize() adapter.
 TEST(FuzzPruneTest, ColumnarPipelinesMatchBoxedOracle) {
-  auto identity = [](PlanPtr scan) {
-    // SELECT id, key, val, cat, ts FROM (...): same values, same names, but
-    // the ProjectOp input forces every consumer above onto boxed rows.
-    std::vector<ExprPtr> exprs;
-    std::vector<std::string> names;
-    for (const char* c : {"id", "key", "val", "cat", "ts"}) {
-      exprs.push_back(Col(c));
-      names.push_back(c);
-    }
-    return ProjectPlan(std::move(scan), std::move(exprs), std::move(names));
-  };
-
-  for (int iter = 0; iter < 40; ++iter) {
+  // Iterations from 40 on run over two MixedNullTables, whose key, val,
+  // cat and flag columns mix mask-free and masked partitions.
+  for (int iter = 0; iter < 52; ++iter) {
     Rng rng(111000 + iter);
-    auto probe = RandomTable(&rng, "p");
+    const bool mixed = iter >= 40;
+    auto probe =
+        mixed ? MixedNullTable("p", rng.Next()) : RandomTable(&rng, "p");
     FuzzEngine engine(probe);
-    workload::TableGenConfig bcfg;
-    bcfg.name = "b";
-    bcfg.num_partitions = static_cast<size_t>(rng.UniformInt(1, 4));
-    bcfg.rows_per_partition = static_cast<size_t>(rng.UniformInt(2, 20));
-    bcfg.domain_min = rng.UniformInt(-50, 500);
-    bcfg.domain_max = bcfg.domain_min + rng.UniformInt(5, 800);
-    bcfg.null_fraction = 0.1;
-    bcfg.seed = rng.Next();
-    ASSERT_TRUE(
-        engine.catalog()->RegisterTable(workload::SyntheticTable(bcfg)).ok());
+    std::shared_ptr<Table> build;
+    if (mixed) {
+      ASSERT_NO_FATAL_FAILURE(ExpectBothNullPaths(*probe));
+      build = MixedNullTable("b", rng.Next());
+    } else {
+      workload::TableGenConfig bcfg;
+      bcfg.name = "b";
+      bcfg.num_partitions = static_cast<size_t>(rng.UniformInt(1, 4));
+      bcfg.rows_per_partition = static_cast<size_t>(rng.UniformInt(2, 20));
+      bcfg.domain_min = rng.UniformInt(-50, 500);
+      bcfg.domain_max = bcfg.domain_min + rng.UniformInt(5, 800);
+      bcfg.null_fraction = 0.1;
+      bcfg.seed = rng.Next();
+      build = workload::SyntheticTable(bcfg);
+    }
+    ASSERT_TRUE(engine.catalog()->RegisterTable(build).ok());
+    // SELECT <every column> FROM (...): same values, same names, but the
+    // ProjectOp input forces every consumer above onto boxed rows.
+    auto identity = [](PlanPtr scan, const Schema& schema) {
+      std::vector<ExprPtr> exprs;
+      std::vector<std::string> names;
+      for (const Field& f : schema.fields()) {
+        exprs.push_back(Col(f.name));
+        names.push_back(f.name);
+      }
+      return ProjectPlan(std::move(scan), std::move(exprs), std::move(names));
+    };
+    auto boxed_p = [&](PlanPtr scan) {
+      return identity(std::move(scan), probe->schema());
+    };
 
     ExprPtr pred = RandomPredicate(&rng, *probe, 2);
     ASSERT_TRUE(BindExpr(pred, probe->schema()).ok());
     ExprPtr bpred = RandomPredicate(&rng, *probe, 1);
-    const char* order_col = rng.Bernoulli(0.5) ? "key" : "val";
+    const char* kMixedOrder[] = {"key", "val", "cat", "flag"};
+    const char* order_col = mixed ? kMixedOrder[rng.UniformInt(0, 3)]
+                                  : (rng.Bernoulli(0.5) ? "key" : "val");
     const bool desc = rng.Bernoulli(0.5);
     const int64_t k = rng.UniformInt(1, 25);
     const JoinKind jkind = rng.Bernoulli(0.3)
@@ -842,12 +984,13 @@ TEST(FuzzPruneTest, ColumnarPipelinesMatchBoxedOracle) {
         {"join",
          JoinPlan(ScanPlan("p", pred), ScanPlan("b", bpred), "key", "key",
                   jkind),
-         JoinPlan(identity(ScanPlan("p", pred)),
-                  identity(ScanPlan("b", bpred)), "key", "key", jkind)},
+         JoinPlan(boxed_p(ScanPlan("p", pred)),
+                  identity(ScanPlan("b", bpred), build->schema()), "key",
+                  "key", jkind)},
         {"topk", TopKPlan(ScanPlan("p", pred), order_col, desc, k),
-         TopKPlan(identity(ScanPlan("p", pred)), order_col, desc, k)},
+         TopKPlan(boxed_p(ScanPlan("p", pred)), order_col, desc, k)},
         {"sort", SortPlan(ScanPlan("p", pred), order_col, desc),
-         SortPlan(identity(ScanPlan("p", pred)), order_col, desc)},
+         SortPlan(boxed_p(ScanPlan("p", pred)), order_col, desc)},
     };
     for (const Shape& shape : shapes) {
       const std::string ctx =

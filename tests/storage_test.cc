@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "storage/catalog.h"
 #include "storage/scan_set.h"
 #include "storage/table.h"
@@ -82,6 +86,136 @@ TEST(ColumnVectorTest, StringCellHashMatchesBoxedValueHash) {
   }
 }
 
+/// Appends `n` rows of `type`, NULL exactly at the rows in `null_rows`;
+/// row i otherwise holds a value derived from i.
+ColumnVector ColumnWithNullsAt(DataType type, size_t n,
+                               const std::vector<size_t>& null_rows) {
+  ColumnVector col(type);
+  for (size_t i = 0; i < n; ++i) {
+    if (std::find(null_rows.begin(), null_rows.end(), i) != null_rows.end()) {
+      col.AppendNull();
+      continue;
+    }
+    switch (type) {
+      case DataType::kBool: col.AppendBool(i % 2 == 1); break;
+      case DataType::kInt64:
+        col.AppendInt64(static_cast<int64_t>(i) - 3);
+        break;
+      case DataType::kFloat64: col.AppendFloat64(0.5 * i); break;
+      case DataType::kString: col.AppendString("s" + std::to_string(i)); break;
+    }
+  }
+  return col;
+}
+
+Value ExpectedCell(DataType type, size_t i) {
+  switch (type) {
+    case DataType::kBool: return Value(i % 2 == 1);
+    case DataType::kInt64: return Value(static_cast<int64_t>(i) - 3);
+    case DataType::kFloat64: return Value(0.5 * i);
+    case DataType::kString: return Value("s" + std::to_string(i));
+  }
+  return Value::Null();
+}
+
+constexpr DataType kAllTypes[] = {DataType::kBool, DataType::kInt64,
+                                  DataType::kFloat64, DataType::kString};
+
+/// A column that never sees a NULL keeps no mask, whether its field is
+/// nullable or not; the first NULL materializes one byte per row.
+TEST(ColumnVectorTest, NoNullMeansNoMask) {
+  Schema schema({Field{"id", DataType::kInt64, false},
+                 Field{"v", DataType::kInt64, true},
+                 Field{"w", DataType::kInt64, true}});
+  TableBuilder builder("t", schema, /*target_partition_rows=*/100);
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(builder
+                    .AppendRow({Value(i), Value(i * 2),
+                                i == 40 ? Value::Null() : Value(i)})
+                    .ok());
+  }
+  auto table = builder.Finish();
+  ASSERT_EQ(table->num_partitions(), 1u);
+  const MicroPartition& part = table->partition_metadata(0);
+  EXPECT_EQ(part.column(0).nulls(), nullptr);  // non-nullable field
+  EXPECT_EQ(part.column(1).nulls(), nullptr);  // nullable, but no NULL
+  ASSERT_NE(part.column(2).nulls(), nullptr);
+  // Sealed buffers hold exactly their rows: 8 bytes per cell, plus one
+  // mask byte per row only where a NULL occurred.
+  EXPECT_EQ(part.column(0).MemoryBytes(), 100 * sizeof(int64_t));
+  EXPECT_EQ(part.column(1).MemoryBytes(), 100 * sizeof(int64_t));
+  EXPECT_EQ(part.column(2).MemoryBytes(), 100 * sizeof(int64_t) + 100);
+  EXPECT_EQ(table->MemoryBytes(), 3 * 100 * sizeof(int64_t) + 100);
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(table->stats(0, c).null_count, c == 2 ? 1 : 0);
+  }
+}
+
+/// A first NULL at row 0, mid-column and at the last row back-fills the
+/// mask exactly: every other row reads back valid, with its value.
+TEST(ColumnVectorTest, FirstNullAnywhereReadsBackExactly) {
+  constexpr size_t kRows = 9;
+  for (DataType type : kAllTypes) {
+    for (size_t first : {size_t{0}, kRows / 2, kRows - 1}) {
+      const std::string ctx = std::string(ToString(type)) + " first NULL at " +
+                              std::to_string(first);
+      ColumnVector col = ColumnWithNullsAt(type, kRows, {first});
+      ASSERT_EQ(col.size(), kRows) << ctx;
+      ASSERT_NE(col.nulls(), nullptr) << ctx;
+      for (size_t i = 0; i < kRows; ++i) {
+        EXPECT_EQ(col.IsNull(i), i == first) << ctx << " row " << i;
+        EXPECT_EQ(col.nulls()[i], i == first ? 1 : 0) << ctx << " row " << i;
+        const Value v = col.ValueAt(i);
+        if (i == first) {
+          EXPECT_TRUE(v.is_null()) << ctx << " row " << i;
+        } else {
+          EXPECT_EQ(Value::Compare(v, ExpectedCell(type, i)), 0)
+              << ctx << " row " << i;
+        }
+      }
+      EXPECT_EQ(col.ComputeStats().null_count, 1) << ctx;
+    }
+  }
+}
+
+/// The mask allocated by a first NULL in a reserved column (every partition
+/// after the first) is sized like the typed buffer and sealed to the rows.
+TEST(ColumnVectorTest, FirstNullInReservedColumnSealsExactly) {
+  Schema schema({Field{"v", DataType::kFloat64, true}});
+  TableBuilder builder("t", schema, /*target_partition_rows=*/50);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(
+        builder.AppendRow({i == 77 ? Value::Null() : Value(1.0 * i)}).ok());
+  }
+  auto table = builder.Finish();
+  ASSERT_EQ(table->num_partitions(), 2u);
+  EXPECT_EQ(table->partition_metadata(0).column(0).nulls(), nullptr);
+  const ColumnVector& col = table->partition_metadata(1).column(0);
+  ASSERT_NE(col.nulls(), nullptr);
+  EXPECT_EQ(col.MemoryBytes(), 50 * sizeof(double) + 50);
+  for (size_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(col.IsNull(i), i == 27) << "row " << i;
+    if (i != 27) EXPECT_EQ(col.Float64At(i), 50.0 + i);
+  }
+}
+
+TEST(ColumnVectorTest, AllNullColumnOfEveryType) {
+  for (DataType type : kAllTypes) {
+    ColumnVector col = ColumnWithNullsAt(type, 4, {0, 1, 2, 3});
+    ASSERT_NE(col.nulls(), nullptr) << ToString(type);
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(col.IsNull(i)) << ToString(type) << " row " << i;
+      EXPECT_TRUE(col.ValueAt(i).is_null()) << ToString(type) << " row " << i;
+    }
+    std::vector<ColumnVector> cols;
+    cols.push_back(std::move(col));
+    MicroPartition part(0, std::move(cols));
+    EXPECT_EQ(part.stats(0).null_count, 4) << ToString(type);
+    EXPECT_TRUE(part.stats(0).ToInterval().all_null) << ToString(type);
+    EXPECT_TRUE(part.column(0).IsNull(3)) << ToString(type);
+  }
+}
+
 TEST(TableBuilderTest, CutsPartitionsAtTarget) {
   std::vector<std::vector<Value>> rows;
   for (int i = 0; i < 25; ++i) {
@@ -122,6 +256,12 @@ TEST(TableBuilderTest, RejectedRowLeavesColumnsAligned) {
   Status bad = builder.AppendRow(
       {Value(int64_t{2}), Value("y"), Value(2.5), Value("not an int")});
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  // A rejected row carrying a NULL touches no column: column 2 must not
+  // gain a mask from it.
+  EXPECT_FALSE(builder
+                   .AppendRow({Value(int64_t{2}), Value("y"), Value::Null(),
+                               Value("not an int")})
+                   .ok());
   ASSERT_TRUE(builder
                   .AppendRow({Value(int64_t{3}), Value::Null(), Value(3.5),
                               Value(int64_t{30})})
@@ -139,6 +279,15 @@ TEST(TableBuilderTest, RejectedRowLeavesColumnsAligned) {
   EXPECT_EQ(part.column(2).Float64At(1), 3.5);
   EXPECT_EQ(part.column(3).Int64At(1), 30);
   EXPECT_EQ(table->stats(0, 0).max.int64_value(), 3);
+  // Only column 1 saw a NULL; the others hold no mask, and their rows
+  // still read back valid.
+  ASSERT_NE(part.column(1).nulls(), nullptr);
+  EXPECT_FALSE(part.column(1).IsNull(0));
+  for (size_t c : {size_t{0}, size_t{2}, size_t{3}}) {
+    EXPECT_EQ(part.column(c).nulls(), nullptr) << "column " << c;
+    EXPECT_FALSE(part.column(c).IsNull(0)) << "column " << c;
+    EXPECT_FALSE(part.column(c).IsNull(1)) << "column " << c;
+  }
 }
 
 TEST(TableBuilderTest, RejectsNullInNonNullableColumn) {
@@ -188,6 +337,60 @@ TEST(TableTest, DropAndBackfillStats) {
   EXPECT_EQ(table->stats(3, 0).min.int64_value(), 7);
   // Second backfill is a no-op.
   EXPECT_EQ(table->BackfillMissingStats(), 0u);
+}
+
+/// §8.1: dropping a partition's zone maps and backfilling them by a scan
+/// changes no NULL answer and no mask's presence. Whether a column has a
+/// mask is its own fact, never read from the stats, and after the backfill
+/// the mask and the zone map agree again (no mask ⇔ null_count == 0).
+TEST(TableTest, DropAndBackfillKeepNullAnswersAndMasks) {
+  Schema schema({Field{"k", DataType::kInt64, false},
+                 Field{"v", DataType::kFloat64, true},
+                 Field{"s", DataType::kString, true}});
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 40; ++i) {
+    // Partitions of 8: v is NULL-free in partitions 0 and 3, all-NULL in 1,
+    // mixed in 2 and 4; s is NULL only in partition 4.
+    const int64_t p = i / 8;
+    const bool v_null = p == 1 || ((p == 2 || p == 4) && i % 3 == 0);
+    rows.push_back({Value(i), v_null ? Value::Null() : Value(0.25 * i),
+                    p == 4 && i % 2 == 0 ? Value::Null()
+                                         : Value("s" + std::to_string(i))});
+  }
+  auto table = testing_util::MakeTable("t", schema, rows, 8);
+  ASSERT_EQ(table->num_partitions(), 5u);
+  auto snapshot = [&] {
+    std::vector<std::vector<int>> answers;  // per (partition, column)
+    for (size_t p = 0; p < table->num_partitions(); ++p) {
+      const MicroPartition& part =
+          table->partition_metadata(static_cast<PartitionId>(p));
+      for (const ColumnVector& col : part.columns()) {
+        std::vector<int> a = {col.nulls() == nullptr ? -1 : 1};
+        for (size_t r = 0; r < col.size(); ++r) a.push_back(col.IsNull(r));
+        answers.push_back(std::move(a));
+      }
+    }
+    return answers;
+  };
+  const auto before = snapshot();
+  EXPECT_EQ(table->partition_metadata(0).column(1).nulls(), nullptr);
+  EXPECT_NE(table->partition_metadata(1).column(1).nulls(), nullptr);
+  EXPECT_NE(table->partition_metadata(2).column(1).nulls(), nullptr);
+  EXPECT_EQ(table->partition_metadata(2).column(2).nulls(), nullptr);
+  EXPECT_NE(table->partition_metadata(4).column(2).nulls(), nullptr);
+
+  ASSERT_EQ(table->DropStatsOnFraction(1.0, /*seed=*/1), 5u);
+  EXPECT_EQ(snapshot(), before);
+  ASSERT_EQ(table->BackfillMissingStats(), 5u);
+  EXPECT_EQ(snapshot(), before);
+  for (size_t p = 0; p < table->num_partitions(); ++p) {
+    const auto pid = static_cast<PartitionId>(p);
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(table->partition_metadata(pid).column(c).nulls() == nullptr,
+                table->stats(pid, c).null_count == 0)
+          << "partition " << p << " column " << c;
+    }
+  }
 }
 
 TEST(ScanSetTest, AllOfAndSerializedBytes) {
