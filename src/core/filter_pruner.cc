@@ -5,23 +5,11 @@
 
 namespace snowprune {
 
-FilterPruner::FilterPruner(ExprPtr predicate, FilterPrunerConfig config)
-    : predicate_(std::move(predicate)), config_(config) {
+FilterPruner::FilterPruner(ExprPtr predicate, PruningTreeConfig tree_config)
+    : predicate_(std::move(predicate)) {
   if (!predicate_) return;
-  ExprPtr pruning_expr = Simplify(predicate_);
-  if (config_.apply_imprecise_rewrites) {
-    pruning_expr = Simplify(RewriteForPruning(pruning_expr));
-  }
-  prune_tree_.emplace(pruning_expr, config_.tree);
-  if (config_.fully_matching_mode == FullyMatchingMode::kInvertedTwoPass) {
-    // The inverted pass must be built from the *original* predicate:
-    // widened rewrites over-admit rows and could falsely certify
-    // fully-matching partitions.
-    PruningTreeConfig inverted_cfg = config_.tree;
-    inverted_cfg.enable_cutoff = false;  // correctness pass, no cutoff
-    inverted_tree_.emplace(BuildInvertedPredicate(Simplify(predicate_)),
-                           inverted_cfg);
-  }
+  prune_tree_.emplace(Simplify(RewriteForPruning(Simplify(predicate_))),
+                      tree_config);
 }
 
 FilterPruneResult FilterPruner::Prune(const Table& table,
@@ -29,67 +17,26 @@ FilterPruneResult FilterPruner::Prune(const Table& table,
   FilterPruneResult result;
   result.input_partitions = static_cast<int64_t>(input.size());
 
-  if (!predicate_) {
-    // No filter: keep everything; every partition is trivially fully
-    // matching (§4.2).
-    result.scan_set = input;
-    for (PartitionId pid : input) {
-      result.fully_matching.push_back(pid);
-      result.fully_matching_rows += table.partition_metadata(pid).row_count();
-    }
-    return result;
-  }
-
-  prune_tree_->SetRemainingPartitions(static_cast<int64_t>(input.size()));
-
-  // Pass 1 (§3): drop partitions that cannot contain matching rows.
-  std::vector<PartitionId> kept;
-  std::vector<bool> fully_direct;  // parallel to `kept` in direct mode
-  size_t position = 0;
   for (PartitionId pid : input) {
     const MicroPartition& meta = table.partition_metadata(pid);
-    prune_tree_->SetRemainingPartitions(
-        static_cast<int64_t>(input.size() - position++));
-    if (meta.row_count() == 0) {
-      ++result.pruned;
-      continue;
-    }
-    BoolRange r = prune_tree_->Evaluate(meta.all_stats());
-    if (r.prunable()) {
-      ++result.pruned;
-      continue;
-    }
-    kept.push_back(pid);
-    if (config_.fully_matching_mode == FullyMatchingMode::kDirectAnalysis) {
-      // The pruning tree may have been widened; re-analyze precisely.
-      BoolRange precise = AnalyzePredicate(*predicate_, meta.all_stats());
-      fully_direct.push_back(precise.fully_matching());
-    }
-  }
-
-  // Pass 2 (§4.2): identify fully-matching partitions among the survivors.
-  for (size_t i = 0; i < kept.size(); ++i) {
-    PartitionId pid = kept[i];
-    result.scan_set.Add(pid);
-    bool fully = false;
-    switch (config_.fully_matching_mode) {
-      case FullyMatchingMode::kOff:
-        break;
-      case FullyMatchingMode::kDirectAnalysis:
-        fully = fully_direct[i];
-        break;
-      case FullyMatchingMode::kInvertedTwoPass: {
-        const MicroPartition& meta = table.partition_metadata(pid);
-        BoolRange inv = inverted_tree_->Evaluate(meta.all_stats());
-        // The partition is kept in the scan set either way; pruning under
-        // the inverted predicate just *marks* it (§4.2).
-        fully = inv.prunable();
-        break;
+    // No filter: keep everything; every partition is trivially fully
+    // matching (§4.2).
+    bool fully = true;
+    if (predicate_) {
+      // §3: drop partitions that cannot contain matching rows.
+      if (meta.row_count() == 0 ||
+          prune_tree_->Evaluate(meta.all_stats()).prunable()) {
+        ++result.pruned;
+        continue;
       }
+      // §4.2: the pruning tree may have been widened by rewrites (and by
+      // cutoff), so the kept partition is re-analyzed precisely.
+      fully = AnalyzePredicate(*predicate_, meta.all_stats()).fully_matching();
     }
+    result.scan_set.Add(pid);
     if (fully) {
       result.fully_matching.push_back(pid);
-      result.fully_matching_rows += table.partition_metadata(pid).row_count();
+      result.fully_matching_rows += meta.row_count();
     }
   }
   return result;
@@ -100,13 +47,6 @@ bool FilterPruner::CanPruneFromStats(const std::vector<ColumnStats>& stats,
   if (!predicate_) return false;
   if (row_count == 0) return true;
   return prune_tree_->Evaluate(stats).prunable();
-}
-
-bool FilterPruner::CanPrune(const Table& table, PartitionId pid) {
-  if (!predicate_) return false;
-  const MicroPartition& meta = table.partition_metadata(pid);
-  if (meta.row_count() == 0) return true;
-  return prune_tree_->Evaluate(meta.all_stats()).prunable();
 }
 
 }  // namespace snowprune

@@ -10,27 +10,6 @@
 
 namespace snowprune {
 
-/// How fully-matching partitions (§4.2) are identified.
-enum class FullyMatchingMode {
-  /// The paper's algorithm: a second pruning pass with the inverted
-  /// predicate ("P IS NOT TRUE"); partitions prunable under it are fully
-  /// matching.
-  kInvertedTwoPass,
-  /// Equivalent single-pass method using the BoolRange tri-state directly.
-  kDirectAnalysis,
-  /// Skip identification (fully_matching stays empty).
-  kOff,
-};
-
-struct FilterPrunerConfig {
-  PruningTreeConfig tree;
-  FullyMatchingMode fully_matching_mode = FullyMatchingMode::kInvertedTwoPass;
-  /// Apply §3.1 imprecise rewrites (LIKE -> STARTSWITH etc.) to the pruning
-  /// pass. Never affects fully-matching identification, which must stay
-  /// precise.
-  bool apply_imprecise_rewrites = true;
-};
-
 /// Outcome of filter pruning one table scan.
 struct FilterPruneResult {
   ScanSet scan_set;                         ///< Partially + fully matching.
@@ -50,18 +29,23 @@ struct FilterPruneResult {
 /// partitions that provably contain no matching rows. Guarantees no false
 /// negatives. A null predicate means "no filter": nothing is pruned and all
 /// partitions are trivially fully matching.
+///
+/// Filter pruning runs once per scan, at compile time, in one pass: the
+/// pruning tree (over the predicate with §3.1's imprecise rewrites) decides
+/// what is kept, and one precise AnalyzePredicate of the original predicate
+/// marks the kept partitions where every row matches (§4.2). The paper's
+/// inverted two-pass classification — prune under "P IS NOT TRUE"
+/// (BuildInvertedPredicate) with a cutoff-free PruningTree — finds the same
+/// set; the tests keep it as the oracle for this one.
 class FilterPruner {
  public:
   /// `predicate` must already be bound to the table's schema (BindExpr);
   /// it may be null for unfiltered scans.
-  explicit FilterPruner(ExprPtr predicate, FilterPrunerConfig config = {});
+  explicit FilterPruner(ExprPtr predicate, PruningTreeConfig tree_config = {});
 
   /// Prunes `input`, classifying every partition as not / partially / fully
   /// matching. Only metadata is accessed (no loads).
   FilterPruneResult Prune(const Table& table, const ScanSet& input);
-
-  /// Runtime path: may partition `pid` be skipped under the predicate?
-  bool CanPrune(const Table& table, PartitionId pid);
 
   /// Evaluates the pruning tree against caller-supplied zone maps — the
   /// cross-shard pruning level feeds per-shard *merged* stats (min of mins,
@@ -81,9 +65,7 @@ class FilterPruner {
 
  private:
   ExprPtr predicate_;
-  FilterPrunerConfig config_;
-  std::optional<PruningTree> prune_tree_;     ///< Over the rewritten predicate.
-  std::optional<PruningTree> inverted_tree_;  ///< Over "P IS NOT TRUE".
+  std::optional<PruningTree> prune_tree_;  ///< Over the rewritten predicate.
 };
 
 }  // namespace snowprune

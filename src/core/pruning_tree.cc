@@ -65,16 +65,20 @@ PruningTree& PruningTree::operator=(PruningTree&&) noexcept = default;
 
 BoolRange PruningTree::Evaluate(const std::vector<ColumnStats>& stats) {
   ++evaluations_;
-  BoolRange result = EvalNode(root_.get(), stats);
-  if (evaluations_ % static_cast<int64_t>(config_.reorder_interval) == 0) {
+  const bool check =
+      evaluations_ % static_cast<int64_t>(config_.reorder_interval) == 0;
+  BoolRange result = EvalNode(root_.get(), stats, /*probe=*/check);
+  if (check) {
     if (config_.enable_reorder) ReorderNode(root_.get());
     if (config_.enable_cutoff) CutoffNode(root_.get(), /*parent_is_and=*/true);
   }
   return result;
 }
 
-BoolRange PruningTree::EvalNode(Node* node, const std::vector<ColumnStats>& stats) {
-  if (node->metrics.disabled) {
+BoolRange PruningTree::EvalNode(Node* node,
+                                const std::vector<ColumnStats>& stats,
+                                bool probe) {
+  if (node->metrics.disabled && !probe) {
     // A cut-off filter keeps every partition and can never establish
     // fully-matching: exactly BoolRange::Unknown().
     return BoolRange::Unknown();
@@ -91,7 +95,7 @@ BoolRange PruningTree::EvalNode(Node* node, const std::vector<ColumnStats>& stat
   int64_t t0 = NowNs();
   BoolRange acc = BoolRange::Exactly(is_and);
   for (auto& child : node->children) {
-    BoolRange r = EvalNode(child.get(), stats);
+    BoolRange r = EvalNode(child.get(), stats, probe);
     if (is_and) {
       if (!r.can_true) ++child->metrics.decisive;  // alone prunes the partition
       acc = AndRanges(acc, r);
@@ -135,18 +139,24 @@ void PruningTree::CutoffNode(Node* node, bool parent_is_and) {
     // §3.2: only filters below an AND may be removed; removing an OR branch
     // would mark every partition as potentially matching and poison the
     // whole disjunction.
-    if (!parent_is_and || node->metrics.disabled) return;
-    if (node->metrics.evaluations <
-        static_cast<int64_t>(config_.cutoff_min_observations)) {
-      return;
+    if (!parent_is_and) return;
+    // An enabled leaf is judged on a full observation window; a cut one on
+    // its probes since the cut, so one decisive probe can bring it back.
+    const int64_t needed =
+        node->metrics.disabled
+            ? 1
+            : static_cast<int64_t>(config_.cutoff_min_observations);
+    if (node->metrics.evaluations < needed) return;
+    // The two §3.2 scenarios per partition: keep pruning (pay evaluation,
+    // save the pruned-partition scans) vs stop (scan them all).
+    const double cost_keep = node->metrics.AvgTimeNs();
+    const double benefit_keep =
+        node->metrics.DecisiveRate() * config_.partition_scan_cost_ns;
+    const bool cut = cost_keep > benefit_keep;
+    if (cut != node->metrics.disabled) {
+      node->metrics = PruneNodeMetrics{};
+      node->metrics.disabled = cut;
     }
-    // Model the two §3.2 scenarios over the remaining scan set: keep pruning
-    // (pay evaluation, save pruned-partition scans) vs stop (scan them all).
-    double n = static_cast<double>(remaining_partitions_);
-    double cost_keep = node->metrics.AvgTimeNs() * n;
-    double benefit_keep =
-        node->metrics.DecisiveRate() * n * config_.partition_scan_cost_ns;
-    if (cost_keep > benefit_keep) node->metrics.disabled = true;
     return;
   }
   const bool is_and = node->kind == Node::Kind::kAnd;

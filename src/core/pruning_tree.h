@@ -19,14 +19,17 @@ struct PruningTreeConfig {
 
   /// Disable leaves that prune too little for their cost (§3.2, "filter
   /// pruning cutoff"). Only leaves directly under an AND (or the root) are
-  /// eligible; cutoff decisions are re-checked every reorder interval.
+  /// eligible. Cutoff decisions are re-checked every reorder interval: a cut
+  /// leaf is still evaluated on the last partition before each check, and
+  /// comes back once those probes show it pays off again.
   bool enable_cutoff = false;
   /// Modeled cost of scanning one partition at execution time, in the same
   /// unit as leaf evaluation cost (nanoseconds). The default corresponds to
   /// "scanning a partition costs ~1ms of work"; leaves whose expected saved
   /// scan cost is below their own evaluation cost get cut off.
   double partition_scan_cost_ns = 1e6;
-  /// Leaves are observed for this many evaluations before cutoff may fire.
+  /// Leaves are observed for this many evaluations before cutoff may fire
+  /// (counted since the leaf was last enabled).
   size_t cutoff_min_observations = 32;
 };
 
@@ -37,7 +40,10 @@ struct PruneNodeMetrics {
   int64_t decisive = 0;   ///< AND child: outcomes proving "prunable";
                           ///< OR child: outcomes preventing pruning.
   int64_t time_ns = 0;
-  bool disabled = false;  ///< Cut off; behaves as "keep everything".
+  /// Cut off; behaves as "keep everything" except on re-check probes. The
+  /// counters above restart whenever this flips, so each cutoff decision
+  /// rests only on what the leaf did in its current state.
+  bool disabled = false;
 
   double DecisiveRate() const {
     return evaluations == 0
@@ -73,10 +79,6 @@ class PruningTree {
   /// reorders children and applies cutoff per the config.
   BoolRange Evaluate(const std::vector<ColumnStats>& stats);
 
-  /// Signals how many partitions remain to be pruned; the cutoff cost model
-  /// extrapolates each leaf's benefit over this horizon.
-  void SetRemainingPartitions(int64_t n) { remaining_partitions_ = n; }
-
   /// Number of leaves currently disabled by cutoff.
   size_t disabled_leaves() const;
   /// Total leaves.
@@ -96,9 +98,9 @@ class PruningTree {
   std::unique_ptr<Node> root_;
   PruningTreeConfig config_;
   int64_t evaluations_ = 0;
-  int64_t remaining_partitions_ = 1 << 20;
 
-  BoolRange EvalNode(Node* node, const std::vector<ColumnStats>& stats);
+  BoolRange EvalNode(Node* node, const std::vector<ColumnStats>& stats,
+                     bool probe);
   void ReorderNode(Node* node);
   void CutoffNode(Node* node, bool parent_is_and);
 };

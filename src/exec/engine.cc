@@ -151,7 +151,6 @@ struct Engine::CompileContext {
   std::map<const PlanNode*, ScanInfo> scans;
   std::map<const PlanNode*, HashAggregateOp*> agg_ops;
   std::vector<std::unique_ptr<TopKPruner>> pruners;
-  std::vector<std::unique_ptr<FilterPruner>> runtime_filter_pruners;
   std::vector<PendingTopK> pending_topk;
   /// Top-k entry lookups, keyed by the scan they restrict. Made before the
   /// TopK's child compiles, so the scan applies a hit before filter pruning.
@@ -417,11 +416,8 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       }
 
       FilterPruneResult filter_result;
-      const bool compile_time_pruning =
-          config_.enable_filter_pruning &&
-          config_.filter_pruning_phase == FilterPruningPhase::kCompileTime;
-      if (compile_time_pruning) {
-        FilterPruner pruner(plan->predicate, config_.filter);
+      if (config_.enable_filter_pruning) {
+        FilterPruner pruner(plan->predicate);
         if (ctx->leaf != nullptr && plan->predicate) {
           // Cross-shard pruning first: one merged-zone-map probe per shard.
           // Merged stats are monotone (they admit everything any member
@@ -462,15 +458,6 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       } else {
         auto op = std::make_unique<TableScanOp>(table, filter_result.scan_set,
                                                 plan->predicate);
-        if (config_.enable_filter_pruning && !compile_time_pruning &&
-            plan->predicate) {
-          // §3.2: pruning deferred to the execution layer. The pruner must
-          // outlive the operator tree; the compile context owns it.
-          ctx->runtime_filter_pruners.push_back(
-              std::make_unique<FilterPruner>(plan->predicate, config_.filter));
-          op->AttachRuntimeFilterPruner(
-              ctx->runtime_filter_pruners.back().get());
-        }
         if (ctx->track_source) op->set_track_source(true);
         scan = op.get();
         source = std::move(op);
@@ -783,15 +770,12 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
         return Status::NotFound("join key not found: " + plan->left_key + "/" +
                                 plan->right_key);
       }
-      HashJoinOp::Config jcfg;
-      jcfg.enable_partition_pruning = config_.enable_join_pruning;
-      jcfg.row_level_bloom = config_.join_row_level_bloom;
       ProfileNode* probe_node = probe->profile();
       ProfileNode* build_child_node = build->profile();
       auto join = std::make_unique<HashJoinOp>(std::move(probe),
                                                std::move(build), pidx.value(),
                                                bidx.value(), plan->join_kind,
-                                               jcfg);
+                                               config_.enable_join_pruning);
       ctx->Profile(join.get(), "HashJoin",
                    plan->left_key + "=" + plan->right_key,
                    {probe_node, build_child_node});

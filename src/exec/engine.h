@@ -20,14 +20,6 @@
 
 namespace snowprune {
 
-/// When filter pruning runs (§2.1/§3.2). Compile-time pruning enables
-/// downstream optimizations (LIMIT pruning needs the fully-matching set,
-/// scan sets shrink before being shipped); runtime pruning defers the
-/// per-partition metadata checks to the highly parallel execution layer —
-/// the right choice when compile-time pruning is too slow for huge scan
-/// sets with complex predicates.
-enum class FilterPruningPhase { kCompileTime, kRuntime };
-
 class ThreadPool;
 
 /// Execution-layer configuration: how the post-pruning scan sets are fanned
@@ -42,8 +34,6 @@ struct ExecConfig {
   /// A join build, top-k, sort or aggregate reading a parallel scan pushes
   /// its per-row work onto the scan's workers as a morsel stage, with the
   /// same byte-identity (see each operator's header).
-  /// Exception: the opt-in time-based PruningTree cutoff makes filter
-  /// stats timing-dependent regardless of thread count (see scan_op.h).
   /// Ignored when `pool` is injected (the pool's width decides).
   int num_threads = 0;
   /// Injected worker pool (not owned; must outlive the engine). Service
@@ -78,18 +68,15 @@ struct ExecConfig {
 /// parameterized. Defaults mirror the paper's production setup (everything
 /// on); benches toggle individual techniques for ablations.
 struct EngineConfig {
+  /// Compile-time filter pruning (§3) with fully-matching classification
+  /// (§4.2), once per scan.
   bool enable_filter_pruning = true;
-  FilterPruningPhase filter_pruning_phase = FilterPruningPhase::kCompileTime;
   bool enable_limit_pruning = true;
   bool enable_topk_pruning = true;
   bool enable_join_pruning = true;
 
-  FilterPrunerConfig filter;
-
   OrderStrategy topk_order_strategy = OrderStrategy::kFullSort;
   BoundaryInitMode topk_boundary_init = BoundaryInitMode::kStricter;
-
-  bool join_row_level_bloom = false;
 
   /// Optional §8.2 predicate cache: scan and top-k entries (not owned).
   PredicateCache* predicate_cache = nullptr;

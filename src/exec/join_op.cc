@@ -245,13 +245,14 @@ bool CellJoinEqualsValue(const ColumnVector& col, uint32_t r, const Value& v) {
 }  // namespace
 
 HashJoinOp::HashJoinOp(OperatorPtr probe, OperatorPtr build, size_t probe_key,
-                       size_t build_key, JoinKind kind, Config config)
+                       size_t build_key, JoinKind kind,
+                       bool enable_partition_pruning)
     : probe_(std::move(probe)),
       build_(std::move(build)),
       probe_key_(probe_key),
       build_key_(build_key),
       kind_(kind),
-      config_(config) {
+      enable_partition_pruning_(enable_partition_pruning) {
   std::vector<Field> fields = probe_->output_schema().fields();
   for (const auto& f : build_->output_schema().fields()) fields.push_back(f);
   schema_ = Schema(std::move(fields));
@@ -266,8 +267,6 @@ void HashJoinOp::Open() {
   build_refs_.clear();
   build_matched_.clear();
   hash_table_.Clear();
-  bloom_skipped_rows_ = 0;
-  hash_probes_ = 0;
   emitted_unmatched_build_ = false;
   build_columnar_ = false;
   probe_columnar_ = nullptr;
@@ -368,16 +367,10 @@ void HashJoinOp::Open() {
                     trace_);
 
   // --- Ship the summary to the probe side (§6.1 steps 2-4).
-  if (config_.enable_partition_pruning) {
-    summary_ = summary_builder.Build(config_.summary_kind,
-                                     config_.summary_budget_bytes);
-    if (probe_scan_ != nullptr) {
-      probe_scan_->ApplyJoinSummary(*summary_, probe_scan_key_column_);
-    }
-  }
-  if (config_.row_level_bloom) {
-    bloom_ = summary_builder.Build(SummaryKind::kBloom,
-                                   config_.bloom_budget_bytes);
+  if (enable_partition_pruning_ && probe_scan_ != nullptr) {
+    probe_scan_->ApplyJoinSummary(
+        *summary_builder.Build(kSummaryKind, kSummaryBudgetBytes),
+        probe_scan_key_column_);
   }
 
   probe_->Open();
@@ -427,7 +420,6 @@ void HashJoinOp::AppendBuildValues(size_t entry, Row* out) const {
 template <typename AppendProbe, typename KeyEqual>
 bool HashJoinOp::ProbeHash(uint64_t hash, Batch* out,
                            AppendProbe&& append_probe, KeyEqual&& key_equal) {
-  ++hash_probes_;
   bool matched = false;
   // Matches come out in build order (JoinHashTable buckets ascend by
   // insertion order), so the emitted row order is deterministic and equal
@@ -468,19 +460,12 @@ bool HashJoinOp::NextInner(Batch* out) {
           const uint32_t r = in.row_index(i);
           bool matched = false;
           if (!is_null(r)) {
-            const uint64_t h = HashCell(keys, r);
-            // Row-level bloom-join check: skip the hash-table probe
-            // entirely when the filter proves absence (CPU saving, not IO
-            // — §6.1).
-            if (bloom_ != nullptr && !bloom_->MayContainHash(h)) {
-              ++bloom_skipped_rows_;
-            } else {
-              matched = ProbeHash(
-                  h, out, [&](Row* joined) { in.AppendRowValues(r, joined); },
-                  [&](size_t entry) {
-                    return EntryKeyEqualsCell(keys, r, entry);
-                  });
-            }
+            matched = ProbeHash(
+                HashCell(keys, r), out,
+                [&](Row* joined) { in.AppendRowValues(r, joined); },
+                [&](size_t entry) {
+                  return EntryKeyEqualsCell(keys, r, entry);
+                });
           }
           if (!matched && kind_ == JoinKind::kProbeOuter) {
             Row joined;
@@ -503,17 +488,13 @@ bool HashJoinOp::NextInner(Batch* out) {
         const Value& key = probe_row[probe_key_];
         bool matched = false;
         if (!key.is_null()) {
-          if (bloom_ != nullptr && !bloom_->MayContain(key)) {
-            ++bloom_skipped_rows_;
-          } else {
-            matched = ProbeHash(
-                HashValue(key), out,
-                [&](Row* joined) {
-                  joined->insert(joined->end(), probe_row.begin(),
-                                 probe_row.end());
-                },
-                [&](size_t entry) { return EntryKeyEqualsValue(key, entry); });
-          }
+          matched = ProbeHash(
+              HashValue(key), out,
+              [&](Row* joined) {
+                joined->insert(joined->end(), probe_row.begin(),
+                               probe_row.end());
+              },
+              [&](size_t entry) { return EntryKeyEqualsValue(key, entry); });
         }
         if (!matched && kind_ == JoinKind::kProbeOuter) {
           Row joined = std::move(probe_row);

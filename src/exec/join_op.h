@@ -87,9 +87,9 @@ const char* ToString(JoinKind kind);
 /// Hash join with §6 join pruning: the build phase summarizes all build-side
 /// key values; at Open() the summary is "shipped" to the probe-side scan,
 /// which drops micro-partitions whose key min/max cannot intersect it —
-/// before they are loaded from storage. Optionally a row-level Bloom filter
-/// (the classic bloom-join the paper contrasts with) skips hash-table probes
-/// for rows that cannot match.
+/// before they are loaded from storage. The summary is always a range set
+/// within a 1 KiB budget; the other SummaryKinds exist for the §6
+/// ablation bench, which builds summaries directly.
 ///
 /// Data flow is unboxed end to end when a child is a table scan: the build
 /// phase hashes typed key-column cells out of ColumnBatches (keeping the
@@ -107,16 +107,10 @@ const char* ToString(JoinKind kind);
 /// from the flat pairs, itself fanned out when large.
 class HashJoinOp : public Operator {
  public:
-  struct Config {
-    bool enable_partition_pruning = true;
-    SummaryKind summary_kind = SummaryKind::kRangeSet;
-    size_t summary_budget_bytes = 1024;
-    bool row_level_bloom = false;
-    size_t bloom_budget_bytes = 4096;
-  };
-
+  /// `enable_partition_pruning` turns §6 summary pruning of the probe scan
+  /// on (EngineConfig::enable_join_pruning).
   HashJoinOp(OperatorPtr probe, OperatorPtr build, size_t probe_key,
-             size_t build_key, JoinKind kind, Config config);
+             size_t build_key, JoinKind kind, bool enable_partition_pruning);
 
   /// Planner hook: the probe-side scan to prune and their join-key column
   /// index in that scan's (table) schema.
@@ -129,11 +123,6 @@ class HashJoinOp : public Operator {
   bool Next(Batch* out) override;
   void Close() override;
   const Schema& output_schema() const override { return schema_; }
-
-  /// Observability for the §6 ablation.
-  const BuildSummary* summary() const { return summary_.get(); }
-  int64_t bloom_skipped_rows() const { return bloom_skipped_rows_; }
-  int64_t hash_probes() const { return hash_probes_; }
 
  private:
   bool NextInner(Batch* out);
@@ -164,12 +153,16 @@ class HashJoinOp : public Operator {
   bool ProbeHash(uint64_t hash, Batch* out, AppendProbe&& append_probe,
                  KeyEqual&& key_equal);
 
+  /// The §6 summary shipped to the probe scan.
+  static constexpr SummaryKind kSummaryKind = SummaryKind::kRangeSet;
+  static constexpr size_t kSummaryBudgetBytes = 1024;
+
   OperatorPtr probe_;
   OperatorPtr build_;
   size_t probe_key_;
   size_t build_key_;
   JoinKind kind_;
-  Config config_;
+  bool enable_partition_pruning_;
   Schema schema_;
 
   TableScanOp* probe_scan_ = nullptr;
@@ -188,10 +181,6 @@ class HashJoinOp : public Operator {
 
   std::vector<bool> build_matched_;
   JoinHashTable hash_table_;
-  std::unique_ptr<BuildSummary> summary_;
-  std::unique_ptr<BuildSummary> bloom_;
-  int64_t bloom_skipped_rows_ = 0;
-  int64_t hash_probes_ = 0;
   bool emitted_unmatched_build_ = false;
 };
 

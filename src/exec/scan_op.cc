@@ -99,7 +99,7 @@ void TableScanOp::Account(PartitionId pid, const PruningStats& delta,
                           int64_t kept_rows) {
   ledger_.Merge(delta);
   if (!record_qualifying_) return;
-  if (delta.scanned_partitions + delta.pruned_by_filter == 1) ++visited_;
+  if (delta.scanned_partitions == 1) ++visited_;
   if (kept_rows > 0) {
     qualifying_.partitions.push_back(pid);
     qualifying_.rows += kept_rows;
@@ -130,16 +130,6 @@ bool TableScanOp::Cancelled() {
 bool TableScanOp::ScanPartition(PartitionId pid, ColumnBatch* out,
                                 PruningStats* delta, EvalScratch* scratch,
                                 Status* error) {
-  // Deferred filter pruning (§3.2): the same zone-map check the compile
-  // phase would have done, executed just before the load. The adaptive tree
-  // keeps per-node counters, so concurrent workers must take turns.
-  if (runtime_filter_pruner_ != nullptr) {
-    MutexLock lock(&runtime_prune_mutex_);
-    if (runtime_filter_pruner_->CanPrune(*table_, pid)) {
-      ++delta->pruned_by_filter;
-      return false;
-    }
-  }
   // Runtime top-k pruning: consult the boundary *before* loading (§5.2).
   if (topk_pruner_ != nullptr && topk_pruner_->ShouldSkip(*table_, pid)) {
     ++delta->pruned_by_topk;

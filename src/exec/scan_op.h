@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/filter_pruner.h"
 #include "core/join_pruner.h"
-#include "common/mutex.h"
 #include "core/pruning_stats.h"
 #include "core/topk_pruner.h"
 #include "exec/column_batch.h"
@@ -84,20 +82,12 @@ class ScanSource : public Operator {
 /// morsel-style. A morsel covers one or more *consecutive* scan-set
 /// partitions — small post-pruning partitions are batched until their
 /// combined (metadata) row count reaches `morsel_min_rows`, so scheduling
-/// overhead amortizes. Loading, predicate evaluation, runtime pruning
+/// overhead amortizes. Loading, predicate evaluation, top-k boundary
 /// checks, and an optional per-morsel reduction run on workers; batches are
 /// still delivered to the consumer in scan-set order, so every downstream
 /// operator — and the query result — is bit-identical to serial execution.
 /// Per-partition PruningStats are merged into the scan's ledger on the
 /// consumer thread, in scan-set order.
-///
-/// One stats-parity exception: with runtime filter pruning AND the adaptive
-/// tree's time-based cutoff opted in (PruningTreeConfig::enable_cutoff,
-/// default off), CanPrune outcomes depend on wall-clock measurements, so
-/// pruned_by_filter/scanned_partitions become timing-dependent under any
-/// thread count — results stay correct (cutoff only ever keeps more
-/// partitions), but exact stats parity is only guaranteed with the cutoff
-/// at its default (disabled).
 class TableScanOp : public ScanSource {
  public:
   /// A worker-side stage result (type-erased; producer and consumer agree
@@ -114,13 +104,6 @@ class TableScanOp : public ScanSource {
 
   TableScanOp(std::shared_ptr<Table> table, ScanSet scan_set, ExprPtr filter);
   ~TableScanOp() override;
-
-  /// Planner hook (§3.2): deferred filter pruning. When compile-time
-  /// pruning was skipped (FilterPruningPhase::kRuntime), the scan checks
-  /// each partition's zone maps right before loading it.
-  void AttachRuntimeFilterPruner(FilterPruner* pruner) {
-    runtime_filter_pruner_ = pruner;
-  }
 
   /// Join hook (§6): prunes the not-yet-scanned part of the scan set with a
   /// freshly built summary. `key_column` indexes this scan's output schema.
@@ -251,13 +234,10 @@ class TableScanOp : public ScanSource {
   void Account(PartitionId pid, const PruningStats& delta, int64_t kept_rows);
 
   ExprPtr filter_;
-  FilterPruner* runtime_filter_pruner_
-      SNOW_PT_GUARDED_BY(runtime_prune_mutex_) = nullptr;
   bool track_source_ = false;
   size_t cursor_ = 0;
   /// Qualifying-partition record (RecordQualifying). `visited_` counts
-  /// positions that were loaded and filtered, or that zone maps proved hold
-  /// no qualifying row (runtime filter pruning) — never skipped ones.
+  /// positions that were loaded and filtered — never skipped ones.
   bool record_qualifying_ = false;
   size_t recorded_scan_set_size_ = 0;
   size_t visited_ = 0;
@@ -274,11 +254,6 @@ class TableScanOp : public ScanSource {
   /// Consumer-side iteration state over the current morsel's items.
   MorselResult current_morsel_;
   size_t item_cursor_ = 0;
-  /// Serializes FilterPruner::CanPrune across workers (the adaptive
-  /// PruningTree mutates per-node statistics on every probe). The pruner is
-  /// external state reached through a pointer, so the protected object is
-  /// the pointee: SNOW_PT_GUARDED_BY on runtime_filter_pruner_ above.
-  Mutex runtime_prune_mutex_;
   MorselStage morsel_stage_;
   bool stage_coarse_morsels_ = false;
   const std::atomic<bool>* cancel_ = nullptr;

@@ -85,7 +85,7 @@ class ShardCoordinator::ScatterLeaf : public Engine::ShardedLeaf {
         opts_(*opts) {}
 
   ScanSet Probe(const ExprPtr& predicate, const ScanSet& full) override {
-    FilterPruner probe(predicate, coordinator_->config_.engine.filter);
+    FilterPruner probe(predicate);
     std::vector<uint8_t>& pruned = coordinator_->last_exec_.summary_pruned;
     bool any = false;
     for (size_t s = 0; s < map_.num_shards(); ++s) {
@@ -396,9 +396,7 @@ Result<QueryResult> ShardCoordinator::Execute(const PlanPtr& plan,
   std::set<const PlanNode*> seen;
   const bool supported =
       SupportedShape(plan, &scans, &seen) && scans == 1 &&
-      config_.engine.predicate_cache == nullptr &&
-      (!config_.engine.enable_filter_pruning ||
-       config_.engine.filter_pruning_phase == FilterPruningPhase::kCompileTime);
+      config_.engine.predicate_cache == nullptr;
   const PlanNode* scan_node = supported ? FindScan(plan) : nullptr;
   // Snapshot the one referenced table: the compile, the shard map and every
   // slice scan see this version, so DML stays snapshot-atomic across shards.

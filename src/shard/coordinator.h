@@ -84,9 +84,9 @@ struct ShardExecConfig {
 ///     byte-identical to a single-engine serial run at every (shard count ×
 ///     thread count), with the shard counters strictly additive on top.
 ///
-/// Unsupported shapes (joins, multi-scan plans) and configurations the
-/// scatter cannot serve (runtime-phase filter pruning, a predicate cache)
-/// run on the same engine without a leaf — trivially identical.
+/// Unsupported shapes (joins, multi-scan plans) and a configuration the
+/// scatter cannot serve (a predicate cache) run on the same engine without
+/// a leaf — trivially identical.
 ///
 /// Thread safety: a coordinator executes one query at a time (the query
 /// service gives each driver thread its own coordinator); the slice scans

@@ -276,6 +276,38 @@ TEST(PruningTreeTest, CutoffNeverFiresUnderOr) {
   EXPECT_EQ(tree.disabled_leaves(), 0u);
 }
 
+TEST(PruningTreeTest, CutoffIsUndoneWhenTheLeafStartsPruning) {
+  Schema schema({Field{"x", DataType::kInt64, true}});
+  // Prunes nothing over the first partitions (all x <= 100), everything
+  // after (all x > 100): a prefix that misrepresents the leaf.
+  auto late = Le(Col("x"), Lit(int64_t{100}));
+  auto expr = And({late});
+  ASSERT_TRUE(BindExpr(expr, schema).ok());
+  PruningTreeConfig cfg;
+  cfg.enable_cutoff = true;
+  cfg.cutoff_min_observations = 32;
+  cfg.reorder_interval = 8;
+  PruningTree tree(expr, cfg);
+  std::vector<ColumnStats> matching(1);
+  matching[0] = {true, Value(int64_t{0}), Value(int64_t{50}), 0, 5};
+  std::vector<ColumnStats> outside(1);
+  outside[0] = {true, Value(int64_t{200}), Value(int64_t{300}), 0, 5};
+  for (size_t i = 0; i < cfg.cutoff_min_observations; ++i) {
+    EXPECT_FALSE(tree.Evaluate(matching).prunable());
+  }
+  // Never decisive so far: the cost model cuts it.
+  EXPECT_EQ(tree.disabled_leaves(), 1u);
+  // The re-check one interval later sees it prune and brings it back.
+  for (size_t i = 0; i < cfg.reorder_interval; ++i) {
+    (void)tree.Evaluate(outside);
+  }
+  EXPECT_EQ(tree.disabled_leaves(), 0u);
+  int pruned = 0;
+  for (int i = 0; i < 256; ++i) pruned += tree.Evaluate(outside).prunable();
+  EXPECT_EQ(pruned, 256);
+  EXPECT_EQ(tree.disabled_leaves(), 0u);
+}
+
 // -------------------------------------------------------- FilterPruner ----
 
 Schema TrackingSchema() {
@@ -312,15 +344,11 @@ ExprPtr Figure5Predicate() {
   return And({Like(Col("species"), "Alpine%"), Ge(Col("s"), Lit(50))});
 }
 
-class FilterPrunerModeTest : public ::testing::TestWithParam<FullyMatchingMode> {};
-
-TEST_P(FilterPrunerModeTest, PaperFigure5Example) {
+TEST(FilterPrunerTest, PaperFigure5Example) {
   auto table = Figure5Table();
   auto pred = Figure5Predicate();
   ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
-  FilterPrunerConfig cfg;
-  cfg.fully_matching_mode = GetParam();
-  FilterPruner pruner(pred, cfg);
+  FilterPruner pruner(pred);
   FilterPruneResult result = pruner.Prune(*table, table->FullScanSet());
   // Partition 1 pruned; 2, 3, 4 kept; 3 fully matching.
   EXPECT_EQ(result.pruned, 1);
@@ -329,11 +357,10 @@ TEST_P(FilterPrunerModeTest, PaperFigure5Example) {
   ASSERT_EQ(result.fully_matching.size(), 1u);
   EXPECT_EQ(result.fully_matching[0], 2u);
   EXPECT_EQ(result.fully_matching_rows, 3);
+  // The paper's inverted two-pass finds the same partition.
+  EXPECT_EQ(testing_util::InvertedFullyMatching(*table, pred, result.scan_set),
+            result.fully_matching);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, FilterPrunerModeTest,
-                         ::testing::Values(FullyMatchingMode::kInvertedTwoPass,
-                                           FullyMatchingMode::kDirectAnalysis));
 
 TEST(FilterPrunerTest, NullPredicateKeepsEverythingFullyMatching) {
   auto table = IntTable("t", "x", {{1, 2}, {3, 4}});

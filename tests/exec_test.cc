@@ -296,18 +296,6 @@ TEST_F(ExecTest, ProbeOuterJoinKeepsUnmatchedProbeRows) {
   }
 }
 
-TEST_F(ExecTest, RowLevelBloomSkipsHashProbes) {
-  config_.join_row_level_bloom = true;
-  config_.enable_join_pruning = false;  // isolate the row-level effect
-  auto plan = JoinPlan(ScanPlan("fact"), ScanPlan("dim"), "key", "dkey");
-  QueryResult r = Run(plan);
-  EXPECT_FALSE(r.rows.empty());
-  // Correctness: same rows as without bloom.
-  config_.join_row_level_bloom = false;
-  QueryResult base = Run(plan);
-  EXPECT_EQ(base.rows.size(), r.rows.size());
-}
-
 // ------------------------------------------------------------ Row eval ----
 
 TEST(RowEvalTest, AgreesWithPartitionEvaluator) {
@@ -576,28 +564,17 @@ TEST_F(ExecTest, ScanSetBytesShrinkWithPruning) {
   EXPECT_LT(pruned.scan_set_bytes, full.scan_set_bytes);
 }
 
-TEST_F(ExecTest, RuntimeFilterPruningMatchesCompileTime) {
-  auto plan = ScanPlan("fact", Between(Col("key"), Value(int64_t{5000}),
-                                       Value(int64_t{9000})));
-  QueryResult compile_time = Run(plan);
-  config_.filter_pruning_phase = FilterPruningPhase::kRuntime;
-  QueryResult runtime = Run(plan);
-  // Same rows, same partitions pruned — just at a different phase.
-  EXPECT_EQ(runtime.rows.size(), compile_time.rows.size());
-  EXPECT_EQ(runtime.stats.pruned_by_filter,
-            compile_time.stats.pruned_by_filter);
-  EXPECT_EQ(runtime.stats.scanned_partitions,
-            compile_time.stats.scanned_partitions);
-  // The trade-off (§2.1): the runtime phase ships the unpruned scan set.
-  EXPECT_GT(runtime.scan_set_bytes, compile_time.scan_set_bytes);
-  // And it cannot feed LIMIT pruning (no fully-matching set at compile time).
+TEST_F(ExecTest, LimitWithoutFilterPruningHasNoFullyMatching) {
+  // Filter pruning is what classifies fully-matching partitions (§4.2);
+  // without it a filtered LIMIT has none to prune down to.
+  config_.enable_filter_pruning = false;
   auto limit_plan = LimitPlan(
       ScanPlan("fact", Between(Col("key"), Value(int64_t{20000}),
                                Value(int64_t{40000}))),
       10);
-  QueryResult limit_runtime = Run(limit_plan);
-  EXPECT_EQ(limit_runtime.limit_class, LimitClassification::kNoFullyMatching);
-  EXPECT_EQ(limit_runtime.rows.size(), 10u);
+  QueryResult r = Run(limit_plan);
+  EXPECT_EQ(r.limit_class, LimitClassification::kNoFullyMatching);
+  EXPECT_EQ(r.rows.size(), 10u);
 }
 
 /// End-to-end top-k property: across layouts, directions, k, strategies and

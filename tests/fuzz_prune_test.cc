@@ -37,6 +37,7 @@
 namespace snowprune {
 namespace {
 
+using testing_util::InvertedFullyMatching;
 using testing_util::MatchCountsPerPartition;
 
 // --------------------------------------------------------------------------
@@ -287,12 +288,22 @@ TEST(FuzzPruneTest, FilterPrunerNeverDropsAMatchingPartition) {
           << "iter " << iter << ": partition " << pid
           << " misclassified as fully matching";
     }
-    // The runtime path (§3.2) must agree with the oracle too.
-    FilterPruner runtime(pred);
+    // The one-pass classification agrees with the paper's inverted two-pass
+    // on every kept partition, both ways.
+    const std::vector<PartitionId> reference =
+        InvertedFullyMatching(*table, pred, res.scan_set);
+    ASSERT_EQ(res.fully_matching, reference)
+        << "iter " << iter << ": fully-matching set differs from the "
+        << "inverted-predicate reference";
+    // The per-stats entry point (the cross-shard probe's) prunes only
+    // partitions without matches.
+    FilterPruner from_stats(pred);
     for (size_t pid = 0; pid < table->num_partitions(); ++pid) {
-      if (runtime.CanPrune(*table, static_cast<PartitionId>(pid))) {
+      const MicroPartition& meta =
+          table->partition_metadata(static_cast<PartitionId>(pid));
+      if (from_stats.CanPruneFromStats(meta.all_stats(), meta.row_count())) {
         ASSERT_EQ(oracle[pid], 0)
-            << "iter " << iter << ": runtime CanPrune dropped partition "
+            << "iter " << iter << ": CanPruneFromStats dropped partition "
             << pid << " with matches";
       }
     }

@@ -205,13 +205,8 @@ TEST_F(ParallelEquivalenceTest, FilteredScanCompileTime) {
   ExpectParallelMatchesSerial(ScanPlan(
       "fact", Between(Col("key"), Value(int64_t{100000}),
                       Value(int64_t{400000}))));
-}
-
-TEST_F(ParallelEquivalenceTest, FilteredScanRuntimePhase) {
-  EngineConfig config;
-  config.filter_pruning_phase = FilterPruningPhase::kRuntime;
   ExpectParallelMatchesSerial(
-      ScanPlan("fact", Gt(Col("key"), Lit(int64_t{800000}))), config);
+      ScanPlan("fact", Gt(Col("key"), Lit(int64_t{800000}))));
 }
 
 TEST_F(ParallelEquivalenceTest, ComplexPredicate) {

@@ -5,9 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "core/pruning_tree.h"
 #include "exec/engine.h"
 #include "expr/evaluator.h"
 #include "expr/expr.h"
+#include "expr/rewrite.h"
 #include "storage/table.h"
 
 namespace snowprune {
@@ -93,6 +95,26 @@ inline std::vector<int64_t> MatchCountsPerPartition(const Table& table,
                                : part.row_count());
   }
   return counts;
+}
+
+/// §4.2's fully-matching classification as the paper states it — the
+/// partitions of `scan_set` prunable under the inverted predicate "P IS NOT
+/// TRUE", evaluated by a cutoff-free PruningTree — kept as the oracle for
+/// FilterPruner's one-pass precise analysis. The predicate must be bound to
+/// the table's schema.
+inline std::vector<PartitionId> InvertedFullyMatching(const Table& table,
+                                                      const ExprPtr& predicate,
+                                                      const ScanSet& scan_set) {
+  PruningTree inverted(BuildInvertedPredicate(Simplify(predicate)),
+                       PruningTreeConfig{});
+  std::vector<PartitionId> fully;
+  for (PartitionId pid : scan_set) {
+    if (inverted.Evaluate(table.partition_metadata(pid).all_stats())
+            .prunable()) {
+      fully.push_back(pid);
+    }
+  }
+  return fully;
 }
 
 /// A compact single-column int64 table: `partitions` lists each partition's
