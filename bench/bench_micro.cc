@@ -211,8 +211,8 @@ BENCHMARK(BM_ArithCompare)->Arg(0)->Arg(1);
 
 /// The arith_filter shape against its ceiling. Arg 0 = the vectorized
 /// interpreter (identical to BM_ArithCompare/0), Arg 1 = a hand-written raw
-/// loop over the key column. The gap is the interpreter's dispatch and
-/// lane-materialization cost on this shape.
+/// loop over the key column, decoded through WithInt64s. The gap is the
+/// interpreter's dispatch and lane-materialization cost on this shape.
 void BM_FusedPredicate(benchmark::State& state) {
   auto table = BenchTable();
   auto pred = Gt(Add(Mul(Col("key"), Lit(int64_t{3})), Col("key")),
@@ -222,15 +222,16 @@ void BM_FusedPredicate(benchmark::State& state) {
   std::vector<uint32_t> selection;
   EvalScratch scratch;
   const uint32_t n = static_cast<uint32_t>(part.row_count());
-  const int64_t* key = part.column(1).int64_data().data();
   for (auto _ : state) {
     if (state.range(0) == 0) {
       ComputeSelection(*pred, part, &selection, &scratch);
     } else {
       selection.clear();
-      for (uint32_t r = 0; r < n; ++r) {
-        if (key[r] * 3 + key[r] > 500000) selection.push_back(r);
-      }
+      WithInt64s(part.column(1), [&](auto key) {
+        for (uint32_t r = 0; r < n; ++r) {
+          if (key(r) * 3 + key(r) > 500000) selection.push_back(r);
+        }
+      });
     }
     benchmark::DoNotOptimize(selection);
   }

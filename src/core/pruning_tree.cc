@@ -57,7 +57,9 @@ std::unique_ptr<PruningTree::Node> BuildNode(const ExprPtr& expr) {
 }  // namespace
 
 PruningTree::PruningTree(ExprPtr pruning_expr, PruningTreeConfig config)
-    : root_(BuildNode(pruning_expr)), config_(config) {}
+    : root_(BuildNode(pruning_expr)), config_(config) {
+  config_.reorder_interval = std::max<size_t>(config_.reorder_interval, 1);
+}
 
 PruningTree::~PruningTree() = default;
 PruningTree::PruningTree(PruningTree&&) noexcept = default;

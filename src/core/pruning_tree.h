@@ -15,6 +15,8 @@ namespace snowprune {
 struct PruningTreeConfig {
   /// Re-rank children of every connective node each N partition evaluations.
   bool enable_reorder = true;
+  /// N above; also the cutoff re-check period. 0 means every evaluation,
+  /// like 1.
   size_t reorder_interval = 64;
 
   /// Disable leaves that prune too little for their cost (§3.2, "filter

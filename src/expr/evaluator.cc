@@ -218,14 +218,18 @@ void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
     case DataType::kInt64:
       if (lit.is_int64()) {
         const int64_t y = lit.int64_value();
-        const auto& xs = col.int64_data();
-        run([&](size_t r) { return CmpInt(xs[r], y); });
+        WithInt64s(col, [&](auto x) {
+          run([&](size_t r) { return CmpInt(x(r), y); });
+        });
         return;
       }
       if (lit.is_float64()) {
         const double y = lit.float64_value();
-        const auto& xs = col.int64_data();
-        run([&](size_t r) { return CmpDouble(static_cast<double>(xs[r]), y); });
+        WithInt64s(col, [&](auto x) {
+          run([&](size_t r) {
+            return CmpDouble(static_cast<double>(x(r)), y);
+          });
+        });
         return;
       }
       break;
@@ -277,14 +281,15 @@ void CompareColumnColumn(const ColumnVector& a, const ColumnVector& b,
   const bool b_num = b.type() == DataType::kInt64 || b.type() == DataType::kFloat64;
   if (a_num && b_num) {
     if (a.type() == DataType::kInt64 && b.type() == DataType::kInt64) {
-      const auto& xs = a.int64_data();
-      const auto& ys = b.int64_data();
-      run([&](size_t r) { return CmpInt(xs[r], ys[r]); });
+      WithInt64s(a, [&](auto x) {
+        WithInt64s(b, [&](auto y) {
+          run([&](size_t r) { return CmpInt(x(r), y(r)); });
+        });
+      });
     } else {
       auto at = [](const ColumnVector& c, size_t r) {
-        return c.type() == DataType::kInt64
-                   ? static_cast<double>(c.int64_data()[r])
-                   : c.float64_data()[r];
+        return c.type() == DataType::kInt64 ? static_cast<double>(c.Int64At(r))
+                                            : c.Float64At(r);
       };
       run([&](size_t r) { return CmpDouble(at(a, r), at(b, r)); });
     }
@@ -387,11 +392,12 @@ bool EvalNumericLanes(const Expr& expr, const MicroPartition& part,
       const ColumnVector* col = AsBoundColumn(expr, part);
       if (col == nullptr) return false;
       if (col->type() == DataType::kInt64) {
-        const auto& xs = col->int64_data();
-        WithNullTest(col->nulls(), [&](auto is_null) {
-          ForEachRow(rows, [&](uint32_t r) {
-            out->kind[r] = is_null(r) ? kLaneNull : kLaneInt64;
-            out->i64[r] = xs[r];
+        WithInt64s(*col, [&](auto x) {
+          WithNullTest(col->nulls(), [&](auto is_null) {
+            ForEachRow(rows, [&](uint32_t r) {
+              out->kind[r] = is_null(r) ? kLaneNull : kLaneInt64;
+              out->i64[r] = x(r);
+            });
           });
         });
         return true;
@@ -625,17 +631,19 @@ void InListMask(const InListExpr& e, const MicroPartition& part,
   auto cmp_equal = [](double x, double y) { return !(x < y) && !(x > y); };
   switch (col->type()) {
     case DataType::kInt64: {
-      const auto& xs = col->int64_data();
-      run([&](size_t r) {
-        for (const Value& cand : vals) {
-          if (cand.is_null() || cand.is_string() || cand.is_bool()) continue;
-          if (cand.is_int64() ? xs[r] == cand.int64_value()
-                              : cmp_equal(static_cast<double>(xs[r]),
-                                          cand.float64_value())) {
-            return true;
+      WithInt64s(*col, [&](auto at) {
+        run([&](size_t r) {
+          const int64_t x = at(r);
+          for (const Value& cand : vals) {
+            if (cand.is_null() || cand.is_string() || cand.is_bool()) continue;
+            if (cand.is_int64() ? x == cand.int64_value()
+                                : cmp_equal(static_cast<double>(x),
+                                            cand.float64_value())) {
+              return true;
+            }
           }
-        }
-        return false;
+          return false;
+        });
       });
       return;
     }

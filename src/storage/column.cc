@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 
@@ -66,6 +67,7 @@ ColumnVector::ColumnVector(DataType type) : type_(type) {
 }
 
 void ColumnVector::AppendNull() {
+  assert(!narrow_);
   if (null_mask_.empty()) {
     // The first NULL materializes the mask: all-valid for the rows before
     // it, and reserved like the typed buffer so it is allocated once.
@@ -96,7 +98,7 @@ void ColumnVector::AppendBool(bool v) {
 }
 
 void ColumnVector::AppendInt64(int64_t v) {
-  assert(type_ == DataType::kInt64);
+  assert(type_ == DataType::kInt64 && !narrow_);
   AppendValid();
   ints_.push_back(v);
 }
@@ -148,8 +150,12 @@ ColumnStats ColumnVector::ComputeStats() const {
   switch (type_) {
     case DataType::kBool:
       return TypedStats(nulls(), size_, [&](size_t i) { return BoolAt(i); });
-    case DataType::kInt64:
-      return TypedStats(nulls(), size_, [&](size_t i) { return ints_[i]; });
+    case DataType::kInt64: {
+      ColumnStats stats;
+      WithInt64s(*this,
+                 [&](auto at) { stats = TypedStats(nulls(), size_, at); });
+      return stats;
+    }
     case DataType::kFloat64:
       return TypedStats(nulls(), size_, [&](size_t i) { return doubles_[i]; });
     case DataType::kString:
@@ -170,18 +176,50 @@ void ColumnVector::Reserve(size_t rows, size_t string_bytes) {
   }
 }
 
-void ColumnVector::ShrinkToFit() {
+std::vector<int64_t> ColumnVector::Seal() {
   null_mask_.shrink_to_fit();
   bools_.shrink_to_fit();
-  ints_.shrink_to_fit();
   doubles_.shrink_to_fit();
   string_offsets_.shrink_to_fit();
   string_bytes_.shrink_to_fit();
+  if (type_ != DataType::kInt64 || narrow_) return {};
+  // Narrowing frees the int64 buffer, so it is shrunk only if it stays.
+  // The range is taken in uint64_t, where max - min cannot overflow.
+  int64_t min = std::numeric_limits<int64_t>::max();
+  int64_t max = std::numeric_limits<int64_t>::min();
+  WithNullTest(nulls(), [&](auto is_null) {
+    for (size_t i = 0; i < size_; ++i) {
+      if (is_null(i)) continue;
+      min = std::min(min, ints_[i]);
+      max = std::max(max, ints_[i]);
+    }
+  });
+  if (min > max) min = max = 0;  // No valid row: the base is 0.
+  if (static_cast<uint64_t>(max) - static_cast<uint64_t>(min) >
+      std::numeric_limits<uint32_t>::max()) {
+    ints_.shrink_to_fit();
+    return {};
+  }
+  // NULL slots get offset 0, so they decode to the base.
+  std::vector<uint32_t> offsets(size_);
+  WithNullTest(nulls(), [&](auto is_null) {
+    for (size_t i = 0; i < size_; ++i) {
+      offsets[i] = is_null(i) ? 0
+                              : static_cast<uint32_t>(
+                                    static_cast<uint64_t>(ints_[i]) -
+                                    static_cast<uint64_t>(min));
+    }
+  });
+  int_offsets_ = std::move(offsets);
+  int_base_ = min;
+  narrow_ = true;
+  return std::exchange(ints_, {});
 }
 
 size_t ColumnVector::MemoryBytes() const {
   return CapacityBytes(null_mask_) + CapacityBytes(bools_) +
-         CapacityBytes(ints_) + CapacityBytes(doubles_) +
+         CapacityBytes(ints_) + CapacityBytes(int_offsets_) +
+         CapacityBytes(doubles_) +
          CapacityBytes(string_offsets_) + CapacityBytes(string_bytes_);
 }
 

@@ -42,6 +42,15 @@ struct ColumnStats {
 /// for the rows before it, so a column that never holds a NULL keeps no mask
 /// and nulls() returns nullptr. Whether a mask exists is the column's own
 /// fact; zone maps are never consulted for it.
+///
+/// Int64 columns are frame-of-reference encoded when sealed (Zukowski et
+/// al., ICDE 2006): if the non-NULL values span at most UINT32_MAX, Seal()
+/// stores each row as a uint32 offset from the smallest value, the column's
+/// own base (never read from a zone map), and frees the int64 buffer. A
+/// wider column stays int64. Int64At, ValueAt and WithInt64s decode, so no
+/// reader sees the layout. A NULL slot reads back as 0 from a wide column
+/// and as the base from a narrowed one (0 for an all-NULL column); readers
+/// must test the mask before trusting a slot.
 class ColumnVector {
  public:
   explicit ColumnVector(DataType type);
@@ -59,7 +68,10 @@ class ColumnVector {
 
   bool IsNull(size_t i) const { return !null_mask_.empty() && null_mask_[i]; }
   bool BoolAt(size_t i) const { return bools_[i] != 0; }
-  int64_t Int64At(size_t i) const { return ints_[i]; }
+  int64_t Int64At(size_t i) const {
+    return narrow_ ? int_base_ + static_cast<int64_t>(int_offsets_[i])
+                   : ints_[i];
+  }
   double Float64At(size_t i) const { return doubles_[i]; }
   /// A view into the column's arena; valid while the column is alive and
   /// not appended to.
@@ -73,12 +85,11 @@ class ColumnVector {
   /// nulls() is the null mask, or nullptr when the column holds no NULL.
   /// Only the vector matching type() is populated; NULL rows hold a
   /// default-valued slot, so indexes align with the null mask. String
-  /// cells are read through StringAt.
+  /// cells are read through StringAt, int64 cells through WithInt64s.
   const uint8_t* nulls() const {
     return null_mask_.empty() ? nullptr : null_mask_.data();
   }
   const std::vector<uint8_t>& bool_data() const { return bools_; }
-  const std::vector<int64_t>& int64_data() const { return ints_; }
   const std::vector<double>& float64_data() const { return doubles_; }
 
   /// Boxed accessor (returns Value::Null() for null rows).
@@ -91,8 +102,16 @@ class ColumnVector {
   /// `string_bytes` more string bytes. The null mask is sized by the first
   /// AppendNull, to the value buffer's capacity.
   void Reserve(size_t rows, size_t string_bytes);
-  /// Releases spare buffer capacity (a sealed partition never grows).
-  void ShrinkToFit();
+  /// Seals the column for a partition that never grows: releases spare
+  /// buffer capacity and narrows an int64 column to 32-bit offsets from its
+  /// base when its range allows. Sealing a sealed column does nothing.
+  /// Returns the int64 buffer a narrowing replaced (empty otherwise) for
+  /// the caller to free: MicroPartition frees them after its last column
+  /// is sealed, so the allocator can hand them out whole to the next
+  /// partition instead of splitting them for the next column's offsets.
+  std::vector<int64_t> Seal();
+  /// True when the int64 cells are held as 32-bit offsets from a base.
+  bool int64_narrowed() const { return narrow_; }
   /// Bytes of string payload held in the arena.
   size_t string_bytes() const { return string_bytes_.size(); }
   /// Heap bytes the column's buffers hold (their capacities, not sizes).
@@ -105,8 +124,14 @@ class ColumnVector {
     ++size_;
   }
 
+  template <typename Body>
+  friend void WithInt64s(const ColumnVector& col, Body&& body);
+
   DataType type_;
   size_t size_ = 0;
+  bool narrow_ = false;    ///< Int64 cells are int_base_ + int_offsets_[i].
+  int64_t int_base_ = 0;
+  std::vector<uint32_t> int_offsets_;
   std::vector<uint8_t> null_mask_;  ///< Empty until the first NULL.
   std::vector<uint8_t> bools_;
   std::vector<int64_t> ints_;
@@ -125,6 +150,25 @@ inline void WithNullTest(const uint8_t* nulls, Body&& body) {
     body([](size_t) { return false; });
   } else {
     body([nulls](size_t r) { return nulls[r] != 0; });
+  }
+}
+
+/// Runs `body(at)` once, where `at(r)` returns row r of the int64 column
+/// `col`. The column's layout (offsets from a base, or plain int64) is
+/// picked here, once per call, so a kernel written once compiles to one
+/// loop per layout with no per-row branch. A NULL row's slot is not 0 (see
+/// ColumnVector); test the mask first.
+template <typename Body>
+void WithInt64s(const ColumnVector& col, Body&& body) {
+  if (col.narrow_) {
+    const int64_t base = col.int_base_;
+    const uint32_t* offsets = col.int_offsets_.data();
+    body([base, offsets](size_t r) {
+      return base + static_cast<int64_t>(offsets[r]);
+    });
+  } else {
+    const int64_t* xs = col.ints_.data();
+    body([xs](size_t r) { return xs[r]; });
   }
 }
 

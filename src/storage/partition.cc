@@ -8,9 +8,12 @@ MicroPartition::MicroPartition(PartitionId id,
                                std::vector<ColumnVector> columns)
     : id_(id), columns_(std::move(columns)) {
   row_count_ = columns_.empty() ? 0 : columns_[0].size();
+  // Freed on return, after every column is sealed (see ColumnVector::Seal).
+  std::vector<std::vector<int64_t>> replaced;
+  replaced.reserve(columns_.size());
   for (auto& col : columns_) {
     SNOW_DCHECK_EQ(col.size(), row_count_);
-    col.ShrinkToFit();
+    replaced.push_back(col.Seal());
   }
   RecomputeStats();
 }

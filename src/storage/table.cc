@@ -103,15 +103,17 @@ void TableBuilder::CutPartition(bool more_rows_follow) {
   if (open_rows_ == 0) return;
   // The next partition is likely sized like this one, so its buffers are
   // allocated once at that size instead of regrown by doubling and copied
-  // again when sealed.
+  // again when sealed. They are allocated right after sealing, so they can
+  // take whole the int64 buffers the narrowed columns freed, before any
+  // smaller allocation splits them into holes nothing reuses.
   std::vector<ColumnVector> next;
   next.reserve(open_columns_.size());
-  for (const auto& col : open_columns_) {
+  auto pid = static_cast<PartitionId>(table_->num_partitions());
+  table_->AppendPartition(MicroPartition(pid, std::move(open_columns_)));
+  for (const auto& col : table_->partition_metadata(pid).columns()) {
     next.emplace_back(col.type());
     if (more_rows_follow) next.back().Reserve(open_rows_, col.string_bytes());
   }
-  auto pid = static_cast<PartitionId>(table_->num_partitions());
-  table_->AppendPartition(MicroPartition(pid, std::move(open_columns_)));
   open_columns_ = std::move(next);
   open_rows_ = 0;
 }

@@ -238,6 +238,24 @@ TEST(PruningTreeTest, ReorderPutsDecisiveLeafFirst) {
   EXPECT_EQ(after[0], strong->ToString());  // decisive leaf promoted
 }
 
+/// An interval of 0 means "check on every evaluation", the same as 1.
+TEST(PruningTreeTest, ZeroReorderIntervalChecksEveryEvaluation) {
+  Schema schema({Field{"x", DataType::kInt64, true},
+                 Field{"y", DataType::kInt64, true}});
+  auto weak = Ge(Col("x"), Lit(int64_t{-1000000}));
+  auto strong = Gt(Col("y"), Lit(int64_t{1000000}));
+  auto expr = And({weak, strong});
+  ASSERT_TRUE(BindExpr(expr, schema).ok());
+  PruningTreeConfig cfg;
+  cfg.reorder_interval = 0;
+  PruningTree tree(expr, cfg);
+  std::vector<ColumnStats> stats(2);
+  stats[0] = {true, Value(int64_t{0}), Value(int64_t{100}), 0, 5};
+  stats[1] = {true, Value(int64_t{0}), Value(int64_t{100}), 0, 5};
+  EXPECT_TRUE(tree.Evaluate(stats).prunable());
+  EXPECT_EQ(tree.LeafOrder()[0], strong->ToString());
+}
+
 TEST(PruningTreeTest, CutoffDisablesIneffectiveLeafUnderAnd) {
   Schema schema({Field{"x", DataType::kInt64, true}});
   auto useless = Ge(Col("x"), Lit(int64_t{-1000000}));  // never prunes

@@ -80,8 +80,11 @@ Value BoundaryBiasedLiteral(Rng* rng, const Table& table, size_t column,
     const ColumnStats& s = table.stats(pid, column);
     const Value& v = rng->Bernoulli(0.5) ? s.min : s.max;
     if (!v.is_null()) {
-      if (integer && v.is_int64() && rng->Bernoulli(0.3)) {
-        return Value(v.int64_value() + rng->UniformInt(-1, 1));
+      int64_t nudged;
+      if (integer && v.is_int64() && rng->Bernoulli(0.3) &&
+          !__builtin_add_overflow(v.int64_value(), rng->UniformInt(-1, 1),
+                                  &nudged)) {
+        return Value(nudged);
       }
       return v;
     }
@@ -649,34 +652,67 @@ std::shared_ptr<Table> NumericEdgeTable() {
 /// four, with the modes staggered across columns, so the kernels run their
 /// mask-free and masked loops side by side (a NULL-free partition keeps no
 /// mask) and a column-vs-column term meets every pairing.
+///
+/// Each int64 column (id, key, ts) also takes one of four value ranges per
+/// partition, staggered the same way: small values, the whole int64 range
+/// (INT64_MIN..INT64_MAX), a range of exactly 2^32 (both wide) and a range
+/// of exactly 2^32 - 1 (the widest that narrows to 32-bit offsets), each
+/// from a base that may be negative. Every range meets every NULL mode of
+/// key. The table is checked to read back the rows it was built from.
 std::shared_ptr<Table> MixedNullTable(const std::string& name, uint64_t seed) {
   constexpr int64_t kPartitions = 12, kRows = 8;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kSpan = int64_t{1} << 32;
   Rng rng(seed);
   std::vector<std::vector<Value>> rows;
   for (int64_t p = 0; p < kPartitions; ++p) {
+    // Int column j's range in partition p; rows 1 and 2 (never NULL) hold
+    // its two ends. Range 0: small values; 1: all of int64; 2: 2^32; 3:
+    // 2^32 - 1.
+    const int64_t base = rng.UniformInt(-60, 60) * 1'000'000'007;
+    auto int_cell = [&](int64_t j, int64_t r) {
+      const int64_t range = (p / 3 + j) % 4;
+      if (range == 0) return rng.UniformInt(-20, 60);
+      if (range == 1) {
+        if (r == 1) return kMin;
+        if (r == 2) return kMax;
+        const int64_t picks[] = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+        return picks[rng.UniformInt(0, 6)];
+      }
+      const int64_t top = base + (range == 2 ? kSpan : kSpan - 1);
+      if (r == 1) return base;
+      if (r == 2) return top;
+      switch (rng.UniformInt(0, 3)) {
+        case 0: return base + rng.UniformInt(0, 1);
+        case 1: return top - rng.UniformInt(0, 1);
+        default: return base + rng.UniformInt(0, top - base);
+      }
+    };
     for (int64_t r = 0; r < kRows; ++r) {
       // Column j's mode in partition p: 0 NULL-free, 1 all-NULL, 2 mixed
-      // (row 0 NULL, row 1 valid, the rest NULL with probability 0.4).
+      // (row 0 NULL, rows 1 and 2 valid, the rest NULL with probability
+      // 0.4).
       auto is_null = [&](int64_t j) {
         switch ((p + j) % 3) {
           case 0: return false;
           case 1: return true;
-          default: return r == 0 || (r > 1 && rng.Bernoulli(0.4));
+          default: return r == 0 || (r > 2 && rng.Bernoulli(0.4));
         }
       };
       const bool key_null = is_null(0), val_null = is_null(1),
                  cat_null = is_null(2), flag_null = is_null(3);
       rows.push_back(
-          {Value(p * kRows + r),
-           key_null ? Value::Null() : Value(rng.UniformInt(-20, 60)),
+          {Value(int_cell(1, r)),
+           key_null ? Value::Null() : Value(int_cell(0, r)),
            val_null ? Value::Null() : Value(rng.Uniform() * 40.0 - 10.0),
            cat_null ? Value::Null()
                     : Value("c" + std::to_string(rng.UniformInt(0, 12))),
-           Value(rng.UniformInt(-20, 60)),
+           Value(int_cell(2, r)),
            flag_null ? Value::Null() : Value(rng.Bernoulli(0.5))});
     }
   }
-  return testing_util::MakeTable(
+  auto table = testing_util::MakeTable(
       name,
       Schema({Field{"id", DataType::kInt64, false},
               Field{"key", DataType::kInt64, true},
@@ -685,6 +721,20 @@ std::shared_ptr<Table> MixedNullTable(const std::string& name, uint64_t seed) {
               Field{"ts", DataType::kInt64, false},
               Field{"flag", DataType::kBool, true}}),
       rows, kRows);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const MicroPartition& part =
+        table->partition_metadata(static_cast<PartitionId>(i / kRows));
+    for (size_t c = 0; c < rows[i].size(); ++c) {
+      const Value got = part.column(c).ValueAt(i % kRows);
+      if (!(got == rows[i][c])) {
+        ADD_FAILURE() << name << " row " << i << " column " << c
+                      << " reads back " << got.ToString() << ", built from "
+                      << rows[i][c].ToString();
+        return table;
+      }
+    }
+  }
+  return table;
 }
 
 /// Asserts that every nullable column of a MixedNullTable has mask-free,
@@ -707,6 +757,48 @@ void ExpectBothNullPaths(const Table& table) {
     ASSERT_GT(mask_free, 0) << "column " << c;
     ASSERT_GT(all_null, 0) << "column " << c;
     ASSERT_GT(mixed, 0) << "column " << c;
+  }
+}
+
+/// Asserts that every int64 column of a MixedNullTable has narrowed
+/// (32-bit offset) and wide partitions, key each with and without NULLs,
+/// and that both sides of the 2^32 boundary occur: a range of 2^32 - 1
+/// narrowed and a range of 2^32 stayed wide.
+void ExpectBothIntLayouts(const Table& table) {
+  for (size_t c : {0, 1, 4}) {
+    // [narrowed][has a mask]
+    int seen[2][2] = {{0, 0}, {0, 0}};
+    bool boundary_narrow = false, boundary_wide = false;
+    for (size_t p = 0; p < table.num_partitions(); ++p) {
+      const auto pid = static_cast<PartitionId>(p);
+      const ColumnVector& col = table.partition_metadata(pid).column(c);
+      ++seen[col.int64_narrowed()][col.nulls() != nullptr];
+      const ColumnStats& s = table.stats(pid, c);
+      if (s.min.is_null()) continue;
+      const uint64_t range = static_cast<uint64_t>(s.max.int64_value()) -
+                             static_cast<uint64_t>(s.min.int64_value());
+      if (range == (uint64_t{1} << 32) - 1) {
+        ASSERT_TRUE(col.int64_narrowed()) << "column " << c << " partition "
+                                          << p;
+        boundary_narrow = true;
+      }
+      if (range == uint64_t{1} << 32) {
+        ASSERT_FALSE(col.int64_narrowed()) << "column " << c << " partition "
+                                           << p;
+        boundary_wide = true;
+      }
+    }
+    const bool nullable = table.schema().field(c).nullable;
+    for (int narrow : {0, 1}) {
+      for (int masked : {0, 1}) {
+        if (masked && !nullable) continue;
+        ASSERT_GT(seen[narrow][masked], 0)
+            << "column " << c << (narrow ? " narrowed" : " wide")
+            << (masked ? " with" : " without") << " NULLs";
+      }
+    }
+    ASSERT_TRUE(boundary_narrow) << "column " << c;
+    ASSERT_TRUE(boundary_wide) << "column " << c;
   }
 }
 
@@ -741,6 +833,7 @@ TEST(FuzzPruneTest, VectorizedSelectionAgreesWithScalarOracle) {
     Rng rng(74000 + iter);
     auto table = MixedNullTable("mn", rng.Next());
     ASSERT_NO_FATAL_FAILURE(ExpectBothNullPaths(*table));
+    ASSERT_NO_FATAL_FAILURE(ExpectBothIntLayouts(*table));
     ExprPtr pred = RandomPredicate(&rng, *table, 2);
     ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
     ASSERT_NO_FATAL_FAILURE(ExpectSelectionMatchesScalar(
@@ -881,6 +974,7 @@ TEST(FuzzPruneTest, VectorizedArithIfAgreesWithScalarOracle) {
     Rng rng(102000 + iter);
     auto table = MixedNullTable("mn", rng.Next());
     ASSERT_NO_FATAL_FAILURE(ExpectBothNullPaths(*table));
+    ASSERT_NO_FATAL_FAILURE(ExpectBothIntLayouts(*table));
     ExprPtr pred = RandomArithIfPredicate(&rng, *table, 3);
     ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
     EvalScratch scratch;
@@ -927,15 +1021,16 @@ TEST(FuzzPruneTest, VectorizedArithIfAgreesWithScalarOracle) {
   });
 }
 
-/// Columnar-vs-boxed pipeline identity: a join / top-k / sort directly over
-/// a scan takes the unboxed ColumnBatch path; the same pipeline over an
+/// Columnar-vs-boxed pipeline identity: a join / top-k / sort / aggregate
+/// directly over a scan takes the unboxed ColumnBatch path; the same pipeline over an
 /// identity projection of the scan is forced onto the boxed-row path. Rows
 /// AND PruningStats must be byte-identical between the two, serially and
 /// in parallel (1/2/4 threads) — and the columnar pipelines must never call
 /// the Materialize() adapter.
 TEST(FuzzPruneTest, ColumnarPipelinesMatchBoxedOracle) {
   // Iterations from 40 on run over two MixedNullTables, whose key, val,
-  // cat and flag columns mix mask-free and masked partitions.
+  // cat and flag columns mix mask-free and masked partitions and whose int
+  // columns mix narrowed and wide ones.
   for (int iter = 0; iter < 52; ++iter) {
     Rng rng(111000 + iter);
     const bool mixed = iter >= 40;
@@ -945,6 +1040,7 @@ TEST(FuzzPruneTest, ColumnarPipelinesMatchBoxedOracle) {
     std::shared_ptr<Table> build;
     if (mixed) {
       ASSERT_NO_FATAL_FAILURE(ExpectBothNullPaths(*probe));
+      ASSERT_NO_FATAL_FAILURE(ExpectBothIntLayouts(*probe));
       build = MixedNullTable("b", rng.Next());
     } else {
       workload::TableGenConfig bcfg;
@@ -976,8 +1072,8 @@ TEST(FuzzPruneTest, ColumnarPipelinesMatchBoxedOracle) {
     ExprPtr pred = RandomPredicate(&rng, *probe, 2);
     ASSERT_TRUE(BindExpr(pred, probe->schema()).ok());
     ExprPtr bpred = RandomPredicate(&rng, *probe, 1);
-    const char* kMixedOrder[] = {"key", "val", "cat", "flag"};
-    const char* order_col = mixed ? kMixedOrder[rng.UniformInt(0, 3)]
+    const char* kMixedOrder[] = {"key", "ts", "val", "cat", "flag"};
+    const char* order_col = mixed ? kMixedOrder[rng.UniformInt(0, 4)]
                                   : (rng.Bernoulli(0.5) ? "key" : "val");
     const bool desc = rng.Bernoulli(0.5);
     const int64_t k = rng.UniformInt(1, 25);
@@ -986,6 +1082,14 @@ TEST(FuzzPruneTest, ColumnarPipelinesMatchBoxedOracle) {
                                                      : JoinKind::kBuildOuter)
                                : JoinKind::kInner;
 
+    // Grouped on the int key, over int inputs only.
+    auto int_aggs = [] {
+      return std::vector<AggPlanSpec>{
+          AggPlanSpec{AggFunc::kCount, "", "n"},
+          AggPlanSpec{AggFunc::kSum, "ts", "ts_sum"},
+          AggPlanSpec{AggFunc::kMin, "id", "id_min"},
+          AggPlanSpec{AggFunc::kMax, "ts", "ts_max"}};
+    };
     struct Shape {
       const char* name;
       PlanPtr columnar;
@@ -1002,6 +1106,8 @@ TEST(FuzzPruneTest, ColumnarPipelinesMatchBoxedOracle) {
          TopKPlan(boxed_p(ScanPlan("p", pred)), order_col, desc, k)},
         {"sort", SortPlan(ScanPlan("p", pred), order_col, desc),
          SortPlan(boxed_p(ScanPlan("p", pred)), order_col, desc)},
+        {"agg", AggregatePlan(ScanPlan("p", pred), {"key"}, int_aggs()),
+         AggregatePlan(boxed_p(ScanPlan("p", pred)), {"key"}, int_aggs())},
     };
     for (const Shape& shape : shapes) {
       const std::string ctx =

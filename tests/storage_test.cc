@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -8,6 +11,7 @@
 #include "storage/scan_set.h"
 #include "storage/table.h"
 #include "test_util.h"
+#include "workload/table_gen.h"
 
 namespace snowprune {
 namespace {
@@ -140,12 +144,13 @@ TEST(ColumnVectorTest, NoNullMeansNoMask) {
   EXPECT_EQ(part.column(0).nulls(), nullptr);  // non-nullable field
   EXPECT_EQ(part.column(1).nulls(), nullptr);  // nullable, but no NULL
   ASSERT_NE(part.column(2).nulls(), nullptr);
-  // Sealed buffers hold exactly their rows: 8 bytes per cell, plus one
-  // mask byte per row only where a NULL occurred.
-  EXPECT_EQ(part.column(0).MemoryBytes(), 100 * sizeof(int64_t));
-  EXPECT_EQ(part.column(1).MemoryBytes(), 100 * sizeof(int64_t));
-  EXPECT_EQ(part.column(2).MemoryBytes(), 100 * sizeof(int64_t) + 100);
-  EXPECT_EQ(table->MemoryBytes(), 3 * 100 * sizeof(int64_t) + 100);
+  // Sealed buffers hold exactly their rows: 4 bytes per cell (each range
+  // fits 32 bits, so the column narrowed), plus one mask byte per row only
+  // where a NULL occurred.
+  EXPECT_EQ(part.column(0).MemoryBytes(), 100 * sizeof(uint32_t));
+  EXPECT_EQ(part.column(1).MemoryBytes(), 100 * sizeof(uint32_t));
+  EXPECT_EQ(part.column(2).MemoryBytes(), 100 * sizeof(uint32_t) + 100);
+  EXPECT_EQ(table->MemoryBytes(), 3 * 100 * sizeof(uint32_t) + 100);
   for (size_t c = 0; c < 3; ++c) {
     EXPECT_EQ(table->stats(0, c).null_count, c == 2 ? 1 : 0);
   }
@@ -214,6 +219,197 @@ TEST(ColumnVectorTest, AllNullColumnOfEveryType) {
     EXPECT_TRUE(part.stats(0).ToInterval().all_null) << ToString(type);
     EXPECT_TRUE(part.column(0).IsNull(3)) << ToString(type);
   }
+}
+
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+constexpr int64_t kTwoTo32 = int64_t{1} << 32;
+
+/// Seals `cells` (std::nullopt = NULL) as a one-column int64 partition.
+MicroPartition SealedInts(const std::vector<std::optional<int64_t>>& cells) {
+  ColumnVector col(DataType::kInt64);
+  for (const auto& c : cells) {
+    if (c.has_value()) {
+      col.AppendInt64(*c);
+    } else {
+      col.AppendNull();
+    }
+  }
+  std::vector<ColumnVector> cols;
+  cols.push_back(std::move(col));
+  return MicroPartition(0, std::move(cols));
+}
+
+/// Every cell of `col` reads back as `cells` through Int64At, ValueAt and
+/// WithInt64s, and the zone map agrees.
+void ExpectIntsReadBack(const ColumnVector& col,
+                        const std::vector<std::optional<int64_t>>& cells,
+                        const std::string& ctx) {
+  ASSERT_EQ(col.size(), cells.size()) << ctx;
+  std::vector<int64_t> decoded;
+  WithInt64s(col, [&](auto at) {
+    for (size_t r = 0; r < col.size(); ++r) decoded.push_back(at(r));
+  });
+  for (size_t r = 0; r < cells.size(); ++r) {
+    EXPECT_EQ(col.IsNull(r), !cells[r].has_value()) << ctx << " row " << r;
+    if (!cells[r].has_value()) {
+      EXPECT_TRUE(col.ValueAt(r).is_null()) << ctx << " row " << r;
+      continue;
+    }
+    EXPECT_EQ(col.Int64At(r), *cells[r]) << ctx << " row " << r;
+    EXPECT_EQ(decoded[r], *cells[r]) << ctx << " row " << r;
+    EXPECT_EQ(col.ValueAt(r).int64_value(), *cells[r]) << ctx << " row " << r;
+  }
+}
+
+/// A column narrows exactly when max - min fits 32 bits: a range of
+/// 2^32 - 1 narrows to 4 bytes per row, a range of 2^32 stays 8.
+TEST(FrameOfReferenceTest, NarrowsUpToARangeOf2To32Minus1) {
+  for (int64_t base : {int64_t{0}, int64_t{-7}, -kTwoTo32 * 3, kInt64Min,
+                       kInt64Max - kTwoTo32}) {
+    const std::string ctx = "base " + std::to_string(base);
+    const std::vector<std::optional<int64_t>> fits = {
+        base + 5, base, base + (kTwoTo32 - 1), base + 1};
+    MicroPartition narrow = SealedInts(fits);
+    EXPECT_TRUE(narrow.column(0).int64_narrowed()) << ctx;
+    EXPECT_EQ(narrow.column(0).MemoryBytes(), 4 * sizeof(uint32_t)) << ctx;
+    ExpectIntsReadBack(narrow.column(0), fits, ctx);
+    EXPECT_EQ(narrow.stats(0).min.int64_value(), base) << ctx;
+    EXPECT_EQ(narrow.stats(0).max.int64_value(), base + (kTwoTo32 - 1))
+        << ctx;
+    if (base > kInt64Max - kTwoTo32) continue;
+    const std::vector<std::optional<int64_t>> wider = {base + 5, base,
+                                                       base + kTwoTo32};
+    MicroPartition wide = SealedInts(wider);
+    EXPECT_FALSE(wide.column(0).int64_narrowed()) << ctx;
+    EXPECT_EQ(wide.column(0).MemoryBytes(), 3 * sizeof(int64_t)) << ctx;
+    ExpectIntsReadBack(wide.column(0), wider, ctx);
+  }
+}
+
+TEST(FrameOfReferenceTest, Int64ExtremesInOnePartitionReadBackExactly) {
+  const std::vector<std::optional<int64_t>> cells = {
+      kInt64Max, kInt64Min, 0, std::nullopt, -1, kInt64Min + 1, kInt64Max - 1};
+  MicroPartition part = SealedInts(cells);
+  EXPECT_FALSE(part.column(0).int64_narrowed());
+  ExpectIntsReadBack(part.column(0), cells, "extremes");
+  EXPECT_EQ(part.stats(0).min.int64_value(), kInt64Min);
+  EXPECT_EQ(part.stats(0).max.int64_value(), kInt64Max);
+}
+
+/// Negative bases, NULL slots and an all-NULL column read back exactly. A
+/// narrowed column's NULL slot holds the base (0 when every row is NULL),
+/// and the sealed buffers are exactly 4 bytes per row plus the mask.
+TEST(FrameOfReferenceTest, NegativeBaseAndNullsReadBackExactly) {
+  const int64_t base = -5'000'000'000'000;
+  const std::vector<std::optional<int64_t>> cells = {
+      std::nullopt, base + 7, base, std::nullopt, base + 3'000'000'000};
+  MicroPartition part = SealedInts(cells);
+  const ColumnVector& col = part.column(0);
+  ASSERT_TRUE(col.int64_narrowed());
+  ExpectIntsReadBack(col, cells, "negative base");
+  EXPECT_EQ(col.Int64At(0), base);
+  EXPECT_EQ(col.Int64At(3), base);
+  EXPECT_EQ(col.MemoryBytes(), 5 * sizeof(uint32_t) + 5);
+  EXPECT_EQ(part.stats(0).min.int64_value(), base);
+  EXPECT_EQ(part.stats(0).null_count, 2);
+
+  const std::vector<std::optional<int64_t>> all_null(3, std::nullopt);
+  MicroPartition nulls = SealedInts(all_null);
+  ASSERT_TRUE(nulls.column(0).int64_narrowed());
+  ExpectIntsReadBack(nulls.column(0), all_null, "all NULL");
+  EXPECT_EQ(nulls.column(0).Int64At(1), 0);
+  EXPECT_TRUE(nulls.stats(0).ToInterval().all_null);
+  EXPECT_EQ(nulls.column(0).MemoryBytes(), 3 * sizeof(uint32_t) + 3);
+}
+
+/// Decoding never reads the zone map: dropping and backfilling stats
+/// leaves every value, the layout and the zone maps as they were.
+TEST(FrameOfReferenceTest, DropStatsAndBackfillLeaveValuesAndLayout) {
+  Schema schema({Field{"n", DataType::kInt64, true},
+                 Field{"w", DataType::kInt64, false}});
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 24; ++i) {
+    rows.push_back({i % 5 == 0 ? Value::Null() : Value(-1000 + 37 * i),
+                    Value(i % 2 == 0 ? kInt64Min + i : kInt64Max - i)});
+  }
+  auto table = testing_util::MakeTable("t", schema, rows, 8);
+  auto read_all = [&] {
+    std::vector<Value> cells;
+    for (size_t p = 0; p < table->num_partitions(); ++p) {
+      const MicroPartition& part =
+          table->partition_metadata(static_cast<PartitionId>(p));
+      for (size_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(part.column(c).int64_narrowed(), c == 0) << "column " << c;
+        for (size_t r = 0; r < part.column(c).size(); ++r) {
+          cells.push_back(part.column(c).ValueAt(r));
+        }
+      }
+    }
+    return cells;
+  };
+  const std::vector<Value> before = read_all();
+  const size_t bytes = table->MemoryBytes();
+  std::vector<std::vector<ColumnStats>> stats;
+  for (size_t p = 0; p < table->num_partitions(); ++p) {
+    stats.push_back(
+        table->partition_metadata(static_cast<PartitionId>(p)).all_stats());
+  }
+  ASSERT_EQ(table->DropStatsOnFraction(1.0, 3), table->num_partitions());
+  EXPECT_EQ(read_all(), before);
+  ASSERT_EQ(table->BackfillMissingStats(), table->num_partitions());
+  EXPECT_EQ(read_all(), before);
+  EXPECT_EQ(table->MemoryBytes(), bytes);
+  for (size_t p = 0; p < table->num_partitions(); ++p) {
+    const auto& now =
+        table->partition_metadata(static_cast<PartitionId>(p)).all_stats();
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(Value::Compare(now[c].min, stats[p][c].min), 0);
+      EXPECT_EQ(Value::Compare(now[c].max, stats[p][c].max), 0);
+      EXPECT_EQ(now[c].null_count, stats[p][c].null_count);
+    }
+  }
+}
+
+/// The INSERT/UPDATE copy paths build a partition from a sealed one's
+/// columns; sealing them again changes nothing.
+TEST(FrameOfReferenceTest, CopiedSealedPartitionResealsIdempotently) {
+  const std::vector<std::optional<int64_t>> cells = {40, std::nullopt, -3,
+                                                     kTwoTo32 - 4};
+  MicroPartition part = SealedInts(cells);
+  ASSERT_TRUE(part.column(0).int64_narrowed());
+  MicroPartition copy(1, part.columns());
+  EXPECT_TRUE(copy.column(0).int64_narrowed());
+  EXPECT_EQ(copy.column(0).MemoryBytes(), part.column(0).MemoryBytes());
+  ExpectIntsReadBack(copy.column(0), cells, "copy");
+  EXPECT_EQ(Value::Compare(copy.stats(0).min, part.stats(0).min), 0);
+  EXPECT_EQ(Value::Compare(copy.stats(0).max, part.stats(0).max), 0);
+}
+
+/// The fact table of the scan_heavy benchmark (id, key, val, cat, ts; 500
+/// rows per partition, 1% NULL val, random key layout): every int64 column
+/// of every partition narrows, and the table holds at most 30.1 bytes per
+/// row (4 per int64, 8 + 1 mask byte for val, ~4 + 5 for cat).
+TEST(FrameOfReferenceTest, FactTableNarrowsEveryInt64Column) {
+  workload::TableGenConfig cfg;
+  cfg.name = "fact";
+  cfg.layout = workload::Layout::kRandom;
+  cfg.num_partitions = 64;
+  cfg.rows_per_partition = 500;
+  cfg.null_fraction = 0.01;
+  auto table = workload::SyntheticTable(cfg);
+  for (size_t p = 0; p < table->num_partitions(); ++p) {
+    const MicroPartition& part =
+        table->partition_metadata(static_cast<PartitionId>(p));
+    for (size_t c = 0; c < part.num_columns(); ++c) {
+      if (part.column(c).type() != DataType::kInt64) continue;
+      EXPECT_TRUE(part.column(c).int64_narrowed())
+          << "partition " << p << " column " << c;
+    }
+  }
+  const double bytes_per_row = static_cast<double>(table->MemoryBytes()) /
+                               static_cast<double>(table->num_rows());
+  EXPECT_LE(bytes_per_row, 30.1);
 }
 
 TEST(TableBuilderTest, CutsPartitionsAtTarget) {

@@ -3,19 +3,22 @@
 
 Compares bench_headline JSON dumps in pairs — each a plain run and a run
 with --trace-sample=1 (every rep traced), taken back to back — on their
-scanned-row-weighted mean ns/row, and fails if the median traced run is
-slower than the median plain run by more than the threshold.
+scanned-row-weighted mean ns/row, and fails if the lower quartile of the
+traced runs is slower than the lower quartile of the plain runs by more
+than the threshold.
 
 The per-query instrumentation is designed to be a pointer test away from
 free when tracing is off and cheap when on (per-operator wrappers time one
 Next call per *batch*, not per row), so a large gap here means a hot-path
 regression. A single --smoke pair runs for well under a second, so one pair
 mostly measures the host's noise; pairs taken alternately share the host's
-state, and the medians over several of them (CI takes nine) are what the
-gate compares. A smoke process lands in a fast or a slow mode (about 50 vs
-70-80 ns/row on a 4-core EPYC host), so a per-pair ratio swings by tens of
-percent whenever the two runs of a pair land in different modes; the median
-of each side is moved only when most runs of that side are slow.
+state, and the lower quartiles over several of them (CI takes nine) are
+what the gate compares. A smoke process lands in a fast or a slow mode
+(about 50 vs 70-80 ns/row on a 4-core EPYC host), so a per-pair ratio swings
+by tens of percent whenever the two runs of a pair land in different modes.
+The median of a side moved whenever five of its nine runs were slow; its
+lower quartile moves only when seven are, while a hot-path regression
+shifts every run of the traced side, its fast ones included.
 
 Usage: check_trace_overhead.py PLAIN.json TRACED.json
            [PLAIN2.json TRACED2.json ...] [--threshold=0.05]
@@ -44,6 +47,13 @@ def weighted_ns_per_row(path):
     return total_ns / total_rows
 
 
+def lower_quartile(values):
+    """The first quartile, interpolated between the sorted values."""
+    if len(values) == 1:
+        return values[0]
+    return statistics.quantiles(values, n=4, method="inclusive")[0]
+
+
 def main(argv):
     threshold = 0.05
     paths = []
@@ -64,11 +74,11 @@ def main(argv):
         traceds.append(traced)
         print(f"plain {plain:8.2f} ns/row ({plain_path}), traced "
               f"{traced:8.2f} ns/row ({traced_path})")
-    plain_median = statistics.median(plains)
-    traced_median = statistics.median(traceds)
-    overhead = (traced_median - plain_median) / plain_median
-    print(f"overhead: median traced {traced_median:.2f} vs median plain "
-          f"{plain_median:.2f} ns/row = {100.0 * overhead:+.1f}% over "
+    plain_q1 = lower_quartile(plains)
+    traced_q1 = lower_quartile(traceds)
+    overhead = (traced_q1 - plain_q1) / plain_q1
+    print(f"overhead: lower-quartile traced {traced_q1:.2f} vs lower-quartile "
+          f"plain {plain_q1:.2f} ns/row = {100.0 * overhead:+.1f}% over "
           f"{len(plains)} pair(s) (threshold +{100.0 * threshold:.0f}%)")
     if overhead > threshold:
         print("FAIL: tracing overhead exceeds threshold — the traced hot "
