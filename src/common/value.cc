@@ -15,37 +15,14 @@ const char* ToString(DataType t) {
   return "?";
 }
 
-DataType Value::type() const {
-  assert(!is_null());
-  if (is_bool()) return DataType::kBool;
-  if (is_int64()) return DataType::kInt64;
-  if (is_float64()) return DataType::kFloat64;
-  return DataType::kString;
-}
-
 int Value::Compare(const Value& a, const Value& b) {
   assert(!a.is_null() && !b.is_null());
-  if (a.is_string() && b.is_string()) {
-    return a.string_value().compare(b.string_value());
-  }
-  if (a.is_bool() && b.is_bool()) {
-    return static_cast<int>(a.bool_value()) - static_cast<int>(b.bool_value());
-  }
-  assert(a.is_numeric() && b.is_numeric());
-  if (a.is_int64() && b.is_int64()) {
-    int64_t x = a.int64_value(), y = b.int64_value();
-    return x < y ? -1 : (x > y ? 1 : 0);
-  }
-  double x = a.AsDouble(), y = b.AsDouble();
-  return x < y ? -1 : (x > y ? 1 : 0);
+  return CompareScalars(a, b);
 }
 
 bool Value::operator==(const Value& other) const {
   if (is_null() || other.is_null()) return is_null() && other.is_null();
-  if (is_string() != other.is_string() || is_bool() != other.is_bool()) {
-    return false;
-  }
-  return Compare(*this, other) == 0;
+  return ScalarsEqual(*this, other);
 }
 
 std::string Value::ToString() const {
@@ -101,16 +78,13 @@ uint64_t HashFloat64Value(double d) {
 }
 
 uint64_t HashInt64Value(int64_t v) {
-  // Through the same canonical-double funnel as the boxed path (AsDouble),
-  // so Value(2) and an int64 column cell of 2 hash identically.
+  // Through the canonical-double funnel, so 2 and 2.0 hash identically.
   return HashFloat64Value(static_cast<double>(v));
 }
 
 uint64_t HashValue(const Value& v) {
   if (v.is_null()) return 0x9ae16a3b2f90404fULL;
-  if (v.is_bool()) return HashBoolValue(v.bool_value());
-  if (v.is_string()) return HashStringValue(v.string_value());
-  return HashFloat64Value(v.AsDouble());
+  return HashScalar(v);
 }
 
 }  // namespace snowprune

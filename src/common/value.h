@@ -1,10 +1,12 @@
 #ifndef SNOWPRUNE_COMMON_VALUE_H_
 #define SNOWPRUNE_COMMON_VALUE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <variant>
+#include <vector>
 
 namespace snowprune {
 
@@ -17,7 +19,7 @@ const char* ToString(DataType t);
 
 /// A dynamically-typed SQL value (possibly NULL). Used at API boundaries,
 /// in zone-map metadata, and by the scalar evaluator; columnar storage keeps
-/// values unboxed.
+/// values unboxed. A Value is also a cell source (see CompareScalars).
 class Value {
  public:
   /// Constructs a NULL value.
@@ -48,15 +50,18 @@ class Value {
     return is_int64() ? static_cast<double>(int64_value()) : float64_value();
   }
 
-  /// The value's data type; requires !is_null().
-  DataType type() const;
+  /// The value's data type; requires !is_null(). The variant's
+  /// alternatives after monostate follow DataType's order.
+  DataType type() const {
+    assert(!is_null());
+    return static_cast<DataType>(data_.index() - 1);
+  }
 
-  /// Three-way comparison. NULL values and cross-kind comparisons (string vs
-  /// numeric) are the caller's responsibility; int64 and float64 compare
-  /// numerically. Returns <0, 0, >0.
+  /// CompareScalars over two Values. NULL values and cross-kind comparisons
+  /// (string vs numeric) are the caller's responsibility.
   static int Compare(const Value& a, const Value& b);
 
-  /// True when both are non-null and Compare(a,b)==0, or both NULL.
+  /// True when both are NULL, or both are non-null and ScalarsEqual.
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
@@ -66,18 +71,91 @@ class Value {
   std::variant<std::monostate, bool, int64_t, double, std::string> data_;
 };
 
+/// A materialized row exchanged between operators (boxed; the engine trades
+/// raw scan speed for uniformity — pruning, not per-row throughput, is what
+/// this library studies).
+using Row = std::vector<Value>;
+
+/// Scalar rules are written once, as templates over *cell sources*: types
+/// that read one cell through is_null(), type(), bool_value(),
+/// int64_value(), float64_value(), string_value() and AsDouble(). A boxed
+/// Value is one; ColumnCell (storage/column.h) reads a column row in place.
+/// Each source is bound at compile time, so a loop over column cells pays
+/// one type switch per cell, no virtual call and no boxing.
+
+/// The three-way order of two non-null scalars of comparable kinds (see
+/// ScalarsComparable): strings bytewise, false < true, two int64s exactly,
+/// any other numeric pair through double. A NaN is neither less nor greater
+/// than anything, so it ties every number. Returns <0, 0, >0.
+template <typename A, typename B>
+inline int CompareScalars(const A& a, const B& b) {
+  auto three_way = [](auto x, auto y) { return x < y ? -1 : (x > y ? 1 : 0); };
+  switch (a.type()) {
+    case DataType::kString:
+      return std::string_view(a.string_value()).compare(b.string_value());
+    case DataType::kBool:
+      return static_cast<int>(a.bool_value()) -
+             static_cast<int>(b.bool_value());
+    case DataType::kInt64:
+      if (b.type() == DataType::kInt64) {
+        return three_way(a.int64_value(), b.int64_value());
+      }
+      break;
+    case DataType::kFloat64:
+      if (b.type() == DataType::kFloat64) {
+        return three_way(a.float64_value(), b.float64_value());
+      }
+      break;
+  }
+  // A mixed int64/double pair: both through double.
+  auto as_double = [](const auto& c) {
+    return c.type() == DataType::kInt64 ? static_cast<double>(c.int64_value())
+                                        : c.float64_value();
+  };
+  return three_way(as_double(a), as_double(b));
+}
+
+/// True when two non-null scalars have kinds CompareScalars orders: both
+/// strings, both bools, or both numeric. Comparisons, IN lists and join
+/// keys treat any other pair as not comparable.
+template <typename A, typename B>
+inline bool ScalarsComparable(const A& a, const B& b) {
+  const DataType x = a.type(), y = b.type();
+  return (x == DataType::kString) == (y == DataType::kString) &&
+         (x == DataType::kBool) == (y == DataType::kBool);
+}
+
+/// Equality of two non-null scalars, as comparisons, IN lists, equi-join
+/// keys and operator== decide it: comparable kinds that CompareScalars
+/// ties. A NaN therefore equals every number.
+template <typename A, typename B>
+inline bool ScalarsEqual(const A& a, const B& b) {
+  return ScalarsComparable(a, b) && CompareScalars(a, b) == 0;
+}
+
 /// Stable 64-bit hash used by hash joins and Bloom summaries. Numeric values
 /// hash by canonical double bits when fractional, by integer value otherwise,
 /// so Value(2) and Value(2.0) collide as equality demands.
 uint64_t HashValue(const Value& v);
 
-/// Component hashes of HashValue, one per physical type. HashValue
-/// dispatches to these, and the columnar (unboxed) join path calls them
-/// directly on raw column cells — the two can therefore never disagree.
+/// Component hashes of HashValue, one per physical type.
 uint64_t HashBoolValue(bool b);
 uint64_t HashInt64Value(int64_t v);
 uint64_t HashFloat64Value(double d);
 uint64_t HashStringValue(std::string_view s);
+
+/// HashValue of a non-null cell source, so a column cell and its boxed
+/// Value hash alike.
+template <typename Cell>
+inline uint64_t HashScalar(const Cell& c) {
+  switch (c.type()) {
+    case DataType::kBool: return HashBoolValue(c.bool_value());
+    case DataType::kInt64: return HashInt64Value(c.int64_value());
+    case DataType::kFloat64: return HashFloat64Value(c.float64_value());
+    case DataType::kString: return HashStringValue(c.string_value());
+  }
+  return 0;
+}
 
 }  // namespace snowprune
 

@@ -145,6 +145,20 @@ void HashAggregateOp::Open() {
   input_->Open();  // parallel scans start their scheduler here
 }
 
+namespace {
+
+/// Folds a non-null cell into the running MIN or MAX `best`.
+template <typename Cell>
+void FoldExtreme(AggFunc func, const Cell& cell, Value* best) {
+  if (!best->is_null()) {
+    const int c = CompareScalars(cell, *best);
+    if (func == AggFunc::kMin ? c >= 0 : c <= 0) return;
+  }
+  *best = BoxCell(cell);
+}
+
+}  // namespace
+
 void HashAggregateOp::MergePartial(GroupMap* partial) {
   if (groups_.empty()) {
     // First partial (typically the largest share of the groups): adopt the
@@ -164,14 +178,7 @@ void HashAggregateOp::MergePartial(GroupMap* partial) {
       dst.counts[i] += state.counts[i];
       dst.sums[i] += state.sums[i];
       const Value& v = state.min_max[i];
-      if (v.is_null()) continue;
-      if (dst.min_max[i].is_null()) {
-        dst.min_max[i] = v;
-      } else if (aggregates_[i].func == AggFunc::kMin
-                     ? Value::Compare(v, dst.min_max[i]) < 0
-                     : Value::Compare(v, dst.min_max[i]) > 0) {
-        dst.min_max[i] = v;
-      }
+      if (!v.is_null()) FoldExtreme(aggregates_[i].func, v, &dst.min_max[i]);
     }
   }
 }
@@ -217,8 +224,8 @@ bool HashAggregateOp::SameGroupKeys(const ColumnBatch& batch, uint32_t a,
   return true;
 }
 
-void HashAggregateOp::AccumulateUnboxed(GroupState* state,
-                                        const ColumnBatch& batch, uint32_t r) {
+template <typename CellOf>
+void HashAggregateOp::Accumulate(GroupState* state, const CellOf& cell_of) {
   ++state->group_rows;
   for (size_t i = 0; i < aggregates_.size(); ++i) {
     const AggSpec& spec = aggregates_[i];
@@ -226,33 +233,17 @@ void HashAggregateOp::AccumulateUnboxed(GroupState* state,
       ++state->counts[i];
       continue;
     }
-    const ColumnVector& col = batch.column(spec.column);
-    if (col.IsNull(r)) continue;
+    const auto& cell = cell_of(spec.column);
+    if (cell.is_null()) continue;
     ++state->counts[i];
     switch (spec.func) {
       case AggFunc::kSum:
       case AggFunc::kAvg:
-        // Mirrors Value::AsDouble() on the boxed path; a non-numeric input
-        // column takes the boxed accessor (and throws) exactly as before.
-        if (col.type() == DataType::kInt64) {
-          state->sums[i] += static_cast<double>(col.Int64At(r));
-        } else if (col.type() == DataType::kFloat64) {
-          state->sums[i] += col.Float64At(r);
-        } else {
-          state->sums[i] += col.ValueAt(r).AsDouble();
-        }
+        state->sums[i] += cell.AsDouble();
         break;
       case AggFunc::kMin:
-        if (state->min_max[i].is_null() ||
-            CompareCellVsValue(col, r, state->min_max[i]) < 0) {
-          state->min_max[i] = col.ValueAt(r);
-        }
-        break;
       case AggFunc::kMax:
-        if (state->min_max[i].is_null() ||
-            CompareCellVsValue(col, r, state->min_max[i]) > 0) {
-          state->min_max[i] = col.ValueAt(r);
-        }
+        FoldExtreme(spec.func, cell, &state->min_max[i]);
         break;
       case AggFunc::kCount:
         break;
@@ -279,41 +270,8 @@ void HashAggregateOp::AccumulateColumns(GroupMap* groups,
       state = &FindOrCreateGroup(groups, std::move(key));
     }
     prev_row = r;
-    AccumulateUnboxed(state, batch, r);
-  }
-}
-
-void HashAggregateOp::Accumulate(GroupState* state, const Row& row) {
-  ++state->group_rows;
-  for (size_t i = 0; i < aggregates_.size(); ++i) {
-    const AggSpec& spec = aggregates_[i];
-    if (spec.func == AggFunc::kCount) {
-      ++state->counts[i];
-      continue;
-    }
-    const Value& v = row[spec.column];
-    if (v.is_null()) continue;
-    ++state->counts[i];
-    switch (spec.func) {
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        state->sums[i] += v.AsDouble();
-        break;
-      case AggFunc::kMin:
-        if (state->min_max[i].is_null() ||
-            Value::Compare(v, state->min_max[i]) < 0) {
-          state->min_max[i] = v;
-        }
-        break;
-      case AggFunc::kMax:
-        if (state->min_max[i].is_null() ||
-            Value::Compare(v, state->min_max[i]) > 0) {
-          state->min_max[i] = v;
-        }
-        break;
-      case AggFunc::kCount:
-        break;
-    }
+    Accumulate(state,
+               [&](size_t c) { return ColumnCell{&batch.column(c), r}; });
   }
 }
 
@@ -417,7 +375,7 @@ bool HashAggregateOp::NextInner(Batch* out) {
       bool created = false;
       GroupState& state = FindOrCreateGroup(&groups_, std::move(key), &created);
       if (created && group_limit_enabled_) PublishGroupBoundary();
-      Accumulate(&state, row);
+      Accumulate(&state, [&](size_t c) -> const Value& { return row[c]; });
     }
   }
   return EmitGroups(out);

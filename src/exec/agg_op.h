@@ -81,15 +81,15 @@ class HashAggregateOp : public Operator {
   /// two paths cannot drift apart.
   GroupState& FindOrCreateGroup(GroupMap* groups, Row key,
                                 bool* created = nullptr);
-  void Accumulate(GroupState* state, const Row& row);
+  /// Accumulates one row into `state`; `cell_of(c)` returns the row's
+  /// cell source for input column c (a boxed Value, or a ColumnCell).
+  template <typename CellOf>
+  void Accumulate(GroupState* state, const CellOf& cell_of);
   /// Unboxed accumulation over a ColumnBatch (the scan→aggregate hot
   /// path): group keys are boxed only when they change between consecutive
   /// rows (run detection), aggregate inputs are read straight from the
-  /// typed column vectors. Bit-identical to Accumulate() row-by-row.
+  /// typed column vectors.
   void AccumulateColumns(GroupMap* groups, const ColumnBatch& batch);
-  /// Accumulates physical row `r` of `batch` into `state` without boxing.
-  void AccumulateUnboxed(GroupState* state, const ColumnBatch& batch,
-                         uint32_t r);
   /// True when the group-key columns compare equal between physical rows
   /// `a` and `b` of `batch` (NULLs equal, matching KeyLess grouping).
   bool SameGroupKeys(const ColumnBatch& batch, uint32_t a, uint32_t b) const;

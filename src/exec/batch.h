@@ -8,11 +8,6 @@
 
 namespace snowprune {
 
-/// A materialized row exchanged between operators (boxed; the engine trades
-/// raw scan speed for uniformity — pruning, not per-row throughput, is what
-/// this library studies).
-using Row = std::vector<Value>;
-
 /// A unit of data flow: the rows surviving one partition scan (or produced
 /// by a pipeline breaker). `source` optionally carries per-row provenance
 /// (originating micro-partition), consumed by the top-k predicate cache

@@ -132,55 +132,6 @@ class ColumnBatch {
   std::vector<uint32_t> selection_;
 };
 
-/// Three-way comparison of physical row `r` of `col` against a boxed value
-/// previously taken from the *same column* (so the kinds always match),
-/// without constructing a Value. Mirrors Value::Compare. Inline: callers
-/// (aggregate min/max, top-k boundary checks) hit this once per row.
-inline int CompareCellVsValue(const ColumnVector& col, uint32_t r,
-                              const Value& v) {
-  switch (col.type()) {
-    case DataType::kInt64: {
-      const int64_t x = col.Int64At(r), y = v.int64_value();
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kFloat64: {
-      const double x = col.Float64At(r), y = v.float64_value();
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kString:
-      return col.StringAt(r).compare(v.string_value());
-    case DataType::kBool:
-      return static_cast<int>(col.BoolAt(r)) -
-             static_cast<int>(v.bool_value());
-  }
-  return 0;
-}
-
-/// Three-way comparison of two non-null cells drawn from columns of the
-/// SAME type (e.g. the same table column across two batches), without
-/// constructing Values. Mirrors Value::Compare exactly (double NaN ties the
-/// way !(x<y)&&!(x>y) does), so worker-side pipeline stages (top-k
-/// candidate filters, sorted runs) order rows identically to the boxed
-/// consumer path.
-inline int CompareCells(const ColumnVector& a, uint32_t ar,
-                        const ColumnVector& b, uint32_t br) {
-  switch (a.type()) {
-    case DataType::kInt64: {
-      const int64_t x = a.Int64At(ar), y = b.Int64At(br);
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kFloat64: {
-      const double x = a.Float64At(ar), y = b.Float64At(br);
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kString:
-      return a.StringAt(ar).compare(b.StringAt(br));
-    case DataType::kBool:
-      return static_cast<int>(a.BoolAt(ar)) - static_cast<int>(b.BoolAt(br));
-  }
-  return 0;
-}
-
 }  // namespace snowprune
 
 #endif  // SNOWPRUNE_EXEC_COLUMN_BATCH_H_

@@ -56,19 +56,39 @@ std::shared_ptr<Table> FindTable(const TableSnapshot& tables,
   return it == tables.end() ? nullptr : it->second;
 }
 
+/// True when `expr` is more than `limit` nodes deep (a leaf is 1 deep).
+/// Recurses at most limit + 1 frames, whatever the expression's depth.
+bool ExprDeeperThan(const Expr& expr, size_t limit) {
+  if (limit == 0) return true;
+  for (const ExprPtr& child : expr.children()) {
+    if (child && ExprDeeperThan(*child, limit - 1)) return true;
+  }
+  return false;
+}
+
 /// The one walk over a plan before it compiles. A plan must be a tree:
 /// compilation keys its per-scan state by node, so a node reached twice
 /// (shared by two parents, or its own descendant) is refused, as is a node
 /// missing an input (a unary node without `child`, a join without `left`
-/// or `right`). Unless `out` is null (an injected snapshot), the walk also
-/// snapshots every table a scan names; missing tables are left out and the
-/// scan compile reports NotFound.
+/// or `right`). So is an expression deeper than Engine::kMaxExprDepth:
+/// binding, analysis and evaluation recurse once per level. Unless `out` is
+/// null (an injected snapshot), the walk also snapshots every table a scan
+/// names; missing tables are left out and the scan compile reports NotFound.
 Status WalkPlan(const Catalog& catalog, const PlanPtr& plan,
                 std::set<const PlanNode*>* seen, TableSnapshot* out) {
   if (!plan) return Status::OK();
   if (!seen->insert(plan.get()).second) {
     return Status::InvalidArgument(
         "plan node reached twice: a plan must be a tree");
+  }
+  const auto too_deep = [](const ExprPtr& e) {
+    return e != nullptr && ExprDeeperThan(*e, Engine::kMaxExprDepth);
+  };
+  if (too_deep(plan->predicate) ||
+      std::any_of(plan->exprs.begin(), plan->exprs.end(), too_deep)) {
+    return Status::InvalidArgument(
+        "expression deeper than " + std::to_string(Engine::kMaxExprDepth) +
+        " levels");
   }
   const bool is_join = plan->kind == PlanNode::Kind::kJoin;
   if (plan->kind != PlanNode::Kind::kScan &&

@@ -164,10 +164,17 @@ class Engine {
   explicit Engine(Catalog* catalog, EngineConfig config = EngineConfig());
   ~Engine();
 
+  /// Deepest plan expression Execute accepts, counted in nodes on its
+  /// longest root-to-leaf path. Binding, analysis and evaluation recurse
+  /// once per level, so a deeper expression could overflow a thread's
+  /// stack. The generated workloads and tests reach depth 7.
+  static constexpr size_t kMaxExprDepth = 256;
+
   /// Compiles and runs `plan`. The plan's expressions get (re)bound to the
   /// referenced tables' schemas as a side effect. The plan must be a tree:
   /// a node reached twice (shared by two parents, or in a cycle) fails with
-  /// InvalidArgument before anything compiles.
+  /// InvalidArgument before anything compiles, as does an expression deeper
+  /// than kMaxExprDepth.
   ///
   /// `cancel`, when non-null, is a caller-owned flag polled throughout
   /// execution (it must outlive the call): once set, scans stop delivering

@@ -169,50 +169,6 @@ const char* ToString(JoinKind kind) {
 
 namespace {
 
-/// HashValue of a non-null column cell, without boxing it. Dispatches to
-/// the per-type component hashes HashValue itself uses, so a cell and its
-/// boxed Value can never hash differently.
-uint64_t HashCell(const ColumnVector& col, uint32_t r) {
-  switch (col.type()) {
-    case DataType::kBool: return HashBoolValue(col.BoolAt(r));
-    case DataType::kInt64: return HashInt64Value(col.Int64At(r));
-    case DataType::kFloat64: return HashFloat64Value(col.Float64At(r));
-    case DataType::kString: return HashStringValue(col.StringAt(r));
-  }
-  return 0;
-}
-
-/// "Equal" exactly as Value::Compare reports 0 for doubles: neither less
-/// nor greater. This deliberately differs from operator== on NaN (NaN
-/// compares "equal" to everything under Value::Compare); the columnar and
-/// boxed join paths must make identical decisions on every input.
-bool DoubleCompareEqual(double x, double y) { return !(x < y) && !(x > y); }
-
-/// Join-key equality of two non-null cells; mirrors the boxed check
-/// (is_string/is_bool kind agreement, then Value::Compare == 0: int64 pairs
-/// compare exactly, mixed numerics through double).
-bool CellsJoinEqual(const ColumnVector& a, uint32_t ar, const ColumnVector& b,
-                    uint32_t br) {
-  const bool a_str = a.type() == DataType::kString;
-  const bool b_str = b.type() == DataType::kString;
-  const bool a_bool = a.type() == DataType::kBool;
-  const bool b_bool = b.type() == DataType::kBool;
-  if (a_str != b_str || a_bool != b_bool) return false;
-  if (a_str) return a.StringAt(ar) == b.StringAt(br);
-  if (a_bool) return a.BoolAt(ar) == b.BoolAt(br);
-  if (a.type() == DataType::kInt64 && b.type() == DataType::kInt64) {
-    return a.Int64At(ar) == b.Int64At(br);
-  }
-  const double x = a.type() == DataType::kInt64
-                       ? static_cast<double>(a.Int64At(ar))
-                       : a.Float64At(ar);
-  const double y = b.type() == DataType::kInt64
-                       ? static_cast<double>(b.Int64At(br))
-                       : b.Float64At(br);
-  return DoubleCompareEqual(x, y);
-}
-
-/// Join-key equality of a non-null cell against a non-null boxed key.
 /// One partition's worker-side build partial: the key hash of every
 /// non-null key row (in row order) and a summary partial over the same
 /// rows in the same order. Produced by the build scan's pipeline stage,
@@ -221,26 +177,6 @@ struct JoinBuildItemPartial {
   std::vector<uint64_t> hashes;
   SummaryBuilder summary;
 };
-
-bool CellJoinEqualsValue(const ColumnVector& col, uint32_t r, const Value& v) {
-  switch (col.type()) {
-    case DataType::kString:
-      return v.is_string() && col.StringAt(r) == v.string_value();
-    case DataType::kBool:
-      return v.is_bool() && col.BoolAt(r) == v.bool_value();
-    case DataType::kInt64:
-      if (v.is_int64()) return col.Int64At(r) == v.int64_value();
-      if (v.is_float64()) {
-        return DoubleCompareEqual(static_cast<double>(col.Int64At(r)),
-                                  v.float64_value());
-      }
-      return false;
-    case DataType::kFloat64:
-      return v.is_numeric() &&
-             DoubleCompareEqual(col.Float64At(r), v.AsDouble());
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -295,7 +231,7 @@ void HashJoinOp::Open() {
             const uint32_t r = item.batch.row_index(i);
             if (is_null(r)) continue;
             partial->summary.Add(keys.ValueAt(r));
-            partial->hashes.push_back(HashCell(keys, r));
+            partial->hashes.push_back(HashScalar(ColumnCell{&keys, r}));
           }
         });
         item.payload = std::move(partial);
@@ -334,8 +270,8 @@ void HashJoinOp::Open() {
                   partial->hashes[next_hash++], build_refs_.size()});
             } else {
               summary_builder.Add(keys.ValueAt(r));
-              entries.push_back(
-                  JoinHashTable::Entry{HashCell(keys, r), build_refs_.size()});
+              entries.push_back(JoinHashTable::Entry{
+                  HashScalar(ColumnCell{&keys, r}), build_refs_.size()});
             }
           }
           build_refs_.push_back(BuildRef{bidx, r});
@@ -377,34 +313,14 @@ void HashJoinOp::Open() {
   probe_columnar_ = dynamic_cast<TableScanOp*>(probe_.get());
 }
 
-Row HashJoinOp::NullBuildRow() const {
-  return Row(build_->output_schema().num_columns(), Value::Null());
-}
-
-Row HashJoinOp::NullProbeRow() const {
-  return Row(probe_->output_schema().num_columns(), Value::Null());
-}
-
-bool HashJoinOp::EntryKeyEqualsCell(const ColumnVector& pcol, uint32_t r,
-                                    size_t entry) const {
+template <typename Cell>
+bool HashJoinOp::EntryKeyEquals(const Cell& key, size_t entry) const {
   if (build_columnar_) {
     const BuildRef& ref = build_refs_[entry];
-    return CellsJoinEqual(pcol, r,
-                          build_batches_[ref.batch].column(build_key_),
-                          ref.row);
+    return ScalarsEqual(
+        key, ColumnCell{&build_batches_[ref.batch].column(build_key_), ref.row});
   }
-  return CellJoinEqualsValue(pcol, r, build_rows_[entry][build_key_]);
-}
-
-bool HashJoinOp::EntryKeyEqualsValue(const Value& key, size_t entry) const {
-  if (build_columnar_) {
-    const BuildRef& ref = build_refs_[entry];
-    return CellJoinEqualsValue(build_batches_[ref.batch].column(build_key_),
-                               ref.row, key);
-  }
-  const Value& bkey = build_rows_[entry][build_key_];
-  return bkey.is_string() == key.is_string() &&
-         bkey.is_bool() == key.is_bool() && Value::Compare(bkey, key) == 0;
+  return ScalarsEqual(key, build_rows_[entry][build_key_]);
 }
 
 void HashJoinOp::AppendBuildValues(size_t entry, Row* out) const {
@@ -417,24 +333,32 @@ void HashJoinOp::AppendBuildValues(size_t entry, Row* out) const {
   out->insert(out->end(), row.begin(), row.end());
 }
 
-template <typename AppendProbe, typename KeyEqual>
-bool HashJoinOp::ProbeHash(uint64_t hash, Batch* out,
-                           AppendProbe&& append_probe, KeyEqual&& key_equal) {
+template <typename Cell, typename AppendProbe>
+void HashJoinOp::ProbeRow(const Cell& key, Batch* out,
+                          AppendProbe&& append_probe) {
   bool matched = false;
   // Matches come out in build order (JoinHashTable buckets ascend by
   // insertion order), so the emitted row order is deterministic and equal
-  // under serial and parallel builds.
-  hash_table_.ForEachMatch(hash, [&](size_t entry) {
-    if (!key_equal(entry)) return;
-    matched = true;
-    build_matched_[entry] = true;
+  // under serial and parallel builds. NULL keys never match.
+  if (!key.is_null()) {
+    hash_table_.ForEachMatch(HashScalar(key), [&](size_t entry) {
+      if (!EntryKeyEquals(key, entry)) return;
+      matched = true;
+      build_matched_[entry] = true;
+      Row joined;
+      joined.reserve(schema_.num_columns());
+      append_probe(&joined);
+      AppendBuildValues(entry, &joined);
+      out->rows.push_back(std::move(joined));
+    });
+  }
+  if (!matched && kind_ == JoinKind::kProbeOuter) {
     Row joined;
     joined.reserve(schema_.num_columns());
     append_probe(&joined);
-    AppendBuildValues(entry, &joined);
+    joined.resize(schema_.num_columns());  // NULL build columns
     out->rows.push_back(std::move(joined));
-  });
-  return matched;
+  }
 }
 
 bool HashJoinOp::Next(Batch* out) {
@@ -454,29 +378,11 @@ bool HashJoinOp::NextInner(Batch* out) {
       out->rows.clear();
       out->source.clear();
       const ColumnVector& keys = in.column(probe_key_);
-      const size_t n = in.num_rows();
-      WithNullTest(keys.nulls(), [&](auto is_null) {
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t r = in.row_index(i);
-          bool matched = false;
-          if (!is_null(r)) {
-            matched = ProbeHash(
-                HashCell(keys, r), out,
-                [&](Row* joined) { in.AppendRowValues(r, joined); },
-                [&](size_t entry) {
-                  return EntryKeyEqualsCell(keys, r, entry);
-                });
-          }
-          if (!matched && kind_ == JoinKind::kProbeOuter) {
-            Row joined;
-            joined.reserve(schema_.num_columns());
-            in.AppendRowValues(r, &joined);
-            Row nulls_row = NullBuildRow();
-            joined.insert(joined.end(), nulls_row.begin(), nulls_row.end());
-            out->rows.push_back(std::move(joined));
-          }
-        }
-      });
+      for (size_t i = 0; i < in.num_rows(); ++i) {
+        const uint32_t r = in.row_index(i);
+        ProbeRow(ColumnCell{&keys, r}, out,
+                 [&](Row* joined) { in.AppendRowValues(r, joined); });
+      }
       return true;
     }
   } else {
@@ -484,24 +390,10 @@ bool HashJoinOp::NextInner(Batch* out) {
     while (probe_->Next(&in)) {
       out->rows.clear();
       out->source.clear();
-      for (auto& probe_row : in.rows) {
-        const Value& key = probe_row[probe_key_];
-        bool matched = false;
-        if (!key.is_null()) {
-          matched = ProbeHash(
-              HashValue(key), out,
-              [&](Row* joined) {
-                joined->insert(joined->end(), probe_row.begin(),
-                               probe_row.end());
-              },
-              [&](size_t entry) { return EntryKeyEqualsValue(key, entry); });
-        }
-        if (!matched && kind_ == JoinKind::kProbeOuter) {
-          Row joined = std::move(probe_row);
-          Row nulls = NullBuildRow();
-          joined.insert(joined.end(), nulls.begin(), nulls.end());
-          out->rows.push_back(std::move(joined));
-        }
+      for (const Row& probe_row : in.rows) {
+        ProbeRow(probe_row[probe_key_], out, [&](Row* joined) {
+          joined->insert(joined->end(), probe_row.begin(), probe_row.end());
+        });
       }
       return true;
     }
@@ -513,7 +405,7 @@ bool HashJoinOp::NextInner(Batch* out) {
     out->source.clear();
     for (size_t i = 0; i < BuildSize(); ++i) {
       if (build_matched_[i]) continue;
-      Row joined = NullProbeRow();
+      Row joined(probe_->output_schema().num_columns());  // NULL probe side
       joined.reserve(schema_.num_columns());
       AppendBuildValues(i, &joined);
       out->rows.push_back(std::move(joined));

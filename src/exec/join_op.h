@@ -97,7 +97,8 @@ const char* ToString(JoinKind kind);
 /// phase consumes the probe scan's ColumnBatches directly — the selection
 /// vector drives the per-row probes and only the *surviving* output rows
 /// are ever boxed, at this operator's output boundary (the pipeline's
-/// project/result boundary). Non-scan children use the classic boxed path.
+/// project/result boundary). A non-scan child delivers boxed rows; both
+/// forms hash, compare and emit through the same per-row steps.
 ///
 /// A parallel table-scan build child parallelizes the build phase: workers
 /// hash each morsel's key cells and collect per-item summary partials
@@ -133,25 +134,21 @@ class HashJoinOp : public Operator {
     uint32_t row;
   };
 
-  Row NullBuildRow() const;
-  Row NullProbeRow() const;
-
   /// Number of build entries (either storage).
   size_t BuildSize() const {
     return build_columnar_ ? build_refs_.size() : build_rows_.size();
   }
-  /// Does hash-table entry `entry`'s key equal the probe cell (pcol, r)?
-  bool EntryKeyEqualsCell(const ColumnVector& pcol, uint32_t r,
-                          size_t entry) const;
-  /// Boxed-probe variant: does entry `entry`'s key equal `key`?
-  bool EntryKeyEqualsValue(const Value& key, size_t entry) const;
+  /// Does hash-table entry `entry`'s key equal `key`, a non-null cell
+  /// source (a boxed Value or a probe ColumnCell)?
+  template <typename Cell>
+  bool EntryKeyEquals(const Cell& key, size_t entry) const;
   /// Appends entry `entry`'s full build row to `out` (boxing on demand).
   void AppendBuildValues(size_t entry, Row* out) const;
-  /// Probes one key hash and emits all matches; `append_probe` boxes the
-  /// probe-side columns into the output row. Returns true if any matched.
-  template <typename AppendProbe, typename KeyEqual>
-  bool ProbeHash(uint64_t hash, Batch* out, AppendProbe&& append_probe,
-                 KeyEqual&& key_equal);
+  /// Probes one row with its join key `key` (a cell source) and emits every
+  /// match, or the NULL-padded row of a probe-outer join when none matched;
+  /// `append_probe` boxes the probe-side columns into an output row.
+  template <typename Cell, typename AppendProbe>
+  void ProbeRow(const Cell& key, Batch* out, AppendProbe&& append_probe);
 
   /// The §6 summary shipped to the probe scan.
   static constexpr SummaryKind kSummaryKind = SummaryKind::kRangeSet;

@@ -9,8 +9,8 @@
 #include "common/trace.h"
 #include "exec/column_batch.h"
 #include "exec/profile.h"
-#include "exec/row_eval.h"
 #include "exec/scan_op.h"
+#include "expr/evaluator.h"
 
 namespace snowprune {
 
@@ -194,7 +194,7 @@ bool FilterOp::NextInner(Batch* out) {
     out->source.clear();
     const bool track = in.has_source();
     for (size_t i = 0; i < in.rows.size(); ++i) {
-      auto keep = EvalRowPredicate(*predicate_, in.rows[i]);
+      auto keep = EvalPredicate(*predicate_, in.rows[i]);
       if (keep.has_value() && *keep) {
         out->rows.push_back(std::move(in.rows[i]));
         if (track) out->source.push_back(in.source[i]);
@@ -242,7 +242,9 @@ bool ProjectOp::NextInner(Batch* out) {
   for (size_t i = 0; i < in.rows.size(); ++i) {
     Row projected;
     projected.reserve(exprs_.size());
-    for (const auto& e : exprs_) projected.push_back(EvalRow(*e, in.rows[i]));
+    for (const auto& e : exprs_) {
+      projected.push_back(EvalScalar(*e, in.rows[i]));
+    }
     out->rows.push_back(std::move(projected));
     if (track) out->source.push_back(in.source[i]);
   }

@@ -35,11 +35,6 @@ TopKOp::~TopKOp() {
   }
 }
 
-bool TopKOp::Weaker(const Value& a, const Value& b) const {
-  int c = Value::Compare(a, b);
-  return descending_ ? c < 0 : c > 0;
-}
-
 void TopKOp::Open() {
   heap_.clear();
   contributing_.clear();
@@ -62,7 +57,6 @@ void TopKOp::Open() {
 void TopKOp::InstallFilterStage() {
   filter_stage_active_ = true;
   const size_t col = order_column_;
-  const bool desc = descending_;
   const int64_t k = k_;
   // Float64 keys may contain NaN, which ties with everything under
   // Value::Compare. A NaN buried in the *serial* heap can make the root
@@ -73,7 +67,7 @@ void TopKOp::InstallFilterStage() {
   // consumer suppresses the moment a NaN enters its heap; see header).
   const bool local_heap_sound =
       columnar_input_->output_schema().field(col).type != DataType::kFloat64;
-  columnar_input_->set_morsel_stage([this, col, desc, k,
+  columnar_input_->set_morsel_stage([this, col, k,
                                      local_heap_sound](MorselResult* m) {
     // Snapshot of the consumer heap's root, taken once per morsel. Only a
     // *full*-heap root is usable (proof 1 in the class comment); it can be
@@ -87,19 +81,12 @@ void TopKOp::InstallFilterStage() {
       if (snap_full) snap_root = shared_root_;
     }
     // Bounded local heap over the morsel's rows (proof 2): weakest at the
-    // root, exactly like the consumer heap, but holding (column, row)
-    // references — no boxing on the rejection path.
-    struct Ref {
-      const ColumnVector* col;
-      uint32_t row;
+    // root, exactly like the consumer heap, but holding cells — no boxing
+    // on the rejection path.
+    auto heap_cmp = [this](const ColumnCell& a, const ColumnCell& b) {
+      return Weaker(b, a);
     };
-    auto heap_cmp = [desc](const Ref& a, const Ref& b) {
-      // True iff b is weaker than a — mirrors the consumer's heap_cmp, so
-      // the cmp-max root is the weakest element. c < 0 ⇔ b's key < a's.
-      const int c = CompareCells(*b.col, b.row, *a.col, a.row);
-      return desc ? c < 0 : c > 0;
-    };
-    std::vector<Ref> local;
+    std::vector<ColumnCell> local;
     size_t morsel_rows = 0;
     for (const MorselItem& item : m->items) {
       if (item.loaded) morsel_rows += item.batch.num_rows();
@@ -114,14 +101,11 @@ void TopKOp::InstallFilterStage() {
         for (size_t i = 0; i < n; ++i) {
           const uint32_t r = item.batch.row_index(i);
           if (is_null(r)) continue;  // NULL keys never qualify
-          if (snap_full) {
-            // Not strictly better than a full consumer root → serial
-            // rejects (sound for NaN candidates too: NaN is never strictly
-            // better, and a full serial heap admits only strictly-better
-            // rows).
-            const int c = -CompareCellVsValue(keys, r, snap_root);
-            if (!(desc ? c < 0 : c > 0)) continue;
-          }
+          const ColumnCell key{&keys, r};
+          // Not strictly better than a full consumer root → serial rejects
+          // (sound for NaN candidates too: NaN is never strictly better,
+          // and a full serial heap admits only strictly-better rows).
+          if (snap_full && !Weaker(snap_root, key)) continue;
           if (!local_heap_sound) {
             cands->rows.push_back(r);
             continue;
@@ -129,14 +113,12 @@ void TopKOp::InstallFilterStage() {
           if (static_cast<int64_t>(local.size()) == k) {
             // ≥ k earlier rows of this morsel are at least as good → the
             // serial heap is full here with a root at least this strict.
-            const Ref& root = local.front();
-            const int c = CompareCells(keys, r, *root.col, root.row);
-            if (!(desc ? c > 0 : c < 0)) continue;
+            if (!Weaker(local.front(), key)) continue;
             std::pop_heap(local.begin(), local.end(), heap_cmp);
-            local.back() = Ref{&keys, r};
+            local.back() = key;
             std::push_heap(local.begin(), local.end(), heap_cmp);
           } else {
-            local.push_back(Ref{&keys, r});
+            local.push_back(key);
             std::push_heap(local.begin(), local.end(), heap_cmp);
           }
           cands->rows.push_back(r);
@@ -164,62 +146,59 @@ void TopKOp::MaybePublishBoundary() {
   }
 }
 
-void TopKOp::ConsumeColumns() {
+template <typename Cell, typename BoxRow>
+void TopKOp::Offer(const Cell& key, PartitionId source, BoxRow&& box_row) {
   // std::push_heap builds a max-heap; invert so the *weakest* row is at
   // the root (classic top-k min-heap for DESC queries).
   auto heap_cmp = [this](const HeapRow& a, const HeapRow& b) {
     return Weaker(b.row[order_column_], a.row[order_column_]);
   };
+  if (static_cast<int64_t>(heap_.size()) < k_) {
+    // The fill path is the only way a NaN key can ever enter the heap
+    // (replacement requires strictly-better, which NaN never is);
+    // flagging here therefore always precedes the first publication.
+    if (key.type() == DataType::kFloat64 && std::isnan(key.float64_value())) {
+      heap_has_nan_ = true;
+    }
+    heap_.push_back(HeapRow{box_row(), source});
+    std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
+  } else if (!heap_.empty() && Weaker(heap_.front().row[order_column_], key)) {
+    std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
+    heap_.back() = HeapRow{box_row(), source};
+    std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
+  } else {
+    return;  // weaker than the current boundary
+  }
+  MaybePublishBoundary();
+}
+
+void TopKOp::ConsumeColumns() {
   ColumnBatch in;
   TableScanOp::MorselPayload payload;
   while (columnar_input_->NextColumns(&in, &payload)) {
     const ColumnVector& keys = in.column(order_column_);
-    const PartitionId src = in.source();
-    const bool float_keys = keys.type() == DataType::kFloat64;
-    // The exact serial per-row heap step, shared by the full scan loop and
-    // the candidate replay; `r` is non-null in both.
-    auto process_row = [&](uint32_t r) {
-      if (static_cast<int64_t>(heap_.size()) < k_) {
-        // The fill path is the only way a NaN key can ever enter the heap
-        // (replacement requires strictly-better, which NaN never is);
-        // flagging here therefore always precedes the first publication.
-        if (float_keys && std::isnan(keys.Float64At(r))) {
-          heap_has_nan_ = true;
-        }
+    // The key cell is read in place; a row is boxed only when it enters
+    // the heap.
+    auto offer = [&](uint32_t r) {
+      Offer(ColumnCell{&keys, r}, in.source(), [&] {
         Row row;
         in.AppendRowValues(r, &row);
-        heap_.push_back(HeapRow{std::move(row), src});
-        std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-      } else if (!heap_.empty()) {
-        // Boundary check against the unboxed key cell: Weaker(boundary,
-        // cell) without boxing the candidate. CompareCellVsValue flips the
-        // operand order, hence the negation.
-        const int c =
-            -CompareCellVsValue(keys, r, heap_.front().row[order_column_]);
-        if (!(descending_ ? c < 0 : c > 0)) return;  // weaker than boundary
-        std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
-        Row row;
-        in.AppendRowValues(r, &row);
-        heap_.back() = HeapRow{std::move(row), src};
-        std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-      } else {
-        return;
-      }
-      MaybePublishBoundary();
+        return row;
+      });
     };
     if (payload != nullptr) {
       // Candidate replay: the worker already dropped every row the serial
       // heap would reject at its position; surviving candidates go through
       // the identical heap step in identical order.
       const auto* cands = static_cast<const TopKItemCandidates*>(payload.get());
-      for (uint32_t r : cands->rows) process_row(r);
+      for (uint32_t r : cands->rows) offer(r);
     } else {
       const size_t n = in.num_rows();
       WithNullTest(keys.nulls(), [&](auto is_null) {
         for (size_t i = 0; i < n; ++i) {
           const uint32_t r = in.row_index(i);
           if (is_null(r)) continue;  // NULL keys never qualify
-          process_row(r);
+          offer(r);
         }
       });
     }
@@ -227,9 +206,6 @@ void TopKOp::ConsumeColumns() {
 }
 
 void TopKOp::ConsumeRows() {
-  auto heap_cmp = [this](const HeapRow& a, const HeapRow& b) {
-    return Weaker(b.row[order_column_], a.row[order_column_]);
-  };
   Batch in;
   while (input_->Next(&in)) {
     const bool track = in.has_source();
@@ -237,19 +213,7 @@ void TopKOp::ConsumeRows() {
       Row& row = in.rows[i];
       const Value& key = row[order_column_];
       if (key.is_null()) continue;  // NULL keys never qualify
-      PartitionId src = track ? in.source[i] : 0;
-      if (static_cast<int64_t>(heap_.size()) < k_) {
-        heap_.push_back(HeapRow{std::move(row), src});
-        std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-      } else if (!heap_.empty() &&
-                 Weaker(heap_.front().row[order_column_], key)) {
-        std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
-        heap_.back() = HeapRow{std::move(row), src};
-        std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-      } else {
-        continue;  // weaker than the current boundary
-      }
-      MaybePublishBoundary();
+      Offer(key, track ? in.source[i] : 0, [&] { return std::move(row); });
     }
   }
 }

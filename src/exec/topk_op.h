@@ -77,11 +77,20 @@ class TopKOp : public Operator {
   };
 
   /// True if `a` is weaker than `b` under the query's direction (min-heap
-  /// root = weakest element = the boundary).
-  bool Weaker(const Value& a, const Value& b) const;
+  /// root = weakest element = the boundary). Either side is a cell source.
+  template <typename A, typename B>
+  bool Weaker(const A& a, const B& b) const {
+    const int c = CompareScalars(a, b);
+    return descending_ ? c < 0 : c > 0;
+  }
 
   /// Installs the worker-side candidate filter on the scan input.
   void InstallFilterStage();
+  /// The per-row heap step, the same for boxed and columnar input: offers
+  /// a row whose order key `key` (a cell source) is non-null. `box_row()`
+  /// returns the boxed row and runs only if the row enters the heap.
+  template <typename Cell, typename BoxRow>
+  void Offer(const Cell& key, PartitionId source, BoxRow&& box_row);
   /// Consumes the columnar input (scan), feeding the heap unboxed.
   void ConsumeColumns();
   /// Consumes the boxed input.

@@ -10,87 +10,6 @@ namespace snowprune {
 
 namespace {
 
-Value EvalArith(const ArithExpr& e, const MicroPartition& part, size_t row) {
-  Value l = EvalScalar(*e.left(), part, row);
-  Value r = EvalScalar(*e.right(), part, row);
-  if (l.is_null() || r.is_null()) return Value::Null();
-  if (!l.is_numeric() || !r.is_numeric()) return Value::Null();
-  bool both_int = l.is_int64() && r.is_int64();
-  switch (e.op()) {
-    case ArithOp::kAdd:
-      if (both_int) {
-        int64_t out;
-        if (!__builtin_add_overflow(l.int64_value(), r.int64_value(), &out)) {
-          return Value(out);
-        }
-      }
-      return Value(l.AsDouble() + r.AsDouble());
-    case ArithOp::kSub:
-      if (both_int) {
-        int64_t out;
-        if (!__builtin_sub_overflow(l.int64_value(), r.int64_value(), &out)) {
-          return Value(out);
-        }
-      }
-      return Value(l.AsDouble() - r.AsDouble());
-    case ArithOp::kMul:
-      if (both_int) {
-        int64_t out;
-        if (!__builtin_mul_overflow(l.int64_value(), r.int64_value(), &out)) {
-          return Value(out);
-        }
-      }
-      return Value(l.AsDouble() * r.AsDouble());
-    case ArithOp::kDiv: {
-      double d = r.AsDouble();
-      if (d == 0.0) return Value::Null();
-      return Value(l.AsDouble() / d);
-    }
-  }
-  return Value::Null();
-}
-
-Value EvalCompare(const CompareExpr& e, const MicroPartition& part,
-                  size_t row) {
-  Value l = EvalScalar(*e.left(), part, row);
-  Value r = EvalScalar(*e.right(), part, row);
-  if (l.is_null() || r.is_null()) return Value::Null();
-  // Incompatible kinds (e.g. string vs numeric) compare to NULL rather than
-  // raising; plans built through the typed PlanBuilder never hit this.
-  bool comparable = (l.is_string() == r.is_string()) &&
-                    (l.is_bool() == r.is_bool());
-  if (!comparable) return Value::Null();
-  int c = Value::Compare(l, r);
-  bool result = false;
-  switch (e.op()) {
-    case CompareOp::kEq: result = c == 0; break;
-    case CompareOp::kNe: result = c != 0; break;
-    case CompareOp::kLt: result = c < 0; break;
-    case CompareOp::kLe: result = c <= 0; break;
-    case CompareOp::kGt: result = c > 0; break;
-    case CompareOp::kGe: result = c >= 0; break;
-  }
-  return Value(result);
-}
-
-Value EvalConnective(const BoolConnectiveExpr& e, const MicroPartition& part,
-                     size_t row) {
-  const bool is_and = e.kind() == ExprKind::kAnd;
-  bool saw_null = false;
-  for (const auto& term : e.terms()) {
-    Value v = EvalScalar(*term, part, row);
-    if (v.is_null()) {
-      saw_null = true;
-      continue;
-    }
-    bool b = v.bool_value();
-    if (is_and && !b) return Value(false);   // FALSE dominates AND
-    if (!is_and && b) return Value(true);    // TRUE dominates OR
-  }
-  if (saw_null) return Value::Null();
-  return Value(is_and);
-}
-
 // ---------------------------------------------------------------------------
 // Vectorized predicate evaluation (the ColumnBatch hot path)
 // ---------------------------------------------------------------------------
@@ -196,7 +115,7 @@ void FillRows(const RowSpan& rows, uint8_t v, std::vector<uint8_t>* out) {
 
 /// Column-vs-literal comparison, typed loops per (column type, literal
 /// kind). `flip` means the literal was the *left* operand. Mirrors
-/// EvalCompare exactly: NULL on either side → NULL, cross-kind (string vs
+/// WalkCompare exactly: NULL on either side → NULL, cross-kind (string vs
 /// numeric, bool vs anything else) → NULL.
 void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
                           CompareOp op, bool flip, const RowSpan& rows,
@@ -257,7 +176,7 @@ void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
       }
       break;
   }
-  // Cross-kind comparison: NULL for every row, matching EvalCompare.
+  // Cross-kind comparison: NULL for every row, matching WalkCompare.
   FillRows(rows, kPredNull, out);
 }
 
@@ -314,7 +233,7 @@ void CompareColumnColumn(const ColumnVector& a, const ColumnVector& b,
 // Typed arithmetic / IF value lanes
 // ---------------------------------------------------------------------------
 
-/// One row of arithmetic over lane-tagged operands; mirrors EvalArith
+/// One row of arithmetic over lane-tagged operands; mirrors WalkArith
 /// exactly: int64 ops with per-row overflow fallback to double, division
 /// always in double with a divide-by-zero → NULL check on the (converted)
 /// divisor. Writes out->{kind,i64,f64}[r].
@@ -512,7 +431,7 @@ void CompareMask(const CompareExpr& e, const MicroPartition& part,
     return;
   }
   // Arithmetic / IF operand(s): typed value lanes instead of per-row boxing.
-  // Mirrors EvalCompare: NULL operand → NULL; lanes are always numeric, so
+  // Mirrors WalkCompare: NULL operand → NULL; lanes are always numeric, so
   // the operands are always comparable, int64 pairs compare exactly and
   // mixed pairs through double.
   {
@@ -831,99 +750,6 @@ void EvalMask(const Expr& expr, const MicroPartition& part,
 }
 
 }  // namespace
-
-Value EvalScalar(const Expr& expr, const MicroPartition& part, size_t row) {
-  switch (expr.kind()) {
-    case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(expr);
-      assert(ref.bound());
-      return part.column(ref.index()).ValueAt(row);
-    }
-    case ExprKind::kLiteral:
-      return static_cast<const LiteralExpr&>(expr).value();
-    case ExprKind::kArith:
-      return EvalArith(static_cast<const ArithExpr&>(expr), part, row);
-    case ExprKind::kCompare:
-      return EvalCompare(static_cast<const CompareExpr&>(expr), part, row);
-    case ExprKind::kAnd:
-    case ExprKind::kOr:
-      return EvalConnective(static_cast<const BoolConnectiveExpr&>(expr), part,
-                            row);
-    case ExprKind::kNot: {
-      Value v = EvalScalar(*static_cast<const NotExpr&>(expr).input(), part, row);
-      if (v.is_null()) return Value::Null();
-      return Value(!v.bool_value());
-    }
-    case ExprKind::kNotTrue: {
-      Value v = EvalScalar(*static_cast<const NotTrueExpr&>(expr).input(), part,
-                           row);
-      return Value(!(!v.is_null() && v.bool_value()));
-    }
-    case ExprKind::kIf: {
-      const auto& e = static_cast<const IfExpr&>(expr);
-      Value c = EvalScalar(*e.cond(), part, row);
-      bool take_then = !c.is_null() && c.bool_value();
-      return EvalScalar(take_then ? *e.then_expr() : *e.else_expr(), part, row);
-    }
-    case ExprKind::kLike: {
-      const auto& e = static_cast<const LikeExpr&>(expr);
-      Value v = EvalScalar(*e.input(), part, row);
-      if (v.is_null()) return Value::Null();
-      if (!v.is_string()) return Value::Null();
-      return Value(LikeMatch(v.string_value(), e.pattern()));
-    }
-    case ExprKind::kStartsWith: {
-      const auto& e = static_cast<const StartsWithExpr&>(expr);
-      Value v = EvalScalar(*e.input(), part, row);
-      if (v.is_null()) return Value::Null();
-      if (!v.is_string()) return Value::Null();
-      const std::string& s = v.string_value();
-      return Value(s.compare(0, e.prefix().size(), e.prefix()) == 0);
-    }
-    case ExprKind::kInList: {
-      const auto& e = static_cast<const InListExpr&>(expr);
-      Value v = EvalScalar(*e.input(), part, row);
-      if (v.is_null()) return Value::Null();
-      for (const auto& cand : e.values()) {
-        if (!cand.is_null() && (cand.is_string() == v.is_string()) &&
-            (cand.is_bool() == v.is_bool()) && Value::Compare(v, cand) == 0) {
-          return Value(true);
-        }
-      }
-      return Value(false);
-    }
-    case ExprKind::kIsNull: {
-      const auto& e = static_cast<const IsNullExpr&>(expr);
-      Value v = EvalScalar(*e.input(), part, row);
-      bool is_null = v.is_null();
-      return Value(e.negate() ? !is_null : is_null);
-    }
-  }
-  return Value::Null();
-}
-
-std::optional<bool> EvalPredicate(const Expr& expr,
-                                  const MicroPartition& partition, size_t row) {
-  Value v = EvalScalar(expr, partition, row);
-  if (v.is_null()) return std::nullopt;
-  return v.bool_value();
-}
-
-std::vector<uint8_t> EvalPredicateMask(const Expr& expr,
-                                       const MicroPartition& partition) {
-  std::vector<uint8_t> mask(partition.row_count(), 0);
-  for (size_t i = 0; i < mask.size(); ++i) {
-    auto r = EvalPredicate(expr, partition, i);
-    mask[i] = (r.has_value() && *r) ? 1 : 0;
-  }
-  return mask;
-}
-
-int64_t CountMatches(const Expr& expr, const MicroPartition& partition) {
-  int64_t n = 0;
-  for (uint8_t m : EvalPredicateMask(expr, partition)) n += m;
-  return n;
-}
 
 void EvalPredicateOutcomes(const Expr& expr, const MicroPartition& partition,
                            std::vector<uint8_t>* out) {

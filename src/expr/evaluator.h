@@ -15,11 +15,15 @@ namespace snowprune {
 /// micro-partition. NULL propagates per SQL semantics; division by zero
 /// yields NULL; comparisons across incompatible kinds yield NULL.
 Value EvalScalar(const Expr& expr, const MicroPartition& partition, size_t row);
+/// The same tree walk over a boxed row (the operators above a scan): the
+/// two overloads differ only in how a column reference reads its cell.
+Value EvalScalar(const Expr& expr, const Row& row);
 
 /// Predicate evaluation in SQL three-valued logic: true/false, or nullopt
 /// for NULL.
 std::optional<bool> EvalPredicate(const Expr& expr,
                                   const MicroPartition& partition, size_t row);
+std::optional<bool> EvalPredicate(const Expr& expr, const Row& row);
 
 /// Evaluates a predicate over all rows of a partition; mask[i] == 1 iff the
 /// row satisfies the predicate (NULL counts as not satisfied). Row-by-row

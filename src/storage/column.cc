@@ -176,25 +176,19 @@ void ColumnVector::Reserve(size_t rows, size_t string_bytes) {
   }
 }
 
-std::vector<int64_t> ColumnVector::Seal() {
+std::vector<int64_t> ColumnVector::Seal(const ColumnStats& stats) {
   null_mask_.shrink_to_fit();
   bools_.shrink_to_fit();
   doubles_.shrink_to_fit();
   string_offsets_.shrink_to_fit();
   string_bytes_.shrink_to_fit();
   if (type_ != DataType::kInt64 || narrow_) return {};
+  SNOW_DCHECK_EQ(stats.row_count, static_cast<int64_t>(size_));
   // Narrowing frees the int64 buffer, so it is shrunk only if it stays.
   // The range is taken in uint64_t, where max - min cannot overflow.
-  int64_t min = std::numeric_limits<int64_t>::max();
-  int64_t max = std::numeric_limits<int64_t>::min();
-  WithNullTest(nulls(), [&](auto is_null) {
-    for (size_t i = 0; i < size_; ++i) {
-      if (is_null(i)) continue;
-      min = std::min(min, ints_[i]);
-      max = std::max(max, ints_[i]);
-    }
-  });
-  if (min > max) min = max = 0;  // No valid row: the base is 0.
+  // No valid row (a NULL zone map): the base is 0.
+  const int64_t min = stats.min.is_null() ? 0 : stats.min.int64_value();
+  const int64_t max = stats.max.is_null() ? 0 : stats.max.int64_value();
   if (static_cast<uint64_t>(max) - static_cast<uint64_t>(min) >
       std::numeric_limits<uint32_t>::max()) {
     ints_.shrink_to_fit();

@@ -46,7 +46,9 @@ struct ColumnStats {
 /// Int64 columns are frame-of-reference encoded when sealed (Zukowski et
 /// al., ICDE 2006): if the non-NULL values span at most UINT32_MAX, Seal()
 /// stores each row as a uint32 offset from the smallest value, the column's
-/// own base (never read from a zone map), and frees the int64 buffer. A
+/// own base (the minimum of the zone map computed as the partition seals;
+/// dropping or backfilling that zone map later never moves it), and frees
+/// the int64 buffer. A
 /// wider column stays int64. Int64At, ValueAt and WithInt64s decode, so no
 /// reader sees the layout. A NULL slot reads back as 0 from a wide column
 /// and as the base from a narrowed one (0 for an all-NULL column); readers
@@ -104,12 +106,14 @@ class ColumnVector {
   void Reserve(size_t rows, size_t string_bytes);
   /// Seals the column for a partition that never grows: releases spare
   /// buffer capacity and narrows an int64 column to 32-bit offsets from its
-  /// base when its range allows. Sealing a sealed column does nothing.
+  /// base when its range allows. `stats` is this column's ComputeStats(),
+  /// whose min and max give the range, so sealing reads no cell. Sealing a
+  /// sealed column does nothing.
   /// Returns the int64 buffer a narrowing replaced (empty otherwise) for
   /// the caller to free: MicroPartition frees them after its last column
   /// is sealed, so the allocator can hand them out whole to the next
   /// partition instead of splitting them for the next column's offsets.
-  std::vector<int64_t> Seal();
+  std::vector<int64_t> Seal(const ColumnStats& stats);
   /// True when the int64 cells are held as 32-bit offsets from a base.
   bool int64_narrowed() const { return narrow_; }
   /// Bytes of string payload held in the arena.
@@ -139,6 +143,33 @@ class ColumnVector {
   std::vector<uint32_t> string_offsets_;
   std::vector<char> string_bytes_;
 };
+
+/// The cell source (see CompareScalars in common/value.h) over row `row` of
+/// `col`: scalar rules read a column cell through it in place, as they read
+/// a boxed Value.
+struct ColumnCell {
+  const ColumnVector* col;
+  size_t row;
+
+  bool is_null() const { return col->IsNull(row); }
+  DataType type() const { return col->type(); }
+  bool bool_value() const { return col->BoolAt(row); }
+  int64_t int64_value() const { return col->Int64At(row); }
+  double float64_value() const { return col->Float64At(row); }
+  std::string_view string_value() const { return col->StringAt(row); }
+  /// As Value::AsDouble: a non-numeric cell throws through the boxed read.
+  double AsDouble() const {
+    switch (col->type()) {
+      case DataType::kInt64: return static_cast<double>(int64_value());
+      case DataType::kFloat64: return float64_value();
+      default: return col->ValueAt(row).AsDouble();
+    }
+  }
+};
+
+/// The boxed Value of a cell source.
+inline const Value& BoxCell(const Value& v) { return v; }
+inline Value BoxCell(const ColumnCell& c) { return c.col->ValueAt(c.row); }
 
 /// Runs `body(is_null)` once, where `is_null(r)` tests row r against
 /// `nulls` (a ColumnVector::nulls()). For an all-valid column the test is

@@ -8,14 +8,16 @@ MicroPartition::MicroPartition(PartitionId id,
                                std::vector<ColumnVector> columns)
     : id_(id), columns_(std::move(columns)) {
   row_count_ = columns_.empty() ? 0 : columns_[0].size();
-  // Freed on return, after every column is sealed (see ColumnVector::Seal).
+  for (const auto& col : columns_) SNOW_DCHECK_EQ(col.size(), row_count_);
+  // One pass per column: the zone map's min and max are the narrowing's
+  // range. The replaced buffers are freed on return, after every column is
+  // sealed (see ColumnVector::Seal).
+  RecomputeStats();
   std::vector<std::vector<int64_t>> replaced;
   replaced.reserve(columns_.size());
-  for (auto& col : columns_) {
-    SNOW_DCHECK_EQ(col.size(), row_count_);
-    replaced.push_back(col.Seal());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    replaced.push_back(columns_[c].Seal(stats_[c]));
   }
-  RecomputeStats();
 }
 
 size_t MicroPartition::MemoryBytes() const {

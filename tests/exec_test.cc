@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "common/failpoint.h"
@@ -9,7 +10,6 @@
 #include "exec/column_batch.h"
 #include "exec/engine.h"
 #include "exec/profile.h"
-#include "exec/row_eval.h"
 #include "exec/scan_op.h"
 #include "expr/builder.h"
 #include "expr/evaluator.h"
@@ -317,7 +317,8 @@ TEST(RowEvalTest, AgreesWithPartitionEvaluator) {
     ASSERT_TRUE(BindExpr(e, schema).ok());
     for (size_t i = 0; i < 3; ++i) {
       Row row = {part.column(0).ValueAt(i), part.column(1).ValueAt(i)};
-      EXPECT_EQ(EvalRow(*e, row), EvalScalar(*e, part, i)) << e->ToString();
+      EXPECT_EQ(EvalScalar(*e, row), EvalScalar(*e, part, i))
+          << e->ToString();
     }
   }
 }
@@ -484,34 +485,94 @@ TEST_F(ExecTest, SortAscendingAndDescending) {
   }
 }
 
-/// NaN join keys: Value::Compare reports 0 for NaN against anything
-/// (neither < nor >), so the boxed path joins them; the columnar cell
-/// equality must make the identical decision rather than IEEE's
-/// NaN != NaN. Forced-boxed (via identity projection) and columnar
-/// pipelines must agree row-for-row.
+/// Boxed and columnar inputs agree for every operator. Each case runs over
+/// a bare scan (the operator reads ColumnBatches) and over an identity
+/// projection (it reads boxed rows), at 1 and 4 threads; the row streams
+/// must be byte-identical. The data has NULLs in every key and value
+/// column, NaN float keys (CompareScalars ties a NaN with every number, so
+/// a NaN join key matches every numeric key on both paths), and int64
+/// columns in both layouts: the last partition spans more than 2^32 and
+/// stays wide, the others narrow to 32-bit offsets.
 TEST_F(ExecTest, NanJoinKeysMatchBetweenColumnarAndBoxed) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  Schema schema({Field{"k", DataType::kFloat64, true},
-                 Field{"tag", DataType::kString, false}});
-  auto make = [&](const char* name, const char* prefix) {
+  const std::vector<std::string> names = {"g", "f", "s", "v"};
+  Schema schema({Field{"g", DataType::kInt64, true},
+                 Field{"f", DataType::kFloat64, true},
+                 Field{"s", DataType::kString, true},
+                 Field{"v", DataType::kInt64, true}});
+  constexpr int kPartitions = 6, kRowsPerPartition = 8;
+  auto make = [&](const std::string& name, int salt) {
     std::vector<std::vector<Value>> rows;
-    rows.push_back({Value(nan), Value(std::string(prefix) + "_nan")});
-    rows.push_back({Value(1.5), Value(std::string(prefix) + "_a")});
-    rows.push_back({Value(2.5), Value(std::string(prefix) + "_b")});
-    return MakeTable(name, schema, rows, 2);
+    for (int i = 0; i < kPartitions * kRowsPerPartition; ++i) {
+      const int x = i * 7 + salt;
+      // Some cells of the last partition are 2^40 larger: it stays wide.
+      const int64_t lift =
+          i / kRowsPerPartition == kPartitions - 1 ? int64_t{1} << 40 : 0;
+      const Value null;
+      Value g = i % 9 == 0 ? null : Value(x % 4 + (x % 5 == 0 ? lift : 0));
+      Value f = i % 5 == 0   ? null
+                : x % 6 == 1 ? Value(nan)
+                             : Value(0.5 * (x % 3) - 1.0);
+      Value s = i % 7 == 3 ? null : Value(std::string(1, 'a' + x % 3));
+      Value v = i % 8 == 2 ? null : Value(x % 11 + (x % 3 == 0 ? lift : 0));
+      rows.push_back({g, f, s, v});
+    }
+    return MakeTable(name, schema, rows, kRowsPerPartition);
   };
-  ASSERT_TRUE(catalog_.RegisterTable(make("njp", "p")).ok());
-  ASSERT_TRUE(catalog_.RegisterTable(make("njb", "b")).ok());
+  ASSERT_TRUE(catalog_.RegisterTable(make("agree_p", 0)).ok());
+  ASSERT_TRUE(catalog_.RegisterTable(make("agree_b", 3)).ok());
+  {
+    const Table& t = *catalog_.GetTable("agree_p");
+    for (size_t c : {size_t{0}, size_t{3}}) {
+      EXPECT_TRUE(t.partition_metadata(0).column(c).int64_narrowed());
+      EXPECT_FALSE(
+          t.partition_metadata(kPartitions - 1).column(c).int64_narrowed());
+    }
+  }
 
-  auto columnar = JoinPlan(ScanPlan("njp"), ScanPlan("njb"), "k", "k");
-  auto boxed = JoinPlan(
-      ProjectPlan(ScanPlan("njp"), {Col("k"), Col("tag")}, {"k", "tag"}),
-      ProjectPlan(ScanPlan("njb"), {Col("k"), Col("tag")}, {"k", "tag"}),
-      "k", "k");
-  QueryResult rc = Run(columnar);
-  QueryResult rb = Run(boxed);
-  EXPECT_EQ(testing_util::Serialize(rc), testing_util::Serialize(rb));
-  EXPECT_FALSE(rc.rows.empty());
+  // The input as the operator reads it: columnar (a bare scan) or boxed.
+  auto input = [&](const char* table, bool boxed) {
+    if (!boxed) return ScanPlan(table);
+    std::vector<ExprPtr> cols;
+    for (const auto& n : names) cols.push_back(Col(n));
+    return ProjectPlan(ScanPlan(table), std::move(cols), names);
+  };
+  const std::vector<AggPlanSpec> aggs = {
+      {AggFunc::kCount, "", "n"},         {AggFunc::kSum, "v", "sum_v"},
+      {AggFunc::kAvg, "v", "avg_v"},      {AggFunc::kMin, "f", "min_f"},
+      {AggFunc::kMax, "f", "max_f"},      {AggFunc::kMin, "s", "min_s"},
+      {AggFunc::kMax, "v", "max_v"},      {AggFunc::kSum, "f", "sum_f"}};
+  using Shape = std::function<PlanPtr(bool boxed)>;
+  std::vector<std::pair<std::string, Shape>> cases;
+  for (const std::string key : {"g", "f", "s"}) {
+    cases.push_back({"join on " + key, [&, key](bool boxed) {
+                       return JoinPlan(input("agree_p", boxed),
+                                       input("agree_b", boxed), key, key);
+                     }});
+    cases.push_back({"aggregate by " + key, [&, key](bool boxed) {
+                       return AggregatePlan(input("agree_p", boxed), {key},
+                                            aggs);
+                     }});
+    cases.push_back({"top-k by " + key, [&, key](bool boxed) {
+                       return TopKPlan(input("agree_p", boxed), key,
+                                       /*descending=*/true, 7);
+                     }});
+    cases.push_back({"sort by " + key, [&, key](bool boxed) {
+                       return SortPlan(input("agree_p", boxed), key,
+                                       /*descending=*/false);
+                     }});
+  }
+  for (int threads : {1, 4}) {
+    config_.exec.num_threads = threads;
+    for (const auto& [name, shape] : cases) {
+      QueryResult columnar = Run(shape(false));
+      QueryResult boxed = Run(shape(true));
+      EXPECT_FALSE(columnar.rows.empty()) << name;
+      EXPECT_EQ(testing_util::Serialize(columnar),
+                testing_util::Serialize(boxed))
+          << name << " at num_threads=" << threads;
+    }
+  }
 }
 
 /// PR 4 acceptance: the boxed-row adapter must be gone from scan→join,
@@ -986,6 +1047,46 @@ TEST(PlanTreeTest, JoinWithoutEitherInputIsRefused) {
   // Under another node, too: the walk reaches the join through its parent.
   ExpectMissingInputRefused(
       LimitPlan(JoinPlan(ScanPlan("t"), nullptr, "key", "key"), 5));
+}
+
+/// `key >= 0` under NOTs, `depth` nodes deep; an even number of NOTs (an
+/// even depth) leaves the predicate unchanged.
+ExprPtr NestedNots(size_t depth) {
+  ExprPtr e = Ge(Col("key"), Lit(0));
+  for (size_t d = 2; d < depth; ++d) e = Not(e);
+  return e;
+}
+
+void ExpectTooDeepRefused(const PlanPtr& plan) {
+  auto result = RunOn8x50(plan);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PlanTreeTest, ScanPredicateDepthIsBounded) {
+  static_assert(Engine::kMaxExprDepth % 2 == 0);
+  auto plain = RunOn8x50(ScanPlan("t", NestedNots(2)));
+  auto deepest = RunOn8x50(ScanPlan("t", NestedNots(Engine::kMaxExprDepth)));
+  ASSERT_TRUE(plain.ok() && deepest.ok()) << deepest.status().ToString();
+  EXPECT_FALSE(plain.value().rows.empty());
+  EXPECT_EQ(testing_util::Serialize(deepest.value()),
+            testing_util::Serialize(plain.value()));
+  ExpectTooDeepRefused(
+      ScanPlan("t", NestedNots(Engine::kMaxExprDepth + 1)));
+}
+
+TEST(PlanTreeTest, ProjectExpressionDepthIsBounded) {
+  auto project = [](size_t depth) {
+    return ProjectPlan(ScanPlan("t"), {Col("id"), NestedNots(depth)},
+                       {"id", "p"});
+  };
+  auto plain = RunOn8x50(project(2));
+  auto deepest = RunOn8x50(project(Engine::kMaxExprDepth));
+  ASSERT_TRUE(plain.ok() && deepest.ok()) << deepest.status().ToString();
+  EXPECT_EQ(deepest.value().rows.size(), 400u);
+  EXPECT_EQ(testing_util::Serialize(deepest.value()),
+            testing_util::Serialize(plain.value()));
+  ExpectTooDeepRefused(project(Engine::kMaxExprDepth + 1));
 }
 
 }  // namespace

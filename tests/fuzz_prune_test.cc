@@ -25,7 +25,6 @@
 #include "exec/engine.h"
 #include "exec/parallel/pipeline.h"
 #include "exec/profile.h"
-#include "exec/row_eval.h"
 #include "expr/evaluator.h"
 #include "expr/range_analysis.h"
 #include "expr/builder.h"
@@ -341,7 +340,7 @@ TEST(FuzzPruneTest, AnalyzePredicateFlagsMatchRowOutcomes) {
         for (size_t c = 0; c < part.num_columns(); ++c) {
           row.push_back(part.column(c).ValueAt(r));
         }
-        auto outcome = EvalRowPredicate(*pred, row);
+        auto outcome = EvalPredicate(*pred, row);
         if (!outcome.has_value()) {
           ++null_rows;
         } else if (*outcome) {
@@ -495,7 +494,7 @@ TEST(FuzzPruneTest, EngineAgreesWithUnprunedExecution) {
     ASSERT_EQ(order_values(topk_on), order_values(topk_off))
         << ctx << ": top-k pruning changed the winning order values";
     for (const auto& row : topk_on) {
-      auto keep = EvalRowPredicate(*pred, row);
+      auto keep = EvalPredicate(*pred, row);
       ASSERT_TRUE(keep.has_value() && *keep)
           << ctx << ": top-k returned a row failing the predicate";
     }
@@ -508,7 +507,7 @@ TEST(FuzzPruneTest, EngineAgreesWithUnprunedExecution) {
               std::min(k, total_matches))
         << ctx << ": LIMIT pruning returned the wrong row count";
     for (const auto& row : limit_on) {
-      auto keep = EvalRowPredicate(*pred, row);
+      auto keep = EvalPredicate(*pred, row);
       ASSERT_TRUE(keep.has_value() && *keep) << ctx;
     }
     ExpectParallelIdentical(&engine, limit, limit_on, ctx);
@@ -1445,7 +1444,7 @@ TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
                   << sctx << ": a k-sufficient hit returned too few rows";
               std::multiset<std::string> pool = unlimited_rows;
               for (const Row& row : r.rows) {
-                auto keep = EvalRowPredicate(*pred, row);
+                auto keep = EvalPredicate(*pred, row);
                 ASSERT_TRUE(keep.has_value() && *keep) << sctx;
                 auto at = pool.find(Serialize({row}));
                 ASSERT_NE(at, pool.end())
@@ -1458,7 +1457,7 @@ TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
             }
             if (is_topk) {
               for (const Row& row : r.rows) {
-                auto keep = EvalRowPredicate(*pred, row);
+                auto keep = EvalPredicate(*pred, row);
                 ASSERT_TRUE(keep.has_value() && *keep) << sctx;
               }
             }
