@@ -20,14 +20,26 @@ const char* ToString(AggFunc func) {
   return "?";
 }
 
+namespace {
+
+bool IsNaN(const Value& v) {
+  return v.is_float64() && std::isnan(v.float64_value());
+}
+
+}  // namespace
+
 bool HashAggregateOp::KeyLess::operator()(const Row& a, const Row& b) const {
   assert(a.size() == b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     const bool an = a[i].is_null(), bn = b[i].is_null();
     if (an != bn) return an;  // NULL keys group together, sorting first
     if (an) continue;
-    int c = Value::Compare(a[i], b[i]);
+    int c = CompareScalars(a[i], b[i]);
     if (c != 0) return c < 0;
+    // CompareScalars ties a NaN with every number, which is no strict weak
+    // order: NaN keys group together instead, sorting after every number.
+    const bool a_nan = IsNaN(a[i]), b_nan = IsNaN(b[i]);
+    if (a_nan != b_nan) return b_nan;
   }
   return false;
 }
@@ -306,12 +318,13 @@ void HashAggregateOp::PublishGroupBoundary() {
       static_cast<int64_t>(groups_.size()) < group_limit_k_) {
     return;
   }
-  // k-th strictest distinct group order-key value.
+  // k-th strictest distinct group order-key value. NaN keys are left out:
+  // Value::Compare cannot rank them.
   std::vector<Value> keys;
   keys.reserve(groups_.size());
   for (const auto& [key, state] : groups_) {
     const Value& v = key[order_group_index_];
-    if (!v.is_null()) keys.push_back(v);
+    if (!v.is_null() && !IsNaN(v)) keys.push_back(v);
   }
   if (static_cast<int64_t>(keys.size()) < group_limit_k_) return;
   std::sort(keys.begin(), keys.end(), [&](const Value& a, const Value& b) {

@@ -226,7 +226,7 @@ void HashJoinOp::Open() {
         auto partial = std::make_shared<JoinBuildItemPartial>();
         const ColumnVector& keys = item.batch.column(key);
         const size_t n = item.batch.num_rows();
-        WithNullTest(keys.nulls(), [&](auto is_null) {
+        WithNullTest(keys, [&](auto is_null) {
           for (size_t i = 0; i < n; ++i) {
             const uint32_t r = item.batch.row_index(i);
             if (is_null(r)) continue;
@@ -261,7 +261,7 @@ void HashJoinOp::Open() {
         summary_builder.Append(std::move(partial->summary));
       }
       size_t next_hash = 0;
-      WithNullTest(keys.nulls(), [&](auto is_null) {
+      WithNullTest(keys, [&](auto is_null) {
         for (size_t i = 0; i < n; ++i) {
           const uint32_t r = batch.row_index(i);
           if (!is_null(r)) {

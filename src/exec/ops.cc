@@ -43,64 +43,70 @@ void StableSortDecorated(std::vector<Entry>* entries, bool desc) {
                    });
 }
 
-template <typename KeyT, typename KeyOf>
+/// Sort-key readers, one per column type: each runs `body(key_at)` once,
+/// where key_at(r) is row r's key, of a type that orders exactly like
+/// Value::Compare for the column's type (string keys are views into the
+/// immutable partition, valid for the life of the query). Int64 and string
+/// layouts are decoded once per call, not per cell.
+const auto kInt64Keys = [](const ColumnVector& c, auto&& body) {
+  WithInt64s(c, body);
+};
+const auto kFloat64Keys = [](const ColumnVector& c, auto&& body) {
+  body([&c](size_t r) { return c.Float64At(r); });
+};
+const auto kBoolKeys = [](const ColumnVector& c, auto&& body) {
+  body([&c](size_t r) { return c.BoolAt(r); });
+};
+const auto kStringKeys = [](const ColumnVector& c, auto&& body) {
+  WithStrings(c, body);
+};
+
+template <typename KeyT, typename WithKeys>
 std::shared_ptr<void> BuildSortedRun(const ColumnBatch& batch, size_t column,
-                                     bool desc, KeyOf key_of, KeyT null_key) {
+                                     bool desc, WithKeys with_keys) {
   auto run = std::make_shared<SortedRun<KeyT>>();
   const ColumnVector& col = batch.column(column);
   const size_t n = batch.num_rows();
   run->entries.reserve(n);
-  WithNullTest(col.nulls(), [&](auto is_null) {
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t r = batch.row_index(i);
-      const bool null = is_null(r);
-      run->entries.push_back(typename SortedRun<KeyT>::Entry{
-          null ? null_key : key_of(col, r), static_cast<uint8_t>(null), r});
-    }
+  with_keys(col, [&](auto key_at) {
+    WithNullTest(col, [&](auto is_null) {
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t r = batch.row_index(i);
+        const bool null = is_null(r);
+        run->entries.push_back(typename SortedRun<KeyT>::Entry{
+            null ? KeyT{} : key_at(r), static_cast<uint8_t>(null), r});
+      }
+    });
   });
   StableSortDecorated(&run->entries, desc);
   return run;
 }
 
-/// Type dispatch for the worker stage. String keys decorate with views into
-/// the immutable partition, valid for the life of the query.
+/// Type dispatch for the worker stage.
 std::shared_ptr<void> BuildSortedRunFor(DataType type, const ColumnBatch& batch,
                                         size_t column, bool desc) {
   switch (type) {
     case DataType::kInt64:
-      return BuildSortedRun<int64_t>(
-          batch, column, desc,
-          [](const ColumnVector& c, uint32_t r) { return c.Int64At(r); },
-          int64_t{0});
+      return BuildSortedRun<int64_t>(batch, column, desc, kInt64Keys);
     case DataType::kFloat64: {
       // NaN order keys make `<` a non-strict-weak ordering: per-run sorting
       // plus a k-way merge is then NOT equivalent to one stable_sort over
       // the concatenated input, and the parallel output could diverge from
       // serial. Leave such partitions run-less — the consumer falls back to
       // the serial whole-input sort and byte-identity is preserved. A NULL
-      // row's slot holds 0.0, so the mask need not be read.
+      // row's slot holds 0.0, so the null bitmap need not be read.
       const ColumnVector& col = batch.column(column);
       const size_t n = batch.num_rows();
       for (size_t i = 0; i < n; ++i) {
         if (std::isnan(col.Float64At(batch.row_index(i)))) return nullptr;
       }
-      return BuildSortedRun<double>(
-          batch, column, desc,
-          [](const ColumnVector& c, uint32_t r) { return c.Float64At(r); },
-          0.0);
+      return BuildSortedRun<double>(batch, column, desc, kFloat64Keys);
     }
     case DataType::kBool:
-      return BuildSortedRun<bool>(
-          batch, column, desc,
-          [](const ColumnVector& c, uint32_t r) { return c.BoolAt(r); },
-          false);
+      return BuildSortedRun<bool>(batch, column, desc, kBoolKeys);
     case DataType::kString:
-      return BuildSortedRun<std::string_view>(
-          batch, column, desc,
-          [](const ColumnVector& c, uint32_t r) {
-            return c.StringAt(r);
-          },
-          std::string_view());
+      return BuildSortedRun<std::string_view>(batch, column, desc,
+                                              kStringKeys);
   }
   return nullptr;
 }
@@ -358,8 +364,7 @@ bool SortOp::NextInner(Batch* out) {
     size_t total = 0;
     for (const ColumnBatch& b : batches) total += b.num_rows();
 
-    // KeyT must order exactly like Value::Compare for the column's type.
-    auto sort_typed = [&](auto key_of, auto null_key) {
+    auto sort_typed = [&](auto null_key, auto with_keys) {
       using KeyT = decltype(null_key);
       struct Entry {
         KeyT key;
@@ -372,14 +377,16 @@ bool SortOp::NextInner(Batch* out) {
       for (size_t bi = 0; bi < batches.size(); ++bi) {
         const ColumnVector& col = batches[bi].column(order_column_);
         const size_t n = batches[bi].num_rows();
-        WithNullTest(col.nulls(), [&](auto is_null) {
-          for (size_t i = 0; i < n; ++i) {
-            const uint32_t r = batches[bi].row_index(i);
-            const bool null = is_null(r);
-            order.push_back(Entry{null ? null_key : key_of(col, r),
-                                  static_cast<uint8_t>(null),
-                                  static_cast<uint32_t>(bi), r});
-          }
+        with_keys(col, [&](auto key_at) {
+          WithNullTest(col, [&](auto is_null) {
+            for (size_t i = 0; i < n; ++i) {
+              const uint32_t r = batches[bi].row_index(i);
+              const bool null = is_null(r);
+              order.push_back(Entry{null ? null_key : key_at(r),
+                                    static_cast<uint8_t>(null),
+                                    static_cast<uint32_t>(bi), r});
+            }
+          });
         });
       }
       StableSortDecorated(&order, descending_);
@@ -393,30 +400,12 @@ bool SortOp::NextInner(Batch* out) {
       }
     };
 
-    const DataType type =
-        input_->output_schema().field(order_column_).type;
-    switch (type) {
-      case DataType::kInt64:
-        sort_typed([](const ColumnVector& c, uint32_t r) { return c.Int64At(r); },
-                   int64_t{0});
-        break;
-      case DataType::kFloat64:
-        sort_typed(
-            [](const ColumnVector& c, uint32_t r) { return c.Float64At(r); },
-            0.0);
-        break;
-      case DataType::kBool:
-        sort_typed([](const ColumnVector& c, uint32_t r) { return c.BoolAt(r); },
-                   false);
-        break;
+    switch (input_->output_schema().field(order_column_).type) {
+      case DataType::kInt64: sort_typed(int64_t{0}, kInt64Keys); break;
+      case DataType::kFloat64: sort_typed(0.0, kFloat64Keys); break;
+      case DataType::kBool: sort_typed(false, kBoolKeys); break;
       case DataType::kString:
-        // Decorate with string views into the immutable partitions;
-        // std::string_view orders like std::string::compare.
-        sort_typed(
-            [](const ColumnVector& c, uint32_t r) {
-              return c.StringAt(r);
-            },
-            std::string_view());
+        sort_typed(std::string_view(), kStringKeys);
         break;
     }
     done_ = true;

@@ -97,7 +97,7 @@ void TopKOp::InstallFilterStage() {
       auto cands = std::make_shared<TopKItemCandidates>();
       const ColumnVector& keys = item.batch.column(col);
       const size_t n = item.batch.num_rows();
-      WithNullTest(keys.nulls(), [&](auto is_null) {
+      WithNullTest(keys, [&](auto is_null) {
         for (size_t i = 0; i < n; ++i) {
           const uint32_t r = item.batch.row_index(i);
           if (is_null(r)) continue;  // NULL keys never qualify
@@ -194,7 +194,7 @@ void TopKOp::ConsumeColumns() {
       for (uint32_t r : cands->rows) offer(r);
     } else {
       const size_t n = in.num_rows();
-      WithNullTest(keys.nulls(), [&](auto is_null) {
+      WithNullTest(keys, [&](auto is_null) {
         for (size_t i = 0; i < n; ++i) {
           const uint32_t r = in.row_index(i);
           if (is_null(r)) continue;  // NULL keys never qualify

@@ -113,32 +113,36 @@ void FillRows(const RowSpan& rows, uint8_t v, std::vector<uint8_t>* out) {
   ForEachRow(rows, [&](uint32_t r) { (*out)[r] = v; });
 }
 
+// The leaf kernels below are [[gnu::flatten]]: each is a set of loops over
+// per-row lambdas, and a loop is only fast with its lambda inlined. Left to
+// GCC's size heuristics, the lambdas (and CompareMask, see there) moved out
+// of line whenever this file grew.
+
 /// Column-vs-literal comparison, typed loops per (column type, literal
 /// kind). `flip` means the literal was the *left* operand. Mirrors
 /// WalkCompare exactly: NULL on either side → NULL, cross-kind (string vs
-/// numeric, bool vs anything else) → NULL.
-void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
-                          CompareOp op, bool flip, const RowSpan& rows,
-                          std::vector<uint8_t>* out) {
-  auto run = [&](auto&& cmp_at) {
-    WithNullTest(col.nulls(), [&](auto is_null) {
+/// numeric, bool vs anything else) → NULL. A dictionary-coded string
+/// column compares each entry once.
+[[gnu::flatten]] void CompareColumnLiteral(const ColumnVector& col,
+                                          const Value& lit, CompareOp op,
+                                          bool flip, const RowSpan& rows,
+                                          std::vector<uint8_t>* out) {
+  auto run = [&](auto&& holds_at) {
+    WithNullTest(col, [&](auto is_null) {
       ForEachRow(rows, [&](uint32_t r) {
-        if (is_null(r)) {
-          (*out)[r] = kPredNull;
-          return;
-        }
-        int c = cmp_at(r);
-        if (flip) c = -c;
-        (*out)[r] = ApplyCmp(op, c) ? kPredTrue : kPredFalse;
+        (*out)[r] = is_null(r)    ? kPredNull
+                    : holds_at(r) ? kPredTrue
+                                  : kPredFalse;
       });
     });
   };
+  auto holds = [op, flip](int c) { return ApplyCmp(op, flip ? -c : c); };
   switch (col.type()) {
     case DataType::kInt64:
       if (lit.is_int64()) {
         const int64_t y = lit.int64_value();
         WithInt64s(col, [&](auto x) {
-          run([&](size_t r) { return CmpInt(x(r), y); });
+          run([&](size_t r) { return holds(CmpInt(x(r), y)); });
         });
         return;
       }
@@ -146,7 +150,7 @@ void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
         const double y = lit.float64_value();
         WithInt64s(col, [&](auto x) {
           run([&](size_t r) {
-            return CmpDouble(static_cast<double>(x(r)), y);
+            return holds(CmpDouble(static_cast<double>(x(r)), y));
           });
         });
         return;
@@ -156,14 +160,16 @@ void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
       if (lit.is_numeric()) {
         const double y = lit.AsDouble();
         const auto& xs = col.float64_data();
-        run([&](size_t r) { return CmpDouble(xs[r], y); });
+        run([&](size_t r) { return holds(CmpDouble(xs[r], y)); });
         return;
       }
       break;
     case DataType::kString:
       if (lit.is_string()) {
         const std::string_view y = lit.string_value();
-        run([&](size_t r) { return col.StringAt(r).compare(y); });
+        WithStringMatches(
+            col, rows.size(),
+            [&](std::string_view x) { return holds(x.compare(y)); }, run);
         return;
       }
       break;
@@ -171,7 +177,7 @@ void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
       if (lit.is_bool()) {
         const int y = lit.bool_value() ? 1 : 0;
         const auto& xs = col.bool_data();
-        run([&](size_t r) { return static_cast<int>(xs[r]) - y; });
+        run([&](size_t r) { return holds(static_cast<int>(xs[r]) - y); });
         return;
       }
       break;
@@ -180,12 +186,13 @@ void CompareColumnLiteral(const ColumnVector& col, const Value& lit,
   FillRows(rows, kPredNull, out);
 }
 
-void CompareColumnColumn(const ColumnVector& a, const ColumnVector& b,
-                         CompareOp op, const RowSpan& rows,
-                         std::vector<uint8_t>* out) {
+[[gnu::flatten]] void CompareColumnColumn(const ColumnVector& a,
+                                         const ColumnVector& b, CompareOp op,
+                                         const RowSpan& rows,
+                                         std::vector<uint8_t>* out) {
   auto run = [&](auto&& cmp_at) {
-    WithNullTest(a.nulls(), [&](auto a_null) {
-      WithNullTest(b.nulls(), [&](auto b_null) {
+    WithNullTest(a, [&](auto a_null) {
+      WithNullTest(b, [&](auto b_null) {
         ForEachRow(rows, [&](uint32_t r) {
           if (a_null(r) || b_null(r)) {
             (*out)[r] = kPredNull;
@@ -312,7 +319,7 @@ bool EvalNumericLanes(const Expr& expr, const MicroPartition& part,
       if (col == nullptr) return false;
       if (col->type() == DataType::kInt64) {
         WithInt64s(*col, [&](auto x) {
-          WithNullTest(col->nulls(), [&](auto is_null) {
+          WithNullTest(*col, [&](auto is_null) {
             ForEachRow(rows, [&](uint32_t r) {
               out->kind[r] = is_null(r) ? kLaneNull : kLaneInt64;
               out->i64[r] = x(r);
@@ -323,7 +330,7 @@ bool EvalNumericLanes(const Expr& expr, const MicroPartition& part,
       }
       if (col->type() == DataType::kFloat64) {
         const auto& xs = col->float64_data();
-        WithNullTest(col->nulls(), [&](auto is_null) {
+        WithNullTest(*col, [&](auto is_null) {
           ForEachRow(rows, [&](uint32_t r) {
             out->kind[r] = is_null(r) ? kLaneNull : kLaneDouble;
             out->f64[r] = xs[r];
@@ -403,9 +410,37 @@ bool EvalNumericLanes(const Expr& expr, const MicroPartition& part,
   }
 }
 
-void CompareMask(const CompareExpr& e, const MicroPartition& part,
-                 const RowSpan& rows, std::vector<uint8_t>* out,
-                 EvalScratch* scratch) {
+/// Compares two numeric lane sets row by row, as WalkCompare does: NULL
+/// operand → NULL, int64 pairs exactly, mixed pairs through double.
+[[gnu::flatten]] void CompareLanes(const NumericLanes& l,
+                                   const NumericLanes& r, CompareOp op,
+                                   const RowSpan& rows,
+                                   std::vector<uint8_t>* out) {
+  ForEachRow(rows, [&](uint32_t row) {
+    const uint8_t lk = l.kind[row], rk = r.kind[row];
+    if (lk == kLaneNull || rk == kLaneNull) {
+      (*out)[row] = kPredNull;
+      return;
+    }
+    int c;
+    if (lk == kLaneInt64 && rk == kLaneInt64) {
+      c = CmpInt(l.i64[row], r.i64[row]);
+    } else {
+      c = CmpDouble(
+          lk == kLaneInt64 ? static_cast<double>(l.i64[row]) : l.f64[row],
+          rk == kLaneInt64 ? static_cast<double>(r.i64[row]) : r.f64[row]);
+    }
+    (*out)[row] = ApplyCmp(op, c) ? kPredTrue : kPredFalse;
+  });
+}
+
+/// Always inlined into EvalMask: the comparison dispatch is the hottest
+/// step of predicate evaluation.
+[[gnu::always_inline]] inline void CompareMask(const CompareExpr& e,
+                                               const MicroPartition& part,
+                                               const RowSpan& rows,
+                                               std::vector<uint8_t>* out,
+                                               EvalScratch* scratch) {
   const ColumnVector* lc = AsBoundColumn(*e.left(), part);
   const ColumnVector* rc = AsBoundColumn(*e.right(), part);
   const Value* lv = AsLiteral(*e.left());
@@ -431,34 +466,14 @@ void CompareMask(const CompareExpr& e, const MicroPartition& part,
     return;
   }
   // Arithmetic / IF operand(s): typed value lanes instead of per-row boxing.
-  // Mirrors WalkCompare: NULL operand → NULL; lanes are always numeric, so
-  // the operands are always comparable, int64 pairs compare exactly and
-  // mixed pairs through double.
+  // Lanes are always numeric, so the operands are always comparable.
   {
     const size_t n = part.row_count();
     NumericLanes& l = AcquireLanes(scratch, n);
     NumericLanes& r = AcquireLanes(scratch, n);
     const bool ok = EvalNumericLanes(*e.left(), part, rows, &l, scratch) &&
                     EvalNumericLanes(*e.right(), part, rows, &r, scratch);
-    if (ok) {
-      const CompareOp op = e.op();
-      ForEachRow(rows, [&](uint32_t row) {
-        const uint8_t lk = l.kind[row], rk = r.kind[row];
-        if (lk == kLaneNull || rk == kLaneNull) {
-          (*out)[row] = kPredNull;
-          return;
-        }
-        int c;
-        if (lk == kLaneInt64 && rk == kLaneInt64) {
-          c = CmpInt(l.i64[row], r.i64[row]);
-        } else {
-          c = CmpDouble(
-              lk == kLaneInt64 ? static_cast<double>(l.i64[row]) : l.f64[row],
-              rk == kLaneInt64 ? static_cast<double>(r.i64[row]) : r.f64[row]);
-        }
-        (*out)[row] = ApplyCmp(op, c) ? kPredTrue : kPredFalse;
-      });
-    }
+    if (ok) CompareLanes(l, r, e.op(), rows, out);
     ReleaseLanes(scratch);
     ReleaseLanes(scratch);
     if (ok) return;
@@ -526,8 +541,10 @@ void ConnectiveMask(const BoolConnectiveExpr& e, const MicroPartition& part,
   ReleaseMask(scratch);
 }
 
-void InListMask(const InListExpr& e, const MicroPartition& part,
-                const RowSpan& rows, std::vector<uint8_t>* out) {
+[[gnu::flatten]] void InListMask(const InListExpr& e,
+                                 const MicroPartition& part,
+                                 const RowSpan& rows,
+                                 std::vector<uint8_t>* out) {
   const ColumnVector* col = AsBoundColumn(*e.input(), part);
   if (col == nullptr) {
     FallbackMask(e, part, rows, out);
@@ -535,7 +552,7 @@ void InListMask(const InListExpr& e, const MicroPartition& part,
   }
   const auto& vals = e.values();
   auto run = [&](auto&& match_at) {
-    WithNullTest(col->nulls(), [&](auto is_null) {
+    WithNullTest(*col, [&](auto is_null) {
       ForEachRow(rows, [&](uint32_t r) {
         if (is_null(r)) {
           (*out)[r] = kPredNull;
@@ -578,13 +595,15 @@ void InListMask(const InListExpr& e, const MicroPartition& part,
       return;
     }
     case DataType::kString: {
-      run([&](size_t r) {
-        const std::string_view x = col->StringAt(r);
-        for (const Value& cand : vals) {
-          if (cand.is_string() && x == cand.string_value()) return true;
-        }
-        return false;
-      });
+      WithStringMatches(
+          *col, rows.size(),
+          [&](std::string_view x) {
+            for (const Value& cand : vals) {
+              if (cand.is_string() && x == cand.string_value()) return true;
+            }
+            return false;
+          },
+          run);
       return;
     }
     case DataType::kBool: {
@@ -602,11 +621,14 @@ void InListMask(const InListExpr& e, const MicroPartition& part,
 }
 
 /// LIKE / STARTSWITH over a string column; non-string columns yield NULL
-/// for every row (matching the scalar evaluator's !is_string() path).
+/// for every row (matching the scalar evaluator's !is_string() path). A
+/// dictionary-coded column matches each entry once.
 template <typename MatchFn>
-void StringMatchMask(const Expr& input, const MicroPartition& part,
-                     MatchFn match, const Expr& whole, const RowSpan& rows,
-                     std::vector<uint8_t>* out) {
+[[gnu::flatten]] void StringMatchMask(const Expr& input,
+                                      const MicroPartition& part,
+                                      MatchFn match, const Expr& whole,
+                                      const RowSpan& rows,
+                                      std::vector<uint8_t>* out) {
   const ColumnVector* col = AsBoundColumn(input, part);
   if (col == nullptr) {
     FallbackMask(whole, part, rows, out);
@@ -616,11 +638,13 @@ void StringMatchMask(const Expr& input, const MicroPartition& part,
     FillRows(rows, kPredNull, out);
     return;
   }
-  WithNullTest(col->nulls(), [&](auto is_null) {
-    ForEachRow(rows, [&](uint32_t r) {
-      (*out)[r] = is_null(r)
-                      ? kPredNull
-                      : (match(col->StringAt(r)) ? kPredTrue : kPredFalse);
+  WithStringMatches(*col, rows.size(), match, [&](auto match_at) {
+    WithNullTest(*col, [&](auto is_null) {
+      ForEachRow(rows, [&](uint32_t r) {
+        (*out)[r] = is_null(r)    ? kPredNull
+                    : match_at(r) ? kPredTrue
+                                  : kPredFalse;
+      });
     });
   });
 }
@@ -663,7 +687,7 @@ void EvalMask(const Expr& expr, const MicroPartition& part,
         FallbackMask(expr, part, rows, out);
         return;
       }
-      WithNullTest(col->nulls(), [&](auto is_null) {
+      WithNullTest(*col, [&](auto is_null) {
         ForEachRow(rows, [&](uint32_t r) {
           const bool null = is_null(r);
           (*out)[r] = (e.negate() ? !null : null) ? kPredTrue : kPredFalse;
@@ -696,7 +720,7 @@ void EvalMask(const Expr& expr, const MicroPartition& part,
       const ColumnVector* col = AsBoundColumn(expr, part);
       if (col != nullptr && col->type() == DataType::kBool) {
         const auto& xs = col->bool_data();
-        WithNullTest(col->nulls(), [&](auto is_null) {
+        WithNullTest(*col, [&](auto is_null) {
           ForEachRow(rows, [&](uint32_t r) {
             (*out)[r] = is_null(r) ? kPredNull
                                    : (xs[r] != 0 ? kPredTrue : kPredFalse);

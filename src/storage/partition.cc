@@ -9,14 +9,12 @@ MicroPartition::MicroPartition(PartitionId id,
     : id_(id), columns_(std::move(columns)) {
   row_count_ = columns_.empty() ? 0 : columns_[0].size();
   for (const auto& col : columns_) SNOW_DCHECK_EQ(col.size(), row_count_);
-  // One pass per column: the zone map's min and max are the narrowing's
-  // range. The replaced buffers are freed on return, after every column is
-  // sealed (see ColumnVector::Seal).
-  RecomputeStats();
-  std::vector<std::vector<int64_t>> replaced;
-  replaced.reserve(columns_.size());
+  // Each column's zone map comes out of its seal. The replaced buffers are
+  // freed on return, after every column is sealed (see ColumnVector::Seal).
+  std::vector<ColumnVector::Replaced> replaced(columns_.size());
+  stats_.reserve(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {
-    replaced.push_back(columns_[c].Seal(stats_[c]));
+    stats_.push_back(columns_[c].Seal(&replaced[c]));
   }
 }
 
@@ -37,11 +35,7 @@ void MicroPartition::DropStats() {
 void MicroPartition::RecomputeStats() {
   stats_.clear();
   stats_.reserve(columns_.size());
-  for (const auto& col : columns_) {
-    stats_.push_back(col.ComputeStats());
-    // A column keeps a null mask exactly when it holds a NULL.
-    SNOW_DCHECK_EQ(col.nulls() == nullptr, stats_.back().null_count == 0);
-  }
+  for (const auto& col : columns_) stats_.push_back(col.ComputeStats());
   has_stats_ = true;
 }
 

@@ -22,8 +22,8 @@ using PartitionId = uint32_t;
 class MicroPartition {
  public:
   /// Seals `columns` (all of one length) into a partition: releases their
-  /// spare capacity, narrows the int64 columns whose range fits 32 bits
-  /// (ColumnVector::Seal) and computes the zone maps.
+  /// spare capacity, compresses each (ColumnVector::Seal picks its layout)
+  /// and computes the zone maps.
   MicroPartition(PartitionId id, std::vector<ColumnVector> columns);
 
   PartitionId id() const { return id_; }

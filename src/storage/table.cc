@@ -103,16 +103,23 @@ void TableBuilder::CutPartition(bool more_rows_follow) {
   if (open_rows_ == 0) return;
   // The next partition is likely sized like this one, so its buffers are
   // allocated once at that size instead of regrown by doubling and copied
-  // again when sealed. They are allocated right after sealing, so they can
-  // take whole the int64 buffers the narrowed columns freed, before any
-  // smaller allocation splits them into holes nothing reuses.
+  // again when sealed. Its arenas are sized from this partition's string
+  // bytes before sealing, since a dictionary holds fewer. They are
+  // allocated right after sealing, so they can take whole the buffers the
+  // new layouts freed, before any smaller allocation splits them into holes
+  // nothing reuses.
+  std::vector<size_t> arena_bytes;
+  arena_bytes.reserve(open_columns_.size());
+  for (const auto& col : open_columns_) {
+    arena_bytes.push_back(col.string_bytes());
+  }
   std::vector<ColumnVector> next;
   next.reserve(open_columns_.size());
   auto pid = static_cast<PartitionId>(table_->num_partitions());
   table_->AppendPartition(MicroPartition(pid, std::move(open_columns_)));
-  for (const auto& col : table_->partition_metadata(pid).columns()) {
-    next.emplace_back(col.type());
-    if (more_rows_follow) next.back().Reserve(open_rows_, col.string_bytes());
+  for (size_t c = 0; c < schema_.num_columns(); ++c) {
+    next.emplace_back(schema_.field(c).type);
+    if (more_rows_follow) next.back().Reserve(open_rows_, arena_bytes[c]);
   }
   open_columns_ = std::move(next);
   open_rows_ = 0;

@@ -178,9 +178,11 @@ TEST(ZoneMapKernelTest, EdgeCasesMatchBoxedReference) {
   }
 }
 
-/// A sealed 500-row string column of 5-byte cNNNN values must stay in the
-/// offsets + bytes layout: ~4.5 KB (501 offsets, 2500 bytes, and no mask,
-/// since no cell is NULL), where one std::string per cell took ~16 KB.
+/// A sealed 500-row string column of 5-byte cNNNN values with 50 distinct
+/// values is dictionary-coded: 954 bytes (51 entry offsets, 250 entry
+/// bytes, one code byte per row, and no bitmap, since no cell is NULL),
+/// where the plain offsets + bytes layout took 4504 and one std::string
+/// per cell ~16 KB.
 TEST(ZoneMapKernelTest, StringColumnFootprintIsBounded) {
   Schema schema({Field{"cat", DataType::kString, false}});
   TableBuilder builder("t", schema, /*target_partition_rows=*/500);
@@ -195,8 +197,9 @@ TEST(ZoneMapKernelTest, StringColumnFootprintIsBounded) {
   EXPECT_EQ(col.StringAt(499), "c0049");
   EXPECT_LT(col.MemoryBytes(), 6u * 1024);
   // Sealing the partition released every buffer's spare capacity.
-  EXPECT_EQ(col.nulls(), nullptr);
-  EXPECT_EQ(col.MemoryBytes(), 501 * sizeof(uint32_t) + 2500);
+  EXPECT_FALSE(col.has_nulls());
+  EXPECT_EQ(col.layout(), ColumnLayout::kCodes8);
+  EXPECT_EQ(col.MemoryBytes(), 51 * sizeof(uint32_t) + 250 + 500);
   EXPECT_EQ(table->MemoryBytes(), col.MemoryBytes());
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <map>
+#include <set>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -490,9 +492,10 @@ TEST_F(ExecTest, SortAscendingAndDescending) {
 /// projection (it reads boxed rows), at 1 and 4 threads; the row streams
 /// must be byte-identical. The data has NULLs in every key and value
 /// column, NaN float keys (CompareScalars ties a NaN with every number, so
-/// a NaN join key matches every numeric key on both paths), and int64
-/// columns in both layouts: the last partition spans more than 2^32 and
-/// stays wide, the others narrow to 32-bit offsets.
+/// a NaN join key matches every numeric key on both paths, while GROUP BY
+/// makes all NaN keys one group), int64 columns in two layouts (the last
+/// partition spans more than 2^32 and stays wide, the others narrow to
+/// 16-bit offsets) and a dictionary-coded string column.
 TEST_F(ExecTest, NanJoinKeysMatchBetweenColumnarAndBoxed) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::vector<std::string> names = {"g", "f", "s", "v"};
@@ -524,10 +527,13 @@ TEST_F(ExecTest, NanJoinKeysMatchBetweenColumnarAndBoxed) {
   {
     const Table& t = *catalog_.GetTable("agree_p");
     for (size_t c : {size_t{0}, size_t{3}}) {
-      EXPECT_TRUE(t.partition_metadata(0).column(c).int64_narrowed());
-      EXPECT_FALSE(
-          t.partition_metadata(kPartitions - 1).column(c).int64_narrowed());
+      EXPECT_EQ(t.partition_metadata(0).column(c).layout(),
+                ColumnLayout::kOffsets16);
+      EXPECT_EQ(t.partition_metadata(kPartitions - 1).column(c).layout(),
+                ColumnLayout::kPlain);
     }
+    EXPECT_EQ(t.partition_metadata(0).column(2).layout(),
+              ColumnLayout::kCodes8);
   }
 
   // The input as the operator reads it: columnar (a bare scan) or boxed.
@@ -544,6 +550,22 @@ TEST_F(ExecTest, NanJoinKeysMatchBetweenColumnarAndBoxed) {
       {AggFunc::kMax, "v", "max_v"},      {AggFunc::kSum, "f", "sum_f"}};
   using Shape = std::function<PlanPtr(bool boxed)>;
   std::vector<std::pair<std::string, Shape>> cases;
+  // Each aggregate returns one row per distinct key: NULL is one key, and
+  // so is NaN.
+  std::map<std::string, size_t> groups;
+  for (size_t c = 0; c < 3; ++c) {
+    std::set<std::string> keys;
+    const Table& t = *catalog_.GetTable("agree_p");
+    for (size_t p = 0; p < t.num_partitions(); ++p) {
+      const ColumnVector& col =
+          t.partition_metadata(static_cast<PartitionId>(p)).column(c);
+      for (size_t r = 0; r < col.size(); ++r) {
+        keys.insert(col.ValueAt(r).ToString());
+      }
+    }
+    groups["aggregate by " + names[c]] = keys.size();
+  }
+  EXPECT_EQ(groups["aggregate by f"], 5u);  // -1, -0.5, 0, NaN, NULL
   for (const std::string key : {"g", "f", "s"}) {
     cases.push_back({"join on " + key, [&, key](bool boxed) {
                        return JoinPlan(input("agree_p", boxed),
@@ -571,6 +593,12 @@ TEST_F(ExecTest, NanJoinKeysMatchBetweenColumnarAndBoxed) {
       EXPECT_EQ(testing_util::Serialize(columnar),
                 testing_util::Serialize(boxed))
           << name << " at num_threads=" << threads;
+      if (groups.count(name) != 0) {
+        EXPECT_EQ(columnar.rows.size(), groups[name])
+            << name << " at num_threads=" << threads;
+        EXPECT_EQ(boxed.rows.size(), groups[name])
+            << name << " at num_threads=" << threads;
+      }
     }
   }
 }

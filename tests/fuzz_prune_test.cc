@@ -218,10 +218,14 @@ constexpr BoundaryInitMode kAllBoundaryInits[] = {
 /// A random micro-partition matching the synthetic schema
 /// (id int64, key int64, val float64 nullable, cat string, ts int64) —
 /// the INSERT/UPDATE payload for the DML-churn and predicate-cache fuzz.
+/// In one partition of three `cat` is high-cardinality (nearly every cell
+/// distinct), so it keeps the plain string layout; the others usually
+/// dictionary-code it.
 MicroPartition RandomPartition(Rng* rng, PartitionId id, size_t num_rows = 0) {
   const size_t rows = num_rows > 0
                           ? num_rows
                           : static_cast<size_t>(rng->UniformInt(3, 50));
+  const bool distinct_cats = rng->UniformInt(0, 2) == 0;
   ColumnVector ids(DataType::kInt64), key(DataType::kInt64),
       val(DataType::kFloat64), cat(DataType::kString), ts(DataType::kInt64);
   for (size_t r = 0; r < rows; ++r) {
@@ -237,7 +241,9 @@ MicroPartition RandomPartition(Rng* rng, PartitionId id, size_t num_rows = 0) {
     const int64_t c = rng->UniformInt(0, 32);
     cat.AppendString(c == 31   ? std::string()
                      : c == 32 ? std::string("c-long-category-name-over-15")
-                               : "c" + std::to_string(c));
+                     : distinct_cats
+                         ? "c" + std::to_string(rng->UniformInt(0, 1000000))
+                         : "c" + std::to_string(c));
     ts.AppendInt64(rng->UniformInt(-100, 2100));
   }
   std::vector<ColumnVector> cols;
@@ -653,11 +659,13 @@ std::shared_ptr<Table> NumericEdgeTable() {
 /// mask) and a column-vs-column term meets every pairing.
 ///
 /// Each int64 column (id, key, ts) also takes one of four value ranges per
-/// partition, staggered the same way: small values, the whole int64 range
-/// (INT64_MIN..INT64_MAX), a range of exactly 2^32 (both wide) and a range
-/// of exactly 2^32 - 1 (the widest that narrows to 32-bit offsets), each
-/// from a base that may be negative. Every range meets every NULL mode of
-/// key. The table is checked to read back the rows it was built from.
+/// partition, staggered the same way: small values (16-bit offsets), the
+/// whole int64 range (INT64_MIN..INT64_MAX), a range of exactly 2^32 (both
+/// wide) and a range of exactly 2^32 - 1 (the widest that narrows to 32-bit
+/// offsets), each from a base that may be negative. Every range meets every
+/// NULL mode of key. In every fourth partition cat's values are nearly all
+/// distinct, so it stays plain where the others are dictionary-coded. The
+/// table is checked to read back the rows it was built from.
 std::shared_ptr<Table> MixedNullTable(const std::string& name, uint64_t seed) {
   constexpr int64_t kPartitions = 12, kRows = 8;
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
@@ -705,8 +713,9 @@ std::shared_ptr<Table> MixedNullTable(const std::string& name, uint64_t seed) {
           {Value(int_cell(1, r)),
            key_null ? Value::Null() : Value(int_cell(0, r)),
            val_null ? Value::Null() : Value(rng.Uniform() * 40.0 - 10.0),
-           cat_null ? Value::Null()
-                    : Value("c" + std::to_string(rng.UniformInt(0, 12))),
+           cat_null   ? Value::Null()
+           : p % 4 == 3 ? Value("u" + std::to_string(rng.UniformInt(0, 999999)))
+                        : Value("c" + std::to_string(rng.UniformInt(0, 12))),
            Value(int_cell(2, r)),
            flag_null ? Value::Null() : Value(rng.Bernoulli(0.5))});
     }
@@ -745,7 +754,7 @@ void ExpectBothNullPaths(const Table& table) {
     for (size_t p = 0; p < table.num_partitions(); ++p) {
       const auto pid = static_cast<PartitionId>(p);
       const MicroPartition& part = table.partition_metadata(pid);
-      if (part.column(c).nulls() == nullptr) {
+      if (!part.column(c).has_nulls()) {
         ++mask_free;
       } else if (table.stats(pid, c).null_count == part.row_count()) {
         ++all_null;
@@ -759,40 +768,62 @@ void ExpectBothNullPaths(const Table& table) {
   }
 }
 
-/// Asserts that every int64 column of a MixedNullTable has narrowed
-/// (32-bit offset) and wide partitions, key each with and without NULLs,
-/// and that both sides of the 2^32 boundary occur: a range of 2^32 - 1
-/// narrowed and a range of 2^32 stayed wide.
+/// Asserts that the cat column of a MixedNullTable has dictionary-coded
+/// partitions and plain ones holding a non-NULL cell.
+void ExpectBothStringLayouts(const Table& table) {
+  int coded = 0, plain = 0;
+  for (size_t p = 0; p < table.num_partitions(); ++p) {
+    const auto pid = static_cast<PartitionId>(p);
+    if (table.partition_metadata(pid).column(3).layout() !=
+        ColumnLayout::kPlain) {
+      ++coded;
+    } else if (table.stats(pid, 3).null_count < table.stats(pid, 3).row_count) {
+      ++plain;
+    }
+  }
+  ASSERT_GT(coded, 0);
+  ASSERT_GT(plain, 0);
+}
+
+/// Asserts that every int64 column of a MixedNullTable has partitions in
+/// each int64 layout (16-bit offsets, 32-bit offsets, wide), key each with
+/// and without NULLs, and that both sides of the 2^32 boundary occur: a
+/// range of 2^32 - 1 took 32-bit offsets and a range of 2^32 stayed wide.
 void ExpectBothIntLayouts(const Table& table) {
+  const ColumnLayout layouts[] = {ColumnLayout::kOffsets16,
+                                  ColumnLayout::kOffsets32,
+                                  ColumnLayout::kPlain};
   for (size_t c : {0, 1, 4}) {
-    // [narrowed][has a mask]
-    int seen[2][2] = {{0, 0}, {0, 0}};
+    // [layout][has a bitmap]
+    int seen[3][2] = {{0, 0}, {0, 0}, {0, 0}};
     bool boundary_narrow = false, boundary_wide = false;
     for (size_t p = 0; p < table.num_partitions(); ++p) {
       const auto pid = static_cast<PartitionId>(p);
       const ColumnVector& col = table.partition_metadata(pid).column(c);
-      ++seen[col.int64_narrowed()][col.nulls() != nullptr];
+      for (int l = 0; l < 3; ++l) {
+        if (col.layout() == layouts[l]) ++seen[l][col.has_nulls()];
+      }
       const ColumnStats& s = table.stats(pid, c);
       if (s.min.is_null()) continue;
       const uint64_t range = static_cast<uint64_t>(s.max.int64_value()) -
                              static_cast<uint64_t>(s.min.int64_value());
       if (range == (uint64_t{1} << 32) - 1) {
-        ASSERT_TRUE(col.int64_narrowed()) << "column " << c << " partition "
-                                          << p;
+        ASSERT_EQ(col.layout(), ColumnLayout::kOffsets32)
+            << "column " << c << " partition " << p;
         boundary_narrow = true;
       }
       if (range == uint64_t{1} << 32) {
-        ASSERT_FALSE(col.int64_narrowed()) << "column " << c << " partition "
-                                           << p;
+        ASSERT_EQ(col.layout(), ColumnLayout::kPlain)
+            << "column " << c << " partition " << p;
         boundary_wide = true;
       }
     }
     const bool nullable = table.schema().field(c).nullable;
-    for (int narrow : {0, 1}) {
+    for (int l = 0; l < 3; ++l) {
       for (int masked : {0, 1}) {
         if (masked && !nullable) continue;
-        ASSERT_GT(seen[narrow][masked], 0)
-            << "column " << c << (narrow ? " narrowed" : " wide")
+        ASSERT_GT(seen[l][masked], 0)
+            << "column " << c << " layout " << l
             << (masked ? " with" : " without") << " NULLs";
       }
     }
@@ -833,6 +864,7 @@ TEST(FuzzPruneTest, VectorizedSelectionAgreesWithScalarOracle) {
     auto table = MixedNullTable("mn", rng.Next());
     ASSERT_NO_FATAL_FAILURE(ExpectBothNullPaths(*table));
     ASSERT_NO_FATAL_FAILURE(ExpectBothIntLayouts(*table));
+    ASSERT_NO_FATAL_FAILURE(ExpectBothStringLayouts(*table));
     ExprPtr pred = RandomPredicate(&rng, *table, 2);
     ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
     ASSERT_NO_FATAL_FAILURE(ExpectSelectionMatchesScalar(
@@ -974,6 +1006,7 @@ TEST(FuzzPruneTest, VectorizedArithIfAgreesWithScalarOracle) {
     auto table = MixedNullTable("mn", rng.Next());
     ASSERT_NO_FATAL_FAILURE(ExpectBothNullPaths(*table));
     ASSERT_NO_FATAL_FAILURE(ExpectBothIntLayouts(*table));
+    ASSERT_NO_FATAL_FAILURE(ExpectBothStringLayouts(*table));
     ExprPtr pred = RandomArithIfPredicate(&rng, *table, 3);
     ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
     EvalScratch scratch;
@@ -1040,6 +1073,7 @@ TEST(FuzzPruneTest, ColumnarPipelinesMatchBoxedOracle) {
     if (mixed) {
       ASSERT_NO_FATAL_FAILURE(ExpectBothNullPaths(*probe));
       ASSERT_NO_FATAL_FAILURE(ExpectBothIntLayouts(*probe));
+      ASSERT_NO_FATAL_FAILURE(ExpectBothStringLayouts(*probe));
       build = MixedNullTable("b", rng.Next());
     } else {
       workload::TableGenConfig bcfg;
@@ -1219,6 +1253,8 @@ TEST(FuzzPruneTest, MissingMetadataIsNeverFalselyPruned) {
 /// pruned execution from the brute-force row oracle, serially or in
 /// parallel.
 TEST(FuzzPruneTest, DmlChurnKeepsOracleAgreement) {
+  // Partitions queried with `cat` plain and dictionary-coded.
+  int cat_layouts[2] = {0, 0};
   for (int iter = 0; iter < 25; ++iter) {
     Rng rng(91000 + iter);
     auto table = RandomTable(&rng, "d");
@@ -1249,6 +1285,11 @@ TEST(FuzzPruneTest, DmlChurnKeepsOracleAgreement) {
           break;
       }
 
+      for (size_t p = 0; p < table->num_partitions(); ++p) {
+        const ColumnVector& cat =
+            table->partition_metadata(static_cast<PartitionId>(p)).column(3);
+        ++cat_layouts[cat.layout() != ColumnLayout::kPlain];
+      }
       ExprPtr pred = RandomPredicate(&rng, *table, 2);
       ASSERT_TRUE(BindExpr(pred, table->schema()).ok());
       std::vector<int64_t> oracle = MatchCountsPerPartition(*table, pred);
@@ -1288,6 +1329,8 @@ TEST(FuzzPruneTest, DmlChurnKeepsOracleAgreement) {
       ExpectParallelIdentical(&engine, topk, topk_rows, ctx);
     }
   }
+  EXPECT_GT(cat_layouts[0], 0) << "no plain cat partition was queried";
+  EXPECT_GT(cat_layouts[1], 0) << "no dictionary-coded cat was queried";
 }
 
 /// Predicate caching must never change an answer. Random predicates under

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -141,16 +142,18 @@ TEST(ColumnVectorTest, NoNullMeansNoMask) {
   auto table = builder.Finish();
   ASSERT_EQ(table->num_partitions(), 1u);
   const MicroPartition& part = table->partition_metadata(0);
-  EXPECT_EQ(part.column(0).nulls(), nullptr);  // non-nullable field
-  EXPECT_EQ(part.column(1).nulls(), nullptr);  // nullable, but no NULL
-  ASSERT_NE(part.column(2).nulls(), nullptr);
-  // Sealed buffers hold exactly their rows: 4 bytes per cell (each range
-  // fits 32 bits, so the column narrowed), plus one mask byte per row only
-  // where a NULL occurred.
-  EXPECT_EQ(part.column(0).MemoryBytes(), 100 * sizeof(uint32_t));
-  EXPECT_EQ(part.column(1).MemoryBytes(), 100 * sizeof(uint32_t));
-  EXPECT_EQ(part.column(2).MemoryBytes(), 100 * sizeof(uint32_t) + 100);
-  EXPECT_EQ(table->MemoryBytes(), 3 * 100 * sizeof(uint32_t) + 100);
+  EXPECT_FALSE(part.column(0).has_nulls());  // non-nullable field
+  EXPECT_FALSE(part.column(1).has_nulls());  // nullable, but no NULL
+  ASSERT_TRUE(part.column(2).has_nulls());
+  // Sealed buffers hold exactly their rows: 2 bytes per cell (each range
+  // fits 16 bits, so the column narrowed), plus a bitmap of one bit per row
+  // (two 64-bit words) only where a NULL occurred.
+  EXPECT_EQ(part.column(0).MemoryBytes(), 100 * sizeof(uint16_t));
+  EXPECT_EQ(part.column(1).MemoryBytes(), 100 * sizeof(uint16_t));
+  EXPECT_EQ(part.column(2).MemoryBytes(),
+            100 * sizeof(uint16_t) + 2 * sizeof(uint64_t));
+  EXPECT_EQ(table->MemoryBytes(),
+            3 * 100 * sizeof(uint16_t) + 2 * sizeof(uint64_t));
   for (size_t c = 0; c < 3; ++c) {
     EXPECT_EQ(table->stats(0, c).null_count, c == 2 ? 1 : 0);
   }
@@ -166,10 +169,9 @@ TEST(ColumnVectorTest, FirstNullAnywhereReadsBackExactly) {
                               std::to_string(first);
       ColumnVector col = ColumnWithNullsAt(type, kRows, {first});
       ASSERT_EQ(col.size(), kRows) << ctx;
-      ASSERT_NE(col.nulls(), nullptr) << ctx;
+      ASSERT_TRUE(col.has_nulls()) << ctx;
       for (size_t i = 0; i < kRows; ++i) {
         EXPECT_EQ(col.IsNull(i), i == first) << ctx << " row " << i;
-        EXPECT_EQ(col.nulls()[i], i == first ? 1 : 0) << ctx << " row " << i;
         const Value v = col.ValueAt(i);
         if (i == first) {
           EXPECT_TRUE(v.is_null()) << ctx << " row " << i;
@@ -194,10 +196,10 @@ TEST(ColumnVectorTest, FirstNullInReservedColumnSealsExactly) {
   }
   auto table = builder.Finish();
   ASSERT_EQ(table->num_partitions(), 2u);
-  EXPECT_EQ(table->partition_metadata(0).column(0).nulls(), nullptr);
+  EXPECT_FALSE(table->partition_metadata(0).column(0).has_nulls());
   const ColumnVector& col = table->partition_metadata(1).column(0);
-  ASSERT_NE(col.nulls(), nullptr);
-  EXPECT_EQ(col.MemoryBytes(), 50 * sizeof(double) + 50);
+  ASSERT_TRUE(col.has_nulls());
+  EXPECT_EQ(col.MemoryBytes(), 50 * sizeof(double) + sizeof(uint64_t));
   for (size_t i = 0; i < 50; ++i) {
     EXPECT_EQ(col.IsNull(i), i == 27) << "row " << i;
     if (i != 27) EXPECT_EQ(col.Float64At(i), 50.0 + i);
@@ -207,7 +209,7 @@ TEST(ColumnVectorTest, FirstNullInReservedColumnSealsExactly) {
 TEST(ColumnVectorTest, AllNullColumnOfEveryType) {
   for (DataType type : kAllTypes) {
     ColumnVector col = ColumnWithNullsAt(type, 4, {0, 1, 2, 3});
-    ASSERT_NE(col.nulls(), nullptr) << ToString(type);
+    ASSERT_TRUE(col.has_nulls()) << ToString(type);
     for (size_t i = 0; i < 4; ++i) {
       EXPECT_TRUE(col.IsNull(i)) << ToString(type) << " row " << i;
       EXPECT_TRUE(col.ValueAt(i).is_null()) << ToString(type) << " row " << i;
@@ -271,7 +273,7 @@ TEST(FrameOfReferenceTest, NarrowsUpToARangeOf2To32Minus1) {
     const std::vector<std::optional<int64_t>> fits = {
         base + 5, base, base + (kTwoTo32 - 1), base + 1};
     MicroPartition narrow = SealedInts(fits);
-    EXPECT_TRUE(narrow.column(0).int64_narrowed()) << ctx;
+    EXPECT_EQ(narrow.column(0).layout(), ColumnLayout::kOffsets32) << ctx;
     EXPECT_EQ(narrow.column(0).MemoryBytes(), 4 * sizeof(uint32_t)) << ctx;
     ExpectIntsReadBack(narrow.column(0), fits, ctx);
     EXPECT_EQ(narrow.stats(0).min.int64_value(), base) << ctx;
@@ -281,7 +283,7 @@ TEST(FrameOfReferenceTest, NarrowsUpToARangeOf2To32Minus1) {
     const std::vector<std::optional<int64_t>> wider = {base + 5, base,
                                                        base + kTwoTo32};
     MicroPartition wide = SealedInts(wider);
-    EXPECT_FALSE(wide.column(0).int64_narrowed()) << ctx;
+    EXPECT_EQ(wide.column(0).layout(), ColumnLayout::kPlain) << ctx;
     EXPECT_EQ(wide.column(0).MemoryBytes(), 3 * sizeof(int64_t)) << ctx;
     ExpectIntsReadBack(wide.column(0), wider, ctx);
   }
@@ -291,7 +293,7 @@ TEST(FrameOfReferenceTest, Int64ExtremesInOnePartitionReadBackExactly) {
   const std::vector<std::optional<int64_t>> cells = {
       kInt64Max, kInt64Min, 0, std::nullopt, -1, kInt64Min + 1, kInt64Max - 1};
   MicroPartition part = SealedInts(cells);
-  EXPECT_FALSE(part.column(0).int64_narrowed());
+  EXPECT_EQ(part.column(0).layout(), ColumnLayout::kPlain);
   ExpectIntsReadBack(part.column(0), cells, "extremes");
   EXPECT_EQ(part.stats(0).min.int64_value(), kInt64Min);
   EXPECT_EQ(part.stats(0).max.int64_value(), kInt64Max);
@@ -306,21 +308,22 @@ TEST(FrameOfReferenceTest, NegativeBaseAndNullsReadBackExactly) {
       std::nullopt, base + 7, base, std::nullopt, base + 3'000'000'000};
   MicroPartition part = SealedInts(cells);
   const ColumnVector& col = part.column(0);
-  ASSERT_TRUE(col.int64_narrowed());
+  ASSERT_EQ(col.layout(), ColumnLayout::kOffsets32);
   ExpectIntsReadBack(col, cells, "negative base");
   EXPECT_EQ(col.Int64At(0), base);
   EXPECT_EQ(col.Int64At(3), base);
-  EXPECT_EQ(col.MemoryBytes(), 5 * sizeof(uint32_t) + 5);
+  EXPECT_EQ(col.MemoryBytes(), 5 * sizeof(uint32_t) + sizeof(uint64_t));
   EXPECT_EQ(part.stats(0).min.int64_value(), base);
   EXPECT_EQ(part.stats(0).null_count, 2);
 
   const std::vector<std::optional<int64_t>> all_null(3, std::nullopt);
   MicroPartition nulls = SealedInts(all_null);
-  ASSERT_TRUE(nulls.column(0).int64_narrowed());
+  ASSERT_EQ(nulls.column(0).layout(), ColumnLayout::kOffsets16);
   ExpectIntsReadBack(nulls.column(0), all_null, "all NULL");
   EXPECT_EQ(nulls.column(0).Int64At(1), 0);
   EXPECT_TRUE(nulls.stats(0).ToInterval().all_null);
-  EXPECT_EQ(nulls.column(0).MemoryBytes(), 3 * sizeof(uint32_t) + 3);
+  EXPECT_EQ(nulls.column(0).MemoryBytes(),
+            3 * sizeof(uint16_t) + sizeof(uint64_t));
 }
 
 /// Decoding never reads the zone map: dropping and backfilling stats
@@ -340,7 +343,9 @@ TEST(FrameOfReferenceTest, DropStatsAndBackfillLeaveValuesAndLayout) {
       const MicroPartition& part =
           table->partition_metadata(static_cast<PartitionId>(p));
       for (size_t c = 0; c < 2; ++c) {
-        EXPECT_EQ(part.column(c).int64_narrowed(), c == 0) << "column " << c;
+        EXPECT_EQ(part.column(c).layout(),
+                  c == 0 ? ColumnLayout::kOffsets16 : ColumnLayout::kPlain)
+            << "column " << c;
         for (size_t r = 0; r < part.column(c).size(); ++r) {
           cells.push_back(part.column(c).ValueAt(r));
         }
@@ -377,20 +382,253 @@ TEST(FrameOfReferenceTest, CopiedSealedPartitionResealsIdempotently) {
   const std::vector<std::optional<int64_t>> cells = {40, std::nullopt, -3,
                                                      kTwoTo32 - 4};
   MicroPartition part = SealedInts(cells);
-  ASSERT_TRUE(part.column(0).int64_narrowed());
+  ASSERT_EQ(part.column(0).layout(), ColumnLayout::kOffsets32);
   MicroPartition copy(1, part.columns());
-  EXPECT_TRUE(copy.column(0).int64_narrowed());
+  EXPECT_EQ(copy.column(0).layout(), ColumnLayout::kOffsets32);
   EXPECT_EQ(copy.column(0).MemoryBytes(), part.column(0).MemoryBytes());
   ExpectIntsReadBack(copy.column(0), cells, "copy");
   EXPECT_EQ(Value::Compare(copy.stats(0).min, part.stats(0).min), 0);
   EXPECT_EQ(Value::Compare(copy.stats(0).max, part.stats(0).max), 0);
 }
 
-/// The fact table of the scan_heavy benchmark (id, key, val, cat, ts; 500
-/// rows per partition, 1% NULL val, random key layout): every int64 column
-/// of every partition narrows, and the table holds at most 30.1 bytes per
-/// row (4 per int64, 8 + 1 mask byte for val, ~4 + 5 for cat).
-TEST(FrameOfReferenceTest, FactTableNarrowsEveryInt64Column) {
+/// One column of every layout Seal can pick, with NULLs at rows 0, 7, 8
+/// (either side of a bitmap byte), 63, 64 (either side of a bitmap word)
+/// and the last row.
+struct LayoutCase {
+  std::string name;
+  DataType type;
+  std::vector<Value> cells;  ///< Value::Null() for a NULL row.
+  ColumnLayout layout;
+};
+
+/// Row i's offset from the base in a column spanning `range`: 0 at row 1,
+/// `range` at row 2, in between elsewhere.
+int64_t IntOffset(size_t i, int64_t range) {
+  if (i == 1) return 0;
+  if (i == 2) return range;
+  return static_cast<int64_t>(i * 97) % range;
+}
+
+std::vector<LayoutCase> EveryLayout() {
+  auto make = [](std::string name, DataType type, size_t rows,
+                 ColumnLayout layout, auto value_of) {
+    LayoutCase c{std::move(name), type, {}, layout};
+    for (size_t i = 0; i < rows; ++i) {
+      const bool null = i == 0 || i == 7 || i == 8 || i == 63 || i == 64 ||
+                        i == rows - 1;
+      c.cells.push_back(null ? Value::Null() : value_of(i));
+    }
+    return c;
+  };
+  auto str = [](const char* prefix, size_t v) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%s%04zu", prefix, v);
+    return Value(std::string(buf));
+  };
+  const int64_t base = -(int64_t{1} << 40);
+  return {
+      // Ranges of exactly 2^16 - 1, 2^16 and 2^32, from row 1 to row 2.
+      make("int64 16-bit", DataType::kInt64, 600, ColumnLayout::kOffsets16,
+           [&](size_t i) { return Value(base + IntOffset(i, 65535)); }),
+      make("int64 32-bit", DataType::kInt64, 600, ColumnLayout::kOffsets32,
+           [&](size_t i) { return Value(base + IntOffset(i, 65536)); }),
+      make("int64 wide", DataType::kInt64, 600, ColumnLayout::kPlain,
+           [&](size_t i) {
+             return Value(base + IntOffset(i, int64_t{1} << 32));
+           }),
+      // 256 entries still take 8-bit codes; 257 take 16-bit ones.
+      make("string 8-bit codes", DataType::kString, 1000, ColumnLayout::kCodes8,
+           [&](size_t i) { return str("c", i % 256); }),
+      make("string 16-bit codes", DataType::kString, 1000,
+           ColumnLayout::kCodes16, [&](size_t i) { return str("c", i % 257); }),
+      // Every value distinct: a dictionary would not be smaller.
+      make("string plain", DataType::kString, 600, ColumnLayout::kPlain,
+           [&](size_t i) { return str("p", i); }),
+  };
+}
+
+MicroPartition SealedColumn(const LayoutCase& c) {
+  ColumnVector col(c.type);
+  for (const Value& v : c.cells) col.AppendValue(v);
+  std::vector<ColumnVector> cols;
+  cols.push_back(std::move(col));
+  return MicroPartition(0, std::move(cols));
+}
+
+/// The zone map the cells call for, computed over boxed Values.
+ColumnStats ExpectedStats(const std::vector<Value>& cells) {
+  ColumnStats s;
+  s.has_stats = true;
+  s.row_count = static_cast<int64_t>(cells.size());
+  for (const Value& v : cells) {
+    if (v.is_null()) {
+      ++s.null_count;
+    } else if (s.min.is_null()) {
+      s.min = s.max = v;
+    } else {
+      if (Value::Compare(v, s.min) < 0) s.min = v;
+      if (Value::Compare(v, s.max) > 0) s.max = v;
+    }
+  }
+  return s;
+}
+
+void ExpectSameStats(const ColumnStats& got, const ColumnStats& want,
+                     const std::string& ctx) {
+  EXPECT_EQ(got.has_stats, want.has_stats) << ctx;
+  EXPECT_EQ(got.row_count, want.row_count) << ctx;
+  EXPECT_EQ(got.null_count, want.null_count) << ctx;
+  EXPECT_TRUE(got.min == want.min) << ctx << " min " << got.min.ToString();
+  EXPECT_TRUE(got.max == want.max) << ctx << " max " << got.max.ToString();
+}
+
+/// Every cell reads back through ValueAt, IsNull, WithNullTest and the
+/// typed readers (Int64At and WithInt64s, or StringAt, WithStrings and
+/// WithStringMatches on both its paths), and the layout is the expected one.
+void ExpectLayoutReadsBack(const ColumnVector& col, const LayoutCase& c,
+                           const std::string& ctx) {
+  ASSERT_EQ(col.size(), c.cells.size()) << ctx;
+  EXPECT_EQ(col.layout(), c.layout) << ctx;
+  const size_t n = col.size();
+  std::vector<bool> nulls;
+  WithNullTest(col, [&](auto is_null) {
+    for (size_t r = 0; r < n; ++r) nulls.push_back(is_null(r));
+  });
+  std::vector<Value> typed(n);
+  if (c.type == DataType::kInt64) {
+    WithInt64s(col, [&](auto at) {
+      for (size_t r = 0; r < n; ++r) typed[r] = Value(at(r));
+    });
+  } else {
+    WithStrings(col, [&](auto at) {
+      for (size_t r = 0; r < n; ++r) typed[r] = Value(std::string(at(r)));
+    });
+  }
+  // "Ends in an odd digit", per dictionary entry and per row (a NULL row
+  // asks about its slot too).
+  auto odd = [](std::string_view s) {
+    return !s.empty() && (s.back() - '0') % 2 == 1;
+  };
+  std::vector<bool> per_entry, per_row;
+  if (c.type == DataType::kString) {
+    WithStringMatches(col, n, odd, [&](auto match_at) {
+      for (size_t r = 0; r < n; ++r) per_entry.push_back(match_at(r));
+    });
+    WithStringMatches(col, 1, odd, [&](auto match_at) {
+      for (size_t r = 0; r < n; ++r) per_row.push_back(match_at(r));
+    });
+  }
+  for (size_t r = 0; r < n; ++r) {
+    const Value& want = c.cells[r];
+    const std::string at = ctx + " row " + std::to_string(r);
+    EXPECT_EQ(col.IsNull(r), want.is_null()) << at;
+    EXPECT_EQ(nulls[r], want.is_null()) << at;
+    EXPECT_TRUE(col.ValueAt(r) == want) << at;
+    if (want.is_null()) continue;
+    EXPECT_TRUE(typed[r] == want) << at;
+    if (c.type == DataType::kInt64) {
+      EXPECT_EQ(col.Int64At(r), want.int64_value()) << at;
+    } else {
+      EXPECT_EQ(col.StringAt(r), want.string_value()) << at;
+      EXPECT_EQ(per_entry[r], odd(want.string_value())) << at;
+      EXPECT_EQ(per_row[r], odd(want.string_value())) << at;
+    }
+  }
+}
+
+/// Each layout reads back exactly, with the zone map its cells call for,
+/// when sealed, sealed a second time, copied into a new partition (the
+/// INSERT and UPDATE copy paths) and after its stats are dropped and
+/// backfilled; none of these changes the layout, the bytes or the zone map.
+TEST(ColumnLayoutTest, EveryLayoutReadsBackThroughEveryPath) {
+  for (const LayoutCase& c : EveryLayout()) {
+    MicroPartition part = SealedColumn(c);
+    const ColumnVector& col = part.column(0);
+    ExpectLayoutReadsBack(col, c, c.name);
+    const ColumnStats want = ExpectedStats(c.cells);
+    ExpectSameStats(part.stats(0), want, c.name);
+    ExpectSameStats(col.ComputeStats(), want, c.name + " recomputed");
+    const size_t bytes = col.MemoryBytes();
+
+    ColumnVector twice = col;
+    ColumnVector::Replaced replaced;
+    ExpectSameStats(twice.Seal(&replaced), want, c.name + " sealed twice");
+    ExpectLayoutReadsBack(twice, c, c.name + " sealed twice");
+    EXPECT_EQ(twice.MemoryBytes(), bytes) << c.name;
+
+    MicroPartition copy(1, part.columns());
+    ExpectLayoutReadsBack(copy.column(0), c, c.name + " copied");
+    ExpectSameStats(copy.stats(0), want, c.name + " copied");
+    EXPECT_EQ(copy.MemoryBytes(), bytes) << c.name;
+
+    Table table("t", Schema({Field{"x", c.type, true}}));
+    table.AppendPartition(SealedColumn(c));
+    ASSERT_EQ(table.DropStatsOnFraction(1.0, 7), 1u);
+    EXPECT_FALSE(table.stats(0, 0).has_stats);
+    ASSERT_EQ(table.BackfillMissingStats(), 1u);
+    ExpectSameStats(table.stats(0, 0), want, c.name + " backfilled");
+    ExpectLayoutReadsBack(table.partition_metadata(0).column(0), c,
+                          c.name + " backfilled");
+    EXPECT_EQ(table.MemoryBytes(), bytes) << c.name;
+  }
+}
+
+/// Exact bytes of each string layout: the dictionary's entries (offsets and
+/// bytes) plus one code per row, chosen only when smaller than the plain
+/// offsets and arena, which the plain fallback keeps exactly. Each bitmap
+/// is one bit per row in 64-bit words.
+TEST(ColumnLayoutTest, StringLayoutsHoldExactBytes) {
+  const std::vector<LayoutCase> cases = EveryLayout();
+  const size_t bitmap = (1000 + 63) / 64 * sizeof(uint64_t);
+  // 256 entries of 5 bytes, 1000 one-byte codes.
+  EXPECT_EQ(SealedColumn(cases[3]).MemoryBytes(),
+            257 * sizeof(uint32_t) + 256 * 5 + 1000 + bitmap);
+  // 257 entries of 5 bytes, 1000 two-byte codes.
+  EXPECT_EQ(SealedColumn(cases[4]).MemoryBytes(),
+            258 * sizeof(uint32_t) + 257 * 5 + 1000 * sizeof(uint16_t) +
+                bitmap);
+  // 594 non-NULL cells of 5 bytes and 601 offsets.
+  EXPECT_EQ(SealedColumn(cases[5]).MemoryBytes(),
+            601 * sizeof(uint32_t) + 594 * 5 + (600 + 63) / 64 * 8);
+}
+
+/// A dictionary is kept only when it is smaller than the plain layout, so
+/// sealing never grows a column: two distinct values over two rows stay
+/// plain, and so does an all-NULL column, which has no entry for its NULL
+/// slots to hold.
+TEST(ColumnLayoutTest, SealingNeverGrowsAStringColumn) {
+  auto seal = [](ColumnVector col) {
+    std::vector<ColumnVector> cols;
+    cols.push_back(std::move(col));
+    return MicroPartition(0, std::move(cols));
+  };
+  ColumnVector two(DataType::kString);
+  two.AppendString("x");
+  two.AppendString("y");
+  ColumnVector all_null(DataType::kString);
+  for (int i = 0; i < 100; ++i) all_null.AppendNull();
+  ColumnVector repeated(DataType::kString);
+  for (int i = 0; i < 3; ++i) repeated.AppendString("same");
+
+  MicroPartition plain = seal(std::move(two));
+  EXPECT_EQ(plain.column(0).layout(), ColumnLayout::kPlain);
+  EXPECT_EQ(plain.column(0).MemoryBytes(), 3 * sizeof(uint32_t) + 2);
+  MicroPartition nulls = seal(std::move(all_null));
+  EXPECT_EQ(nulls.column(0).layout(), ColumnLayout::kPlain);
+  EXPECT_TRUE(nulls.stats(0).ToInterval().all_null);
+  // 16 plain bytes (4 offsets, 12 arena) against 8 + 4 + 3 coded.
+  MicroPartition coded = seal(std::move(repeated));
+  EXPECT_EQ(coded.column(0).layout(), ColumnLayout::kCodes8);
+  EXPECT_EQ(coded.column(0).MemoryBytes(), 2 * sizeof(uint32_t) + 4 + 3);
+  EXPECT_EQ(coded.column(0).StringAt(2), "same");
+}
+
+/// Footprint guard: the fact table of the scan_heavy benchmark (id, key,
+/// val, cat, ts; 500 rows per partition, 1% NULL val, random key layout)
+/// takes the expected layout in every partition (id and ts span 499, key up
+/// to 1M, cat ~180 distinct values) and exactly the measured bytes, so a
+/// layout regression fails here and not only in the benchmark.
+TEST(ColumnLayoutTest, FactTableFootprintIsPinned) {
   workload::TableGenConfig cfg;
   cfg.name = "fact";
   cfg.layout = workload::Layout::kRandom;
@@ -398,18 +636,22 @@ TEST(FrameOfReferenceTest, FactTableNarrowsEveryInt64Column) {
   cfg.rows_per_partition = 500;
   cfg.null_fraction = 0.01;
   auto table = workload::SyntheticTable(cfg);
+  const ColumnLayout expected[] = {
+      ColumnLayout::kOffsets16, ColumnLayout::kOffsets32, ColumnLayout::kPlain,
+      ColumnLayout::kCodes8, ColumnLayout::kOffsets16};
   for (size_t p = 0; p < table->num_partitions(); ++p) {
     const MicroPartition& part =
         table->partition_metadata(static_cast<PartitionId>(p));
+    ASSERT_EQ(part.num_columns(), 5u);
     for (size_t c = 0; c < part.num_columns(); ++c) {
-      if (part.column(c).type() != DataType::kInt64) continue;
-      EXPECT_TRUE(part.column(c).int64_narrowed())
+      EXPECT_EQ(part.column(c).layout(), expected[c])
           << "partition " << p << " column " << c;
     }
   }
-  const double bytes_per_row = static_cast<double>(table->MemoryBytes()) /
-                               static_cast<double>(table->num_rows());
-  EXPECT_LE(bytes_per_row, 30.1);
+  // 20.35 bytes per row: 2 each for id and ts, 4 for key, 8 plus a bit
+  // for val, ~4.2 for cat's codes and dictionary.
+  ASSERT_EQ(table->num_rows(), 32000);
+  EXPECT_EQ(table->MemoryBytes(), 651105u);
 }
 
 TEST(TableBuilderTest, CutsPartitionsAtTarget) {
@@ -477,10 +719,10 @@ TEST(TableBuilderTest, RejectedRowLeavesColumnsAligned) {
   EXPECT_EQ(table->stats(0, 0).max.int64_value(), 3);
   // Only column 1 saw a NULL; the others hold no mask, and their rows
   // still read back valid.
-  ASSERT_NE(part.column(1).nulls(), nullptr);
+  ASSERT_TRUE(part.column(1).has_nulls());
   EXPECT_FALSE(part.column(1).IsNull(0));
   for (size_t c : {size_t{0}, size_t{2}, size_t{3}}) {
-    EXPECT_EQ(part.column(c).nulls(), nullptr) << "column " << c;
+    EXPECT_FALSE(part.column(c).has_nulls()) << "column " << c;
     EXPECT_FALSE(part.column(c).IsNull(0)) << "column " << c;
     EXPECT_FALSE(part.column(c).IsNull(1)) << "column " << c;
   }
@@ -561,7 +803,7 @@ TEST(TableTest, DropAndBackfillKeepNullAnswersAndMasks) {
       const MicroPartition& part =
           table->partition_metadata(static_cast<PartitionId>(p));
       for (const ColumnVector& col : part.columns()) {
-        std::vector<int> a = {col.nulls() == nullptr ? -1 : 1};
+        std::vector<int> a = {col.has_nulls() ? 1 : -1};
         for (size_t r = 0; r < col.size(); ++r) a.push_back(col.IsNull(r));
         answers.push_back(std::move(a));
       }
@@ -569,11 +811,11 @@ TEST(TableTest, DropAndBackfillKeepNullAnswersAndMasks) {
     return answers;
   };
   const auto before = snapshot();
-  EXPECT_EQ(table->partition_metadata(0).column(1).nulls(), nullptr);
-  EXPECT_NE(table->partition_metadata(1).column(1).nulls(), nullptr);
-  EXPECT_NE(table->partition_metadata(2).column(1).nulls(), nullptr);
-  EXPECT_EQ(table->partition_metadata(2).column(2).nulls(), nullptr);
-  EXPECT_NE(table->partition_metadata(4).column(2).nulls(), nullptr);
+  EXPECT_FALSE(table->partition_metadata(0).column(1).has_nulls());
+  EXPECT_TRUE(table->partition_metadata(1).column(1).has_nulls());
+  EXPECT_TRUE(table->partition_metadata(2).column(1).has_nulls());
+  EXPECT_FALSE(table->partition_metadata(2).column(2).has_nulls());
+  EXPECT_TRUE(table->partition_metadata(4).column(2).has_nulls());
 
   ASSERT_EQ(table->DropStatsOnFraction(1.0, /*seed=*/1), 5u);
   EXPECT_EQ(snapshot(), before);
@@ -582,8 +824,8 @@ TEST(TableTest, DropAndBackfillKeepNullAnswersAndMasks) {
   for (size_t p = 0; p < table->num_partitions(); ++p) {
     const auto pid = static_cast<PartitionId>(p);
     for (size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(table->partition_metadata(pid).column(c).nulls() == nullptr,
-                table->stats(pid, c).null_count == 0)
+      EXPECT_EQ(table->partition_metadata(pid).column(c).has_nulls(),
+                table->stats(pid, c).null_count != 0)
           << "partition " << p << " column " << c;
     }
   }
