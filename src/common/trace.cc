@@ -119,9 +119,7 @@ void Trace::MergeChildTrace(Trace* child, uint32_t parent_id) {
   }
   child->spans_.clear();
   stage_tasks_.fetch_add(child->stage_tasks(), std::memory_order_relaxed);
-  barrier_tasks_.fetch_add(child->barrier_tasks(), std::memory_order_relaxed);
   child->stage_tasks_.store(0, std::memory_order_relaxed);
-  child->barrier_tasks_.store(0, std::memory_order_relaxed);
 }
 
 int64_t Trace::EpochNs() const {
@@ -137,8 +135,7 @@ int64_t Trace::EpochNs() const {
 std::string Trace::ToJson() const {
   const int64_t epoch = EpochNs();
   std::ostringstream out;
-  out << "{\"stage_tasks\":" << stage_tasks()
-      << ",\"barrier_tasks\":" << barrier_tasks() << ",\"spans\":[";
+  out << "{\"stage_tasks\":" << stage_tasks() << ",\"spans\":[";
   for (size_t i = 0; i < spans_.size(); ++i) {
     const TraceSpan& span = spans_[i];
     if (i > 0) out << ',';

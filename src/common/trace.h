@@ -25,9 +25,9 @@ namespace snowprune {
 ///    consumer merges the buffer when it receives the morsel, re-basing
 ///    span ids and parents. The scheduler's existing hand-off
 ///    synchronization is the only ordering needed.
-///  - The sole cross-thread members are the per-query stage/barrier task
-///    counters (relaxed atomics) — the query-scoped version of the
-///    process-wide PipelineCounters.
+///  - The sole cross-thread member is the per-query stage-task counter (a
+///    relaxed atomic) — the query-scoped version of the process-wide
+///    PipelineCounters.
 ///
 /// Timestamps are absolute steady-clock nanoseconds (one clock per
 /// process), so spans recorded by shard slice scans or pool workers align
@@ -88,22 +88,16 @@ class Trace {
   void MergeBuffer(SpanBuffer* buffer, uint32_t parent_id);
   /// Splices a completed child trace (e.g. one shard's slice scan) under
   /// `parent_id`. Timestamps need no adjustment — same process clock. The
-  /// child's stage/barrier counters are folded in too.
+  /// child's stage-task counter is folded in too.
   void MergeChildTrace(Trace* child, uint32_t parent_id);
 
   const std::vector<TraceSpan>& spans() const { return spans_; }
 
-  /// Per-query pipeline-task counters — the only Trace members workers
-  /// update (relaxed; they count, they order nothing).
+  /// Per-query pipeline stage-task counter — the only Trace member workers
+  /// update (relaxed; it counts, it orders nothing).
   void IncStageTasks() { stage_tasks_.fetch_add(1, std::memory_order_relaxed); }
-  void IncBarrierTasks(int64_t n) {
-    barrier_tasks_.fetch_add(n, std::memory_order_relaxed);
-  }
   int64_t stage_tasks() const {
     return stage_tasks_.load(std::memory_order_relaxed);
-  }
-  int64_t barrier_tasks() const {
-    return barrier_tasks_.load(std::memory_order_relaxed);
   }
 
   /// Earliest span start, or 0 for an empty trace — the render epoch.
@@ -116,7 +110,6 @@ class Trace {
  private:
   std::vector<TraceSpan> spans_;
   std::atomic<int64_t> stage_tasks_{0};
-  std::atomic<int64_t> barrier_tasks_{0};
 };
 
 /// RAII span over a possibly-null trace: with `trace == nullptr` the whole

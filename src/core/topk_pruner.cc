@@ -75,8 +75,9 @@ ScanSet TopKPruner::Prepare(const Table& table, const ScanSet& scan_set,
   // Through a GROUP BY (Figure 7d, the only shape that turns inclusive
   // updates off) the heap holds groups, not rows: k rows sharing one key
   // are one group, so only distinct key values count toward k.
+  // k = 0 keeps no row, so no partition can bound one.
   const bool counts_groups = !config_.inclusive_updates;
-  if (config_.boundary_init != BoundaryInitMode::kNone &&
+  if (config_.k > 0 && config_.boundary_init != BoundaryInitMode::kNone &&
       !fully_matching.empty()) {
     // Candidate A: k-th strictest max (DESC) / min (ASC) over fully-matching
     // partitions — each of the k partitions contributes at least one row at

@@ -314,7 +314,7 @@ Row HashAggregateOp::Finalize(const GroupState& state) const {
 }
 
 void HashAggregateOp::PublishGroupBoundary() {
-  if (pruner_ == nullptr ||
+  if (pruner_ == nullptr || group_limit_k_ <= 0 ||
       static_cast<int64_t>(groups_.size()) < group_limit_k_) {
     return;
   }

@@ -71,9 +71,10 @@ bool ExprDeeperThan(const Expr& expr, size_t limit) {
 /// (shared by two parents, or its own descendant) is refused, as is a node
 /// missing an input (a unary node without `child`, a join without `left`
 /// or `right`). So is an expression deeper than Engine::kMaxExprDepth:
-/// binding, analysis and evaluation recurse once per level. Unless `out` is
-/// null (an injected snapshot), the walk also snapshots every table a scan
-/// names; missing tables are left out and the scan compile reports NotFound.
+/// binding, analysis and evaluation recurse once per level. So is a
+/// negative LIMIT or top-k count or offset. Unless `out` is null (an
+/// injected snapshot), the walk also snapshots every table a scan names;
+/// missing tables are left out and the scan compile reports NotFound.
 Status WalkPlan(const Catalog& catalog, const PlanPtr& plan,
                 std::set<const PlanNode*>* seen, TableSnapshot* out) {
   if (!plan) return Status::OK();
@@ -89,6 +90,9 @@ Status WalkPlan(const Catalog& catalog, const PlanPtr& plan,
     return Status::InvalidArgument(
         "expression deeper than " + std::to_string(Engine::kMaxExprDepth) +
         " levels");
+  }
+  if (plan->limit_k < 0 || plan->limit_offset < 0) {
+    return Status::InvalidArgument("negative LIMIT count or offset");
   }
   const bool is_join = plan->kind == PlanNode::Kind::kJoin;
   if (plan->kind != PlanNode::Kind::kScan &&
@@ -1034,7 +1038,6 @@ Result<QueryResult> Engine::Execute(const PlanPtr& plan,
   if (profile != nullptr) {
     profile->root = root->profile();
     profile->stage_tasks = opts.trace->stage_tasks();
-    profile->barrier_tasks = opts.trace->barrier_tasks();
     result.profile = profile;
     for (const auto& [node, info] : ctx.scans) {
       info.source->profile()->pruning = info.source->ledger();

@@ -1,18 +1,11 @@
 #include "exec/join_op.h"
 
-#include <algorithm>
-
 #include "common/trace.h"
-#include "exec/parallel/pipeline.h"
 #include "exec/profile.h"
 
 namespace snowprune {
 
 namespace {
-
-/// Entry counts below this build serially: the two O(n) passes are cheaper
-/// than any fan-out for small builds.
-constexpr size_t kParallelTableBuildMin = 1u << 15;
 
 size_t NextPow2(size_t n) {
   size_t p = 1;
@@ -32,7 +25,13 @@ void JoinHashTable::Clear() {
   slots_.clear();
 }
 
-void JoinHashTable::BuildSerial(const std::vector<Entry>& entries) {
+void JoinHashTable::Build(std::vector<Entry> entries) {
+  Clear();
+  if (entries.empty()) return;
+  const size_t num_buckets = NextPow2(entries.size());
+  mask_ = num_buckets - 1;
+  offsets_.assign(num_buckets + 1, 0);
+  slots_.resize(entries.size());
   // Two-pass counting sort by bucket; iterating in build order makes each
   // bucket's slice ascend in insertion order.
   for (const Entry& e : entries) {
@@ -42,119 +41,6 @@ void JoinHashTable::BuildSerial(const std::vector<Entry>& entries) {
   std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (const Entry& e : entries) {
     slots_[cursor[static_cast<size_t>(e.hash) & mask_]++] = e;
-  }
-}
-
-void JoinHashTable::BuildParallel(const std::vector<Entry>& entries,
-                                  ThreadPool* pool, size_t window,
-                                  const std::atomic<bool>* cancel,
-                                  Trace* trace) {
-  // Partitioned stable counting sort. The bucket index's HIGH bits pick one
-  // of kParts contiguous bucket ranges, so grouping by partition first and
-  // by bucket second (phase C) yields exactly the serial layout. Stability
-  // holds throughout: chunks are contiguous slices in build order, per-
-  // (chunk, partition) regions are filled in chunk order, and phase C's
-  // counting scatter preserves the staging order within each bucket.
-  constexpr size_t kParts = 256;
-  const size_t num_buckets = mask_ + 1;
-  const size_t part_shift =
-      num_buckets > kParts ? __builtin_ctzll(num_buckets / kParts) : 0;
-  const size_t parts = std::min(kParts, num_buckets);
-  const size_t num_chunks =
-      std::min<size_t>(pool->num_threads() * 2, entries.size());
-  const size_t chunk_len = (entries.size() + num_chunks - 1) / num_chunks;
-  auto part_of = [&](const Entry& e) {
-    return (static_cast<size_t>(e.hash) & mask_) >> part_shift;
-  };
-
-  // Phase A: per-chunk partition histograms.
-  std::vector<std::vector<uint32_t>> hist(num_chunks);
-  ParallelFor(
-      pool, num_chunks, window,
-      [&](size_t c) {
-        auto& h = hist[c];
-        h.assign(parts, 0);
-        const size_t lo = c * chunk_len;
-        const size_t hi = std::min(entries.size(), lo + chunk_len);
-        for (size_t i = lo; i < hi; ++i) ++h[part_of(entries[i])];
-      },
-      cancel, trace);
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
-
-  // Per-(chunk, partition) write cursors: partitions laid out in order,
-  // chunks in order within each partition.
-  std::vector<uint32_t> part_base(parts + 1, 0);
-  {
-    uint32_t sum = 0;
-    for (size_t p = 0; p < parts; ++p) {
-      part_base[p] = sum;
-      for (size_t c = 0; c < num_chunks; ++c) {
-        const uint32_t count = hist[c][p];
-        hist[c][p] = sum;  // becomes this chunk's cursor for partition p
-        sum += count;
-      }
-    }
-    part_base[parts] = sum;
-  }
-
-  // Phase B: scatter into staging, grouped by partition, stable.
-  std::vector<Entry> staging(entries.size());
-  ParallelFor(
-      pool, num_chunks, window,
-      [&](size_t c) {
-        auto& cursor = hist[c];
-        const size_t lo = c * chunk_len;
-        const size_t hi = std::min(entries.size(), lo + chunk_len);
-        for (size_t i = lo; i < hi; ++i) {
-          staging[cursor[part_of(entries[i])]++] = entries[i];
-        }
-      },
-      cancel, trace);
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
-
-  // Phase C: per partition, counting-sort its staging slice by bucket into
-  // the final slots and publish its (disjoint) range of bucket offsets.
-  const size_t buckets_per_part = num_buckets / parts;
-  ParallelFor(
-      pool, parts, window,
-      [&](size_t p) {
-        const uint32_t lo = part_base[p];
-        const uint32_t hi = part_base[p + 1];
-        const size_t first_bucket = p * buckets_per_part;
-        std::vector<uint32_t> counts(buckets_per_part, 0);
-        for (uint32_t i = lo; i < hi; ++i) {
-          ++counts[(static_cast<size_t>(staging[i].hash) & mask_) -
-                   first_bucket];
-        }
-        uint32_t sum = lo;
-        for (size_t b = 0; b < buckets_per_part; ++b) {
-          offsets_[first_bucket + b] = sum;
-          sum += counts[b];
-          counts[b] = offsets_[first_bucket + b];  // becomes the cursor
-        }
-        for (uint32_t i = lo; i < hi; ++i) {
-          slots_[counts[(static_cast<size_t>(staging[i].hash) & mask_) -
-                        first_bucket]++] = staging[i];
-        }
-      },
-      cancel, trace);
-  offsets_[num_buckets] = static_cast<uint32_t>(entries.size());
-}
-
-void JoinHashTable::Build(std::vector<Entry> entries, ThreadPool* pool,
-                          size_t window, const std::atomic<bool>* cancel,
-                          Trace* trace) {
-  Clear();
-  if (entries.empty()) return;
-  const size_t num_buckets = NextPow2(entries.size());
-  mask_ = num_buckets - 1;
-  offsets_.assign(num_buckets + 1, 0);
-  slots_.resize(entries.size());
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      entries.size() >= kParallelTableBuildMin && num_buckets >= 256) {
-    BuildParallel(entries, pool, window, cancel, trace);
-  } else {
-    BuildSerial(entries);
   }
 }
 
@@ -212,9 +98,7 @@ void HashJoinOp::Open() {
   // is constructed once from flat (hash, entry) pairs collected in build
   // order, so serial and parallel builds produce the same structure.
   auto* build_scan = dynamic_cast<TableScanOp*>(build_.get());
-  const bool parallel_build =
-      build_scan != nullptr && build_scan->parallel_enabled();
-  if (parallel_build) {
+  if (build_scan != nullptr && build_scan->parallel_enabled()) {
     // Per-worker build stage: hash each partition's key cells and collect
     // a summary partial while the morsel is still on the worker — the
     // consumer is left with the merge (append partials in scan-set order)
@@ -296,11 +180,7 @@ void HashJoinOp::Open() {
   build_->Close();
   build_matched_.assign(BuildSize(), false);
   build_span.AnnotateInt("build_rows", static_cast<int64_t>(BuildSize()));
-  hash_table_.Build(std::move(entries),
-                    parallel_build ? build_scan->pool() : nullptr,
-                    parallel_build ? build_scan->morsel_window() : 0,
-                    parallel_build ? build_scan->cancel_flag() : nullptr,
-                    trace_);
+  hash_table_.Build(std::move(entries));
 
   // --- Ship the summary to the probe side (§6.1 steps 2-4).
   if (enable_partition_pruning_ && probe_scan_ != nullptr) {

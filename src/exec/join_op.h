@@ -1,7 +1,6 @@
 #ifndef SNOWPRUNE_EXEC_JOIN_OP_H_
 #define SNOWPRUNE_EXEC_JOIN_OP_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -23,9 +22,7 @@ namespace snowprune {
 ///     is an implementation accident; deterministic structure is what lets
 ///     the parallel build stay byte-identical to serial.)
 ///   - *Build-once construction*: the input is a flat entry vector, so
-///     construction is a two-pass counting sort — O(n), allocator-quiet,
-///     and parallelizable (partitioned by the bucket index's high bits)
-///     without changing the result.
+///     construction is a two-pass counting sort — O(n) and allocator-quiet.
 class JoinHashTable {
  public:
   struct Entry {
@@ -33,16 +30,8 @@ class JoinHashTable {
     uint64_t index;  ///< Build-order ordinal (row locator) of the entry.
   };
 
-  /// Builds from `entries` listed in build order. With a non-null `pool`
-  /// and a large input, construction fans out through ParallelFor under
-  /// `window` (the owning query's morsel budget); the resulting layout is
-  /// byte-identical to the serial construction. `cancel` aborts the fan-out
-  /// early (the table is then unusable, but the query is being torn down).
-  /// `trace`, when set, receives the fan-out's per-query barrier-task
-  /// counts.
-  void Build(std::vector<Entry> entries, ThreadPool* pool = nullptr,
-             size_t window = 0, const std::atomic<bool>* cancel = nullptr,
-             Trace* trace = nullptr);
+  /// Builds from `entries` listed in build order.
+  void Build(std::vector<Entry> entries);
 
   void Clear();
 
@@ -61,11 +50,6 @@ class JoinHashTable {
   }
 
  private:
-  void BuildSerial(const std::vector<Entry>& entries);
-  void BuildParallel(const std::vector<Entry>& entries, ThreadPool* pool,
-                     size_t window, const std::atomic<bool>* cancel,
-                     Trace* trace);
-
   size_t mask_ = 0;
   /// offsets_[b] .. offsets_[b+1] is bucket b's slice of slots_.
   std::vector<uint32_t> offsets_;
@@ -105,7 +89,7 @@ const char* ToString(JoinKind kind);
 /// alongside the scan itself; the consumer merges partials in scan-set
 /// order (so the BuildSummary — and the §6 pruning it drives — is
 /// byte-identical to serial) and constructs the deterministic hash table
-/// from the flat pairs, itself fanned out when large.
+/// from the flat pairs.
 class HashJoinOp : public Operator {
  public:
   /// `enable_partition_pruning` turns §6 summary pruning of the probe scan

@@ -183,34 +183,6 @@ void MergeSortedRunsFor(DataType type, const std::vector<ColumnBatch>& batches,
 
 }  // namespace
 
-FilterOp::FilterOp(OperatorPtr input, ExprPtr predicate)
-    : input_(std::move(input)), predicate_(std::move(predicate)) {}
-
-bool FilterOp::Next(Batch* out) {
-  if (profile_ == nullptr) return NextInner(out);
-  return ProfiledNext(
-      profile_, [&] { return NextInner(out); },
-      [&] { return static_cast<int64_t>(out->rows.size()); });
-}
-
-bool FilterOp::NextInner(Batch* out) {
-  Batch in;
-  while (input_->Next(&in)) {
-    out->rows.clear();
-    out->source.clear();
-    const bool track = in.has_source();
-    for (size_t i = 0; i < in.rows.size(); ++i) {
-      auto keep = EvalPredicate(*predicate_, in.rows[i]);
-      if (keep.has_value() && *keep) {
-        out->rows.push_back(std::move(in.rows[i]));
-        if (track) out->source.push_back(in.source[i]);
-      }
-    }
-    return true;  // preserve batch boundaries (partition granularity)
-  }
-  return false;
-}
-
 ProjectOp::ProjectOp(OperatorPtr input, std::vector<ExprPtr> exprs,
                      std::vector<std::string> names)
     : input_(std::move(input)), exprs_(std::move(exprs)) {

@@ -10,26 +10,6 @@
 
 namespace snowprune {
 
-/// Row-level filter (a WHERE clause not merged into the scan, e.g. between
-/// a join and a TopK operator — Figure 7a).
-class FilterOp : public Operator {
- public:
-  FilterOp(OperatorPtr input, ExprPtr predicate);
-
-  void Open() override { input_->Open(); }
-  bool Next(Batch* out) override;
-  void Close() override { input_->Close(); }
-  const Schema& output_schema() const override {
-    return input_->output_schema();
-  }
-
- private:
-  bool NextInner(Batch* out);
-
-  OperatorPtr input_;
-  ExprPtr predicate_;
-};
-
 /// Computes one output column per expression.
 class ProjectOp : public Operator {
  public:

@@ -1,79 +1,25 @@
 #include "exec/parallel/pipeline.h"
 
-#include <algorithm>
+#include <atomic>
 
 #include "common/metrics.h"
-#include "common/mutex.h"
-#include "common/trace.h"
 
 namespace snowprune {
 
 namespace {
 
 std::atomic<int64_t> g_stage_tasks{0};
-std::atomic<int64_t> g_barrier_tasks{0};
 
-// The process-wide counters double as registry gauges (the per-query view
-// lives on each traced query's Trace). Callback targets are these
-// namespace-scope atomics — immortal, so the registry's lifetime rule
-// holds trivially.
+// The process-wide counter doubles as a registry gauge (the per-query view
+// lives on each traced query's Trace). The callback target is this
+// namespace-scope atomic — immortal, so the registry's lifetime rule holds
+// trivially.
 [[maybe_unused]] const bool g_pipeline_gauges_registered = [] {
   MetricsRegistry::Instance().RegisterCallbackGauge(
       "pipeline.stage_tasks",
       [] { return g_stage_tasks.load(std::memory_order_relaxed); });
-  MetricsRegistry::Instance().RegisterCallbackGauge(
-      "pipeline.barrier_tasks",
-      [] { return g_barrier_tasks.load(std::memory_order_relaxed); });
   return true;
 }();
-
-/// Shared control block of one ParallelFor call; lives on the caller's
-/// stack — safe because the caller blocks until outstanding_ drains to
-/// zero, and workers' last touch happens under the mutex. All scheduling
-/// state is SNOW_GUARDED_BY(mutex); `fn` / `cancel` / bounds are immutable.
-struct ForCtl {
-  ForCtl(ThreadPool* pool, const std::function<void(size_t)>& fn,
-         const std::atomic<bool>* cancel, size_t num_tasks, size_t window)
-      : pool(pool), fn(fn), cancel(cancel), num_tasks(num_tasks),
-        window(window) {}
-
-  ThreadPool* pool;
-  const std::function<void(size_t)>& fn;
-  const std::atomic<bool>* cancel;
-  const size_t num_tasks;
-  const size_t window;
-
-  Mutex mutex;
-  CondVar done;
-  size_t next SNOW_GUARDED_BY(mutex) = 0;         ///< Next index to submit.
-  size_t outstanding SNOW_GUARDED_BY(mutex) = 0;  ///< Submitted, unfinished.
-  size_t ran SNOW_GUARDED_BY(mutex) = 0;
-
-  bool Cancelled() const {
-    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
-  }
-
-  /// Submits tasks while the window allows.
-  void ScheduleLocked() SNOW_REQUIRES(mutex) {
-    while (!Cancelled() && next < num_tasks && outstanding < window) {
-      const size_t index = next++;
-      ++outstanding;
-      pool->Submit([this, index] { Run(index); });
-    }
-  }
-
-  void Run(size_t index) SNOW_EXCLUDES(mutex) {
-    const bool skip = Cancelled();
-    if (!skip) fn(index);
-    MutexLock lock(&mutex);
-    if (!skip) ++ran;
-    --outstanding;
-    ScheduleLocked();
-    // Last touch under the mutex: once outstanding hits 0 the caller may
-    // unwind the stack this control block lives on.
-    done.NotifyAll();
-  }
-};
 
 }  // namespace
 
@@ -81,39 +27,8 @@ int64_t PipelineCounters::stage_tasks() {
   return g_stage_tasks.load(std::memory_order_relaxed);
 }
 
-int64_t PipelineCounters::barrier_tasks() {
-  return g_barrier_tasks.load(std::memory_order_relaxed);
-}
-
 void PipelineCounters::IncStageTasks() {
   g_stage_tasks.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PipelineCounters::IncBarrierTasks(int64_t n) {
-  g_barrier_tasks.fetch_add(n, std::memory_order_relaxed);
-}
-
-size_t ParallelFor(ThreadPool* pool, size_t num_tasks, size_t window,
-                   const std::function<void(size_t)>& fn,
-                   const std::atomic<bool>* cancel, Trace* trace) {
-  if (num_tasks == 0 || pool == nullptr) return 0;
-  if (window == 0) window = pool->num_threads();
-  window = std::max<size_t>(1, window);
-
-  ForCtl ctl(pool, fn, cancel, num_tasks, window);
-  size_t ran = 0;
-  {
-    MutexLock lock(&ctl.mutex);
-    ctl.ScheduleLocked();
-    while (ctl.outstanding != 0 ||
-           (ctl.next != ctl.num_tasks && !ctl.Cancelled())) {
-      ctl.done.Wait(&ctl.mutex);
-    }
-    ran = ctl.ran;
-  }
-  PipelineCounters::IncBarrierTasks(static_cast<int64_t>(ran));
-  if (trace != nullptr) trace->IncBarrierTasks(static_cast<int64_t>(ran));
-  return ran;
 }
 
 }  // namespace snowprune

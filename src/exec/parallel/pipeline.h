@@ -1,64 +1,25 @@
 #ifndef SNOWPRUNE_EXEC_PARALLEL_PIPELINE_H_
 #define SNOWPRUNE_EXEC_PARALLEL_PIPELINE_H_
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <functional>
-
-#include "exec/parallel/thread_pool.h"
 
 namespace snowprune {
 
-class Trace;
-
 /// Process-wide observability for the task-pipeline layer (the morsel
-/// executor generalized beyond scans). Two kinds of parallel work exist:
+/// executor generalized beyond scans). A *stage task* is an
+/// operator-installed per-morsel pipeline stage (join-build hashing, top-k
+/// candidate filtering, sort-run building, aggregate folding) that ran on a
+/// worker right after the morsel's partitions were scanned.
 ///
-///   - *stage tasks*: an operator-installed per-morsel pipeline stage
-///     (join-build hashing, top-k candidate filtering, sort-run building,
-///     aggregate folding) that ran on a worker right after the morsel's
-///     partitions were scanned, and
-///   - *barrier tasks*: bounded fan-out units run through ParallelFor
-///     (e.g. the partitioned hash-table construction of a parallel join
-///     build), where the consumer blocks until every unit completes.
-///
-/// Counters are monotonic across the process lifetime, like
+/// The counter is monotonic across the process lifetime, like
 /// ColumnBatch::materialize_calls(): benches and tests snapshot before /
 /// after a query to prove the parallel path actually executed (a
 /// silently-serial regression shows up as a zero delta).
 class PipelineCounters {
  public:
   static int64_t stage_tasks();
-  static int64_t barrier_tasks();
   static void IncStageTasks();
-  static void IncBarrierTasks(int64_t n);
 };
-
-/// Bounded-window barrier fan-out: runs `fn(i)` for every i in
-/// [0, num_tasks) on `pool` workers, with at most `window` tasks submitted
-/// or running at once (the same per-query budget that caps a scan's morsel
-/// backlog — a pipeline barrier must not be able to flood the shared pool
-/// either), and blocks the calling thread until every task has finished.
-/// `window` 0 defaults to the pool's width.
-///
-/// Tasks are independent and may run in any order; callers own any output
-/// buffers, which ParallelFor guarantees are quiescent on return.
-///
-/// Cancellation: when `cancel` is non-null and becomes true, tasks that
-/// have not started are skipped (started ones run to completion). Returns
-/// the number of tasks that actually ran — num_tasks unless cancelled.
-///
-/// Must not be called from inside a pool task: a worker blocking on a
-/// barrier would deadlock a width-1 pool (the engine only calls it from
-/// consumer/driver threads).
-///
-/// `trace`, when set, additionally receives the ran count on its per-query
-/// barrier-task counter (the query-scoped view of PipelineCounters).
-size_t ParallelFor(ThreadPool* pool, size_t num_tasks, size_t window,
-                   const std::function<void(size_t)>& fn,
-                   const std::atomic<bool>* cancel = nullptr,
-                   Trace* trace = nullptr);
 
 }  // namespace snowprune
 

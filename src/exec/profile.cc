@@ -75,8 +75,7 @@ std::string QueryProfile::ToText() const {
         }
       };
   if (root != nullptr) render(root, 0);
-  out << "pipeline: stage_tasks=" << stage_tasks
-      << " barrier_tasks=" << barrier_tasks << '\n';
+  out << "pipeline: stage_tasks=" << stage_tasks << '\n';
   return out.str();
 }
 
@@ -113,8 +112,7 @@ std::string QueryProfile::ToJson() const {
     }
     out << "]}";
   };
-  out << "{\"stage_tasks\":" << stage_tasks
-      << ",\"barrier_tasks\":" << barrier_tasks << ",\"plan\":";
+  out << "{\"stage_tasks\":" << stage_tasks << ",\"plan\":";
   if (root != nullptr) {
     render(root);
   } else {

@@ -50,9 +50,8 @@ class QueryProfile {
   std::string ToJson() const;
 
   ProfileNode* root = nullptr;
-  /// Per-query pipeline-task counts (from the trace's atomic counters).
+  /// Per-query pipeline stage-task count (from the trace's atomic counter).
   int64_t stage_tasks = 0;
-  int64_t barrier_tasks = 0;
 
  private:
   std::vector<std::unique_ptr<ProfileNode>> nodes_;

@@ -198,12 +198,6 @@ class TableScanOp : public ScanSource {
   /// Observability: how many morsels the last Open() planned (parallel
   /// mode; 0 before Open or in serial mode).
   size_t num_morsels() const { return morsel_ranges_.size(); }
-  /// The executing pool and per-scan window (operators reuse them for
-  /// their own barrier fan-outs so pipeline tasks respect the same
-  /// per-query budget as the scan's morsels). Null / 0 in serial mode.
-  ThreadPool* pool() const { return pool_; }
-  size_t morsel_window() const { return morsel_window_; }
-  const std::atomic<bool>* cancel_flag() const { return cancel_; }
 
  private:
   /// NextColumns minus the profile wrapper.

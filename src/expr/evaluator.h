@@ -23,7 +23,6 @@ Value EvalScalar(const Expr& expr, const Row& row);
 /// for NULL.
 std::optional<bool> EvalPredicate(const Expr& expr,
                                   const MicroPartition& partition, size_t row);
-std::optional<bool> EvalPredicate(const Expr& expr, const Row& row);
 
 /// Evaluates a predicate over all rows of a partition; mask[i] == 1 iff the
 /// row satisfies the predicate (NULL counts as not satisfied). Row-by-row

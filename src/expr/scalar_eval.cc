@@ -191,10 +191,6 @@ std::optional<bool> EvalPredicate(const Expr& expr,
   return AsPredicate(EvalScalar(expr, partition, row));
 }
 
-std::optional<bool> EvalPredicate(const Expr& expr, const Row& row) {
-  return AsPredicate(EvalScalar(expr, row));
-}
-
 std::vector<uint8_t> EvalPredicateMask(const Expr& expr,
                                        const MicroPartition& partition) {
   std::vector<uint8_t> mask(partition.row_count(), 0);

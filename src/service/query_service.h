@@ -96,8 +96,8 @@ struct ServiceStats {
   int64_t shed_expired = 0;
   int64_t peak_in_flight = 0;    ///< Max queries executing at once.
   int64_t peak_queue_depth = 0;  ///< Max queries waiting at once.
-  /// Deepest the shared worker pool's task backlog ever got (morsels +
-  /// pipeline-stage barriers across every in-flight query) — the measured
+  /// Deepest the shared worker pool's task backlog ever got (morsels across
+  /// every in-flight query) — the measured
   /// worst case of the head-of-line pressure the per-query morsel-window
   /// budget is meant to bound. Sampled inside ThreadPool::Submit, so no
   /// backlog spike can dodge it.

@@ -993,15 +993,16 @@ TEST(NestedShapeTest, JoinOverTopKProbeMatchesUnprunedRows) {
 
 // ------------------------------------------------ Plans must be trees ----
 
-/// Compiles over an 8×50 clustered "t" (400 rows), serially.
-Result<QueryResult> RunOn8x50(const PlanPtr& plan) {
+/// Compiles over an 8×50 clustered "t" (400 rows), serially by default;
+/// `num_threads` 0 is the default EngineConfig's hardware concurrency.
+Result<QueryResult> RunOn8x50(const PlanPtr& plan, int num_threads = 1) {
   Catalog catalog;
   EXPECT_TRUE(catalog
                   .RegisterTable(
                       Synthetic50(workload::Layout::kClustered, /*parts=*/8))
                   .ok());
   EngineConfig config;
-  config.exec.num_threads = 1;
+  config.exec.num_threads = num_threads;
   Engine engine(&catalog, config);
   return engine.Execute(plan);
 }
@@ -1075,6 +1076,46 @@ TEST(PlanTreeTest, JoinWithoutEitherInputIsRefused) {
   // Under another node, too: the walk reaches the join through its parent.
   ExpectMissingInputRefused(
       LimitPlan(JoinPlan(ScanPlan("t"), nullptr, "key", "key"), 5));
+}
+
+/// The inputs a TopK on `key` can sit over: a scan, a predicated scan
+/// (partitions 2-7 fully match `id >= 100`, so boundary initialization has
+/// partitions to read), and a GROUP BY key.
+std::vector<PlanPtr> TopKInputs() {
+  return {ScanPlan("t"), ScanPlan("t", Ge(Col("id"), Lit(100))),
+          AggregatePlan(ScanPlan("t"), {"key"},
+                        {AggPlanSpec{AggFunc::kCount, "", "n"}})};
+}
+
+/// ORDER BY ... LIMIT 0 keeps no row: no boundary initialization reads the
+/// (k-1)-th extreme and no aggregate publishes a k-th group boundary.
+TEST(PlanTreeTest, TopKOfZeroReturnsNoRows) {
+  for (int threads : {1, 0}) {
+    for (bool desc : {true, false}) {
+      for (const PlanPtr& input : TopKInputs()) {
+        auto result = RunOn8x50(TopKPlan(input, "key", desc, 0), threads);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_TRUE(result.value().rows.empty())
+            << result.value().rows.size() << " rows at threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(PlanTreeTest, NegativeLimitCountOrOffsetIsRefused) {
+  for (int threads : {1, 0}) {
+    for (const PlanPtr& input : TopKInputs()) {
+      auto topk = RunOn8x50(TopKPlan(input, "key", true, -1), threads);
+      ASSERT_FALSE(topk.ok());
+      EXPECT_EQ(topk.status().code(), StatusCode::kInvalidArgument);
+    }
+    for (const PlanPtr& limit :
+         {LimitPlan(ScanPlan("t"), -1), LimitPlan(ScanPlan("t"), 5, -1)}) {
+      auto result = RunOn8x50(limit, threads);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 /// `key >= 0` under NOTs, `depth` nodes deep; an even number of NOTs (an

@@ -184,6 +184,12 @@ ExprPtr RandomPredicate(Rng* rng, const Table& table, int depth) {
   }
 }
 
+/// Does a boxed result row satisfy `pred`? NULL counts as not satisfied.
+bool RowMatches(const Expr& pred, const Row& row) {
+  const Value v = EvalScalar(pred, row);
+  return !v.is_null() && v.bool_value();
+}
+
 std::string Serialize(const std::vector<Row>& rows) {
   std::string s;
   for (const auto& row : rows) {
@@ -342,11 +348,7 @@ TEST(FuzzPruneTest, AnalyzePredicateFlagsMatchRowOutcomes) {
       int64_t true_rows = 0, false_rows = 0, null_rows = 0;
       const size_t n = static_cast<size_t>(part.row_count());
       for (size_t r = 0; r < n; ++r) {
-        Row row;
-        for (size_t c = 0; c < part.num_columns(); ++c) {
-          row.push_back(part.column(c).ValueAt(r));
-        }
-        auto outcome = EvalPredicate(*pred, row);
+        auto outcome = EvalPredicate(*pred, part, r);
         if (!outcome.has_value()) {
           ++null_rows;
         } else if (*outcome) {
@@ -500,8 +502,7 @@ TEST(FuzzPruneTest, EngineAgreesWithUnprunedExecution) {
     ASSERT_EQ(order_values(topk_on), order_values(topk_off))
         << ctx << ": top-k pruning changed the winning order values";
     for (const auto& row : topk_on) {
-      auto keep = EvalPredicate(*pred, row);
-      ASSERT_TRUE(keep.has_value() && *keep)
+      ASSERT_TRUE(RowMatches(*pred, row))
           << ctx << ": top-k returned a row failing the predicate";
     }
     ExpectParallelIdentical(&engine, topk, topk_on, ctx);
@@ -513,8 +514,7 @@ TEST(FuzzPruneTest, EngineAgreesWithUnprunedExecution) {
               std::min(k, total_matches))
         << ctx << ": LIMIT pruning returned the wrong row count";
     for (const auto& row : limit_on) {
-      auto keep = EvalPredicate(*pred, row);
-      ASSERT_TRUE(keep.has_value() && *keep) << ctx;
+      ASSERT_TRUE(RowMatches(*pred, row)) << ctx;
     }
     ExpectParallelIdentical(&engine, limit, limit_on, ctx);
 
@@ -1487,8 +1487,7 @@ TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
                   << sctx << ": a k-sufficient hit returned too few rows";
               std::multiset<std::string> pool = unlimited_rows;
               for (const Row& row : r.rows) {
-                auto keep = EvalPredicate(*pred, row);
-                ASSERT_TRUE(keep.has_value() && *keep) << sctx;
+                ASSERT_TRUE(RowMatches(*pred, row)) << sctx;
                 auto at = pool.find(Serialize({row}));
                 ASSERT_NE(at, pool.end())
                     << sctx << ": a LIMIT row the unlimited query lacks";
@@ -1500,8 +1499,7 @@ TEST(FuzzPruneTest, PredicateCacheAgreesWithUncachedEngine) {
             }
             if (is_topk) {
               for (const Row& row : r.rows) {
-                auto keep = EvalPredicate(*pred, row);
-                ASSERT_TRUE(keep.has_value() && *keep) << sctx;
+                ASSERT_TRUE(RowMatches(*pred, row)) << sctx;
               }
             }
             ASSERT_GE(r.stats.pruned_by_cache, 0) << sctx;

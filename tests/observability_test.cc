@@ -170,7 +170,7 @@ TEST(TraceTest, MergeBufferRebasesIdsDeterministically) {
 }
 
 /// MergeChildTrace splices a shard's whole slice-scan trace under a parent
-/// span and folds its stage/barrier counters into the parent's.
+/// span and folds its stage-task counter into the parent's.
 TEST(TraceTest, MergeChildTraceFoldsCounters) {
   Trace parent;
   const uint32_t scatter = parent.BeginSpan("scatter");
@@ -179,7 +179,6 @@ TEST(TraceTest, MergeChildTraceFoldsCounters) {
   child.EndSpan(sub);
   child.IncStageTasks();
   child.IncStageTasks();
-  child.IncBarrierTasks(3);
   parent.MergeChildTrace(&child, scatter);
   parent.EndSpan(scatter);
 
@@ -187,7 +186,6 @@ TEST(TraceTest, MergeChildTraceFoldsCounters) {
   EXPECT_EQ(parent.spans()[1].name, "shard.scan");
   EXPECT_EQ(parent.spans()[1].parent, scatter);
   EXPECT_EQ(parent.stage_tasks(), 2);
-  EXPECT_EQ(parent.barrier_tasks(), 3);
   EXPECT_FALSE(parent.ToText().empty());
   EXPECT_NE(parent.ToJson().find("\"scatter\""), std::string::npos);
 }

@@ -1,5 +1,5 @@
-/// Pipeline-parallel operator suite: the task-pipeline layer (ParallelFor,
-/// morsel stages, the deterministic JoinHashTable) plus the three operators
+/// Pipeline-parallel operator suite: the task-pipeline layer (morsel
+/// stages, the deterministic JoinHashTable) plus the three operators
 /// that run worker-side stages — join build, top-k candidate filter, sorted
 /// runs — must produce rows AND PruningStats byte-identical to serial
 /// execution at every thread count, and per-query cancellation must abort
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,7 +20,6 @@
 #include "exec/engine.h"
 #include "exec/join_op.h"
 #include "exec/parallel/pipeline.h"
-#include "exec/parallel/thread_pool.h"
 #include "exec/plan.h"
 #include "expr/builder.h"
 #include "storage/catalog.h"
@@ -33,49 +33,6 @@ using testing_util::DiffStats;
 using testing_util::Serialize;
 
 // ---------------------------------------------------------------------------
-// ParallelFor
-// ---------------------------------------------------------------------------
-
-TEST(ParallelForTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  std::atomic<int64_t> sum{0};
-  std::vector<std::atomic<int>> runs(100);
-  const size_t ran = ParallelFor(&pool, 100, 8, [&](size_t i) {
-    sum.fetch_add(static_cast<int64_t>(i));
-    runs[i].fetch_add(1);
-  });
-  EXPECT_EQ(ran, 100u);
-  EXPECT_EQ(sum.load(), 4950);
-  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
-}
-
-TEST(ParallelForTest, PreSetCancelRunsNothing) {
-  ThreadPool pool(2);
-  std::atomic<bool> cancel{true};
-  std::atomic<int> runs{0};
-  const size_t ran =
-      ParallelFor(&pool, 50, 4, [&](size_t) { runs.fetch_add(1); }, &cancel);
-  EXPECT_EQ(ran, 0u);
-  EXPECT_EQ(runs.load(), 0);
-}
-
-TEST(ParallelForTest, CancelMidRunStopsScheduling) {
-  ThreadPool pool(2);
-  std::atomic<bool> cancel{false};
-  std::atomic<int> runs{0};
-  // Window 1: after the first task flips the flag, no further task starts.
-  const size_t ran = ParallelFor(
-      &pool, 100, 1,
-      [&](size_t) {
-        runs.fetch_add(1);
-        cancel.store(true);
-      },
-      &cancel);
-  EXPECT_EQ(ran, 1u);
-  EXPECT_EQ(runs.load(), 1);
-}
-
-// ---------------------------------------------------------------------------
 // JoinHashTable
 // ---------------------------------------------------------------------------
 
@@ -86,42 +43,33 @@ std::vector<size_t> Matches(const JoinHashTable& table, uint64_t hash) {
 }
 
 TEST(JoinHashTableTest, MatchesComeOutInBuildOrder) {
-  JoinHashTable table;
-  // Duplicate hashes interleaved with others; matches must ascend by index.
-  std::vector<JoinHashTable::Entry> entries;
+  // Duplicate hashes interleaved with others, at 100 entries and at 2^17
+  // (heavy duplicates plus a random spread): a probe must return exactly
+  // the entries carrying its hash, ascending by index.
+  std::vector<JoinHashTable::Entry> small;
   for (uint64_t i = 0; i < 100; ++i) {
-    entries.push_back(JoinHashTable::Entry{i % 7, i});
+    small.push_back(JoinHashTable::Entry{i % 7, i});
   }
-  table.Build(entries);
-  for (uint64_t h = 0; h < 7; ++h) {
-    std::vector<size_t> m = Matches(table, h);
-    ASSERT_FALSE(m.empty());
-    for (size_t i = 1; i < m.size(); ++i) EXPECT_LT(m[i - 1], m[i]);
-    for (size_t index : m) EXPECT_EQ(index % 7, h);
-  }
-}
-
-TEST(JoinHashTableTest, ParallelBuildIsByteIdenticalToSerial) {
-  // Above the parallel threshold (2^15) with adversarial hash patterns:
-  // heavy duplicates plus a random spread.
   Rng rng(7771);
-  std::vector<JoinHashTable::Entry> entries;
-  const size_t n = 50'000;
-  for (size_t i = 0; i < n; ++i) {
+  std::vector<JoinHashTable::Entry> large;
+  for (uint64_t i = 0; i < (uint64_t{1} << 17); ++i) {
     const uint64_t h = rng.Bernoulli(0.2)
                            ? static_cast<uint64_t>(rng.UniformInt(0, 15))
                            : rng.Next();
-    entries.push_back(JoinHashTable::Entry{h, i});
+    large.push_back(JoinHashTable::Entry{h, i});
   }
-  JoinHashTable serial;
-  serial.Build(entries);
-  ThreadPool pool(4);
-  JoinHashTable parallel;
-  parallel.Build(entries, &pool, 8);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (const JoinHashTable::Entry& e : entries) {
-    ASSERT_EQ(Matches(serial, e.hash), Matches(parallel, e.hash))
-        << "hash " << e.hash;
+  for (const auto& entries : {small, large}) {
+    std::map<uint64_t, std::vector<size_t>> expected;
+    for (const JoinHashTable::Entry& e : entries) {
+      expected[e.hash].push_back(static_cast<size_t>(e.index));
+    }
+    JoinHashTable table;
+    table.Build(entries);
+    ASSERT_EQ(table.size(), entries.size());
+    for (const auto& [hash, indices] : expected) {
+      ASSERT_EQ(Matches(table, hash), indices)
+          << entries.size() << " entries, hash " << hash;
+    }
   }
 }
 
@@ -149,6 +97,14 @@ std::shared_ptr<Catalog> PipelineCatalog() {
   build.null_fraction = 0.05;
   build.seed = 100;
   EXPECT_TRUE(catalog->RegisterTable(workload::SyntheticTable(build)).ok());
+  // A build side above 2^15 non-NULL keys (~38,000 of 40,000 rows).
+  workload::TableGenConfig big_build = build;
+  big_build.name = "big_build";
+  big_build.num_partitions = 40;
+  big_build.rows_per_partition = 1000;
+  big_build.seed = 101;
+  EXPECT_TRUE(
+      catalog->RegisterTable(workload::SyntheticTable(big_build)).ok());
   return catalog;
 }
 
@@ -176,6 +132,8 @@ TEST(PipelineParallelTest, OperatorsMatchSerialByteForByte) {
       {"join", JoinPlan(ScanPlan("probe"), ScanPlan("build"), "key", "key")},
       {"join_dup_keys",
        JoinPlan(ScanPlan("probe"), ScanPlan("build"), "cat", "cat")},
+      {"join_big_build",
+       JoinPlan(ScanPlan("probe"), ScanPlan("big_build"), "key", "key")},
       {"topk", TopKPlan(ScanPlan("probe", filter), "val",
                         /*descending=*/true, 50)},
       {"topk_asc", TopKPlan(ScanPlan("probe"), "key",

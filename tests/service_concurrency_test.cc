@@ -525,8 +525,8 @@ TEST_F(ServiceConcurrencyTest, PoolQueueDepthHighWaterIsSurfaced) {
   // the high-water after the push, so the first submission already counts).
   ServiceStats stats = service.stats();
   EXPECT_GE(stats.peak_pool_queue_depth, 1);
-  // Bounded by what this workload could ever enqueue: the scan's morsels
-  // plus pipeline barrier tasks, far below any runaway figure.
+  // Bounded by what this workload could ever enqueue: the scan's morsels,
+  // far below any runaway figure.
   EXPECT_LE(stats.peak_pool_queue_depth, 200);
 }
 

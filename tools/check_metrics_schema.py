@@ -42,7 +42,6 @@ REQUIRED_COUNTERS = [
 REQUIRED_GAUGES = [
     "pool.queue_depth",
     "pipeline.stage_tasks",
-    "pipeline.barrier_tasks",
 ]
 REQUIRED_HISTOGRAMS = [
     "pool.task_queue_us",
