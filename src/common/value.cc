@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <sstream>
+#include <stdexcept>
 
 namespace snowprune {
 
@@ -14,6 +15,30 @@ const char* ToString(DataType t) {
   }
   return "?";
 }
+
+void Value::InitString(std::string_view s) {
+  if (s.size() <= kInlineCapacity) {
+    std::memcpy(bytes_, s.data(), s.size());
+    set_tag(static_cast<uint8_t>(kInlineStringTag + s.size()));
+    return;
+  }
+  if (s.size() > kHeapSizeMask) {
+    throw std::length_error("Value: string too long");
+  }
+  char* data = new char[s.size()];
+  std::memcpy(data, s.data(), s.size());
+  std::memcpy(bytes_, &data, sizeof(data));
+  // The length's top byte is the tag byte.
+  const uint64_t word = s.size() | (uint64_t{kHeapStringTag} << 56);
+  std::memcpy(bytes_ + 8, &word, sizeof(word));
+}
+
+// Out of line: inlined at every destructor, GCC 12 follows the bool and
+// int64 constructors into a delete[] of their payload (-Wfree-nonheap-object)
+// on paths the tag test rules out.
+void Value::FreeHeap() { delete[] heap_data(); }
+
+void Value::ThrowWrongKind() { throw std::bad_variant_access(); }
 
 int Value::Compare(const Value& a, const Value& b) {
   assert(!a.is_null() && !b.is_null());
@@ -65,12 +90,16 @@ uint64_t HashStringValue(std::string_view s) {
 }
 
 uint64_t HashFloat64Value(double d) {
-  int64_t as_int = static_cast<int64_t>(d);
-  if (static_cast<double>(as_int) == d) {
-    // Integral numerics (2 and 2.0) hash identically.
-    return Mix64(static_cast<uint64_t>(as_int) ^ 0xabcdef12345678ULL);
+  // Integral numerics (2 and 2.0) hash identically. Only a double in
+  // [-2^63, 2^63) converts to int64 defined; NaN fails the range test.
+  // -0.0 converts to 0, so it hashes as 0.0 does.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (d >= -kTwo63 && d < kTwo63) {
+    const auto as_int = static_cast<int64_t>(d);
+    if (static_cast<double>(as_int) == d) {
+      return Mix64(static_cast<uint64_t>(as_int) ^ 0xabcdef12345678ULL);
+    }
   }
-  if (d == 0.0) d = 0.0;  // canonicalize -0.0
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(d));
   __builtin_memcpy(&bits, &d, sizeof(bits));

@@ -678,6 +678,15 @@ Result<OperatorPtr> Engine::Compile(const PlanPtr& plan, CompileContext* ctx) {
       if (!idx.has_value()) {
         return Status::NotFound("no order column " + plan->order_column);
       }
+      if (plan->limit_k == 0 && trace.scan != nullptr) {
+        // ORDER BY ... LIMIT 0 keeps no row, so the traced scan loads
+        // nothing: its whole scan set is top-k pruned, as a LIMIT 0's is
+        // limit pruned.
+        ScanSource* source = ctx->scans.at(trace.scan).source;
+        source->mutable_ledger()->pruned_by_topk +=
+            static_cast<int64_t>(source->scan_set().size());
+        source->ReplaceScanSet(ScanSet());
+      }
       // The boundary publisher: the outer TopK for plain/probe-side shapes;
       // the replicated build-side TopK or the aggregate for the others.
       TopKPruner* publisher = pruner;

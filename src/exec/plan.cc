@@ -19,12 +19,12 @@ PlanPtr MakeNode(PlanNode::Kind kind) {
 /// length, in tree order; with the lengths known the rendering parses back
 /// one way only.
 void AppendExactLiterals(const Expr& expr, std::string* out) {
-  auto append_string = [out](const std::string& s) {
+  auto append_string = [out](std::string_view s) {
     *out += std::to_string(s.size()) + ";";
   };
   auto append = [out, &append_string](const Value& v) {
     if (v.is_string()) {
-      append_string(v.string_value());
+      append_string(v.str());
     } else if (v.is_float64()) {
       char buf[40];
       std::snprintf(buf, sizeof(buf), "%a;", v.float64_value());

@@ -166,7 +166,7 @@ void FillRows(const RowSpan& rows, uint8_t v, std::vector<uint8_t>* out) {
       break;
     case DataType::kString:
       if (lit.is_string()) {
-        const std::string_view y = lit.string_value();
+        const std::string_view y = lit.str();
         WithStringMatches(
             col, rows.size(),
             [&](std::string_view x) { return holds(x.compare(y)); }, run);
@@ -599,7 +599,7 @@ void ConnectiveMask(const BoolConnectiveExpr& e, const MicroPartition& part,
           *col, rows.size(),
           [&](std::string_view x) {
             for (const Value& cand : vals) {
-              if (cand.is_string() && x == cand.string_value()) return true;
+              if (cand.is_string() && x == cand.str()) return true;
             }
             return false;
           },

@@ -138,14 +138,14 @@ Value Walk(const Expr& expr, const ReadColumn& read) {
       Value v = Walk(*e.input(), read);
       if (v.is_null()) return Value::Null();
       if (!v.is_string()) return Value::Null();
-      return Value(LikeMatch(v.string_value(), e.pattern()));
+      return Value(LikeMatch(v.str(), e.pattern()));
     }
     case ExprKind::kStartsWith: {
       const auto& e = static_cast<const StartsWithExpr&>(expr);
       Value v = Walk(*e.input(), read);
       if (v.is_null()) return Value::Null();
       if (!v.is_string()) return Value::Null();
-      const std::string& s = v.string_value();
+      const std::string_view s = v.str();
       return Value(s.compare(0, e.prefix().size(), e.prefix()) == 0);
     }
     case ExprKind::kInList: {

@@ -21,7 +21,7 @@ size_t CapacityBytes(const std::vector<V>& v) {
 Value Box(bool v) { return Value(v); }
 Value Box(int64_t v) { return Value(v); }
 Value Box(double v) { return Value(v); }
-Value Box(std::string_view v) { return Value(std::string(v)); }
+Value Box(std::string_view v) { return Value(v); }
 
 /// Zone map of `rows` typed cells. Mirrors the boxed Value::Compare loop
 /// exactly: the first non-null cell seeds min and max, and a later cell
@@ -130,7 +130,7 @@ void ColumnVector::AppendValue(const Value& v) {
       AppendFloat64(v.is_int64() ? static_cast<double>(v.int64_value())
                                  : v.float64_value());
       break;
-    case DataType::kString: AppendString(v.string_value()); break;
+    case DataType::kString: AppendString(v.str()); break;
   }
 }
 
@@ -140,7 +140,7 @@ Value ColumnVector::ValueAt(size_t i) const {
     case DataType::kBool: return Value(BoolAt(i));
     case DataType::kInt64: return Value(Int64At(i));
     case DataType::kFloat64: return Value(Float64At(i));
-    case DataType::kString: return Value(std::string(StringAt(i)));
+    case DataType::kString: return Value(StringAt(i));
   }
   return Value::Null();
 }

@@ -219,7 +219,7 @@ struct ColumnCell {
   bool bool_value() const { return col->BoolAt(row); }
   int64_t int64_value() const { return col->Int64At(row); }
   double float64_value() const { return col->Float64At(row); }
-  std::string_view string_value() const { return col->StringAt(row); }
+  std::string_view str() const { return col->StringAt(row); }
   /// As Value::AsDouble: a non-numeric cell throws through the boxed read.
   double AsDouble() const {
     switch (col->type()) {

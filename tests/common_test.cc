@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "common/interval.h"
 #include "common/rng.h"
 #include "common/stats_collector.h"
 #include "common/tribool.h"
 #include "common/value.h"
+#include "storage/column.h"
 
 namespace snowprune {
 namespace {
@@ -51,6 +57,205 @@ TEST(ValueTest, ToStringRendersSqlStyle) {
   EXPECT_EQ(Value(int64_t{3}).ToString(), "3");
   EXPECT_EQ(Value("hi").ToString(), "'hi'");
   EXPECT_EQ(Value(true).ToString(), "true");
+}
+
+static_assert(sizeof(Value) == 16, "a boxed cell is 16 bytes");
+static_assert(sizeof(ColumnStats) == 56,
+              "a zone map is two cells and three words");
+
+/// Pins the hash of doubles the int64 conversion cannot represent (NaN,
+/// the infinities, ±1e19, 2^63) and of the edges it can: these are the
+/// hashes the unguarded conversion gave on x86, so join summaries and
+/// Bloom filters built before the guard still match.
+TEST(ValueTest, HashFloat64OutsideInt64Range) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double two63 = 9223372036854775808.0;
+  EXPECT_EQ(HashFloat64Value(nan), 0x469bf2dcc1aa179bULL);
+  EXPECT_EQ(HashFloat64Value(inf), 0xce5683aaaedc68d0ULL);
+  EXPECT_EQ(HashFloat64Value(-inf), 0xf35a23197f8fa277ULL);
+  EXPECT_EQ(HashFloat64Value(1e19), 0xfcae498e3859f0b6ULL);
+  EXPECT_EQ(HashFloat64Value(-1e19), 0xbd24d69b4b4e9bddULL);
+  EXPECT_EQ(HashFloat64Value(two63), 0xcdbfd470b87a2b70ULL);
+  EXPECT_EQ(HashFloat64Value(-two63), 0xf631a8a16ddf36fdULL);
+  EXPECT_EQ(HashFloat64Value(-0.0), 0xbe7f8ca8ffb9f12fULL);
+  EXPECT_EQ(HashFloat64Value(2.0), 0x3b788db0b178c88aULL);
+  // -0.0 hashes as 0.0, -2^63 as INT64_MIN, 2 as 2.0; INT64_MAX rounds to
+  // 2^63, outside int64, and hashes as that double.
+  EXPECT_EQ(HashFloat64Value(-0.0), HashFloat64Value(0.0));
+  EXPECT_EQ(HashFloat64Value(-0.0), HashInt64Value(0));
+  EXPECT_EQ(HashFloat64Value(-two63),
+            HashInt64Value(std::numeric_limits<int64_t>::min()));
+  EXPECT_EQ(HashInt64Value(2), HashFloat64Value(2.0));
+  EXPECT_EQ(HashValue(Value(int64_t{2})), HashValue(Value(2.0)));
+  EXPECT_EQ(HashInt64Value(std::numeric_limits<int64_t>::max()),
+            HashFloat64Value(two63));
+  EXPECT_NE(HashFloat64Value(two63), HashFloat64Value(-two63));
+}
+
+/// One Value of each representation: NULL, bool, int64, double, an inline
+/// string (at most 15 bytes) and a heap string.
+std::vector<Value> EveryRepresentation() {
+  std::vector<Value> v;
+  v.emplace_back();
+  v.emplace_back(true);
+  v.emplace_back(int64_t{-42});
+  v.emplace_back(2.5);
+  v.emplace_back("inline");
+  v.emplace_back(std::string(40, 'h'));
+  return v;
+}
+
+/// Same kind and same content (operator== alone equates 2 and 2.0).
+void ExpectSame(const Value& got, const Value& want, const std::string& at) {
+  ASSERT_EQ(got.is_null(), want.is_null()) << at;
+  if (want.is_null()) return;
+  ASSERT_EQ(got.type(), want.type()) << at;
+  EXPECT_TRUE(got == want) << at;
+  if (want.is_string()) EXPECT_EQ(got.str(), want.str()) << at;
+}
+
+TEST(ValueTest, CopyMoveAndAssignBetweenEveryRepresentation) {
+  const std::vector<Value> reps = EveryRepresentation();
+  for (size_t i = 0; i < reps.size(); ++i) {
+    const std::string at = "rep " + std::to_string(i);
+    Value copy(reps[i]);
+    ExpectSame(copy, reps[i], at + " copy");
+    Value moved(std::move(copy));
+    ExpectSame(moved, reps[i], at + " move");
+    EXPECT_TRUE(copy.is_null()) << at << " moved-from";  // NOLINT
+    // Self-assignment, through an alias so the compiler cannot see it.
+    Value& alias = moved;
+    moved = alias;
+    ExpectSame(moved, reps[i], at + " self copy-assign");
+    moved = std::move(alias);
+    ExpectSame(moved, reps[i], at + " self move-assign");
+    for (size_t j = 0; j < reps.size(); ++j) {
+      const std::string pair = at + " <- rep " + std::to_string(j);
+      Value target(reps[i]);
+      target = reps[j];
+      ExpectSame(target, reps[j], pair + " copy-assign");
+      ExpectSame(reps[j], EveryRepresentation()[j], pair + " source kept");
+      Value source(reps[j]);
+      Value into(reps[i]);
+      into = std::move(source);
+      ExpectSame(into, reps[j], pair + " move-assign");
+      EXPECT_TRUE(source.is_null()) << pair << " moved-from";  // NOLINT
+    }
+  }
+}
+
+/// Strings around the inline limit and far past it, with embedded '\0'
+/// bytes, prefixes of one another and last-byte differences.
+std::vector<std::string> EdgeStrings() {
+  std::vector<std::string> out;
+  for (size_t len : {0, 1, 14, 15, 16, 255, 70000}) {
+    out.emplace_back(len, 'q');
+    if (len == 0) continue;
+    std::string last = out.back();
+    last.back() = 'r';
+    out.push_back(last);
+    std::string nul = out[out.size() - 2];
+    nul[len / 2] = '\0';
+    out.push_back(nul);
+  }
+  out.emplace_back(std::string("a\0b", 3));
+  out.emplace_back(std::string("\0\0", 2));
+  return out;
+}
+
+TEST(ValueTest, StringsOfEveryLengthKeepTheirBytes) {
+  for (const std::string& s : EdgeStrings()) {
+    const std::string at = "length " + std::to_string(s.size());
+    const Value v{std::string_view(s)};
+    ASSERT_TRUE(v.is_string()) << at;
+    EXPECT_EQ(v.type(), DataType::kString) << at;
+    EXPECT_EQ(v.str(), s) << at;
+    EXPECT_EQ(v.str().size(), s.size()) << at;
+    EXPECT_EQ(v.string_value(), s) << at;
+    EXPECT_EQ(Value(s).str(), s) << at;
+    Value copy = v;
+    EXPECT_EQ(copy.str(), s) << at;
+    if (s.size() > Value::kInlineCapacity) {
+      // A deep copy: the two views do not share bytes.
+      EXPECT_NE(copy.str().data(), v.str().data()) << at;
+    }
+    Value moved = std::move(copy);
+    EXPECT_EQ(moved.str(), s) << at;
+    EXPECT_TRUE(copy.is_null()) << at;  // NOLINT
+  }
+}
+
+TEST(ValueTest, WrongKindAccessThrows) {
+  EXPECT_THROW((void)Value("x").int64_value(), std::bad_variant_access);
+  EXPECT_THROW((void)Value(std::string(20, 'x')).float64_value(),
+               std::bad_variant_access);
+  EXPECT_THROW((void)Value(int64_t{1}).str(), std::bad_variant_access);
+  EXPECT_THROW((void)Value(1.0).int64_value(), std::bad_variant_access);
+  EXPECT_THROW((void)Value(true).string_value(), std::bad_variant_access);
+  EXPECT_THROW((void)Value(int64_t{0}).bool_value(), std::bad_variant_access);
+  EXPECT_THROW((void)Value::Null().bool_value(), std::bad_variant_access);
+  EXPECT_THROW((void)Value::Null().str(), std::bad_variant_access);
+}
+
+/// A sealed string column of `cells`.
+ColumnVector SealedStrings(const std::vector<std::string>& cells) {
+  ColumnVector col(DataType::kString);
+  for (const std::string& c : cells) col.AppendString(c);
+  ColumnVector::Replaced replaced;
+  col.Seal(&replaced);
+  return col;
+}
+
+int Sign(int x) { return (x > 0) - (x < 0); }
+
+/// Over the plain, 8-bit-code and 16-bit-code layouts, a column cell and
+/// its boxed Value compare, equal and hash alike for every pair of edge
+/// strings.
+TEST(ValueTest, StringCellsAgreeWithBoxedValues) {
+  const std::vector<std::string> edges = EdgeStrings();
+  // Distinct cells: no dictionary is smaller. Each twice: 8-bit codes.
+  // Each twice among 300 fillers: 16-bit codes.
+  std::vector<std::string> twice = edges;
+  twice.insert(twice.end(), edges.begin(), edges.end());
+  std::vector<std::string> wide = twice;
+  for (int i = 0; i < 300; ++i) wide.push_back("f" + std::to_string(i));
+  wide.insert(wide.end(), wide.begin() + static_cast<long>(twice.size()),
+              wide.end());
+  const struct {
+    ColumnLayout layout;
+    std::vector<std::string> cells;
+  } cases[] = {{ColumnLayout::kPlain, edges},
+               {ColumnLayout::kCodes8, twice},
+               {ColumnLayout::kCodes16, wide}};
+  for (const auto& c : cases) {
+    const ColumnVector col = SealedStrings(c.cells);
+    ASSERT_EQ(col.layout(), c.layout);
+    // Every edge-string row; the fillers are left out of the pairs.
+    const size_t n = std::min(c.cells.size(), twice.size());
+    for (size_t i = 0; i < n; ++i) {
+      const ColumnCell a{&col, i};
+      const Value boxed_a = col.ValueAt(i);
+      ASSERT_EQ(boxed_a.str(), c.cells[i]);
+      EXPECT_EQ(HashScalar(a), HashValue(boxed_a));
+      EXPECT_EQ(HashValue(boxed_a), HashStringValue(c.cells[i]));
+      for (size_t j = 0; j < n; ++j) {
+        const ColumnCell b{&col, j};
+        const Value boxed_b(c.cells[j]);
+        const std::string at = std::to_string(static_cast<int>(c.layout)) +
+                               " rows " + std::to_string(i) + "," +
+                               std::to_string(j);
+        const int want = Sign(c.cells[i].compare(c.cells[j]));
+        EXPECT_EQ(Sign(Value::Compare(boxed_a, boxed_b)), want) << at;
+        EXPECT_EQ(Sign(CompareScalars(a, b)), want) << at;
+        EXPECT_EQ(Sign(CompareScalars(a, boxed_b)), want) << at;
+        EXPECT_EQ(Sign(CompareScalars(boxed_a, b)), want) << at;
+        EXPECT_EQ(boxed_a == boxed_b, want == 0) << at;
+        EXPECT_EQ(ScalarsEqual(a, b), want == 0) << at;
+        EXPECT_EQ(HashScalar(a) == HashScalar(b), want == 0) << at;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- TriBool ----

@@ -15,6 +15,7 @@
 #include "exec/scan_op.h"
 #include "expr/builder.h"
 #include "expr/evaluator.h"
+#include "shard/coordinator.h"
 #include "test_util.h"
 #include "workload/table_gen.h"
 
@@ -1097,6 +1098,65 @@ TEST(PlanTreeTest, TopKOfZeroReturnsNoRows) {
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         EXPECT_TRUE(result.value().rows.empty())
             << result.value().rows.size() << " rows at threads=" << threads;
+      }
+    }
+  }
+}
+
+/// ORDER BY ... LIMIT 0 loads nothing, as LIMIT 0 does: the TopK's traced
+/// scan is emptied at compile time and its partitions counted as top-k
+/// pruned, serially, at 4 threads and across 2 shards, with a profile that
+/// reconciles with the query's stats.
+TEST(PlanTreeTest, TopKOfZeroLoadsNothing) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .RegisterTable(workload::SyntheticTable([] {
+                    workload::TableGenConfig cfg;
+                    cfg.name = "t";
+                    cfg.num_partitions = 64;
+                    cfg.rows_per_partition = 500;
+                    cfg.layout = workload::Layout::kClustered;
+                    cfg.seed = 7;
+                    return cfg;
+                  }()))
+                  .ok());
+  for (bool desc : {true, false}) {
+    for (const PlanPtr& input : TopKInputs()) {
+      const PlanPtr plan = TopKPlan(input, "key", desc, 0);
+      std::vector<QueryResult> results;
+      for (int threads : {1, 4}) {
+        EngineConfig config;
+        config.exec.num_threads = threads;
+        Engine engine(&catalog, config);
+        Trace trace;
+        ExecuteOptions opts;
+        opts.trace = &trace;
+        auto result = engine.Execute(plan, opts);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        results.push_back(std::move(result).value());
+      }
+      shard::ShardExecConfig shard_config;
+      shard_config.num_shards = 2;
+      shard_config.engine.exec.num_threads = 1;
+      shard::ShardCoordinator coordinator(&catalog, shard_config);
+      Trace trace;
+      auto sharded = coordinator.Execute(plan, nullptr, &trace);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      results.push_back(std::move(sharded).value());
+
+      for (const QueryResult& r : results) {
+        const std::string at = plan->Fingerprint();
+        EXPECT_TRUE(r.rows.empty()) << at;
+        EXPECT_EQ(r.stats.scanned_partitions, 0) << at;
+        EXPECT_EQ(r.stats.total_partitions, 64) << at;
+        EXPECT_EQ(r.stats.TotalPruned(), r.stats.total_partitions) << at;
+        EXPECT_GT(r.stats.pruned_by_topk, 0) << at;
+        EXPECT_EQ(testing_util::DiffStats(r.stats, results[0].stats), "")
+            << at;
+        ASSERT_NE(r.profile, nullptr) << at;
+        EXPECT_EQ(testing_util::DiffStats(r.profile->SumPruning(), r.stats),
+                  "")
+            << at;
       }
     }
   }
