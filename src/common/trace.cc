@@ -109,19 +109,6 @@ void Trace::MergeBuffer(SpanBuffer* buffer, uint32_t parent_id) {
   buffer->clear();
 }
 
-void Trace::MergeChildTrace(Trace* child, uint32_t parent_id) {
-  SNOW_DCHECK_LE(static_cast<size_t>(parent_id), spans_.size());
-  const uint32_t offset = static_cast<uint32_t>(spans_.size());
-  for (TraceSpan& span : child->spans_) {
-    span.id += offset;
-    span.parent = span.parent == 0 ? parent_id : span.parent + offset;
-    spans_.push_back(std::move(span));
-  }
-  child->spans_.clear();
-  stage_tasks_.fetch_add(child->stage_tasks(), std::memory_order_relaxed);
-  child->stage_tasks_.store(0, std::memory_order_relaxed);
-}
-
 int64_t Trace::EpochNs() const {
   int64_t epoch = 0;
   bool first = true;

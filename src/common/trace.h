@@ -86,10 +86,6 @@ class Trace {
   /// Splices a worker's buffer under `parent_id`, re-basing the buffer's
   /// local ids. Consumer thread only; the buffer is consumed.
   void MergeBuffer(SpanBuffer* buffer, uint32_t parent_id);
-  /// Splices a completed child trace (e.g. one shard's slice scan) under
-  /// `parent_id`. Timestamps need no adjustment — same process clock. The
-  /// child's stage-task counter is folded in too.
-  void MergeChildTrace(Trace* child, uint32_t parent_id);
 
   const std::vector<TraceSpan>& spans() const { return spans_; }
 

@@ -70,8 +70,8 @@ namespace snowprune {
 ///                                    k-sufficient one (its row sum no
 ///                                    longer holds); a scan entry drops
 ///                                    it; surviving ids are remapped.
-///   DeletePartition/ReplacePartition with no notification
-///                                 -> Lookup misses: the table's DML
+///   DeletePartition/ReplacePartition with no notification, or a
+///   zone-map drop/backfill        -> Lookup misses: the table's DML
 ///                                    version moved past the stamp.
 /// A notification applies to (and restamps) an entry exactly one DML
 /// version behind the table; an entry already at the table's version is

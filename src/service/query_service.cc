@@ -106,22 +106,22 @@ QueryService::QueryService(Catalog* catalog, QueryServiceConfig config)
   if (config_.max_in_flight == 0) {
     config_.max_in_flight = std::max<size_t>(2, scan_pool_.num_threads());
   }
-  // Per-query morsel-window budgeting: an equal share of the service-wide
-  // in-flight-morsel budget, so the head-of-line queue pressure any single
-  // query (read: one huge scan) can put in front of everyone else is capped
-  // at its share regardless of its scan-set size. Under sharded execution
-  // a query fans out into up to num_shards concurrent sub-scans, each with
-  // its own window, so the share divides by that fan-out too — otherwise
-  // one sharded query would claim num_shards budget shares.
+  // Per-query morsel-window budgeting: an equal share of a service-wide
+  // budget of 4 morsels per pool worker, so the head-of-line queue pressure
+  // any single query (read: one huge scan) can put in front of everyone
+  // else is capped at its share regardless of its scan-set size. A sharded
+  // query keeps up to num_shards slice scans open at once, each with its
+  // own window, so the share divides by that fan-out too — otherwise one
+  // sharded query would claim num_shards budget shares. The floor of 2 and
+  // multi-scan plans (each scan gets the window) can push the aggregate
+  // past the budget: it is a per-query target, not a hard cap.
   if (config_.engine.exec.morsel_window > 0) {
     per_query_window_ = config_.engine.exec.morsel_window;
   } else {
-    const size_t budget = config_.morsel_window_budget > 0
-                              ? config_.morsel_window_budget
-                              : 4 * scan_pool_.num_threads();
     const size_t fan_out =
         config_.max_in_flight * std::max<size_t>(1, config_.num_shards);
-    per_query_window_ = std::max<size_t>(2, budget / fan_out);
+    per_query_window_ =
+        std::max<size_t>(2, 4 * scan_pool_.num_threads() / fan_out);
   }
   engines_.reserve(config_.max_in_flight);
   drivers_.reserve(config_.max_in_flight);
@@ -298,14 +298,11 @@ void QueryService::DriverLoop(size_t driver_index) {
         return Status::DeadlineExceeded("deadline expired in admission queue");
       }
       executed = true;
-      if (coordinator != nullptr) {
-        return coordinator->Execute(task.plan, &task.state->cancel, trace,
-                                    task.deadline_ns);
-      }
       ExecuteOptions opts;
       opts.cancel = &task.state->cancel;
       opts.trace = trace;
       opts.deadline_ns = task.deadline_ns;
+      if (coordinator != nullptr) return coordinator->Execute(task.plan, opts);
       return engine->Execute(task.plan, opts);
     }();
     const double exec_ms = MsSince(exec_t0);

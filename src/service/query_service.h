@@ -34,17 +34,6 @@ struct QueryServiceConfig {
   /// Bounded admission queue: Submit is rejected with ResourceExhausted
   /// when this many queries are already waiting. 0 = unbounded.
   size_t queue_capacity = 0;
-  /// Sizing target for morsels buffered/in flight across concurrent
-  /// queries: each admitted query gets an equal share (budget /
-  /// max_in_flight, floored at 2) as its per-SCAN morsel window, so one
-  /// huge scan can only keep roughly its share of the shared pool's queue
-  /// busy and point lookups behind it stay bounded. Note this is a
-  /// per-query target, not a hard service-wide cap — the floor of 2 and
-  /// multi-scan plans (each scan gets the window) can push the aggregate
-  /// past the stated budget. 0 = 4 * pool width. Ignored when
-  /// `engine.exec.morsel_window` is explicitly set (that value then
-  /// applies per query).
-  size_t morsel_window_budget = 0;
   /// Shards the catalog is partitioned into. <= 1 runs every query on a
   /// plain per-driver engine (exactly the unsharded service); > 1 gives
   /// each driver a ShardCoordinator instead — queries are compiled once,
@@ -219,7 +208,8 @@ class QueryService {
   size_t queue_depth() const SNOW_EXCLUDES(mutex_);
 
   size_t pool_width() const { return scan_pool_.num_threads(); }
-  /// The per-query morsel window the budget resolved to.
+  /// The per-query morsel window: `engine.exec.morsel_window` when set, else
+  /// max(2, 4 × pool width / (max_in_flight × max(1, num_shards))).
   size_t per_query_morsel_window() const { return per_query_window_; }
   ThreadPool* scan_pool() { return &scan_pool_; }
 

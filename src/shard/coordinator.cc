@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -108,12 +109,107 @@ class ShardCoordinator::ScatterLeaf : public Engine::ShardedLeaf {
                  uint32_t query_span) override;
 
  private:
+  /// One attempt at one shard's slice: its open scan and "shard.scan" span,
+  /// or the fault that lost the slice request on the way out.
+  struct SliceAttempt {
+    Status lost;
+    std::unique_ptr<ScopedSpan> span;
+    std::unique_ptr<TableScanOp> scan;
+  };
+
+  /// Sends `slice` out: opens its scan, on `pool` when there is one.
+  SliceAttempt Launch(const ScanSet& slice, GatherSourceOp* gather,
+                      ThreadPool* pool, size_t window, uint32_t scatter_span);
+  /// Receives the attempt's answer: one batch per slice partition, in slice
+  /// order, or the fault that lost it. Closes the attempt.
+  Result<std::vector<Batch>> Drain(SliceAttempt* attempt);
+
   ShardCoordinator* const coordinator_;
   /// The scan's predicate, bound by the compile before Scatter runs.
   const ExprPtr predicate_;
   const ShardMap& map_;
   const ExecuteOptions& opts_;
 };
+
+ShardCoordinator::ScatterLeaf::SliceAttempt
+ShardCoordinator::ScatterLeaf::Launch(const ScanSet& slice,
+                                      GatherSourceOp* gather, ThreadPool* pool,
+                                      size_t window, uint32_t scatter_span) {
+  SliceAttempt attempt;
+  // Injection site: the slice request is lost on the way out — a retryable
+  // wire fault.
+  if (SNOW_FAILPOINT("shard.scatter_launch")) {
+    attempt.lost = InjectedFault("shard.scatter_launch");
+    return attempt;
+  }
+  attempt.span =
+      std::make_unique<ScopedSpan>(opts_.trace, "shard.scan", scatter_span);
+  attempt.span->AnnotateInt("partitions", static_cast<int64_t>(slice.size()));
+  attempt.scan =
+      std::make_unique<TableScanOp>(gather->table(), slice, predicate_);
+  TableScanOp& scan = *attempt.scan;
+  if (pool != nullptr) {
+    scan.EnableParallel(pool, window,
+                        coordinator_->config_.engine.exec.morsel_min_rows);
+    // Rows are boxed where the partition was scanned, so the pool's
+    // workers, not this thread, pay for the answer's rows.
+    scan.set_morsel_stage([](MorselResult* morsel) {
+      for (MorselItem& item : morsel->items) {
+        if (!item.loaded) continue;
+        auto batch = std::make_shared<Batch>();
+        item.batch.MaterializeInto(batch.get(), /*track_source=*/false);
+        item.payload = std::move(batch);
+      }
+    });
+  }
+  scan.set_cancel_flag(opts_.cancel);
+  scan.set_deadline_ns(opts_.deadline_ns);
+  scan.set_trace(opts_.trace, attempt.span->id());
+  scan.Open();
+  return attempt;
+}
+
+Result<std::vector<Batch>> ShardCoordinator::ScatterLeaf::Drain(
+    SliceAttempt* attempt) {
+  if (!attempt->lost.ok()) return attempt->lost;
+  TableScanOp& scan = *attempt->scan;
+  const size_t slice_size = scan.scan_set().size();
+  std::vector<Batch> batches;
+  batches.reserve(slice_size);
+  ColumnBatch columns;
+  TableScanOp::MorselPayload boxed;
+  while (scan.NextColumns(&columns, &boxed)) {
+    batches.push_back(boxed != nullptr
+                          ? std::move(*static_cast<Batch*>(boxed.get()))
+                          : columns.Materialize());
+  }
+  scan.Close();
+  const Status error = scan.error();
+  *attempt = SliceAttempt();
+  if (!error.ok()) return error;
+  if (opts_.cancel != nullptr &&
+      opts_.cancel->load(std::memory_order_relaxed)) {
+    return Status::Cancelled("query cancelled");
+  }
+  if (DeadlinePassed(opts_.deadline_ns)) {
+    return Status::DeadlineExceeded("deadline exceeded during scatter");
+  }
+  // Answer shape: a slice scan loads every partition it holds (no runtime
+  // pruner is attached), so anything but one batch per partition means the
+  // gather would replay rows under the wrong partition.
+  if (batches.size() != slice_size) {
+    return Status::Internal("shard answer holds " +
+                            std::to_string(batches.size()) +
+                            " batches for a slice of " +
+                            std::to_string(slice_size) + " partitions");
+  }
+  // Injection site: the answer is lost on the way back — the work was done,
+  // the answer is gone. Also a retryable wire fault.
+  if (SNOW_FAILPOINT("shard.scatter_complete")) {
+    return InjectedFault("shard.scatter_complete");
+  }
+  return batches;
+}
 
 Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
                                               ThreadPool* pool, size_t window,
@@ -173,167 +269,74 @@ Status ShardCoordinator::ScatterLeaf::Scatter(GatherSourceOp* gather,
     return Status::DeadlineExceeded("deadline passed before scatter");
   }
 
-  // Scatter: each contacted shard scans exactly its slice of the shared
-  // snapshot (all other operators run gather-side) with the predicate the
-  // compile bound, so concurrent slice scans share the tree read-only. The
-  // slice scans' ledgers are dropped: the gather accounts every partition
-  // in scan-set order.
-  std::vector<Result<std::vector<Batch>>> shard_results(
-      contacted.size(), Status::Internal("shard slice unscanned"));
-  // Traced scatter: each shard records into its own Trace (scatter threads
-  // never touch the parent), stitched under the scatter span after the
-  // joins below — the join is the only synchronization needed.
-  std::vector<std::unique_ptr<Trace>> shard_traces;
-  if (trace != nullptr) {
-    shard_traces.reserve(contacted.size());
-    for (size_t i = 0; i < contacted.size(); ++i) {
-      shard_traces.push_back(std::make_unique<Trace>());
-    }
+  // Scatter: every contacted shard's slice scan opens up front, so with a
+  // pool all slices load, filter and box on its workers while this thread
+  // drains them in shard order. The slice scans' ledgers are dropped: the
+  // gather accounts every partition in scan-set order.
+  std::vector<SliceAttempt> attempts(contacted.size());
+  for (size_t i = 0; i < contacted.size(); ++i) {
+    attempts[i] = Launch(slices[contacted[i]], gather, pool, window,
+                         scatter_span.id());
   }
-  // Concurrency contract (lock-free by structure, so nothing here is
-  // mutex-annotated): each scatter thread i writes only shard_results[i] —
-  // pre-sized above, never resized while threads run — and reads only
-  // shared state that is frozen for the scatter's duration (slices,
-  // snapshot, the pre-bound predicate tree). The pool is thread-safe and
-  // none of its workers waits on a scatter thread. The retry budget and
-  // retry tally are shared atomics. The joins below are the sole
-  // synchronization edge back to the coordinator thread.
   static Counter* const retries_counter =
       MetricsRegistry::Instance().GetCounter("shard.retries");
   static Counter* const retry_exhausted_counter =
       MetricsRegistry::Instance().GetCounter("shard.retry_exhausted");
   const RetryPolicy& retry = coordinator_->config_.retry;
-  const size_t morsel_min_rows =
-      coordinator_->config_.engine.exec.morsel_min_rows;
-  std::atomic<int> retry_budget{retry.retry_budget};
-  std::atomic<int64_t> total_retries{0};
-  auto run_shard = [&](size_t i) {
-    const ScanSet& slice = slices[contacted[i]];
-    Trace* shard_trace = shard_traces.empty() ? nullptr : shard_traces[i].get();
+  int retry_budget = retry.retry_budget;
+  Status failed;
+  std::vector<ShardAnswer> answers;
+  answers.reserve(contacted.size());
+  for (size_t i = 0; i < contacted.size() && failed.ok(); ++i) {
+    ScanSet& slice = slices[contacted[i]];
     // Transient-failure retry loop. Each attempt is a fresh scan of the same
     // snapshot and slice, so a successful retry is byte-identical to a
-    // first-try success: the answers gathered below cannot tell the
-    // attempts apart.
+    // first-try success: the gather cannot tell the attempts apart.
     for (int attempt = 1;; ++attempt) {
-      Result<std::vector<Batch>> scanned = [&]() -> Result<std::vector<Batch>> {
-        // Injection sites: the slice request is lost on the way out
-        // (launch) or its response is lost on the way back (complete — the
-        // work was done, the answer is gone). Both are the retryable wire
-        // faults a real scatter sees.
-        if (SNOW_FAILPOINT("shard.scatter_launch")) {
-          return InjectedFault("shard.scatter_launch");
-        }
-        ScopedSpan scan_span(shard_trace, "shard.scan");
-        scan_span.AnnotateInt("partitions", static_cast<int64_t>(slice.size()));
-        TableScanOp scan(gather->table(), slice, predicate_);
-        if (pool != nullptr) scan.EnableParallel(pool, window, morsel_min_rows);
-        scan.set_cancel_flag(opts_.cancel);
-        scan.set_deadline_ns(opts_.deadline_ns);
-        scan.set_trace(shard_trace, scan_span.id());
-        std::vector<Batch> batches;
-        batches.reserve(slice.size());
-        scan.Open();
-        Batch batch;
-        while (scan.Next(&batch)) batches.push_back(std::move(batch));
-        scan.Close();
-        if (!scan.error().ok()) return scan.error();
-        if (opts_.cancel != nullptr &&
-            opts_.cancel->load(std::memory_order_relaxed)) {
-          return Status::Cancelled("query cancelled");
-        }
-        if (DeadlinePassed(opts_.deadline_ns)) {
-          return Status::DeadlineExceeded("deadline exceeded during scatter");
-        }
-        if (SNOW_FAILPOINT("shard.scatter_complete")) {
-          return InjectedFault("shard.scatter_complete");
-        }
-        return batches;
-      }();
-      if (scanned.ok() || !IsRetryable(scanned.status().code()) ||
+      Result<std::vector<Batch>> scanned = Drain(&attempts[i]);
+      if (scanned.ok()) {
+        answers.push_back(ShardAnswer{std::move(slice),
+                                      std::move(scanned).value()});
+        break;
+      }
+      if (!IsRetryable(scanned.status().code()) ||
           (opts_.cancel != nullptr &&
            opts_.cancel->load(std::memory_order_relaxed)) ||
           DeadlinePassed(opts_.deadline_ns)) {
-        shard_results[i] = std::move(scanned);
-        return;
+        failed = scanned.status();
+        break;
       }
-      if (attempt >= retry.max_attempts ||
-          retry_budget.fetch_sub(1, std::memory_order_acq_rel) <= 0) {
+      if (attempt >= retry.max_attempts || retry_budget-- <= 0) {
         // Out of attempts or out of per-query budget: surface the
         // underlying transient error untouched.
         retry_exhausted_counter->Add();
-        shard_results[i] = std::move(scanned);
-        return;
+        failed = scanned.status();
+        break;
       }
       const int64_t backoff_us = RetryBackoffUs(retry, attempt);
-      if (shard_trace != nullptr) {
-        // The retry lands in this shard's own trace (stitched under the
-        // scatter span later), next to the failed attempt's spans.
-        const uint32_t span = shard_trace->BeginSpan("shard.retry");
-        shard_trace->AnnotateInt(span, "attempt", attempt);
-        shard_trace->AnnotateInt(span, "backoff_us", backoff_us);
-        shard_trace->AnnotateStr(span, "error", scanned.status().ToString());
-        shard_trace->EndSpan(span);
+      if (trace != nullptr) {
+        const uint32_t span =
+            trace->BeginSpan("shard.retry", scatter_span.id());
+        trace->AnnotateInt(span, "attempt", attempt);
+        trace->AnnotateInt(span, "backoff_us", backoff_us);
+        trace->AnnotateStr(span, "error", scanned.status().ToString());
+        trace->EndSpan(span);
       }
-      total_retries.fetch_add(1, std::memory_order_relaxed);
+      ++info.retries;
       retries_counter->Add();
       if (backoff_us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
       }
-    }
-  };
-  if (contacted.size() == 1) {
-    // Single-survivor fast path: no thread handoff, the slice is scanned
-    // from the coordinator's own thread.
-    run_shard(0);
-  } else if (!contacted.empty()) {
-    // Dedicated scatter threads, one per shard, each consuming its slice's
-    // scan — never the worker pool itself, whose workers those scans'
-    // morsels need (a consumer blocking on a pool occupied by consumers
-    // would deadlock).
-    std::vector<std::thread> threads;
-    threads.reserve(contacted.size());
-    for (size_t i = 0; i < contacted.size(); ++i) {
-      threads.emplace_back(run_shard, i);
-    }
-    info.scatter_threads = threads.size();
-    for (auto& t : threads) t.join();
-  }
-  info.retries = total_retries.load(std::memory_order_relaxed);
-  if (trace != nullptr) {
-    trace->AnnotateInt(scatter_span.id(), "fanout",
-                       static_cast<int64_t>(contacted.size()));
-    trace->AnnotateInt(scatter_span.id(), "threads",
-                       static_cast<int64_t>(info.scatter_threads));
-    trace->AnnotateInt(scatter_span.id(), "retries", info.retries);
-    for (auto& shard_trace : shard_traces) {
-      trace->MergeChildTrace(shard_trace.get(), scatter_span.id());
+      attempts[i] = Launch(slice, gather, pool, window, scatter_span.id());
     }
   }
-
-  if (opts_.cancel != nullptr &&
-      opts_.cancel->load(std::memory_order_relaxed)) {
-    return Status::Cancelled("query cancelled");
-  }
-  if (DeadlinePassed(opts_.deadline_ns)) {
-    return Status::DeadlineExceeded("deadline exceeded during scatter");
-  }
-  std::vector<ShardAnswer> answers;
-  answers.reserve(contacted.size());
-  for (size_t i = 0; i < contacted.size(); ++i) {
-    if (!shard_results[i].ok()) return shard_results[i].status();
-    std::vector<Batch>& batches = shard_results[i].value();
-    ScanSet& slice = slices[contacted[i]];
-    // Answer shape: a slice scan loads every partition it holds (no runtime
-    // pruner is attached), so anything but one batch per partition means
-    // the gather would replay rows under the wrong partition.
-    if (batches.size() != slice.size()) {
-      return Status::Internal("shard answer holds " +
-                              std::to_string(batches.size()) +
-                              " batches for a slice of " +
-                              std::to_string(slice.size()) + " partitions");
-    }
-    answers.push_back(ShardAnswer{std::move(slice), std::move(batches)});
-  }
+  // A failed shard stops the scatter: the slices not yet drained are
+  // abandoned (their schedulers stop feeding the pool and wait out the
+  // morsels already running) and their spans closed.
+  attempts.clear();
+  scatter_span.AnnotateInt("fanout", static_cast<int64_t>(contacted.size()));
+  scatter_span.AnnotateInt("retries", info.retries);
+  if (!failed.ok()) return failed;
   gather->SetAnswers(std::move(answers));
   // Injection site: the gathered answers are lost before replay (a
   // coordinator-side buffer fault). The scatter work is gone with them —
@@ -357,9 +360,8 @@ ShardCoordinator::~ShardCoordinator() = default;
 const ShardMap& ShardCoordinator::MapFor(const std::string& name,
                                          const Table& table) {
   auto it = map_cache_.find(name);
-  if (it == map_cache_.end() ||
-      it->second.table_instance() != table.instance_id()) {
-    // First sight, or DML swapped the table object: (re)build from the new
+  if (it == map_cache_.end() || !it->second.Describes(table)) {
+    // First sight, or DML changed the table: (re)build from the new
     // version's metadata.
     it = map_cache_
              .insert_or_assign(
@@ -370,27 +372,11 @@ const ShardMap& ShardCoordinator::MapFor(const std::string& name,
   return it->second;
 }
 
-Result<QueryResult> ShardCoordinator::Execute(
-    const PlanPtr& plan, const std::atomic<bool>* cancel) {
-  return Execute(plan, cancel, nullptr, 0);
-}
-
 Result<QueryResult> ShardCoordinator::Execute(const PlanPtr& plan,
-                                              const std::atomic<bool>* cancel,
-                                              Trace* trace) {
-  return Execute(plan, cancel, trace, 0);
-}
-
-Result<QueryResult> ShardCoordinator::Execute(const PlanPtr& plan,
-                                              const std::atomic<bool>* cancel,
-                                              Trace* trace,
-                                              int64_t deadline_ns) {
+                                              const ExecuteOptions& options) {
   if (!plan) return Status::InvalidArgument("null plan");
   last_exec_ = ExecInfo{};
-  ExecuteOptions opts;
-  opts.cancel = cancel;
-  opts.trace = trace;
-  opts.deadline_ns = deadline_ns;
+  ExecuteOptions opts = options;
 
   size_t scans = 0;
   std::set<const PlanNode*> seen;

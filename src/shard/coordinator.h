@@ -1,7 +1,6 @@
 #ifndef SNOWPRUNE_SHARD_COORDINATOR_H_
 #define SNOWPRUNE_SHARD_COORDINATOR_H_
 
-#include <atomic>
 #include <map>
 #include <string>
 #include <vector>
@@ -71,11 +70,13 @@ struct ShardExecConfig {
 ///     set on a GatherSourceOp in place of the table scan.
 ///  2. scatter: the coordinator slices that scan set by shard ownership
 ///     (partitions already skippable under the initialized top-k boundary
-///     are dropped before contact); each surviving shard scans exactly its
-///     slice with one TableScanOp over the one shared table snapshot, the
-///     compile's bound predicate and the engine's pool, drained into one
-///     batch per partition from a dedicated scatter thread (the calling
-///     thread when only one shard survives), retrying transient faults.
+///     are dropped before contact) and opens one TableScanOp per surviving
+///     shard over exactly its slice of the one shared table snapshot, with
+///     the compile's bound predicate. All slice scans open up front on the
+///     engine's pool, whose workers load, filter and box each partition
+///     into one batch; the calling thread then drains the slices in shard
+///     order (serially, on the calling thread, when the engine has no
+///     pool), re-scanning a slice after a transient fault.
 ///  3. gather: the GatherSourceOp replays each shard's batches in global
 ///     scan-set order, through the *real* operator pipeline (limit /
 ///     top-k / sort / aggregate) with the top-k boundary consulted before
@@ -89,17 +90,15 @@ struct ShardExecConfig {
 /// a leaf — trivially identical.
 ///
 /// Thread safety: a coordinator executes one query at a time (the query
-/// service gives each driver thread its own coordinator); the slice scans
-/// it scatters run concurrently on internal threads.
+/// service gives each driver thread its own coordinator) and starts no
+/// threads of its own: its slice scans' morsels run on the engine's pool,
+/// everything else on the calling thread.
 class ShardCoordinator {
  public:
   /// Per-execution observability (valid until the next Execute call).
   struct ExecInfo {
     bool sharded = false;  ///< Scatter/gather path (vs single-engine fallback).
     size_t shards_contacted = 0;
-    /// Threads spawned for the scatter: 0 when ≤1 shard survived pruning
-    /// (the single-survivor fast path runs on the calling thread).
-    size_t scatter_threads = 0;
     /// Per shard: excluded by the merged-zone-map probe (cross-shard level).
     std::vector<uint8_t> summary_pruned;
     /// Per shard: scanned a slice (its share of the final scan set, minus
@@ -113,30 +112,21 @@ class ShardCoordinator {
   ShardCoordinator(Catalog* catalog, ShardExecConfig config);
   ~ShardCoordinator();
 
-  /// Compiles, prunes the shard map, scatters, gathers. `cancel` fans out
-  /// to every in-flight slice scan (they share the flag) and is polled
-  /// between coordinator phases.
+  /// Compiles, prunes the shard map, scatters, gathers. `options` works as
+  /// for Engine::Execute:
+  ///  - `cancel` and `deadline_ns` reach every slice scan and are checked
+  ///    between coordinator phases and before each retry backoff; past the
+  ///    deadline the query returns kDeadlineExceeded.
+  ///  - `trace` records compile/scatter/gather spans. Under the scatter span
+  ///    sit a "shard.scan" span per contacted shard and attempt, holding
+  ///    its "scan.morsel" spans, and a "shard.retry" span per retry. The
+  ///    result gets an EXPLAIN ANALYZE profile whose per-node pruning
+  ///    counters — all on the gather source, where the coordinator meters —
+  ///    reconcile exactly against the query's PruningStats.
+  ///  - `tables` is replaced on the sharded path by the coordinator's own
+  ///    snapshot of the scanned table, which its shard map is built from.
   Result<QueryResult> Execute(const PlanPtr& plan,
-                              const std::atomic<bool>* cancel = nullptr);
-
-  /// Traced execution: records compile/scatter/gather spans on `trace`,
-  /// gives every contacted shard its own child trace — a "shard.scan" span
-  /// per attempt holding its "scan.morsel" spans, plus any "shard.retry"
-  /// spans — stitched under the scatter span once the scatter joins, and
-  /// attaches an EXPLAIN ANALYZE profile to the result whose per-node
-  /// pruning counters — all attributed to the gather source, where the
-  /// coordinator meters — reconcile exactly against the query's
-  /// PruningStats. Null `trace` behaves like the plain overload.
-  Result<QueryResult> Execute(const PlanPtr& plan,
-                              const std::atomic<bool>* cancel, Trace* trace);
-
-  /// Full-control entry point: adds a per-query deadline (absolute
-  /// steady-clock ns, 0 = none). The deadline fans out to every slice scan
-  /// and is checked between coordinator phases and before each retry
-  /// backoff; past it the query returns kDeadlineExceeded.
-  Result<QueryResult> Execute(const PlanPtr& plan,
-                              const std::atomic<bool>* cancel, Trace* trace,
-                              int64_t deadline_ns);
+                              const ExecuteOptions& options = {});
 
   const ExecInfo& last_exec() const { return last_exec_; }
   const ShardExecConfig& config() const { return config_; }
@@ -144,8 +134,8 @@ class ShardCoordinator {
  private:
   class ScatterLeaf;
 
-  /// The cached shard map for the table version, rebuilt after DML swapped
-  /// the table object (instance_id mismatch).
+  /// The cached shard map for the table version, rebuilt after DML: a
+  /// swapped table object (ReplaceTable) or in-place partition DML.
   const ShardMap& MapFor(const std::string& name, const Table& table);
 
   Catalog* catalog_;

@@ -42,6 +42,7 @@ ShardMap ShardMap::Build(const Table& table, size_t num_shards,
                          ShardPolicy policy) {
   ShardMap map;
   map.table_instance_ = table.instance_id();
+  map.dml_version_ = table.dml_version();
   num_shards = std::max<size_t>(1, num_shards);
   map.shards_.resize(num_shards);
   const size_t n = table.num_partitions();

@@ -31,15 +31,23 @@ const char* ToString(ShardPolicy policy);
 /// maxes, summed null/row counts, has_stats ANDed — so the coordinator can
 /// exclude a whole shard with one metadata probe (the cross-shard pruning
 /// level). Built from metadata only (no loads); a map is valid for exactly
-/// one Table::instance_id() — DML replaces the table object, and the
-/// coordinator rebuilds the map on the new version.
+/// the table version it was built from (see Describes) — after DML the
+/// coordinator rebuilds it.
 class ShardMap {
  public:
   static ShardMap Build(const Table& table, size_t num_shards,
                         ShardPolicy policy);
 
   size_t num_shards() const { return shards_.size(); }
-  uint64_t table_instance() const { return table_instance_; }
+  /// True while `table` is the version this map was built from: the same
+  /// table object (ReplaceTable swaps it), the same DML version (in-place
+  /// delete and replace bump it) and the same partition count (in-place
+  /// appends grow it).
+  bool Describes(const Table& table) const {
+    return table_instance_ == table.instance_id() &&
+           dml_version_ == table.dml_version() &&
+           owner_.size() == table.num_partitions();
+  }
 
   /// The shard owning `pid` (every partition is owned by exactly one shard).
   size_t shard_of(PartitionId pid) const { return owner_[pid]; }
@@ -70,6 +78,7 @@ class ShardMap {
   std::vector<Shard> shards_;
   std::vector<uint32_t> owner_;  ///< partition id -> shard index.
   uint64_t table_instance_ = 0;
+  uint64_t dml_version_ = 0;
   size_t assigned_ = 0;
 };
 

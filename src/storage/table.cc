@@ -44,6 +44,7 @@ size_t Table::DropStatsOnFraction(double fraction, uint64_t seed) {
       ++dropped;
     }
   }
+  if (dropped > 0) ++dml_version_;
   return dropped;
 }
 
@@ -58,6 +59,7 @@ size_t Table::BackfillMissingStats() {
       ++backfilled;
     }
   }
+  if (backfilled > 0) ++dml_version_;
   return backfilled;
 }
 

@@ -91,8 +91,10 @@ class Table {
   /// Replaces a partition's contents (coarse UPDATE, §8.2).
   void ReplacePartition(PartitionId pid, MicroPartition partition);
 
-  /// A monotonically increasing counter bumped by every DML operation;
-  /// consumers (e.g. the predicate cache) use it to detect staleness.
+  /// A monotonically increasing counter bumped by every in-place DML
+  /// operation except an append (which grows num_partitions() instead) and
+  /// by every zone-map drop or backfill; consumers (the predicate cache,
+  /// the shard coordinator's shard maps) use it to detect staleness.
   uint64_t dml_version() const { return dml_version_; }
 
   /// Simulates external files without metadata on a fraction of partitions

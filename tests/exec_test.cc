@@ -1140,7 +1140,9 @@ TEST(PlanTreeTest, TopKOfZeroLoadsNothing) {
       shard_config.engine.exec.num_threads = 1;
       shard::ShardCoordinator coordinator(&catalog, shard_config);
       Trace trace;
-      auto sharded = coordinator.Execute(plan, nullptr, &trace);
+      ExecuteOptions opts;
+      opts.trace = &trace;
+      auto sharded = coordinator.Execute(plan, opts);
       ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
       results.push_back(std::move(sharded).value());
 

@@ -353,7 +353,9 @@ TEST_F(FaultToleranceTest, TracedRetryIsRecordedUnderScatter) {
   ASSERT_NE(fp, nullptr);
   fp->ArmOnceAfterK(0);
   Trace trace;
-  auto traced = coordinator.Execute(ScanPlan("fact"), nullptr, &trace);
+  ExecuteOptions opts;
+  opts.trace = &trace;
+  auto traced = coordinator.Execute(ScanPlan("fact"), opts);
   fp->Disarm();
   ASSERT_TRUE(traced.ok()) << traced.status().ToString();
   const ShardCoordinator::ExecInfo& info = coordinator.last_exec();

@@ -1250,8 +1250,11 @@ TEST(FuzzPruneTest, MissingMetadataIsNeverFalselyPruned) {
 
 /// DML churn between queries: inserts, whole-partition deletes, and
 /// replaces (plus occasional zone-map drops) must never desynchronize
-/// pruned execution from the brute-force row oracle, serially or in
-/// parallel.
+/// pruned execution from the brute-force row oracle, serially, in
+/// parallel, or sharded: every round's scan, LIMIT and top-k also run
+/// through one 4-shard coordinator that lives across the rounds, so its
+/// cached shard map must follow the in-place DML, and must match the serial
+/// rows and stats.
 TEST(FuzzPruneTest, DmlChurnKeepsOracleAgreement) {
   // Partitions queried with `cat` plain and dictionary-coded.
   int cat_layouts[2] = {0, 0};
@@ -1259,6 +1262,23 @@ TEST(FuzzPruneTest, DmlChurnKeepsOracleAgreement) {
     Rng rng(91000 + iter);
     auto table = RandomTable(&rng, "d");
     FuzzEngine engine(table);
+    shard::ShardExecConfig shard_config;
+    shard_config.num_shards = 4;
+    shard_config.policy = shard::ShardPolicy::kRange;
+    shard_config.engine.exec.num_threads = 2;
+    shard::ShardCoordinator coordinator(engine.catalog(), shard_config);
+    auto expect_sharded_matches_serial = [&](const PlanPtr& plan,
+                                             const std::string& ctx) {
+      QueryResult serial = engine.RunFull(plan, true, 1);
+      auto sharded = coordinator.Execute(plan);
+      ASSERT_TRUE(sharded.ok()) << ctx << ": " << sharded.status().ToString();
+      ASSERT_TRUE(coordinator.last_exec().sharded) << ctx;
+      ASSERT_EQ(Serialize(serial.rows), Serialize(sharded.value().rows))
+          << ctx << ": sharded rows diverged after DML";
+      ASSERT_EQ(testing_util::DiffStats(serial.stats, sharded.value().stats),
+                "")
+          << ctx << ": sharded stats diverged after DML";
+    };
 
     for (int round = 0; round < 6; ++round) {
       // One DML operation between queries.
@@ -1305,12 +1325,16 @@ TEST(FuzzPruneTest, DmlChurnKeepsOracleAgreement) {
       ASSERT_EQ(Serialize(engine.Run(scan, false, 1)), Serialize(rows))
           << ctx;
       ExpectParallelIdentical(&engine, scan, rows, ctx);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_sharded_matches_serial(scan, ctx + " scan"));
 
       int64_t k = rng.UniformInt(1, 15);
       auto limit = LimitPlan(ScanPlan("d", pred), k);
       ASSERT_EQ(static_cast<int64_t>(engine.Run(limit, true, 1).size()),
                 std::min(k, total_matches))
           << ctx;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_sharded_matches_serial(limit, ctx + " limit"));
 
       auto topk = TopKPlan(ScanPlan("d", pred), "key", rng.Bernoulli(0.5), k);
       std::vector<Row> topk_rows = engine.Run(topk, true, 1);
@@ -1327,6 +1351,8 @@ TEST(FuzzPruneTest, DmlChurnKeepsOracleAgreement) {
       };
       ASSERT_EQ(order_values(topk_rows), order_values(topk_off)) << ctx;
       ExpectParallelIdentical(&engine, topk, topk_rows, ctx);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_sharded_matches_serial(topk, ctx + " topk"));
     }
   }
   EXPECT_GT(cat_layouts[0], 0) << "no plain cat partition was queried";
@@ -1668,7 +1694,9 @@ TEST(FuzzPruneTest, ShardedExecutionMatchesSerialOracle) {
           // Traced coordinator run: same rows, same deterministic stats —
           // tracing must be observation-only on the sharded path too.
           Trace shard_trace;
-          auto traced = coordinator.Execute(cs.plan, nullptr, &shard_trace);
+          ExecuteOptions traced_opts;
+          traced_opts.trace = &shard_trace;
+          auto traced = coordinator.Execute(cs.plan, traced_opts);
           ASSERT_TRUE(traced.ok()) << ctx << ": "
                                    << traced.status().ToString();
           const std::string sctx = ctx + " case " + std::to_string(c) +

@@ -169,27 +169,6 @@ TEST(TraceTest, MergeBufferRebasesIdsDeterministically) {
   }
 }
 
-/// MergeChildTrace splices a shard's whole slice-scan trace under a parent
-/// span and folds its stage-task counter into the parent's.
-TEST(TraceTest, MergeChildTraceFoldsCounters) {
-  Trace parent;
-  const uint32_t scatter = parent.BeginSpan("scatter");
-  Trace child;
-  const uint32_t sub = child.BeginSpan("shard.scan");
-  child.EndSpan(sub);
-  child.IncStageTasks();
-  child.IncStageTasks();
-  parent.MergeChildTrace(&child, scatter);
-  parent.EndSpan(scatter);
-
-  ASSERT_EQ(parent.spans().size(), 2u);
-  EXPECT_EQ(parent.spans()[1].name, "shard.scan");
-  EXPECT_EQ(parent.spans()[1].parent, scatter);
-  EXPECT_EQ(parent.stage_tasks(), 2);
-  EXPECT_FALSE(parent.ToText().empty());
-  EXPECT_NE(parent.ToJson().find("\"scatter\""), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // EXPLAIN ANALYZE profile vs PruningStats
 // ---------------------------------------------------------------------------
@@ -324,7 +303,9 @@ TEST(ProfileTest, ShardedTopKProfileReconciles) {
   config.num_shards = 4;
   ShardCoordinator coordinator(&catalog, config);
   Trace trace;
-  auto result = coordinator.Execute(plan, nullptr, &trace);
+  ExecuteOptions opts;
+  opts.trace = &trace;
+  auto result = coordinator.Execute(plan, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const QueryResult& r = result.value();
   EXPECT_GT(r.stats.shards_total, 0);
@@ -340,8 +321,8 @@ TEST(ProfileTest, ShardedTopKProfileReconciles) {
   EXPECT_NE(text.find("TopK"), std::string::npos);
   EXPECT_NE(text.find("Gather"), std::string::npos);
   EXPECT_NE(text.find("shards"), std::string::npos);
-  // The trace shows the coordinator phases with the shards' slice scans
-  // stitched under the scatter span.
+  // The trace shows the coordinator phases, the shards' slice scans under
+  // the scatter span.
   bool saw_scatter = false;
   bool saw_gather = false;
   for (const TraceSpan& span : trace.spans()) {

@@ -303,16 +303,17 @@ TEST_F(ServiceConcurrencyTest, ShutdownFailsQueuedQueriesAndNeverHangs) {
   EXPECT_GE(ok, 1);  // the in-flight query completes, never cancelled
 }
 
+/// The per-query morsel window is an equal share of a budget of 4 morsels
+/// per pool worker, floored at 2; an explicit engine window wins.
 TEST_F(ServiceConcurrencyTest, MorselWindowBudgetSplitsAcrossAdmitted) {
   QueryServiceConfig scfg;
-  scfg.num_threads = 4;
+  scfg.num_threads = 8;  // budget 4 * 8 = 32
   scfg.max_in_flight = 4;
-  scfg.morsel_window_budget = 32;
   QueryService service(&catalog_, scfg);
   EXPECT_EQ(service.per_query_morsel_window(), 8u);  // 32 / 4
 
   QueryServiceConfig tight = scfg;
-  tight.morsel_window_budget = 2;  // floor engages
+  tight.num_threads = 1;  // budget 4, share 1: the floor engages
   QueryService tight_service(&catalog_, tight);
   EXPECT_EQ(tight_service.per_query_morsel_window(), 2u);
 

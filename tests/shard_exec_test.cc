@@ -1,15 +1,15 @@
 /// Sharded scatter-gather execution: the coordinator's cross-shard pruning
-/// level (shard-summary exclusion before any shard is contacted), the
-/// single-survivor fast path, gather-side merge determinism for the
-/// stateful operators, one worker pool for every shard's slice scan,
-/// cancellation fan-out, DML snapshot atomicity
-/// through the query service, and the service's shard-aware morsel-window
-/// budgeting.
+/// level (shard-summary exclusion before any shard is contacted), gather-side
+/// merge determinism for the stateful operators, one worker pool and no
+/// other thread for every shard's slice scan, cancellation fan-out, shard
+/// maps that follow in-place DML, DML snapshot atomicity through the query
+/// service, and the service's shard-aware morsel-window budgeting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,9 +63,9 @@ QueryResult RunSerial(Catalog* catalog, const PlanPtr& plan) {
 // ---------------------------------------------------------------------------
 
 /// A predicate excluded by every shard's merged zone map must answer from
-/// shard summaries alone: no shard contacted, no scatter thread spawned, no
-/// partition loaded — and rows + deterministic stats still identical to a
-/// serial single-engine run (shard counters additive on top).
+/// shard summaries alone: no shard contacted, no partition loaded — and
+/// rows + deterministic stats still identical to a serial single-engine run
+/// (shard counters additive on top).
 TEST(ShardExecTest, AllShardsPrunedAnswersFromSummariesAlone) {
   Catalog catalog;
   auto table = RangedTable("t", 8, 10);  // keys 0..79
@@ -89,7 +89,6 @@ TEST(ShardExecTest, AllShardsPrunedAnswersFromSummariesAlone) {
   const auto& info = coordinator.last_exec();
   EXPECT_TRUE(info.sharded);
   EXPECT_EQ(info.shards_contacted, 0u);
-  EXPECT_EQ(info.scatter_threads, 0u);
   // Every shard was excluded by its merged zone map, not merely by the
   // per-partition pass.
   for (uint8_t pruned : info.summary_pruned) EXPECT_EQ(pruned, 1);
@@ -100,8 +99,7 @@ TEST(ShardExecTest, AllShardsPrunedAnswersFromSummariesAlone) {
   EXPECT_EQ(serial.stats.shards_pruned, 0);
 }
 
-/// A predicate matching exactly one range shard takes the single-survivor
-/// fast path: the slice is scanned inline from the coordinator's thread.
+/// A predicate matching exactly one range shard contacts only that shard.
 TEST(ShardExecTest, SingleSurvivingShardRunsInline) {
   Catalog catalog;
   auto table = RangedTable("t", 8, 10);  // keys 0..79, 2 partitions/shard
@@ -121,7 +119,6 @@ TEST(ShardExecTest, SingleSurvivingShardRunsInline) {
   const auto& info = coordinator.last_exec();
   EXPECT_TRUE(info.sharded);
   EXPECT_EQ(info.shards_contacted, 1u);
-  EXPECT_EQ(info.scatter_threads, 0u);
   EXPECT_EQ(result.value().stats.shards_total, 4);
   EXPECT_EQ(result.value().stats.shards_pruned, 3);
 }
@@ -258,8 +255,7 @@ int ProcessThreads() {
 
 /// Every shard's slice scan runs on the coordinator engine's one pool: a
 /// query contacting all four shards at exec.num_threads = 4, with no
-/// injected pool, leaves at most that pool's four workers behind (the
-/// scatter threads are joined before Execute returns).
+/// injected pool, leaves at most that pool's four workers behind.
 TEST(ShardExecTest, OnePoolServesEveryShard) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterTable(RangedTable("t", 16, 64)).ok());
@@ -274,11 +270,101 @@ TEST(ShardExecTest, OnePoolServesEveryShard) {
   const int after = ProcessThreads();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(coordinator.last_exec().shards_contacted, 4u);
-  EXPECT_EQ(coordinator.last_exec().scatter_threads, 4u);
   EXPECT_LE(after - before, 4) << "threads before " << before << ", after "
                                << after;
   EXPECT_EQ(Serialize(RunSerial(&catalog, ScanPlan("t"))),
             Serialize(result.value()));
+}
+
+/// A sharded query starts no threads of its own: every span of a traced
+/// 4-shard query is recorded on the calling thread, except the morsel spans
+/// of the pool's workers. With no pool (num_threads = 1) that leaves one
+/// thread; with four workers, at most five.
+TEST(ShardExecTest, ShardedQueryRunsOnlyOnCallerAndPool) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable(RangedTable("t", 16, 64)).ok());
+  Trace probe;
+  probe.EndSpan(probe.BeginSpan("caller"));
+  const uint64_t caller = probe.spans()[0].thread_id;
+  const std::string serial = Serialize(RunSerial(&catalog, ScanPlan("t")));
+
+  for (int threads : {1, 4}) {
+    ShardExecConfig config;
+    config.num_shards = 4;
+    config.engine.exec.num_threads = threads;
+    ShardCoordinator coordinator(&catalog, config);
+    Trace trace;
+    ExecuteOptions opts;
+    opts.trace = &trace;
+    auto result = coordinator.Execute(ScanPlan("t"), opts);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(coordinator.last_exec().shards_contacted, 4u);
+    EXPECT_EQ(Serialize(result.value()), serial);
+
+    std::set<uint64_t> ids;
+    size_t shard_scans = 0;
+    for (const TraceSpan& span : trace.spans()) {
+      ids.insert(span.thread_id);
+      if (span.name == "shard.scan") ++shard_scans;
+      if (threads == 1 || span.name != "scan.morsel") {
+        EXPECT_EQ(span.thread_id, caller)
+            << span.name << " was recorded off the calling thread";
+      }
+    }
+    EXPECT_EQ(shard_scans, 4u);
+    EXPECT_LE(ids.size(), 1u + (threads == 1 ? 0u : 4u))
+        << "threads " << threads;
+  }
+}
+
+/// One partition of the single-column RangedTable schema holding keys
+/// first .. first + rows - 1.
+MicroPartition KeyPartition(PartitionId id, int64_t first, size_t rows) {
+  ColumnVector col(DataType::kInt64);
+  for (size_t r = 0; r < rows; ++r) {
+    col.AppendInt64(first + static_cast<int64_t>(r));
+  }
+  return MicroPartition(id, {std::move(col)});
+}
+
+/// In-place DML (append, replace, delete) keeps the table object, so the
+/// coordinator's cached shard map must follow the table's DML version and
+/// partition count, not only its identity. A stale map reads ownership past
+/// its end after an append, and its stale merged zone maps prune a shard
+/// whose replaced partition now matches.
+TEST(ShardExecTest, ShardMapFollowsInPlaceDml) {
+  for (int threads : {1, 2}) {
+    Catalog catalog;
+    auto table = RangedTable("t", 8, 10);  // keys 0..79
+    ASSERT_TRUE(catalog.RegisterTable(table).ok());
+    ShardExecConfig config;
+    config.num_shards = 4;
+    config.engine.exec.num_threads = threads;
+    ShardCoordinator coordinator(&catalog, config);
+
+    auto check = [&](const std::string& step) {
+      for (const PlanPtr& plan :
+           {ScanPlan("t"), ScanPlan("t", Gt(Col("key"), Lit(int64_t{900}))),
+            TopKPlan(ScanPlan("t"), "key", /*descending=*/true, 3)}) {
+        QueryResult serial = RunSerial(&catalog, plan);
+        auto result = coordinator.Execute(plan);
+        const std::string ctx = step + " threads " + std::to_string(threads) +
+                                " plan " + plan->Fingerprint();
+        ASSERT_TRUE(result.ok()) << ctx << ": "
+                                 << result.status().ToString();
+        EXPECT_TRUE(coordinator.last_exec().sharded) << ctx;
+        EXPECT_EQ(Serialize(serial), Serialize(result.value())) << ctx;
+        EXPECT_EQ(DiffStats(serial.stats, result.value().stats), "") << ctx;
+      }
+    };
+    check("initial");
+    table->AppendPartition(KeyPartition(8, 80, 10));
+    check("after append");
+    table->ReplacePartition(0, KeyPartition(0, 1000, 10));
+    check("after replace");
+    table->DeletePartition(3);
+    check("after delete");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +382,9 @@ TEST(ShardExecTest, CancelledBeforeScatterLoadsNothing) {
   std::atomic<bool> cancel{true};
   table->ResetMeters();
   auto plan = ScanPlan("t");
-  auto result = coordinator.Execute(plan, &cancel);
+  ExecuteOptions opts;
+  opts.cancel = &cancel;
+  auto result = coordinator.Execute(plan, opts);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(table->load_count(), 0);
@@ -322,7 +410,9 @@ TEST(ShardExecTest, MidRunCancelFansOutToShards) {
       std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
       cancel.store(true, std::memory_order_relaxed);
     });
-    auto result = coordinator.Execute(plan, &cancel);
+    ExecuteOptions opts;
+    opts.cancel = &cancel;
+    auto result = coordinator.Execute(plan, opts);
     canceller.join();
     if (result.ok()) {
       // The query won the race: the result must still be the full answer.
